@@ -1,7 +1,6 @@
 // Command bench regenerates the experiment tables of the reproduction:
 // Figure 2 (query times per strategy and k), the Section 6 Datalog
-// comparison, and the Ext-1..Ext-4 extension experiments. See
-// EXPERIMENTS.md for the experiment index and expected shapes.
+// comparison, and the Ext-1..Ext-4 extension experiments.
 //
 // Usage:
 //

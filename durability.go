@@ -470,12 +470,20 @@ func (db *DB) checkpoint(job *core.CompactJob) error {
 	rec := wal.CheckpointRecord{
 		Epoch: db.eng().Epoch(), UptoSeq: upto, GraphFile: graphFile, IndexFile: indexFile,
 	}
-	if _, err := db.dur.append(wal.TypeCheckpoint, wal.EncodeCheckpoint(rec)); err != nil {
+	ckSeq, err := db.dur.append(wal.TypeCheckpoint, wal.EncodeCheckpoint(rec))
+	if err != nil {
 		return err
 	}
 	keep := db.dur.records[:0:0]
 	for _, r := range db.dur.records {
 		if r.Seq <= upto {
+			continue
+		}
+		// A Checkpoint record is logged after the batches that landed
+		// while its compaction ran, so an older one can sit above upto.
+		// Recovery reads only the newest; dropping the rest here is what
+		// lets cleanup delete the files they reference.
+		if r.Type == wal.TypeCheckpoint && r.Seq != ckSeq {
 			continue
 		}
 		if r.Type == wal.TypeSpill {

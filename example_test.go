@@ -102,8 +102,12 @@ func ExampleBuildDurable() {
 	}
 	defer os.RemoveAll(dir)
 	dopts := pathdb.DurabilityOptions{Dir: dir}
+	// On an index this small one edge exceeds DefaultCompactRatio; no
+	// automatic compaction keeps the log as written until the explicit
+	// Compact below.
+	opts := pathdb.Options{K: 2, CompactRatio: -1}
 
-	db, err := pathdb.BuildDurable(baseGraph(), pathdb.Options{K: 2}, dopts)
+	db, err := pathdb.BuildDurable(baseGraph(), opts, dopts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -115,7 +119,7 @@ func ExampleBuildDurable() {
 	db.Close() // or a crash — the log already holds the batch
 
 	// A restart replays the log over the same base graph.
-	db, err = pathdb.BuildDurable(baseGraph(), pathdb.Options{K: 2}, dopts)
+	db, err = pathdb.BuildDurable(baseGraph(), opts, dopts)
 	if err != nil {
 		log.Fatal(err)
 	}

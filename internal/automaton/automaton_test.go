@@ -129,8 +129,8 @@ func TestUnknownLabelIsEmpty(t *testing.T) {
 func TestSection22SecondExample(t *testing.T) {
 	// (supervisor ∪ worksFor ∪ worksFor⁻)^{4,5} on the reconstructed
 	// Gex. The paper's hand-computed answer (7 pairs) is a subset; walk
-	// semantics adds back-and-forth pairs the paper omitted (see
-	// EXPERIMENTS.md). We assert the paper's pairs are present.
+	// semantics adds back-and-forth pairs the paper omitted. We assert
+	// the paper's pairs are present.
 	g := graph.ExampleGraph()
 	got := evalNames(t, g, "(supervisor|worksFor|worksFor^-){4,5}")
 	paper := [][2]string{

@@ -85,7 +85,7 @@ func TestSection22SecondExampleEndToEnd(t *testing.T) {
 	// (supervisor ∪ worksFor ∪ worksFor⁻)^{4,5} on the reconstructed
 	// Gex: the engine must agree exactly with the automaton oracle, and
 	// the paper's seven hand-listed pairs must be present (the full
-	// answer is larger under walk semantics; see EXPERIMENTS.md).
+	// answer is larger under walk semantics).
 	g := graph.ExampleGraph()
 	e := newTestEngine(t, g, 3)
 	query := "(supervisor|worksFor|worksFor^-){4,5}"

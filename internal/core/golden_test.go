@@ -65,9 +65,8 @@ func TestGexGoldenResults(t *testing.T) {
 
 // TestGexKkwFullRelation pins the full knows/knows/worksFor relation
 // that our reconstruction yields, documenting exactly how it relates to
-// the paper's Example 3.1 list (see EXPERIMENTS.md): the jan, ada, and
-// kim rows match the paper; joe and tim rows are partial; liz has one
-// extra pair.
+// the paper's Example 3.1 list: the jan, ada, and kim rows match the
+// paper; joe and tim rows are partial; liz has one extra pair.
 func TestGexKkwFullRelation(t *testing.T) {
 	g := graph.ExampleGraph()
 	e := newTestEngine(t, g, 3)

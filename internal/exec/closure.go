@@ -40,7 +40,7 @@ type Closure struct {
 	body  Operator
 
 	adj      map[graph.NodeID][]graph.NodeID
-	total    map[Pair]struct{}
+	total    pairSet
 	delta    []Pair // frontier produced by the previous iteration
 	next     []Pair // frontier being produced by the current iteration
 	di       int    // expansion cursor into delta
@@ -73,7 +73,6 @@ func NewClosureSized(input, body Operator, batchSize int) *Closure {
 	return &Closure{
 		input:    input,
 		body:     body,
-		total:    map[Pair]struct{}{},
 		inputIn:  newInput(input, batchSize),
 		emitSize: batchSize,
 	}
@@ -101,10 +100,9 @@ func (c *Closure) materializeBody() {
 // discover admits pr if unseen: it joins the accumulated relation, the
 // next frontier, and the pending output.
 func (c *Closure) discover(pr Pair) {
-	if _, dup := c.total[pr]; dup {
+	if !c.total.add(pr) {
 		return
 	}
-	c.total[pr] = struct{}{}
 	c.next = append(c.next, pr)
 	c.out = append(c.out, pr)
 }

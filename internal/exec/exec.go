@@ -77,8 +77,8 @@ func CollectStats(op Operator) Stats {
 type BuildOptions struct {
 	// PerJoinDedup wraps every join in a Distinct operator, trading
 	// hash-set maintenance for smaller intermediate results (ablation
-	// Ext-3c). The top-level union deduplicates regardless, so results
-	// are identical either way.
+	// Ext-3c). The root of the tree is duplicate-free regardless (see
+	// duplicateFree), so results are identical either way.
 	PerJoinDedup bool
 	// BatchSize sets the internal buffer size operators use when pulling
 	// from their children; 0 uses DefaultBatchSize. Exposed for the
@@ -150,21 +150,57 @@ func Build(p *plan.Plan, ix pathindex.Storage, opts BuildOptions) (Operator, err
 		}
 		ops = append(ops, op)
 	}
-	// A lone streamed closure is already duplicate-free; wrapping it in
-	// the deduplicating union would re-materialize the O(output) seen-set
-	// the streaming mode exists to avoid. The same holds for a gather of
-	// per-shard streamed closures: each shard's stream is distinct and
-	// shard outputs are source-disjoint, and Gather dedups its own merge
-	// frontier.
-	if len(ops) == 1 {
-		if sc, ok := ops[0].(*StreamClosure); ok {
-			return sc, nil
-		}
-		if g, ok := ops[0].(*Gather); ok && g.allStreamClosures() {
-			return g, nil
-		}
+	// Every result pair is deduplicated exactly once. A lone disjunct
+	// whose root already emits a set is the answer as is; otherwise the
+	// union dedups, which makes each disjunct's own root Distinct
+	// redundant (the per-join Distincts below it stay: they shrink join
+	// inputs).
+	if len(ops) == 1 && duplicateFree(ops[0]) {
+		return ops[0], nil
+	}
+	for i, op := range ops {
+		ops[i] = stripRootDistinct(op)
 	}
 	return WithContext(NewUnionDistinctSized(ops, opts.batchSize()), opts.Ctx), nil
+}
+
+// duplicateFree reports whether op emits no pair twice — the one rule
+// that places duplicate elimination. Duplicates arise only where a join
+// projects away its middle node and where a union concatenates streams;
+// every other operator emits a set: scans read a relation, closures and
+// Distinct keep a seen-set (or enumerate each source's reach set once),
+// a filter only drops pairs, and buildScatter's Gather merges per-shard
+// trees with disjoint sources.
+func duplicateFree(op Operator) bool {
+	switch v := op.(type) {
+	case *IndexScan, *MergeUnionScan, *KWayMergeUnion, *IdentityScan, *ShardIdentityScan,
+		*ReachScan, *StreamClosure, *Closure, *Distinct, *UnionDistinct:
+		return true
+	case *ShardFilter:
+		return duplicateFree(v.child)
+	case *Gather:
+		for _, k := range v.kids {
+			if !duplicateFree(k) {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+// stripRootDistinct removes the Distinct at the root of a disjunct, or
+// of every per-shard tree under a root Gather.
+func stripRootDistinct(op Operator) Operator {
+	switch v := op.(type) {
+	case *Distinct:
+		return v.child
+	case *Gather:
+		for i, k := range v.kids {
+			v.kids[i] = stripRootDistinct(k)
+		}
+	}
+	return op
 }
 
 func buildNode(n plan.Node, ix pathindex.Storage, opts BuildOptions) (Operator, error) {
@@ -915,7 +951,7 @@ func (h *HashJoin) Name() string { return "hash-join" }
 // persists across calls so output buffers may be smaller than child
 // batches.
 type dedup struct {
-	seen    map[Pair]struct{}
+	seen    pairSet
 	scratch []Pair
 	n, pos  int
 }
@@ -926,12 +962,10 @@ func (d *dedup) drain(buf []Pair, off int) int {
 	for d.pos < d.n && off < len(buf) {
 		pr := d.scratch[d.pos]
 		d.pos++
-		if _, dup := d.seen[pr]; dup {
-			continue
+		if d.seen.add(pr) {
+			buf[off] = pr
+			off++
 		}
-		d.seen[pr] = struct{}{}
-		buf[off] = pr
-		off++
 	}
 	return off
 }
@@ -973,7 +1007,7 @@ func NewUnionDistinctSized(children []Operator, batchSize int) *UnionDistinct {
 	if batchSize < 1 {
 		batchSize = 1
 	}
-	return &UnionDistinct{kids: children, batchSize: batchSize, d: dedup{seen: map[Pair]struct{}{}}}
+	return &UnionDistinct{kids: children, batchSize: batchSize}
 }
 
 func (u *UnionDistinct) children() []Operator { return u.kids }
@@ -1038,7 +1072,7 @@ func NewDistinctSized(child Operator, batchSize int) *Distinct {
 	if batchSize < 1 {
 		batchSize = 1
 	}
-	return &Distinct{child: child, batchSize: batchSize, d: dedup{seen: map[Pair]struct{}{}}}
+	return &Distinct{child: child, batchSize: batchSize}
 }
 
 func (d *Distinct) children() []Operator { return []Operator{d.child} }

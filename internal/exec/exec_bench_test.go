@@ -106,6 +106,49 @@ func BenchmarkIndexScan(b *testing.B) { benchOperator(b, "index-scan") }
 func BenchmarkMergeJoin(b *testing.B) { benchOperator(b, "merge-join") }
 func BenchmarkHashJoin(b *testing.B)  { benchOperator(b, "hash-join") }
 
+// BenchmarkDedup measures duplicate elimination over a join's output —
+// the stream Distinct and UnionDistinct see, duplicates included — with
+// the operators' flat pairSet and with the map[Pair]struct{} it
+// replaced, kept here as the yardstick.
+func BenchmarkDedup(b *testing.B) {
+	in := Run(benchOp("merge-join", benchIndex(b), DefaultBatchSize))
+	out := make([]Pair, 0, len(in))
+	report := func(b *testing.B) {
+		if len(out) == 0 || len(out) == len(in) {
+			b.Fatalf("%d of %d pairs distinct: not a dedup workload", len(out), len(in))
+		}
+		b.ReportMetric(float64(len(in)), "pairs/op")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(in)), "ns/pair")
+	}
+	b.Run("flat", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var seen pairSet
+			out = out[:0]
+			for _, pr := range in {
+				if seen.add(pr) {
+					out = append(out, pr)
+				}
+			}
+		}
+		report(b)
+	})
+	b.Run("map", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			seen := map[Pair]struct{}{}
+			out = out[:0]
+			for _, pr := range in {
+				if _, dup := seen[pr]; !dup {
+					seen[pr] = struct{}{}
+					out = append(out, pr)
+				}
+			}
+		}
+		report(b)
+	})
+}
+
 // execBenchRecord is one row of BENCH_exec.json.
 type execBenchRecord struct {
 	Operator     string  `json:"operator"`

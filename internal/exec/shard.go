@@ -201,20 +201,6 @@ func (g *Gather) setContext(ctx context.Context) { g.ctx = ctx }
 
 func (g *Gather) children() []Operator { return g.kids }
 
-// allStreamClosures reports whether every child is a streamed closure —
-// then the gathered stream is duplicate-free (per-source BFS emits each
-// pair once, and shard outputs are source-disjoint) and Build can skip
-// the deduplicating union, preserving the streaming mode's O(1)-memory
-// property under sharding.
-func (g *Gather) allStreamClosures() bool {
-	for _, k := range g.kids {
-		if _, ok := k.(*StreamClosure); !ok {
-			return false
-		}
-	}
-	return len(g.kids) > 0
-}
-
 func (g *Gather) start() {
 	n := len(g.kids)
 	g.chans = make([]chan []Pair, n)

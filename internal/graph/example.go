@@ -19,7 +19,8 @@ package graph
 // plus the rows for ada ↦ {tim} and kim ↦ {joe} of Example 3.1. The
 // remaining rows of Example 3.1 and the exact (supervisor ∪ worksFor ∪
 // worksFor⁻)^{4,5} answer depend on figure edges the paper does not state;
-// EXPERIMENTS.md documents where our reconstruction diverges.
+// TestGexKkwFullRelation (internal/core) pins where our reconstruction
+// diverges.
 func ExampleGraph() *Graph {
 	g := New()
 	knowsEdges := [][2]string{

@@ -427,17 +427,20 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, query string, st
 	enc := json.NewEncoder(w)
 	started := false
 	var writeErr error
-	st, err := s.srv.StreamWith(ctx, query, strategy, func(pairs []pathdb.Pair, names [][2]string) error {
+	// One buffer per request holds a batch's lines: a batch costs one
+	// Write and one Flush, and a pair costs no allocation (names are
+	// escaped straight out of the graph's name table).
+	var lines []byte
+	st, err := s.srv.StreamPairs(ctx, query, strategy, func(pairs []pathdb.Pair, g *pathdb.Graph) error {
 		if !started {
 			started = true
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			w.WriteHeader(http.StatusOK)
 		}
-		for _, nm := range names {
-			if e := enc.Encode(pairLine{Src: nm[0], Dst: nm[1]}); e != nil {
-				writeErr = e
-				return e
-			}
+		lines = appendPairLines(lines[:0], pairs, g)
+		if _, e := w.Write(lines); e != nil {
+			writeErr = e
+			return e
 		}
 		s.pairsOut.Add(int64(len(pairs)))
 		if flusher != nil {

@@ -911,27 +911,47 @@ func (s *Server) QueryWithContext(ctx context.Context, query string, strategy St
 
 // Stats describes one query evaluation (timings, plan estimates,
 // cardinalities); it is the type of Result.Stats and of the statistics
-// StreamWith returns.
+// StreamPairs and StreamWith return.
 type Stats = core.Stats
 
-// StreamWith evaluates an RPQ and delivers the answer incrementally:
-// fn is called once per result batch, in stream order, before the next
-// batch is computed — the full answer is never materialized by the
-// server. pairs and names share indexes and are reused across calls, so
-// fn must copy anything it retains. A non-nil error from fn aborts the
+// StreamPairs evaluates an RPQ and delivers the answer incrementally as
+// node-ID batches: fn is called once per result batch, in stream order,
+// before the next batch is computed — the full answer is never
+// materialized by the server. g is the graph of the engine snapshot
+// that produced the pairs (a newer epoch's graph may have more nodes),
+// so g.NodeName resolves them; pairs is reused across calls, so fn must
+// copy anything it retains. A non-nil error from fn aborts the
 // evaluation and is returned; once ctx is done the operators stop and
 // ctx's error is returned. The returned Stats describe the run up to
 // that point (ResultPairs counts pairs actually delivered), so callers
 // can report them for aborted requests too. Preparation rides the plan
 // cache exactly like QueryWith.
-func (s *Server) StreamWith(ctx context.Context, query string, strategy Strategy, fn func(pairs []Pair, names [][2]string) error) (Stats, error) {
+func (s *Server) StreamPairs(ctx context.Context, query string, strategy Strategy, fn func(pairs []Pair, g *Graph) error) (Stats, error) {
 	prep, err := s.srv.Prepare(query, strategy)
 	if err != nil {
 		return Stats{}, err
 	}
-	e := prep.Engine()
+	g := prep.Engine().Graph()
 	return prep.StreamContext(ctx, func(batch []Pair) error {
-		return fn(batch, e.NamedPairs(batch))
+		return fn(batch, g)
+	})
+}
+
+// StreamWith is StreamPairs with the node names of each batch resolved:
+// names[i] holds the source and target name of pairs[i]. Both slices
+// are reused across calls (one names buffer per StreamWith call, grown
+// to the largest batch), so fn must copy anything it retains.
+func (s *Server) StreamWith(ctx context.Context, query string, strategy Strategy, fn func(pairs []Pair, names [][2]string) error) (Stats, error) {
+	var names [][2]string
+	return s.StreamPairs(ctx, query, strategy, func(pairs []Pair, g *Graph) error {
+		if cap(names) < len(pairs) {
+			names = make([][2]string, len(pairs))
+		}
+		names = names[:len(pairs)]
+		for i, p := range pairs {
+			names[i] = [2]string{g.NodeName(p.Src), g.NodeName(p.Dst)}
+		}
+		return fn(pairs, names)
 	})
 }
 

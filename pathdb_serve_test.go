@@ -1,6 +1,8 @@
 package pathdb_test
 
 import (
+	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -128,4 +130,55 @@ func TestSetDefaultStrategyConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestStreamWithReusesNamesBuffer is the allocation guard of the named
+// streaming path: the names slice handed to fn is one buffer per call,
+// not one per batch, so a stream of many batches allocates no more than
+// a stream of one (operator set-up and plan-cache lookup are the same
+// query shape both times: a single index scan).
+func TestStreamWithReusesNamesBuffer(t *testing.T) {
+	build := func(edges int) *pathdb.Server {
+		g := pathdb.NewGraph()
+		for i := 0; i < edges; i++ {
+			g.AddEdge(fmt.Sprintf("n%d", i), "next", fmt.Sprintf("n%d", i+1))
+		}
+		db, err := pathdb.Build(g, pathdb.Options{K: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { db.Close() })
+		return db.Serve(pathdb.ServeOptions{})
+	}
+	allocs := func(srv *pathdb.Server) (perRun float64, batches int) {
+		var first *[2]string
+		run := func() {
+			batches = 0
+			_, err := srv.StreamWith(context.Background(), "next", srv.Strategy(), func(pairs []pathdb.Pair, names [][2]string) error {
+				if len(names) != len(pairs) {
+					t.Fatalf("%d names for %d pairs", len(names), len(pairs))
+				}
+				if batches == 0 {
+					first = &names[0]
+				} else if first != &names[0] {
+					t.Fatal("names buffer reallocated between batches")
+				}
+				batches++
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the plan cache
+		return testing.AllocsPerRun(20, run), batches
+	}
+	one, oneBatches := allocs(build(1000))
+	many, manyBatches := allocs(build(40000))
+	if oneBatches != 1 || manyBatches < 30 {
+		t.Fatalf("fixture streams %d and %d batches, want 1 and ≥30", oneBatches, manyBatches)
+	}
+	if many > one+2 {
+		t.Errorf("StreamWith allocates %.0f times over %d batches but %.0f over one: not O(1) per call", many, manyBatches, one)
+	}
 }

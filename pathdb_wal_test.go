@@ -303,6 +303,72 @@ func TestDurableCheckpointTruncatesWAL(t *testing.T) {
 	checkAllStrategies(t, db2, oracle, "checkpoint recovery")
 }
 
+// TestDurableSuccessiveCheckpointsKeepOne: batches that land while a
+// compaction folds are logged before its Checkpoint record, so that
+// record's sequence number lies above the next compaction's UptoSeq and
+// a by-sequence truncation alone never drops it — its ckpt-* files would
+// stay referenced and on disk. After two successive compactions with a
+// concurrent writer, only the newest checkpoint's file pair may remain,
+// and recovery from it must still match a rebuild.
+func TestDurableSuccessiveCheckpointsKeepOne(t *testing.T) {
+	const seed = 27
+	dir := t.TempDir()
+	batches := durableBatches(seed, 400, 4)
+	// A small step budget stretches the fold over many steps, so the
+	// writer's batches land inside it.
+	db := buildDurableT(t, seed, dir, pathdb.DurabilityOptions{SpillEntries: -1, CompactBudget: 32})
+	applied := 3
+	for _, b := range batches[:applied] {
+		if err := db.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The writer stops as soon as it sees the first compaction installed:
+	// whatever it applied is then logged below that compaction's
+	// Checkpoint record, which is the order the second truncation must
+	// cope with.
+	writerDone := make(chan error, 1)
+	writing := make(chan struct{})
+	go func() {
+		for db.UpdateStats().Compactions == 0 && applied < len(batches) {
+			if err := db.ApplyBatch(batches[applied]); err != nil {
+				writerDone <- err
+				return
+			}
+			if applied++; applied == 4 {
+				close(writing)
+			}
+		}
+		writerDone <- nil
+	}()
+	<-writing
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-writerDone; err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d batches applied, %d checkpoints", applied, db.DurabilityStats().Checkpoints)
+	files, err := filepath.Glob(filepath.Join(dir, "ckpt-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 2 {
+		t.Fatalf("checkpoint files after two compactions: %v, want one .graph/.pix pair", files)
+	}
+	oracle := prefixOracle(t, seed, batches, applied)
+	checkAllStrategies(t, db, oracle, "after two compactions")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	db2 := buildDurableT(t, seed, dir, pathdb.DurabilityOptions{SpillEntries: -1})
+	defer db2.Close()
+	checkAllStrategies(t, db2, oracle, "recovery from the newest checkpoint")
+}
+
 // TestOpenDurableSupersedesBaseFiles: an OpenDurable deployment starts
 // from saved (graph, index) files; after a checkpoint those files are
 // superseded and may disappear entirely without affecting recovery.
