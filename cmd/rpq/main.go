@@ -315,6 +315,9 @@ func fileNote(path string) string {
 	if err != nil {
 		return " (MISSING)"
 	}
+	if fi.IsDir() { // a sharded checkpoint index
+		return " (sharded directory)"
+	}
 	return fmt.Sprintf(" (%d bytes)", fi.Size())
 }
 

@@ -21,7 +21,9 @@ import (
 // successor snapshot, spills settled update tiers to format-v3 run
 // files, and periodically compacts the tier stack into a checkpoint — a
 // (graph snapshot, v3 index) pair that supersedes the log prefix it
-// covers, after which the WAL is truncated to the remaining suffix.
+// covers, after which the WAL is truncated to the remaining suffix. A
+// sharded lineage runs the same lifecycle; only its checkpoint index is
+// a sharded directory instead of one file.
 //
 // Recovery on open is a deterministic replay: start from the newest
 // checkpoint (or the original base), then walk the WAL tail in sequence
@@ -139,7 +141,7 @@ func (ds *durableState) cleanup() {
 			continue
 		}
 		if !referenced[name] {
-			os.Remove(filepath.Join(ds.dir, name))
+			os.RemoveAll(filepath.Join(ds.dir, name)) // a sharded checkpoint index is a directory
 		}
 	}
 }
@@ -188,30 +190,7 @@ func OpenDurable(graphPath, indexPath string, opts Options, d DurabilityOptions)
 		if err != nil {
 			return nil, nil, fmt.Errorf("pathdb: loading graph: %w", err)
 		}
-		var ix pathindex.Storage
-		if pathindex.IsShardedPath(indexPath) {
-			// Sharded base layout: WAL batches route to the owning shards
-			// during replay; spills and checkpoints stay Levels-only, so a
-			// sharded lineage recovers purely by re-applying logged batches.
-			ix, err = pathindex.OpenSharded(indexPath, g)
-		} else {
-			ix, err = pathindex.OpenStorage(indexPath, g)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		closer, _ := ix.(io.Closer)
-		if o.K == 0 {
-			o.K = ix.K()
-		}
-		e, err := core.NewEngineFromStorage(ix, o.coreOptions())
-		if err != nil {
-			if closer != nil {
-				closer.Close()
-			}
-			return nil, nil, err
-		}
-		return e, closer, nil
+		return openEngine(indexPath, g, o)
 	})
 }
 
@@ -252,20 +231,12 @@ func openDurable(opts Options, d DurabilityOptions, base func(Options) (*core.En
 		if gerr != nil {
 			return fail(fmt.Errorf("pathdb: loading checkpoint graph: %w", gerr))
 		}
-		ix, xerr := pathindex.OpenStorage(filepath.Join(d.Dir, ck.IndexFile), g)
-		if xerr != nil {
-			return fail(fmt.Errorf("pathdb: opening checkpoint index: %w", xerr))
-		}
-		closer, _ = ix.(io.Closer)
-		if opts.K == 0 {
-			opts.K = ix.K()
-		}
-		e, err = core.NewEngineFromStorage(ix, opts.coreOptions())
+		// The checkpoint's layout — one file or a sharded directory — is
+		// the lineage's; it wins over Options.Shards as the checkpoint wins
+		// over the base files.
+		e, closer, err = openEngine(filepath.Join(d.Dir, ck.IndexFile), g, opts)
 		if err != nil {
-			if closer != nil {
-				closer.Close()
-			}
-			return fail(err)
+			return fail(fmt.Errorf("pathdb: opening checkpoint index: %w", err))
 		}
 	} else {
 		e, closer, err = base(opts)
@@ -391,8 +362,8 @@ func replayWAL(e *core.Engine, dir string, recs []wal.Record, after uint64) (_ *
 
 // maintainTiers runs one size-tiered merge step and the spill policy
 // after a batch. One step per batch keeps the stack logarithmic with
-// amortized linear merge work; looping to a fixpoint here would degrade
-// to the old Overlay's fold-everything-per-batch cost. Skipped entirely
+// amortized linear merge work; looping to a fixpoint here would fold
+// the accumulated delta on every batch. Skipped entirely
 // while a compaction fold is in flight — FinishCompact needs the fold's
 // source tiers to survive as a pointer-identical prefix of the stack.
 // Called with db.mu held.
@@ -445,12 +416,13 @@ func (db *DB) maybeSpill(e *core.Engine) {
 }
 
 // checkpoint persists a completed compaction as the new durable base —
-// a graph snapshot plus the folded index as a v3 file — then logs a
-// Checkpoint record and truncates the WAL to the records the checkpoint
-// does not cover. Every crash window is safe: files are written
-// atomically before the record that references them, and the truncation
-// itself is an atomic log rewrite, so recovery sees either the old tail
-// or the new checkpoint, never a mix.
+// a graph snapshot plus the folded index as a v3 file, or as a sharded
+// directory when the base is sharded — then logs a Checkpoint record and
+// truncates the WAL to the records the checkpoint does not cover. Every
+// crash window is safe: files are written atomically before the record
+// that references them, and the truncation itself is an atomic log
+// rewrite, so recovery sees either the old tail or the new checkpoint,
+// never a mix.
 func (db *DB) checkpoint(job *core.CompactJob) error {
 	upto := job.UptoSeq()
 	if upto == 0 {
@@ -461,7 +433,7 @@ func (db *DB) checkpoint(job *core.CompactJob) error {
 	if err := job.SrcGraph().SaveSnapshot(filepath.Join(db.dur.dir, graphFile)); err != nil {
 		return fmt.Errorf("pathdb: writing checkpoint graph: %w", err)
 	}
-	if err := saveV3Atomic(job.Result(), filepath.Join(db.dur.dir, indexFile)); err != nil {
+	if err := pathindex.SaveAtomic(job.Result(), filepath.Join(db.dur.dir, indexFile)); err != nil {
 		return fmt.Errorf("pathdb: writing checkpoint index: %w", err)
 	}
 
@@ -501,30 +473,6 @@ func (db *DB) checkpoint(job *core.CompactJob) error {
 	db.dur.checkpoints.Add(1)
 	db.dur.cleanup()
 	return nil
-}
-
-// saveV3Atomic writes ix as a v3 file through temp + fsync + rename.
-func saveV3Atomic(ix *pathindex.Index, path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := ix.WriteV3To(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
 }
 
 // DurabilityStats describes the durable update state: the WAL, the tier

@@ -235,19 +235,15 @@ func (e *Engine) K() int { return e.opts.K }
 func (e *Engine) Epoch() uint64 { return e.epoch }
 
 // pin registers the caller as a reader of the engine's index storage for
-// the duration of one evaluation, when the storage manages its lifetime
-// (a memory-mapped index, or an overlay over one). It returns the paired
-// release func, or pathindex.ErrClosed once the storage has been closed —
-// which is how a query racing DB.Close fails deterministically instead
-// of faulting on unmapped pages. Heap-backed storage pins for free.
+// the duration of one evaluation. It returns the paired release func, or
+// pathindex.ErrClosed once the storage has been closed — which is how a
+// query racing DB.Close fails deterministically instead of faulting on
+// unmapped pages. Heap-backed storage pins for free.
 func (e *Engine) pin() (func(), error) {
-	if p, ok := e.ix.(pathindex.Pinner); ok {
-		if err := p.Pin(); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		return p.Unpin, nil
+	if err := e.ix.Pin(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
-	return func() {}, nil
+	return e.ix.Unpin, nil
 }
 
 // Stats describes one query evaluation.
@@ -468,8 +464,8 @@ func (e *Engine) compileNormal(norm rewrite.Normal, strategy plan.Strategy, st S
 // storage. The planner's scatter wrapping keys off it, so plans always
 // match the storage they will execute over.
 func (e *Engine) numShards() int {
-	if sh, ok := e.ix.(interface{ NumShards() int }); ok {
-		return sh.NumShards()
+	if sh, ok := pathindex.AsSharded(e.ix); ok {
+		return sh.Partitioner().NumShards()
 	}
 	return 0
 }
@@ -693,11 +689,17 @@ func (e *Engine) Explain(query string, strategy plan.Strategy) (string, error) {
 	return prep.Explain(), nil
 }
 
-// NamedPairs converts result pairs to node-name tuples, for display.
-func (e *Engine) NamedPairs(pairs []pathindex.Pair) [][2]string {
+// NamedPairs converts result pairs to node-name tuples, for display. A
+// pair naming a node the graph does not have — the index was built from
+// another graph — yields pathindex.ErrGraphMismatch.
+func (e *Engine) NamedPairs(pairs []pathindex.Pair) ([][2]string, error) {
+	names := e.g.NodeNames()
 	out := make([][2]string, len(pairs))
 	for i, p := range pairs {
-		out[i] = [2]string{e.g.NodeName(p.Src), e.g.NodeName(p.Dst)}
+		if int(p.Src) >= len(names) || int(p.Dst) >= len(names) {
+			return nil, fmt.Errorf("core: naming pair (%d,%d): %w", p.Src, p.Dst, pathindex.ErrGraphMismatch)
+		}
+		out[i] = [2]string{names[p.Src], names[p.Dst]}
 	}
-	return out
+	return out, nil
 }

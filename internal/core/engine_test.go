@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -30,9 +31,18 @@ func pairSet(ps []pathindex.Pair) map[pathindex.Pair]bool {
 	return m
 }
 
+// namedPairs is NamedPairs for tests, whose indexes match their graphs.
+func namedPairs(e *Engine, r *Result) [][2]string {
+	names, err := e.NamedPairs(r.Pairs)
+	if err != nil {
+		panic(err)
+	}
+	return names
+}
+
 func namesOf(e *Engine, r *Result) map[[2]string]bool {
 	out := map[[2]string]bool{}
-	for _, p := range e.NamedPairs(r.Pairs) {
+	for _, p := range namedPairs(e, r) {
 		out[p] = true
 	}
 	return out
@@ -376,5 +386,20 @@ func TestResultsDeduplicated(t *testing.T) {
 			t.Fatalf("duplicate pair %v in result", p)
 		}
 		seen[p] = true
+	}
+}
+
+// TestNamedPairsOutsideNodeTable: pairs naming nodes the graph does not
+// have (an index built from another graph) are an error, not an index
+// past the node table.
+func TestNamedPairsOutsideNodeTable(t *testing.T) {
+	g := graph.ExampleGraph()
+	e := newTestEngine(t, g, 2)
+	n := graph.NodeID(g.NumNodes())
+	for _, bad := range []pathindex.Pair{{Src: n, Dst: 0}, {Src: 0, Dst: n}} {
+		names, err := e.NamedPairs([]pathindex.Pair{{Src: 0, Dst: 1}, bad})
+		if !errors.Is(err, pathindex.ErrGraphMismatch) || names != nil {
+			t.Fatalf("NamedPairs(%v) = %v, %v; want ErrGraphMismatch", bad, names, err)
+		}
 	}
 }

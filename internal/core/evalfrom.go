@@ -212,9 +212,13 @@ func (e *Engine) EvalQueryFromContext(ctx context.Context, query, srcName string
 	if err != nil {
 		return nil, err
 	}
+	table := e.g.NodeNames()
 	names := make([]string, len(targets))
 	for i, t := range targets {
-		names[i] = e.g.NodeName(t)
+		if int(t) >= len(table) {
+			return nil, fmt.Errorf("core: naming node %d: %w", t, pathindex.ErrGraphMismatch)
+		}
+		names[i] = table[t]
 	}
 	return names, nil
 }

@@ -16,7 +16,7 @@ import (
 
 // goldenResult renders a result as a canonical "a->b;c->d" string.
 func goldenResult(e *Engine, r *Result) string {
-	pairs := e.NamedPairs(r.Pairs)
+	pairs := namedPairs(e, r)
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i][0] != pairs[j][0] {
 			return pairs[i][0] < pairs[j][0]
@@ -75,7 +75,7 @@ func TestGexKkwFullRelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows := map[string][]string{}
-	for _, p := range e.NamedPairs(r.Pairs) {
+	for _, p := range namedPairs(e, r) {
 		rows[p[0]] = append(rows[p[0]], p[1])
 	}
 	for src := range rows {
@@ -109,7 +109,7 @@ func refEvalNode(e *Engine, n plan.Node) map[pathindex.Pair]bool {
 		// An inverted scan changes only the delivery order, never the
 		// set, so the reference always scans the segment forward.
 		set := map[pathindex.Pair]bool{}
-		it := e.ix.Scan(v.Segment)
+		it := pathindex.Scan(e.ix, v.Segment)
 		for {
 			pr, ok := it.Next()
 			if !ok {

@@ -196,9 +196,13 @@ func TestShardedApplyBatchCompact(t *testing.T) {
 		if e3 == e2 {
 			t.Fatalf("shards=%d: Compact returned the receiver despite delta entries", n)
 		}
-		ss := e3.Storage().(*pathindex.ShardedStorage)
-		if ss.DeltaEntries() != 0 {
-			t.Fatalf("shards=%d: %d delta entries after Compact", n, ss.DeltaEntries())
+		// The update is one global tier over the sharded base, and the fold
+		// hands a clean sharded base of the same width back.
+		if ls, ok := e2.Storage().(*pathindex.Levels); !ok || len(ls.Tiers()) != 1 {
+			t.Fatalf("shards=%d: updated storage is %T, want a one-tier *pathindex.Levels", n, e2.Storage())
+		}
+		if ss, ok := e3.Storage().(*pathindex.ShardedStorage); !ok || ss.NumShards() != n {
+			t.Fatalf("shards=%d: compacted storage is %T, want a %d-shard *pathindex.ShardedStorage", n, e3.Storage(), n)
 		}
 		check("after Compact", e3)
 		// A second Compact with nothing accumulated is the identity.

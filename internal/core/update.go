@@ -17,9 +17,10 @@ import (
 // populated reachability cache. MergeTiersStep folds adjacent tiers to
 // keep the stack shallow, and compaction — StartCompact / CompactJob /
 // FinishCompact, or the one-call Compact — folds the whole stack back
-// into a single immutable heap index in bounded increments. The serving
-// layer (Server via an EngineSource, or pathdb.DB) publishes successors
-// with an atomic pointer swap.
+// into a single immutable index in bounded increments. The base may be
+// sharded: the stack is one either way, and the fold re-partitions its
+// result when it was. The serving layer (Server via an EngineSource, or
+// pathdb.DB) publishes successors with an atomic pointer swap.
 
 // ApplyBatch returns a successor engine whose graph is this engine's
 // graph extended by the edge batch and whose index additionally relates
@@ -57,17 +58,7 @@ func (e *Engine) ApplyBatchTagged(edges []graph.LabeledEdge, seq uint64) (*Engin
 	if err != nil {
 		return nil, fmt.Errorf("core: building index delta: %w", err)
 	}
-	// Sharded storage routes the delta itself: the one globally built
-	// delta is split by source shard and each shard gains an overlay, so
-	// one epoch still covers all shards.
-	if ss, ok := e.ix.(*pathindex.ShardedStorage); ok {
-		next, err := ss.ApplyDelta(delta)
-		if err != nil {
-			return nil, fmt.Errorf("core: applying sharded delta: %w", err)
-		}
-		return e.successor(next)
-	}
-	ls, err := pathindex.PushTier(e.ix, delta, seq, seq)
+	ls, err := pathindex.PushTier(e.ix, pathindex.NewTier(delta, seq, seq))
 	if err != nil {
 		return nil, fmt.Errorf("core: pushing index tier: %w", err)
 	}
@@ -80,15 +71,7 @@ func (e *Engine) ApplyBatchTagged(edges []graph.LabeledEdge, seq uint64) (*Engin
 // storage's graph lineage; g2 is the successor graph the tier's runs
 // are expressed over.
 func (e *Engine) PushRecoveredTier(t *pathindex.Tier, g2 *graph.Graph) (*Engine, error) {
-	cur, ok := e.ix.(*pathindex.Levels)
-	var ls *pathindex.Levels
-	var err error
-	if ok {
-		tiers := append(append([]*pathindex.Tier{}, cur.Tiers()...), t)
-		ls, err = pathindex.NewLevels(cur.Base(), tiers)
-	} else {
-		ls, err = pathindex.NewLevels(e.ix, []*pathindex.Tier{t})
-	}
+	ls, err := pathindex.PushTier(e.ix, t)
 	if err != nil {
 		return nil, fmt.Errorf("core: pushing recovered tier: %w", err)
 	}
@@ -158,10 +141,10 @@ func (e *Engine) StartCompact() (*CompactJob, error) {
 // complete and FinishCompact may be called.
 func (j *CompactJob) Step(entryBudget int) bool { return j.fold.Step(entryBudget) }
 
-// Result returns the folded index of a completed job. It stays readable
-// after FinishCompact — the durability layer persists it as a
-// checkpoint base after installing it.
-func (j *CompactJob) Result() *pathindex.Index { return j.fold.Result() }
+// Result returns the folded base of a completed job, in the layout of
+// the base it replaces. It stays readable after FinishCompact — the
+// durability layer persists it as a checkpoint base after installing it.
+func (j *CompactJob) Result() pathindex.Storage { return j.fold.Result() }
 
 // SrcGraph returns the graph the folded index is attached to: the graph
 // as of the last tier the job folded.
@@ -228,37 +211,13 @@ func (e *Engine) FinishCompact(j *CompactJob) (*Engine, error) {
 	return e.successor(ls)
 }
 
-// Compact folds the engine's accumulated update layers into a fresh
-// immutable heap index and returns the successor engine serving it — a
-// CompactJob run to completion in one call (legacy Overlay storage is
-// materialized directly). An engine whose storage carries no delta is
-// returned unchanged. Like ApplyBatch, Compact leaves the receiver
-// serving; the fold reads the base under a pin, so it is safe against a
-// concurrent Close.
+// Compact folds the engine's accumulated update tiers into a fresh
+// immutable index and returns the successor engine serving it — a
+// CompactJob run to completion in one call. An engine whose storage
+// carries no tiers is returned unchanged. Like ApplyBatch, Compact
+// leaves the receiver serving; the fold reads the base under a pin, so
+// it is safe against a concurrent Close.
 func (e *Engine) Compact() (*Engine, error) {
-	if ss, ok := e.ix.(*pathindex.ShardedStorage); ok {
-		if ss.DeltaEntries() == 0 {
-			return e, nil
-		}
-		unpin, err := e.pin()
-		if err != nil {
-			return nil, err
-		}
-		defer unpin()
-		next, err := ss.Compact()
-		if err != nil {
-			return nil, fmt.Errorf("core: compacting sharded storage: %w", err)
-		}
-		return e.successor(next)
-	}
-	if ov, ok := e.ix.(*pathindex.Overlay); ok {
-		unpin, err := e.pin()
-		if err != nil {
-			return nil, err
-		}
-		defer unpin()
-		return e.successor(ov.Materialize())
-	}
 	job, err := e.StartCompact()
 	if job == nil || err != nil {
 		return e, err

@@ -133,8 +133,8 @@ func TestDifferentialUpdateVsRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, isOverlay := compacted.Storage().(*pathindex.Overlay); isOverlay {
-			t.Fatal("Compact left an overlay behind")
+		if _, tiered := compacted.Storage().(*pathindex.Levels); tiered {
+			t.Fatal("Compact left a tier stack behind")
 		}
 
 		genOpts := rpq.DefaultGenOptions(labels)

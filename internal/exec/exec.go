@@ -326,8 +326,8 @@ type IndexScan struct {
 
 func (s *IndexScan) setContext(ctx context.Context) { s.ctx = ctx }
 
-// runBlocksProvider is the optional storage interface of delta-overlay
-// indexes (pathindex.Overlay): a relation split into a base-run block
+// runBlocksProvider is the optional storage interface of the update
+// overlay (pathindex.Levels): a relation split into a base-run block
 // iterator and a disjoint sorted delta run. Scans over such storage
 // merge the two at scan time instead of materializing the union, and
 // because the base arrives block-wise, a block-compressed base decodes
@@ -336,29 +336,23 @@ type runBlocksProvider interface {
 	RunBlocks(p pathindex.Path) (base *pathindex.BlockIterator, delta []pathindex.Packed)
 }
 
-// runPairProvider is the flat-slice predecessor of runBlocksProvider,
-// kept as a fallback for storages that expose split runs but no block
-// iterator.
-type runPairProvider interface {
-	RunPair(p pathindex.Path) (base, delta []pathindex.Packed)
-}
-
 // newSegmentScan builds the scan operator for one segment: a plain
 // IndexScan over single-run storage (which decodes block-by-block over
 // compressed storage, via Storage.Blocks), or a merge-union scan when
 // the storage carries a non-empty delta run for the (possibly inverted)
 // physical path.
 func newSegmentScan(ix pathindex.Storage, segment pathindex.Path, inverted bool) Operator {
-	if sh, ok := ix.(shardedStorage); ok {
+	if sh, ok := pathindex.AsSharded(ix); ok {
 		// A global scan over sharded storage is the sorted merge-union of
 		// the per-shard scans — each per-shard scan recurses here and so
 		// keeps its own base+delta merge and block decoding. byDst follows
 		// inversion: inverted per-shard scans emit in target order, and
 		// the merge must compare in emitted order to preserve it.
-		if sh.NumShards() == 1 {
+		n := sh.Partitioner().NumShards()
+		if n == 1 {
 			return newSegmentScan(sh.Shard(0), segment, inverted)
 		}
-		kids := make([]Operator, sh.NumShards())
+		kids := make([]Operator, n)
 		for i := range kids {
 			kids[i] = newSegmentScan(sh.Shard(i), segment, inverted)
 		}
@@ -374,11 +368,6 @@ func newSegmentScan(ix pathindex.Storage, segment pathindex.Path, inverted bool)
 			return NewMergeUnionBlockScan(base, delta, inverted)
 		}
 		return NewIndexScanBlocks(base, inverted)
-	}
-	if rp, ok := ix.(runPairProvider); ok {
-		if base, delta := rp.RunPair(p); len(delta) > 0 {
-			return NewMergeUnionScan(base, delta, inverted)
-		}
 	}
 	return NewIndexScan(ix, segment, inverted)
 }
@@ -468,18 +457,12 @@ type MergeUnionScan struct {
 
 func (s *MergeUnionScan) setContext(ctx context.Context) { s.ctx = ctx }
 
-// NewMergeUnionScan returns a merge-union scan over two sorted disjoint
-// runs. With swap=true the caller passes the runs of the inverse path
-// and pairs are emitted with components exchanged (the inverted scan of
-// merge-join plans).
-func NewMergeUnionScan(base, delta []pathindex.Packed, swap bool) *MergeUnionScan {
-	return &MergeUnionScan{base: base, delta: delta, swap: swap}
-}
-
-// NewMergeUnionBlockScan returns a merge-union scan whose base run is
-// pulled from a block iterator — over compressed storage each base
-// block is decoded only as the merge reaches it. The delta run is a
-// sorted slice as in NewMergeUnionScan.
+// NewMergeUnionBlockScan returns a merge-union scan over two sorted
+// disjoint runs. The base run is pulled from a block iterator — over
+// compressed storage each base block is decoded only as the merge
+// reaches it — and the delta run is a sorted slice. With swap=true the
+// caller passes the runs of the inverse path and pairs are emitted with
+// components exchanged (the inverted scan of merge-join plans).
 func NewMergeUnionBlockScan(blocks *pathindex.BlockIterator, delta []pathindex.Packed, swap bool) *MergeUnionScan {
 	return &MergeUnionScan{blocks: blocks, delta: delta, swap: swap}
 }

@@ -34,15 +34,6 @@ import (
 	"repro/internal/plan"
 )
 
-// shardedStorage is the optional storage interface of source-partitioned
-// storages (pathindex.ShardedStorage): N per-shard Storage values plus
-// the source→shard assignment.
-type shardedStorage interface {
-	NumShards() int
-	Shard(i int) pathindex.Storage
-	ShardOf(src graph.NodeID) int
-}
-
 // pairLess orders pairs by (Src, Dst), or by (Dst, Src) when byDst is
 // set — the emitted order of inverted scans.
 func pairLess(a, b Pair, byDst bool) bool {
@@ -357,7 +348,7 @@ func Quiesce(op Operator) {
 // above it.
 type ShardFilter struct {
 	child   Operator
-	sh      shardedStorage
+	part    pathindex.Partitioner
 	shard   int
 	ctx     context.Context
 	rows    int
@@ -365,8 +356,8 @@ type ShardFilter struct {
 }
 
 // NewShardFilter returns a filter over child keeping shard's sources.
-func NewShardFilter(child Operator, sh shardedStorage, shard int) *ShardFilter {
-	return &ShardFilter{child: child, sh: sh, shard: shard}
+func NewShardFilter(child Operator, part pathindex.Partitioner, shard int) *ShardFilter {
+	return &ShardFilter{child: child, part: part, shard: shard}
 }
 
 func (f *ShardFilter) setContext(ctx context.Context) { f.ctx = ctx }
@@ -386,7 +377,7 @@ func (f *ShardFilter) NextBatch(buf []Pair) int {
 		}
 		kept := 0
 		for i := 0; i < n; i++ {
-			if f.sh.ShardOf(buf[i].Src) == f.shard {
+			if f.part.ShardOf(buf[i].Src) == f.shard {
 				buf[kept] = buf[i]
 				kept++
 			}
@@ -413,7 +404,7 @@ func (f *ShardFilter) Name() string { return "shard-filter" }
 // scattered closure plans.
 type ShardIdentityScan struct {
 	n, total int
-	sh       shardedStorage
+	part     pathindex.Partitioner
 	shard    int
 	ctx      context.Context
 	rows     int
@@ -422,8 +413,8 @@ type ShardIdentityScan struct {
 
 // NewShardIdentityScan returns the shard-restricted identity scan over
 // g's nodes.
-func NewShardIdentityScan(g *graph.Graph, sh shardedStorage, shard int) *ShardIdentityScan {
-	return &ShardIdentityScan{total: g.NumNodes(), sh: sh, shard: shard}
+func NewShardIdentityScan(g *graph.Graph, part pathindex.Partitioner, shard int) *ShardIdentityScan {
+	return &ShardIdentityScan{total: g.NumNodes(), part: part, shard: shard}
 }
 
 func (s *ShardIdentityScan) setContext(ctx context.Context) { s.ctx = ctx }
@@ -437,7 +428,7 @@ func (s *ShardIdentityScan) NextBatch(buf []Pair) int {
 	for n < len(buf) && s.n < s.total {
 		id := graph.NodeID(s.n)
 		s.n++
-		if s.sh.ShardOf(id) != s.shard {
+		if s.part.ShardOf(id) != s.shard {
 			continue
 		}
 		buf[n] = Pair{Src: id, Dst: id}
@@ -464,11 +455,11 @@ func (s *ShardIdentityScan) Name() string { return "shard-identity-scan" }
 // transparent — its child builds as if the node were absent — so plans
 // compiled for a sharded engine still execute anywhere.
 func buildScatter(v *plan.Scatter, ix pathindex.Storage, opts BuildOptions) (Operator, error) {
-	sh, ok := ix.(shardedStorage)
+	sh, ok := pathindex.AsSharded(ix)
 	if !ok {
 		return buildNode(v.Child, ix, opts)
 	}
-	n := sh.NumShards()
+	n := sh.Partitioner().NumShards()
 	if n == 1 {
 		return buildShardNode(v.Child, ix, sh, 0, opts)
 	}
@@ -485,7 +476,7 @@ func buildScatter(v *plan.Scatter, ix pathindex.Storage, opts BuildOptions) (Ope
 
 // buildShardNode builds n's operator tree restricted to one shard's
 // sources, per the head rules in the package comment above.
-func buildShardNode(n plan.Node, ix pathindex.Storage, sh shardedStorage, shard int, opts BuildOptions) (Operator, error) {
+func buildShardNode(n plan.Node, ix pathindex.Storage, sh pathindex.Sharded, shard int, opts BuildOptions) (Operator, error) {
 	switch v := n.(type) {
 	case *plan.Scatter:
 		// Nested scatter collapses: we are already inside one shard.
@@ -500,7 +491,7 @@ func buildShardNode(n plan.Node, ix pathindex.Storage, sh shardedStorage, shard 
 		}
 		// Inverted head: physically partitioned by the other endpoint —
 		// broadcast and filter, preserving target order.
-		return WithContext(NewShardFilter(newSegmentScan(ix, v.Segment, true), sh, shard), opts.Ctx), nil
+		return WithContext(NewShardFilter(newSegmentScan(ix, v.Segment, true), sh.Partitioner(), shard), opts.Ctx), nil
 	case *plan.Join:
 		left, err := buildShardNode(v.Left, ix, sh, shard, opts)
 		if err != nil {
@@ -527,7 +518,7 @@ func buildShardNode(n plan.Node, ix pathindex.Storage, sh shardedStorage, shard 
 		// input, keep the body global.
 		var inOp Operator
 		if v.Input == nil {
-			inOp = WithContext(NewShardIdentityScan(ix.Graph(), sh, shard), opts.Ctx)
+			inOp = WithContext(NewShardIdentityScan(ix.Graph(), sh.Partitioner(), shard), opts.Ctx)
 		} else {
 			op, err := buildShardNode(v.Input, ix, sh, shard, opts)
 			if err != nil {
@@ -550,6 +541,6 @@ func buildShardNode(n plan.Node, ix pathindex.Storage, sh shardedStorage, shard 
 		if err != nil {
 			return nil, err
 		}
-		return WithContext(NewShardFilter(op, sh, shard), opts.Ctx), nil
+		return WithContext(NewShardFilter(op, sh.Partitioner(), shard), opts.Ctx), nil
 	}
 }

@@ -244,6 +244,12 @@ func (g *Graph) NumEdges() int {
 // NodeName returns the name of node id.
 func (g *Graph) NodeName(id NodeID) string { return g.nodeNames[id] }
 
+// NodeNames returns the node-name table, indexed by node id; it must not
+// be modified. Code naming identifiers read from an index file — which
+// may have been built from another graph — checks them against its
+// length instead of indexing past it.
+func (g *Graph) NodeNames() []string { return g.nodeNames }
+
 // LabelName returns the name of label id.
 func (g *Graph) LabelName(id LabelID) string { return g.labelNames[id] }
 

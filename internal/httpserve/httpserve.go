@@ -285,6 +285,8 @@ func errorStatus(err error) int {
 		return 499 // client closed request (nginx convention)
 	case errors.Is(err, pathdb.ErrIndexClosed):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, pathdb.ErrGraphMismatch):
+		return http.StatusInternalServerError // the server's files disagree, not the request
 	default:
 		return http.StatusBadRequest
 	}
@@ -432,13 +434,16 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, query string, st
 	// escaped straight out of the graph's name table).
 	var lines []byte
 	st, err := s.srv.StreamPairs(ctx, query, strategy, func(pairs []pathdb.Pair, g *pathdb.Graph) error {
+		var e error
+		if lines, e = appendPairLines(lines[:0], pairs, g); e != nil {
+			return e
+		}
 		if !started {
 			started = true
 			w.Header().Set("Content-Type", "application/x-ndjson")
 			w.WriteHeader(http.StatusOK)
 		}
-		lines = appendPairLines(lines[:0], pairs, g)
-		if _, e := w.Write(lines); e != nil {
+		if _, e = w.Write(lines); e != nil {
 			writeErr = e
 			return e
 		}

@@ -1,6 +1,7 @@
 package httpserve
 
 import (
+	"fmt"
 	"unicode/utf8"
 
 	pathdb "repro"
@@ -8,11 +9,16 @@ import (
 
 // appendPairLines appends one NDJSON line per pair of a result batch,
 // resolving names against g, the graph of the snapshot that produced it.
-func appendPairLines(b []byte, pairs []pathdb.Pair, g *pathdb.Graph) []byte {
+// A pair g has no name for ends the batch with pathdb.ErrGraphMismatch.
+func appendPairLines(b []byte, pairs []pathdb.Pair, g *pathdb.Graph) ([]byte, error) {
+	names := g.NodeNames()
 	for _, p := range pairs {
-		b = appendPairLine(b, g.NodeName(p.Src), g.NodeName(p.Dst))
+		if int(p.Src) >= len(names) || int(p.Dst) >= len(names) {
+			return b, fmt.Errorf("httpserve: naming pair (%d,%d): %w", p.Src, p.Dst, pathdb.ErrGraphMismatch)
+		}
+		b = appendPairLine(b, names[p.Src], names[p.Dst])
 	}
-	return b
+	return b, nil
 }
 
 // appendPairLine appends one streamed result pair, newline included, in

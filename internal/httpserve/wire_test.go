@@ -4,10 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"testing"
 
 	pathdb "repro"
+	"repro/internal/graph"
 )
 
 // hostileNames are node names that need every kind of escape the wire
@@ -115,10 +117,31 @@ func TestBatchEncodeDoesNotAllocate(t *testing.T) {
 	for len(batch) < cap(batch) {
 		batch = append(batch, res.Pairs[len(batch)%len(res.Pairs)])
 	}
-	lines := appendPairLines(nil, batch, db.Graph())
+	lines, err := appendPairLines(nil, batch, db.Graph())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		lines = appendPairLines(lines[:0], batch, db.Graph())
+		lines, _ = appendPairLines(lines[:0], batch, db.Graph())
 	}); allocs != 0 {
 		t.Errorf("encoding a %d-pair batch allocates %.0f times, want 0", len(batch), allocs)
+	}
+}
+
+// TestPairLinesOutsideNodeTable: a pair the snapshot's graph has no name
+// for (the index was built from another graph) ends the batch with
+// ErrGraphMismatch — a 500, not a panic — keeping the lines before it.
+func TestPairLinesOutsideNodeTable(t *testing.T) {
+	g := hostileDB(t).Graph()
+	batch := []pathdb.Pair{{Src: 0, Dst: 1}, {Src: 1, Dst: graph.NodeID(g.NumNodes())}}
+	lines, err := appendPairLines(nil, batch, g)
+	if !errors.Is(err, pathdb.ErrGraphMismatch) {
+		t.Fatalf("appendPairLines = %v, want ErrGraphMismatch", err)
+	}
+	if want := appendPairLine(nil, g.NodeName(0), g.NodeName(1)); !bytes.Equal(lines, want) {
+		t.Fatalf("lines before the bad pair: %q, want %q", lines, want)
+	}
+	if got := errorStatus(err); got != http.StatusInternalServerError {
+		t.Fatalf("errorStatus(ErrGraphMismatch) = %d", got)
 	}
 }

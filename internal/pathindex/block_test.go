@@ -89,11 +89,11 @@ func TestBlocksSizeLargerThanRelation(t *testing.T) {
 	}
 	a, _ := g.LookupLabel("a")
 	p := Path{graph.Fwd(a), graph.Inv(a)}
-	want := collect(ix.Scan(p))
+	want := collect(Scan(ix, p))
 	if len(want) == 0 {
 		t.Fatal("test relation is empty")
 	}
-	bi := ix.BlocksSized(p, len(want)*10)
+	bi := ix.Blocks(p).Sized(len(want) * 10)
 	blk := bi.Next()
 	if len(blk) != len(want) {
 		t.Fatalf("oversized block size: block has %d pairs, relation %d", len(blk), len(want))
@@ -112,9 +112,9 @@ func TestBlocksChunkingAndZeroCopy(t *testing.T) {
 	a, _ := g.LookupLabel("a")
 	b, _ := g.LookupLabel("b")
 	for _, p := range []Path{{graph.Fwd(a)}, {graph.Fwd(a), graph.Fwd(b)}, {graph.Inv(b), graph.Fwd(a)}} {
-		want := collect(ix.Scan(p))
+		want := collect(Scan(ix, p))
 		for _, size := range []int{1, 3, 7, 64, 0 /* clamps to 1 */} {
-			got := collectBlocks(ix.BlocksSized(p, size))
+			got := collectBlocks(ix.Blocks(p).Sized(size))
 			if !pairsEqual(got, want) {
 				t.Errorf("path %s size %d: blocks disagree with scan (%d vs %d pairs)",
 					p.Format(g), size, len(got), len(want))
@@ -125,7 +125,7 @@ func TestBlocksChunkingAndZeroCopy(t *testing.T) {
 		if len(rel) == 0 {
 			continue
 		}
-		blk := ix.BlocksSized(p, 3).Next()
+		blk := ix.Blocks(p).Sized(3).Next()
 		if &blk[0] != &rel[0] {
 			t.Errorf("path %s: first block does not alias the relation storage", p.Format(g))
 		}
@@ -142,7 +142,7 @@ func TestSrcRangeMatchesScanFrom(t *testing.T) {
 	b, _ := g.LookupLabel("b")
 	for _, p := range []Path{{graph.Fwd(a)}, {graph.Fwd(b), graph.Inv(a)}} {
 		for src := 0; src < g.NumNodes(); src++ {
-			want := collect(ix.ScanFrom(p, graph.NodeID(src)))
+			want := collect(ScanFrom(ix, p, graph.NodeID(src)))
 			rng := ix.SrcRange(p, graph.NodeID(src))
 			got := make([]Pair, len(rng))
 			for i, pr := range rng {

@@ -1,8 +1,8 @@
 // This file implements incremental index maintenance (the package
 // comment lives in path.go): a Delta holds, for every label path of
 // length at most k, the sorted run of pairs that a batch of new edges
-// adds to the path's relation, and an Overlay serves base + delta as one
-// consistent Storage without rebuilding the base.
+// adds to the path's relation, and a Levels stack serves base + deltas as
+// one consistent Storage without rebuilding the base.
 //
 // The delta is computed level-wise by the standard delta-join
 // decomposition. Writing p' = p ∪ Δp for relations over the successor
@@ -114,7 +114,7 @@ func diffSorted(a, b []Packed) []Packed {
 }
 
 // BuildDelta computes the index increment that takes base — an index (or
-// overlay) over graph G — to the successor graph g2, which must have been
+// tier stack) over graph G — to the successor graph g2, which must have been
 // produced by G.ExtendFrozen (node and label identifiers of G must be
 // preserved). The new edges themselves are recovered by diffing the two
 // graphs' edge relations, so callers only hand over the graphs.
@@ -219,14 +219,14 @@ func BuildDelta(base Storage, g2 *graph.Graph) (*Delta, error) {
 				}
 				raw = sortDedup(raw)
 				// Subtract pairs the base already relates: the delta run
-				// must be disjoint so overlay merges need no dedup.
+				// must be disjoint so merges at scan need no dedup.
 				rel := raw[:0]
 				for _, pr := range raw {
 					if !base.Contains(q, pr.Src(), pr.Dst()) {
 						rel = append(rel, pr)
 					}
 				}
-				// The run lives as long as the overlay; when subtraction
+				// The run lives as long as its tier; when subtraction
 				// discarded most of the join output, free the oversized
 				// backing array instead of pinning it behind a short run.
 				if len(rel)*2 < cap(rel) {

@@ -43,23 +43,11 @@ func extendRandom(r *rand.Rand, nodes, edgesPerLabel int, labels []string, holdo
 	return base, full, batch
 }
 
-// applyOverlay builds the base index, applies the batch as a delta
-// overlay, and returns (overlay, oracle index over the full graph).
-func applyOverlay(t *testing.T, base *graph.Graph, batch []graph.LabeledEdge, full *graph.Graph, k int) (*Overlay, *Index) {
+// applyTier builds the base index, applies the batch as one update tier,
+// and returns (stack, oracle index over the full graph).
+func applyTier(t *testing.T, base *graph.Graph, batch []graph.LabeledEdge, full *graph.Graph, k int) (*Levels, *Index) {
 	t.Helper()
 	ix, err := Build(base, k, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := base.ExtendFrozen(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := BuildDelta(ix, g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ov, err := NewOverlay(ix, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,12 +55,23 @@ func applyOverlay(t *testing.T, base *graph.Graph, batch []graph.LabeledEdge, fu
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ov, oracle
+	return pushChunks(t, ix, batch, 1), oracle
+}
+
+// dirStorage is a Storage together with the directory lookups every
+// representation embeds, which checkStorageEqual compares too.
+type dirStorage interface {
+	Storage
+	NumLabelPaths() int
+	Count(p Path) int
+	CountByID(id uint32) int
+	PathID(p Path) (uint32, bool)
+	PathByID(id uint32) Path
 }
 
 // checkStorageEqual compares every accessor of got against the oracle:
 // same paths, same counts, same relations, same ranges, same membership.
-func checkStorageEqual(t *testing.T, got Storage, oracle *Index) {
+func checkStorageEqual(t *testing.T, got dirStorage, oracle *Index) {
 	t.Helper()
 	if got.NumEntries() != oracle.NumEntries() {
 		t.Errorf("NumEntries = %d, oracle %d", got.NumEntries(), oracle.NumEntries())
@@ -88,11 +87,11 @@ func checkStorageEqual(t *testing.T, got Storage, oracle *Index) {
 		if rel := got.Relation(p); !slices.Equal(rel, want) {
 			t.Fatalf("Relation(%v) differs: got %d pairs, oracle %d", p, len(rel), len(want))
 		}
-		if !pairsEqual(collect(got.Scan(p)), collect(oracle.Scan(p))) {
+		if !pairsEqual(collect(Scan(got, p)), collect(Scan(oracle, p))) {
 			t.Fatalf("Scan(%v) differs", p)
 		}
 		var viaBlocks []Packed
-		bi := got.BlocksSized(p, 7)
+		bi := got.Blocks(p).Sized(7)
 		for blk := bi.Next(); blk != nil; blk = bi.Next() {
 			viaBlocks = append(viaBlocks, blk...)
 		}
@@ -115,33 +114,33 @@ func checkStorageEqual(t *testing.T, got Storage, oracle *Index) {
 	// No extra paths: every got path must exist in the oracle.
 	got.AllPaths(func(id uint32, p Path, count int) {
 		if _, ok := oracle.PathID(p); !ok && count > 0 {
-			t.Errorf("overlay has path %v (count %d) absent from oracle", p, count)
+			t.Errorf("storage has path %v (count %d) absent from oracle", p, count)
 		}
 	})
 }
 
-func TestDeltaOverlayMatchesRebuild(t *testing.T) {
+func TestDeltaTierMatchesRebuild(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		base, full, batch := extendRandom(r, 30, 80, []string{"a", "b"}, 0.1)
 		for _, k := range []int{1, 2, 3} {
-			ov, oracle := applyOverlay(t, base, batch, full, k)
-			checkStorageEqual(t, ov, oracle)
+			ls, oracle := applyTier(t, base, batch, full, k)
+			checkStorageEqual(t, ls, oracle)
 			// Delta runs must be disjoint from base runs.
 			oracle.AllPaths(func(id uint32, p Path, count int) {
-				baseRun, deltaRun := ov.RunPair(p)
+				baseRun, deltaRun := ls.RunPair(p)
 				for _, pr := range deltaRun {
 					if _, found := slices.BinarySearch(baseRun, pr); found {
 						t.Fatalf("k=%d: delta run of %v repeats base pair %v", k, p, pr)
 					}
 				}
 			})
-			// Materialize must also equal the rebuild, including the
-			// exact |paths_k| recount.
-			mat := ov.Materialize()
-			checkStorageEqual(t, mat, oracle)
-			if mat.PathsKCount() != oracle.PathsKCount() {
-				t.Errorf("k=%d: materialized PathsKCount = %d, oracle %d", k, mat.PathsKCount(), oracle.PathsKCount())
+			// The fold must also equal the rebuild; its |paths_k| is the
+			// stack's upper bound carried over, never below the exact count.
+			folded := ls.Compacted().(*Index)
+			checkStorageEqual(t, folded, oracle)
+			if folded.PathsKCount() < oracle.PathsKCount() {
+				t.Errorf("k=%d: folded PathsKCount = %d, below the oracle's %d", k, folded.PathsKCount(), oracle.PathsKCount())
 			}
 		}
 	}
@@ -157,23 +156,11 @@ func TestDeltaNewNodesAndLabels(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The batch introduces a new node (w) and a new label (b).
-	batch := []graph.LabeledEdge{
+	ls := pushChunks(t, ix, []graph.LabeledEdge{
 		{Src: "z", Label: "a", Dst: "w"},
 		{Src: "x", Label: "b", Dst: "z"},
 		{Src: "w", Label: "b", Dst: "x"},
-	}
-	g2, err := base.ExtendFrozen(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := BuildDelta(ix, g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ov, err := NewOverlay(ix, d)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 1)
 	full := graph.New()
 	full.AddEdge("x", "a", "y")
 	full.AddEdge("y", "a", "z")
@@ -185,16 +172,16 @@ func TestDeltaNewNodesAndLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkStorageEqual(t, ov, oracle)
-	if ov.Graph().NumNodes() != 4 || ov.Graph().NumLabels() != 2 {
-		t.Errorf("overlay graph has %d nodes / %d labels, want 4 / 2", ov.Graph().NumNodes(), ov.Graph().NumLabels())
+	checkStorageEqual(t, ls, oracle)
+	if ls.Graph().NumNodes() != 4 || ls.Graph().NumLabels() != 2 {
+		t.Errorf("stack graph has %d nodes / %d labels, want 4 / 2", ls.Graph().NumNodes(), ls.Graph().NumLabels())
 	}
 }
 
-// TestOverlayFlattening: stacking a second delta over an overlay must
-// fold into a single overlay over the original base, and still match a
-// rebuild of everything.
-func TestOverlayFlattening(t *testing.T) {
+// TestDeltaStacking: a second delta, built against the one-tier stack,
+// pushes a second tier over the same base — a push never folds — and the
+// two-tier stack still matches a rebuild of everything.
+func TestDeltaStacking(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	base, full, batch := extendRandom(r, 25, 60, []string{"a", "b"}, 0.2)
 	half := len(batch) / 2
@@ -202,38 +189,19 @@ func TestOverlayFlattening(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := base.ExtendFrozen(batch[:half])
-	if err != nil {
-		t.Fatal(err)
+	ls1 := pushChunks(t, ix, batch[:half], 1)
+	ls2 := pushChunks(t, ls1, batch[half:], 1)
+	if ls2.Base() != Storage(ix) {
+		t.Fatalf("second push did not keep the original base")
 	}
-	d1, err := BuildDelta(ix, g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ov1, err := NewOverlay(ix, d1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g3, err := g2.ExtendFrozen(batch[half:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := BuildDelta(ov1, g3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ov2, err := NewOverlay(ov1, d2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ov2.Base() != Storage(ix) {
-		t.Fatalf("stacked overlay did not flatten onto the original base")
+	if len(ls2.Tiers()) != 2 || ls2.Tiers()[0] != ls1.Tiers()[0] {
+		t.Fatalf("second push did not share the first tier: %d tiers", len(ls2.Tiers()))
 	}
 	oracle, err := Build(full, 2, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkStorageEqual(t, ov2, oracle)
+	checkStorageEqual(t, ls2, oracle)
 }
 
 func TestDeltaEmptyBatch(t *testing.T) {
@@ -243,25 +211,14 @@ func TestDeltaEmptyBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2, err := base.ExtendFrozen(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := BuildDelta(ix, g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.NumEntries() != 0 || d.Stats().NewEdges != 0 {
+	ls := pushChunks(t, ix, nil, 1)
+	if d := ls.Tiers()[0].delta; d.NumEntries() != 0 || d.Stats().NewEdges != 0 {
 		t.Errorf("empty batch produced %d entries / %d new edges", d.NumEntries(), d.Stats().NewEdges)
 	}
-	ov, err := NewOverlay(ix, d)
-	if err != nil {
-		t.Fatal(err)
+	if ls.DeltaEntries() != 0 || ls.DeltaRatio() != 0 {
+		t.Errorf("empty tier reports delta entries %d ratio %v", ls.DeltaEntries(), ls.DeltaRatio())
 	}
-	if ov.DeltaEntries() != 0 || ov.DeltaRatio() != 0 {
-		t.Errorf("empty overlay reports delta entries %d ratio %v", ov.DeltaEntries(), ov.DeltaRatio())
-	}
-	checkStorageEqual(t, ov, ix)
+	checkStorageEqual(t, ls, ix)
 }
 
 func TestDeltaRejectsMismatchedGraphs(t *testing.T) {

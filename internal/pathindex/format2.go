@@ -285,14 +285,7 @@ func parseV2(data []byte, g *graph.Graph) (*Index, error) {
 		off += 4 + nameLen
 	}
 
-	ix := &Index{
-		g:         g,
-		k:         k,
-		ids:       make(map[string]uint32, numPaths),
-		paths:     make([]Path, numPaths),
-		count:     make([]int, numPaths),
-		relations: make([][]Packed, numPaths),
-	}
+	ix := newIndex(g, k)
 	dir := data[dirOff : dirOff+dirLen]
 	var sum uint64
 	for i := 0; i < numPaths; i++ {
@@ -325,20 +318,19 @@ func parseV2(data []byte, g *graph.Graph) (*Index, error) {
 		if _, dup := ix.ids[key]; dup {
 			return nil, fmt.Errorf("pathindex: duplicate path %d in directory", i)
 		}
-		ix.paths[i] = p
-		ix.ids[key] = uint32(i)
-		ix.count[i] = int(count)
-		ix.relations[i] = castRun(data[runOff : runOff+8*count])
+		rel := castRun(data[runOff : runOff+8*count])
+		if plen == 1 && count > 0 {
+			if err := ix.checkNodeRange(p, rel[count-1]); err != nil {
+				return nil, err
+			}
+		}
+		ix.addRun(p, rel)
 		sum += count
 	}
 	if sum != entries {
 		return nil, fmt.Errorf("pathindex: directory sums to %d entries, header claims %d", sum, entries)
 	}
-	ix.stats = BuildStats{
-		Entries:     int(entries),
-		LabelPaths:  numPaths,
-		PathsKCount: int(pathsK),
-	}
+	ix.stats.PathsKCount = int(pathsK)
 	return ix, nil
 }
 

@@ -13,7 +13,7 @@ import (
 // assertSameIndex verifies that b answers every index operation exactly
 // like a: shape, per-path counts, full scans, prefix ranges, block
 // iteration, and membership probes.
-func assertSameIndex(t *testing.T, g *graph.Graph, a, b Storage) {
+func assertSameIndex(t *testing.T, g *graph.Graph, a, b dirStorage) {
 	t.Helper()
 	if a.K() != b.K() || a.NumEntries() != b.NumEntries() ||
 		a.NumLabelPaths() != b.NumLabelPaths() || a.PathsKCount() != b.PathsKCount() {
@@ -41,11 +41,11 @@ func assertSameIndex(t *testing.T, g *graph.Graph, a, b Storage) {
 			}
 		}
 		for src := 0; src < g.NumNodes(); src += 7 {
-			if !pairsEqual(collect(a.ScanFrom(p, graph.NodeID(src))), collect(b.ScanFrom(p, graph.NodeID(src)))) {
+			if !pairsEqual(collect(ScanFrom(a, p, graph.NodeID(src))), collect(ScanFrom(b, p, graph.NodeID(src)))) {
 				t.Errorf("path %s: ScanFrom(%d) differs", p.Format(g), src)
 			}
 		}
-		bi := b.BlocksSized(p, 16)
+		bi := b.Blocks(p).Sized(16)
 		var viaBlocks []Packed
 		for blk := bi.Next(); blk != nil; blk = bi.Next() {
 			viaBlocks = append(viaBlocks, blk...)
@@ -160,11 +160,12 @@ func TestMigrateV1ToV3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.(*CompressedIndex); !ok {
+	c, ok := st.(*CompressedIndex)
+	if !ok {
 		t.Fatalf("OpenStorage(migrated file) = %T, want *CompressedIndex", st)
 	}
-	defer st.(*CompressedIndex).Close()
-	assertSameIndex(t, g, orig, st)
+	defer c.Close()
+	assertSameIndex(t, g, orig, c)
 }
 
 func TestOpenMappedRejectsV1(t *testing.T) {

@@ -207,6 +207,45 @@ func (ix *Index) SaveV3(path string) error {
 	return f.Close()
 }
 
+// SaveV3Atomic is SaveV3 through a temp file, fsync, and rename, so a
+// crash mid-write never leaves a half-written file under the final name.
+// Spills and checkpoints use it: the WAL record that names the file is
+// appended only after it returns.
+func (ix *Index) SaveV3Atomic(path string) error {
+	tmp := path + ".tmp"
+	if err := ix.saveV3Sync(tmp); err != nil {
+		os.Remove(tmp)
+		return err
+	}
+	return os.Rename(tmp, path)
+}
+
+// saveV3Sync writes the index at path in format v3 and fsyncs it.
+func (ix *Index) saveV3Sync(path string) error {
+	return createSync(path, func(f *os.File) error {
+		_, err := ix.WriteV3To(f)
+		return err
+	})
+}
+
+// createSync creates the file at path, fills it through write, and
+// fsyncs it before closing.
+func createSync(path string, write func(f *os.File) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
 // decodeCounters accumulates scan-side decompression work. The counters
 // are global to the storage (not per query) and updated atomically, so
 // per-query numbers are deltas between reads; under concurrent queries
@@ -256,6 +295,22 @@ func (r *compressedRun) decode(b int, dst []Packed) ([]Packed, error) {
 	return dst, nil
 }
 
+// last returns the greatest pair of a non-empty run by summing the last
+// block's deltas — no buffer, and no decode counted as scan work.
+func (r *compressedRun) last() (Packed, error) {
+	b := len(r.counts) - 1
+	v := uint64(r.firsts[b])
+	for p := r.payload[r.offs[b]:r.offs[b+1]]; len(p) > 0; {
+		d, n := binary.Uvarint(p)
+		if n <= 0 {
+			return 0, fmt.Errorf("pathindex: v3 block %d: bad varint", b)
+		}
+		v += d
+		p = p[n:]
+	}
+	return Packed(v), nil
+}
+
 // decodeAll decodes the whole run, additionally verifying cross-block
 // ascent (each block's first pair must exceed its predecessor's last).
 func (r *compressedRun) decodeAll(dst []Packed) ([]Packed, error) {
@@ -302,14 +357,12 @@ var blockBufPool = sync.Pool{
 // than panicking; run VerifyBlocks (or load via Load/ReadFrom, which
 // always verify) for files of untrusted provenance.
 type CompressedIndex struct {
-	g     *graph.Graph
-	k     int
-	paths []Path
-	ids   map[string]uint32
-	count []int
-	runs  []compressedRun
-	stats BuildStats
-	dec   decodeCounters
+	directory
+	runs []compressedRun
+	// Every block decode writes dec; the pad keeps it off the cache line
+	// that every lookup, on every client goroutine, reads runs from.
+	_   [64]byte
+	dec decodeCounters
 
 	data   []byte
 	unmap  func([]byte) error
@@ -417,12 +470,8 @@ func parseV3(data []byte, g *graph.Graph) (*CompressedIndex, error) {
 	}
 
 	c := &CompressedIndex{
-		g:     g,
-		k:     k,
-		ids:   make(map[string]uint32, numPaths),
-		paths: make([]Path, numPaths),
-		count: make([]int, numPaths),
-		runs:  make([]compressedRun, numPaths),
+		directory: directory{g: g, k: k, ids: make(map[string]uint32, numPaths)},
+		runs:      make([]compressedRun, numPaths),
 	}
 	dir := data[dirOff : dirOff+dirLen]
 	var sum uint64 // aligned encoded bytes consumed so far
@@ -503,9 +552,18 @@ func parseV3(data []byte, g *graph.Graph) (*CompressedIndex, error) {
 		if _, dup := c.ids[key]; dup {
 			return nil, fmt.Errorf("pathindex: duplicate path %d in directory", i)
 		}
-		c.paths[i] = p
-		c.ids[key] = uint32(i)
-		c.count[i] = int(count)
+		if plen == 1 && nb > 0 {
+			// The one payload read of an open: the last block of each
+			// length-1 run, for the graph check.
+			last, err := run.last()
+			if err != nil {
+				return nil, fmt.Errorf("pathindex: path %d: %w", i, err)
+			}
+			if err := c.checkNodeRange(p, last); err != nil {
+				return nil, err
+			}
+		}
+		c.add(p, int(count))
 		c.runs[i] = run
 		sum += uint64(align8(int(encLen)))
 		pairSum += count
@@ -549,103 +607,19 @@ func (c *CompressedIndex) VerifyBlocks() error {
 }
 
 // Materialize decodes the whole index into a fresh heap-backed Index
-// (verifying the payload as a side effect). It backs Save/SaveV2/SaveV3
-// re-serialization of an index opened compressed.
+// (verifying the payload as a side effect): the heap loaders' decode,
+// and the compressed case of the package-level Materialize.
 func (c *CompressedIndex) Materialize() (*Index, error) {
-	ix := &Index{
-		g:         c.g,
-		k:         c.k,
-		ids:       make(map[string]uint32, len(c.paths)),
-		paths:     make([]Path, len(c.paths)),
-		count:     make([]int, len(c.paths)),
-		relations: make([][]Packed, len(c.paths)),
-		stats:     c.stats,
-	}
+	ix := newIndex(c.g, c.k)
 	for pid := range c.runs {
-		rel, err := c.runs[pid].decodeAll(make([]Packed, 0, c.count[pid]))
+		rel, err := c.runs[pid].decodeAll(make([]Packed, 0, c.counts[pid]))
 		if err != nil {
 			return nil, fmt.Errorf("pathindex: path %d: %w", pid, err)
 		}
-		p := c.paths[pid]
-		ix.paths[pid] = p
-		ix.ids[p.Key()] = uint32(pid)
-		ix.count[pid] = len(rel)
-		ix.relations[pid] = rel
+		ix.addRun(c.paths[pid], rel)
 	}
+	ix.stats = c.stats
 	return ix, nil
-}
-
-// Save persists the index in format v1 (via Materialize).
-func (c *CompressedIndex) Save(path string) error {
-	ix, err := c.Materialize()
-	if err != nil {
-		return err
-	}
-	return ix.Save(path)
-}
-
-// SaveV2 persists the index in format v2 (via Materialize).
-func (c *CompressedIndex) SaveV2(path string) error {
-	ix, err := c.Materialize()
-	if err != nil {
-		return err
-	}
-	return ix.SaveV2(path)
-}
-
-// SaveV3 re-persists the index in format v3 (via Materialize).
-func (c *CompressedIndex) SaveV3(path string) error {
-	ix, err := c.Materialize()
-	if err != nil {
-		return err
-	}
-	return ix.SaveV3(path)
-}
-
-// K implements Storage.
-func (c *CompressedIndex) K() int { return c.k }
-
-// Graph implements Storage.
-func (c *CompressedIndex) Graph() *graph.Graph { return c.g }
-
-// Stats implements Storage.
-func (c *CompressedIndex) Stats() BuildStats { return c.stats }
-
-// NumEntries implements Storage.
-func (c *CompressedIndex) NumEntries() int { return c.stats.Entries }
-
-// NumLabelPaths implements Storage.
-func (c *CompressedIndex) NumLabelPaths() int { return len(c.paths) }
-
-// PathsKCount implements Storage.
-func (c *CompressedIndex) PathsKCount() int { return c.stats.PathsKCount }
-
-// PathID implements Storage.
-func (c *CompressedIndex) PathID(p Path) (uint32, bool) {
-	id, ok := c.ids[p.Key()]
-	return id, ok
-}
-
-// PathByID implements Storage.
-func (c *CompressedIndex) PathByID(id uint32) Path { return c.paths[id] }
-
-// Count implements Storage.
-func (c *CompressedIndex) Count(p Path) int {
-	if id, ok := c.ids[p.Key()]; ok {
-		return c.count[id]
-	}
-	return 0
-}
-
-// CountByID implements Storage.
-func (c *CompressedIndex) CountByID(id uint32) int { return c.count[id] }
-
-// AllPaths implements Storage. It walks only the directory, so the
-// histogram build over a compressed index decodes nothing.
-func (c *CompressedIndex) AllPaths(fn func(id uint32, p Path, count int)) {
-	for id, p := range c.paths {
-		fn(uint32(id), p, c.count[id])
-	}
 }
 
 // Relation implements Storage by decoding the full run into a fresh
@@ -657,10 +631,7 @@ func (c *CompressedIndex) Relation(p Path) []Packed {
 	if !ok {
 		return nil
 	}
-	rel, err := c.runs[id].decodeAll(make([]Packed, 0, c.count[id]))
-	if err != nil {
-		return rel
-	}
+	rel, _ := c.runs[id].decodeAll(make([]Packed, 0, c.counts[id]))
 	return rel
 }
 
@@ -668,20 +639,11 @@ func (c *CompressedIndex) Relation(p Path) []Packed {
 // into a reused buffer (each returned block is valid until the next
 // Next call).
 func (c *CompressedIndex) Blocks(p Path) *BlockIterator {
-	return c.BlocksSized(p, DefaultBlockSize)
-}
-
-// BlocksSized implements Storage. Blocks larger than the on-disk block
-// granularity (v3BlockPairs pairs) are served at that granularity.
-func (c *CompressedIndex) BlocksSized(p Path, blockSize int) *BlockIterator {
-	if blockSize < 1 {
-		blockSize = 1
+	bi := &BlockIterator{size: DefaultBlockSize}
+	if id, ok := c.ids[p.Key()]; ok {
+		bi.cr = &c.runs[id]
 	}
-	id, ok := c.ids[p.Key()]
-	if !ok {
-		return &BlockIterator{size: blockSize}
-	}
-	return &BlockIterator{cr: &c.runs[id], size: blockSize}
+	return bi
 }
 
 // SrcRange implements Storage, decoding only the 1–2 blocks (typically)
@@ -726,17 +688,6 @@ func (c *CompressedIndex) SrcRange(p Path, src graph.NodeID) []Packed {
 		}
 	}
 	return out
-}
-
-// Scan implements Storage (a full-decode convenience; the executor uses
-// Blocks).
-func (c *CompressedIndex) Scan(p Path) *PairIterator {
-	return &PairIterator{rel: c.Relation(p)}
-}
-
-// ScanFrom implements Storage.
-func (c *CompressedIndex) ScanFrom(p Path, src graph.NodeID) *PairIterator {
-	return &PairIterator{rel: c.SrcRange(p, src)}
 }
 
 // Contains implements Storage by decoding the single block that could

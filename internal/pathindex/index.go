@@ -66,13 +66,21 @@ type BuildStats struct {
 // the sorted arrays subsume every lookup the engine performs and expose
 // zero-copy blocks to the executor.)
 type Index struct {
-	g         *graph.Graph
-	k         int
-	relations [][]Packed        // path id -> sorted pair run
-	paths     []Path            // path id -> path
-	ids       map[string]uint32 // Path.Key() -> path id
-	count     []int             // path id -> |p(G)|
-	stats     BuildStats
+	directory
+	relations [][]Packed // path id -> sorted pair run
+}
+
+// newIndex returns an empty heap index over g to be filled with addRun.
+func newIndex(g *graph.Graph, k int) *Index {
+	return &Index{directory: directory{g: g, k: k, ids: map[string]uint32{}}}
+}
+
+// addRun appends path p with its sorted run and returns the path id.
+func (ix *Index) addRun(p Path, rel []Packed) uint32 {
+	ix.relations = append(ix.relations, rel)
+	ix.stats.Entries += len(rel)
+	ix.stats.LabelPaths++
+	return ix.add(p, len(rel))
 }
 
 // Build constructs I_{G,k} for the frozen graph g. k must be at least 1.
@@ -84,24 +92,13 @@ func Build(g *graph.Graph, k int, opts BuildOptions) (*Index, error) {
 		return nil, fmt.Errorf("pathindex: k must be >= 1, got %d", k)
 	}
 	start := time.Now()
-	ix := &Index{g: g, k: k, ids: map[string]uint32{}}
+	ix := newIndex(g, k)
 
 	dirs := g.DirLabels()
 
 	// ix.relations[i] is the pair set of path ix.paths[i], sorted by
 	// packed order (src, dst); only the previous level is needed for
 	// extension, but counts accumulate for all levels.
-	totalEntries := 0
-
-	addPath := func(p Path, rel []Packed) uint32 {
-		id := uint32(len(ix.paths))
-		ix.paths = append(ix.paths, p)
-		ix.ids[p.Key()] = id
-		ix.count = append(ix.count, len(rel))
-		ix.relations = append(ix.relations, rel)
-		totalEntries += len(rel)
-		return id
-	}
 
 	// Level 1: base relations straight from the graph's CSR adjacency.
 	levelStart := 0
@@ -110,9 +107,9 @@ func Build(g *graph.Graph, k int, opts BuildOptions) (*Index, error) {
 		if len(rel) == 0 {
 			continue
 		}
-		addPath(Path{d}, rel)
+		ix.addRun(Path{d}, rel)
 	}
-	if opts.MaxEntries > 0 && totalEntries > opts.MaxEntries {
+	if opts.MaxEntries > 0 && ix.stats.Entries > opts.MaxEntries {
 		return nil, fmt.Errorf("pathindex: index would exceed %d entries at k=1", opts.MaxEntries)
 	}
 
@@ -132,7 +129,7 @@ func Build(g *graph.Graph, k int, opts BuildOptions) (*Index, error) {
 				if !opts.NoDerivedInverses {
 					if invID, ok := ix.ids[p.Inverse().Key()]; ok {
 						rel := swapRelation(ix.relations[invID])
-						addPath(p, rel)
+						ix.addRun(p, rel)
 						ix.stats.DerivedPaths++
 						continue
 					}
@@ -141,8 +138,8 @@ func Build(g *graph.Graph, k int, opts BuildOptions) (*Index, error) {
 				if len(rel) == 0 {
 					continue
 				}
-				addPath(p, rel)
-				if opts.MaxEntries > 0 && totalEntries > opts.MaxEntries {
+				ix.addRun(p, rel)
+				if opts.MaxEntries > 0 && ix.stats.Entries > opts.MaxEntries {
 					return nil, fmt.Errorf("pathindex: index would exceed %d entries at k=%d", opts.MaxEntries, level)
 				}
 			}
@@ -150,8 +147,6 @@ func Build(g *graph.Graph, k int, opts BuildOptions) (*Index, error) {
 		levelStart = levelEnd
 	}
 
-	ix.stats.Entries = totalEntries
-	ix.stats.LabelPaths = len(ix.paths)
 	if !opts.SkipPathsKCount {
 		ix.stats.PathsKCount = countDistinctPairs(ix.relations, g.NumNodes())
 	}
@@ -235,55 +230,6 @@ func countDistinctPairs(relations [][]Packed, numNodes int) int {
 	return len(sortDedup(all))
 }
 
-// K returns the index locality parameter.
-func (ix *Index) K() int { return ix.k }
-
-// Graph returns the indexed graph.
-func (ix *Index) Graph() *graph.Graph { return ix.g }
-
-// Stats returns build statistics.
-func (ix *Index) Stats() BuildStats { return ix.stats }
-
-// NumEntries returns the total number of ⟨path,src,dst⟩ entries.
-func (ix *Index) NumEntries() int { return ix.stats.Entries }
-
-// NumLabelPaths returns the number of label paths with non-empty
-// relations.
-func (ix *Index) NumLabelPaths() int { return len(ix.paths) }
-
-// PathsKCount returns |paths_k(G)|, the selectivity denominator.
-func (ix *Index) PathsKCount() int { return ix.stats.PathsKCount }
-
-// PathID returns the identifier of p, if p has a non-empty relation.
-func (ix *Index) PathID(p Path) (uint32, bool) {
-	id, ok := ix.ids[p.Key()]
-	return id, ok
-}
-
-// PathByID returns the label path with the given identifier.
-func (ix *Index) PathByID(id uint32) Path { return ix.paths[id] }
-
-// Count returns |p(G)|. Unknown paths (including paths longer than k)
-// have count 0; use len(p) <= K() to distinguish "empty" from
-// "not indexed".
-func (ix *Index) Count(p Path) int {
-	if id, ok := ix.ids[p.Key()]; ok {
-		return ix.count[id]
-	}
-	return 0
-}
-
-// CountByID returns |p(G)| for a known path id.
-func (ix *Index) CountByID(id uint32) int { return ix.count[id] }
-
-// AllPaths invokes fn for every indexed label path in id order with its
-// pair count. Used by the histogram builder.
-func (ix *Index) AllPaths(fn func(id uint32, p Path, count int)) {
-	for id, p := range ix.paths {
-		fn(uint32(id), p, ix.count[id])
-	}
-}
-
 // Relation returns p(G) as the index's own sorted (src,dst) run. The
 // slice is shared with the index and must not be mutated. Unindexed
 // paths return nil.
@@ -348,33 +294,27 @@ func (bi *BlockIterator) Next() []Packed {
 	return b
 }
 
+// Sized sets the block size (minimum 1) and returns the iterator, for
+// consumers that want other than DefaultBlockSize blocks. Over a
+// compressed run, blocks larger than the on-disk granularity
+// (v3BlockPairs pairs) are served at that granularity.
+func (bi *BlockIterator) Sized(blockSize int) *BlockIterator {
+	bi.size = max(blockSize, 1)
+	return bi
+}
+
 // Blocks returns a BlockIterator over p(G) with DefaultBlockSize blocks.
 // Scanning an unindexed path yields an empty iterator. This is the
 // paper's I_{G,k}(⟨p⟩) prefix lookup in bulk form.
 func (ix *Index) Blocks(p Path) *BlockIterator {
-	return ix.BlocksSized(p, DefaultBlockSize)
-}
-
-// BlocksSized returns a BlockIterator over p(G) with the given block
-// size (minimum 1).
-func (ix *Index) BlocksSized(p Path, blockSize int) *BlockIterator {
-	if blockSize < 1 {
-		blockSize = 1
-	}
-	return &BlockIterator{rel: ix.Relation(p), size: blockSize}
+	return &BlockIterator{rel: ix.Relation(p), size: DefaultBlockSize}
 }
 
 // SrcRange returns the contiguous sub-run of p(G) whose pairs have
 // Src == src, located by binary search: the paper's I_{G,k}(⟨p, a⟩)
 // prefix lookup as a zero-copy slice.
 func (ix *Index) SrcRange(p Path, src graph.NodeID) []Packed {
-	rel := ix.Relation(p)
-	lo, _ := slices.BinarySearch(rel, Pack(src, 0))
-	hi := len(rel)
-	if src < ^graph.NodeID(0) { // src+1 would overflow the packed prefix
-		hi, _ = slices.BinarySearch(rel, Pack(src+1, 0))
-	}
-	return rel[lo:hi:hi]
+	return srcRangeOf(ix.Relation(p), src)
 }
 
 // PairIterator streams the pairs of one label path in (src,dst) order.
@@ -397,14 +337,14 @@ func (pi *PairIterator) Next() (Pair, bool) {
 
 // Scan returns an iterator over p(G) in (src,dst) order. Scanning an
 // unindexed path yields an empty iterator.
-func (ix *Index) Scan(p Path) *PairIterator {
-	return &PairIterator{rel: ix.Relation(p)}
+func Scan(s Storage, p Path) *PairIterator {
+	return &PairIterator{rel: s.Relation(p)}
 }
 
 // ScanFrom returns an iterator over the pairs of p with Src == src, in
 // dst order.
-func (ix *Index) ScanFrom(p Path, src graph.NodeID) *PairIterator {
-	return &PairIterator{rel: ix.SrcRange(p, src)}
+func ScanFrom(s Storage, p Path, src graph.NodeID) *PairIterator {
+	return &PairIterator{rel: s.SrcRange(p, src)}
 }
 
 // Contains reports whether (src,dst) ∈ p(G): the paper's full-key
@@ -414,3 +354,9 @@ func (ix *Index) Contains(p Path, src, dst graph.NodeID) bool {
 	_, found := slices.BinarySearch(rel, Pack(src, dst))
 	return found
 }
+
+// Pin implements Pinner: heap runs have no lifetime to guard.
+func (ix *Index) Pin() error { return nil }
+
+// Unpin implements Pinner.
+func (ix *Index) Unpin() {}

@@ -104,19 +104,19 @@ func TestBuildTinyGraph(t *testing.T) {
 	y, _ := g.LookupNode("y")
 	z, _ := g.LookupNode("z")
 
-	got := collect(ix.Scan(Path{graph.Fwd(l)}))
+	got := collect(Scan(ix, Path{graph.Fwd(l)}))
 	want := []Pair{{x, y}, {y, z}}
 	sort.Slice(want, func(i, j int) bool { return want[i].Src < want[j].Src })
 	if !pairsEqual(got, want) {
 		t.Errorf("l relation = %v, want %v", got, want)
 	}
 
-	got = collect(ix.Scan(Path{graph.Fwd(l), graph.Fwd(l)}))
+	got = collect(Scan(ix, Path{graph.Fwd(l), graph.Fwd(l)}))
 	if !pairsEqual(got, []Pair{{x, z}}) {
 		t.Errorf("l/l relation = %v, want [(x,z)]", got)
 	}
 
-	got = collect(ix.Scan(Path{graph.Fwd(l), graph.Inv(l)}))
+	got = collect(Scan(ix, Path{graph.Fwd(l), graph.Inv(l)}))
 	// x -l-> y <-l- x and y -l-> z <-l- y: {(x,x),(y,y)}.
 	if !pairsEqual(got, []Pair{{x, x}, {y, y}}) {
 		t.Errorf("l/l^- relation = %v", got)
@@ -140,7 +140,7 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 	checked := 0
 	ix.AllPaths(func(id uint32, p Path, count int) {
 		want := bruteRelation(g, p)
-		got := collect(ix.Scan(p))
+		got := collect(Scan(ix, p))
 		if !pairsEqual(got, want) {
 			t.Errorf("path %s: index %d pairs, brute %d pairs", p.Format(g), len(got), len(want))
 		}
@@ -157,7 +157,7 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		p := Path{dirs[r.Intn(len(dirs))], dirs[r.Intn(len(dirs))], dirs[r.Intn(len(dirs))]}
 		want := bruteRelation(g, p)
-		got := collect(ix.Scan(p))
+		got := collect(Scan(ix, p))
 		if !pairsEqual(got, want) {
 			t.Errorf("sampled path %s: got %d pairs, want %d", p.Format(g), len(got), len(want))
 		}
@@ -185,7 +185,7 @@ func TestDerivedInversesMatchRecomputed(t *testing.T) {
 		t.Error("NoDerivedInverses still derived relations")
 	}
 	fast.AllPaths(func(id uint32, p Path, count int) {
-		if got := collect(slow.Scan(p)); !pairsEqual(got, collect(fast.Scan(p))) {
+		if got := collect(Scan(slow, p)); !pairsEqual(got, collect(Scan(fast, p))) {
 			t.Errorf("path %s differs between build modes", p.Format(g))
 		}
 	})
@@ -199,20 +199,20 @@ func TestScanFromAndContains(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix.AllPaths(func(id uint32, p Path, count int) {
-		all := collect(ix.Scan(p))
+		all := collect(Scan(ix, p))
 		bySrc := map[graph.NodeID][]Pair{}
 		for _, pr := range all {
 			bySrc[pr.Src] = append(bySrc[pr.Src], pr)
 		}
 		for src, want := range bySrc {
-			got := collect(ix.ScanFrom(p, src))
+			got := collect(ScanFrom(ix, p, src))
 			if !pairsEqual(got, want) {
 				t.Errorf("ScanFrom(%s,%d) = %v, want %v", p.Format(g), src, got, want)
 			}
 		}
 		// A source with no pairs yields empty.
 		if len(bySrc[graph.NodeID(19)]) == 0 {
-			if got := collect(ix.ScanFrom(p, 19)); len(got) != 0 {
+			if got := collect(ScanFrom(ix, p, 19)); len(got) != 0 {
 				t.Errorf("ScanFrom empty source returned %v", got)
 			}
 		}
@@ -224,10 +224,10 @@ func TestScanFromAndContains(t *testing.T) {
 	})
 	// Unknown path scans are empty.
 	bogus := Path{graph.DirLabel(9999)}
-	if got := collect(ix.Scan(bogus)); len(got) != 0 {
+	if got := collect(Scan(ix, bogus)); len(got) != 0 {
 		t.Errorf("unknown path scan returned %v", got)
 	}
-	if got := collect(ix.ScanFrom(bogus, 0)); len(got) != 0 {
+	if got := collect(ScanFrom(ix, bogus, 0)); len(got) != 0 {
 		t.Errorf("unknown path ScanFrom returned %v", got)
 	}
 	if ix.Contains(bogus, 0, 0) {
@@ -352,7 +352,7 @@ func TestExample31PrefixLookups(t *testing.T) {
 	kim, _ := g.LookupNode("kim")
 
 	// I(kkw, jan) = ⟨ada, jan, kim⟩ in target order.
-	got := collect(ix.ScanFrom(kkw, jan))
+	got := collect(ScanFrom(ix, kkw, jan))
 	wantDsts := []graph.NodeID{ada, jan, kim}
 	sort.Slice(wantDsts, func(i, j int) bool { return wantDsts[i] < wantDsts[j] })
 	if len(got) != 3 {
@@ -382,7 +382,7 @@ func TestSection22FirstExample(t *testing.T) {
 	sup, _ := g.LookupLabel("supervisor")
 	wf, _ := g.LookupLabel("worksFor")
 	p := Path{graph.Fwd(sup), graph.Inv(wf)}
-	got := collect(ix.Scan(p))
+	got := collect(Scan(ix, p))
 	kim, _ := g.LookupNode("kim")
 	sue, _ := g.LookupNode("sue")
 	if !pairsEqual(got, []Pair{{kim, sue}}) {
@@ -503,7 +503,7 @@ func BenchmarkScan(b *testing.B) {
 	p := ix.PathByID(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it := ix.Scan(p)
+		it := Scan(ix, p)
 		for {
 			if _, ok := it.Next(); !ok {
 				break

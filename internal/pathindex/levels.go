@@ -2,8 +2,9 @@ package pathindex
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -17,10 +18,11 @@ import (
 // immutable; the spill marker is set at most once, after the v3 run
 // file is durable, and is metadata only — serving never reads it.
 type Tier struct {
-	delta *Delta
-	seqLo uint64
-	seqHi uint64
-	spill atomic.Pointer[string]
+	delta  *Delta
+	seqLo  uint64
+	seqHi  uint64
+	spill  atomic.Pointer[string]
+	shards atomic.Pointer[[]*Tier] // shardTiers' cache
 }
 
 // NewTier wraps a freshly built delta as a tier covering the given
@@ -56,42 +58,19 @@ func (t *Tier) SetSpill(file string) { t.spill.Store(&file) }
 // (skipped), as a spill is payload, not a statistics source.
 func (t *Tier) SpillIndex() *Index {
 	d := t.delta
-	ix := &Index{g: d.g, k: d.k, relations: d.rels, paths: d.paths, ids: d.ids}
-	ix.count = make([]int, len(d.rels))
+	ix := &Index{directory: directory{g: d.g, k: d.k, paths: d.paths, ids: d.ids}, relations: d.rels}
+	ix.counts = make([]int, len(d.rels))
 	for i, rel := range d.rels {
-		ix.count[i] = len(rel)
+		ix.counts[i] = len(rel)
 	}
 	ix.stats = BuildStats{Entries: d.stats.Entries, LabelPaths: len(d.paths)}
 	return ix
 }
 
-// WriteSpill persists the tier's runs as a format-v3 index file,
-// written to a temp file, fsync'd, and renamed into place so a crash
-// mid-spill never leaves a half-written file under the final name.
-// The caller records the spill in the WAL (and calls SetSpill) only
-// after WriteSpill returns.
-func (t *Tier) WriteSpill(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := t.SpillIndex().WriteV3To(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
+// WriteSpill persists the tier's runs as a format-v3 index file
+// (SaveV3Atomic). The caller records the spill in the WAL (and calls
+// SetSpill) only after WriteSpill returns.
+func (t *Tier) WriteSpill(path string) error { return t.SpillIndex().SaveV3Atomic(path) }
 
 // NewSpilledTier reconstructs a tier from a heap-loaded spill index
 // (recovery's shortcut past BuildDelta). The index must have been
@@ -107,43 +86,67 @@ func NewSpilledTier(ix *Index, g *graph.Graph, seqLo, seqHi uint64, file string)
 	return t
 }
 
+// shardTiers returns the tier restricted to each shard's sources under
+// part — the per-shard tiers of a stack over a sharded base. The split
+// is computed on first use and cached: a tier lives in one lineage,
+// whose partitioning never changes. Concurrent first calls may both
+// compute, which is benign (identical results, last store wins).
+func (t *Tier) shardTiers(part Partitioner) []*Tier {
+	if p := t.shards.Load(); p != nil {
+		return *p
+	}
+	d := t.delta
+	tiers := make([]*Tier, part.NumShards())
+	for i := range tiers {
+		tiers[i] = NewTier(&Delta{g: d.g, k: d.k, ids: map[string]uint32{}}, t.seqLo, t.seqHi)
+	}
+	for id, p := range d.paths {
+		for i, sub := range splitRun(d.rels[id], part) {
+			tiers[i].delta.add(p, sub)
+		}
+	}
+	t.shards.Store(&tiers)
+	return tiers
+}
+
 // Levels serves a read-only base Storage plus an ordered stack of
 // update tiers as one consistent Storage over the newest tier's graph —
-// the LSM-style generalization of Overlay. Where an Overlay folds every
-// new delta into the previous one (cost proportional to the accumulated
-// delta on every batch), a Levels stack just pushes the new tier;
-// adjacent tiers are merged separately and incrementally (MergeOnce),
-// and the whole stack folds back into a single immutable index through
-// a bounded-step Fold job rather than one monolithic Materialize.
+// the index's one update overlay, LSM-style. A batch pushes one tier
+// (PushTier), at a cost proportional to the batch; adjacent tiers are
+// merged separately and incrementally (MergeOnce), and the whole stack
+// folds back into a single immutable index through a bounded-step Fold.
 //
 // Each tier's runs are disjoint from the base and from every older tier
 // (BuildDelta subtracts against the storage it extends), so per-path
 // counts are sums and cross-tier merges need no deduplication. Reads
 // see at most base + one merged delta run per path: the union of a
 // path's tier runs is computed lazily on first access and cached, so
-// the executor's two-run merge-union scans (RunPair/RunBlocks) work
-// unchanged over any number of tiers.
+// the executor's two-run merge-union scan (RunBlocks) works unchanged
+// over any number of tiers.
+//
+// The base may be sharded. The stack stays global — one tier list, one
+// merge / spill / fold / checkpoint lifecycle — and offers the shard
+// view the executor scatters over (Sharded): Shard(i) is a Levels over
+// the base's shard i whose tiers are this stack's tiers restricted to
+// the sources shard i owns.
 //
 // Like every Storage, a Levels is immutable after construction (the
-// lazy run cache and tier spill markers are the write-once exceptions)
-// and safe for any number of concurrent readers. Pin/Unpin and Close
-// delegate to the base.
+// lazy run and shard-view caches and the tier spill markers are the
+// write-once exceptions) and safe for any number of concurrent readers.
+// Pin/Unpin and Close delegate to the base.
 type Levels struct {
-	base  Storage
-	tiers []*Tier
-	g     *graph.Graph
-
-	// Merged directory: ids 0..base.NumLabelPaths()-1 alias the base
-	// ids; tier-only paths (e.g. over new labels) are appended after in
-	// tier order.
-	paths    []Path
-	ids      map[string]uint32
-	counts   []int
+	// The merged directory: ids below numBase alias the base ids;
+	// tier-only paths (e.g. over new labels) follow in tier order.
+	directory
+	base     Storage
+	tiers    []*Tier
 	tierRuns [][][]Packed               // merged id -> non-empty tier runs, oldest first
 	merged   []atomic.Pointer[[]Packed] // merged id -> lazily cached union of tierRuns
 	numBase  int
-	entries  int
-	stats    BuildStats
+
+	sharded   Sharded // the base's shard view; nil over an unsharded base
+	shardOnce sync.Once
+	shards    []*Levels
 }
 
 // NewLevels assembles a stack over base from an ordered tier list
@@ -153,75 +156,66 @@ type Levels struct {
 // disjointness itself.
 func NewLevels(base Storage, tiers []*Tier) (*Levels, error) {
 	g := base.Graph()
-	nodes := g.NumNodes()
+	pk := base.PathsKCount()
+	dur := time.Duration(0)
 	for i, t := range tiers {
 		if t.delta.K() != base.K() {
 			return nil, fmt.Errorf("pathindex: tier %d has k=%d, base has k=%d", i, t.delta.K(), base.K())
 		}
-		if t.delta.Graph().NumNodes() < nodes {
+		if t.delta.Graph().NumNodes() < g.NumNodes() {
 			return nil, fmt.Errorf("pathindex: tier %d graph is smaller than its predecessor", i)
 		}
-		nodes = t.delta.Graph().NumNodes()
+		pk = deltaPathsK(pk, g.NumNodes(), base.NumEntries(), t.delta)
+		dur += t.delta.Stats().Duration
 		g = t.delta.Graph()
 	}
-	ls := &Levels{base: base, tiers: tiers, g: g, ids: map[string]uint32{}}
-
-	base.AllPaths(func(id uint32, p Path, count int) {
-		cp := slices.Clone(p)
-		if uint32(len(ls.paths)) != id {
-			panic("pathindex: base AllPaths ids are not dense")
-		}
-		ls.paths = append(ls.paths, cp)
-		ls.ids[cp.Key()] = id
-		ls.counts = append(ls.counts, count)
-		ls.entries += count
-	})
-	ls.numBase = len(ls.paths)
-	for _, t := range tiers {
-		for _, p := range t.delta.paths {
-			if _, dup := ls.ids[p.Key()]; dup {
-				continue
-			}
-			ls.paths = append(ls.paths, p)
-			ls.ids[p.Key()] = uint32(len(ls.paths) - 1)
-			ls.counts = append(ls.counts, 0)
-		}
-	}
-	ls.tierRuns = make([][][]Packed, len(ls.paths))
-	for _, t := range tiers {
-		for id, p := range ls.paths {
-			run := t.delta.Run(p)
-			if len(run) == 0 {
-				continue
-			}
-			ls.tierRuns[id] = append(ls.tierRuns[id], run)
-			ls.counts[id] += len(run)
-			ls.entries += len(run)
-		}
-	}
-	ls.merged = make([]atomic.Pointer[[]Packed], len(ls.paths))
-
-	pk := base.PathsKCount()
-	dur := time.Duration(0)
-	prevNodes := base.Graph().NumNodes()
-	for _, t := range tiers {
-		pk = deltaPathsK(pk, prevNodes, base.NumEntries(), t.delta)
-		prevNodes = t.delta.Graph().NumNodes()
-		dur += t.delta.Stats().Duration
-	}
-	ls.stats = BuildStats{
-		Entries:     ls.entries,
-		LabelPaths:  len(ls.paths),
-		PathsKCount: pk,
-		Duration:    dur,
-	}
+	ls := newLevels(base, tiers, g)
+	ls.stats.PathsKCount = pk
+	ls.stats.Duration = dur
 	return ls, nil
 }
 
+// newLevels builds the merged directory and the per-path tier runs of a
+// stack serving graph g; NewLevels adds the lineage checks and the
+// |paths_k| bookkeeping a shard view does without.
+func newLevels(base Storage, tiers []*Tier, g *graph.Graph) *Levels {
+	ls := &Levels{
+		directory: directory{g: g, k: base.K(), ids: map[string]uint32{}},
+		base:      base,
+		tiers:     tiers,
+	}
+	ls.sharded, _ = AsSharded(base)
+	base.AllPaths(func(id uint32, p Path, count int) {
+		if ls.add(p, count) != id {
+			panic("pathindex: base AllPaths ids are not dense")
+		}
+	})
+	ls.numBase = len(ls.paths)
+	ls.tierRuns = make([][][]Packed, ls.numBase)
+	ls.stats.Entries = base.NumEntries()
+	for _, t := range tiers {
+		for i, p := range t.delta.paths {
+			id, ok := ls.ids[p.Key()]
+			if !ok {
+				id = ls.add(p, 0)
+				ls.tierRuns = append(ls.tierRuns, nil)
+			}
+			run := t.delta.rels[i]
+			ls.tierRuns[id] = append(ls.tierRuns[id], run)
+			ls.counts[id] += len(run)
+			ls.stats.Entries += len(run)
+		}
+	}
+	ls.merged = make([]atomic.Pointer[[]Packed], len(ls.paths))
+	ls.stats.LabelPaths = len(ls.paths)
+	return ls
+}
+
 // deltaPathsK extends a |paths_k| value by one delta: identity pairs of
-// new nodes plus distinct non-identity delta pairs. Like overlayPathsK
-// it is an upper bound (pairs already related by a different path in an
-// older layer are counted again); a base that skipped the count (0 with
+// new nodes plus distinct non-identity delta pairs. Pairs already
+// related by a different path in an older layer are counted again, so
+// the value is an upper bound; it only feeds selectivity estimation,
+// where the slack is harmless. A base that skipped the count (0 with
 // non-empty relations) stays 0.
 func deltaPathsK(prevPK, prevNodes, baseEntries int, d *Delta) int {
 	if prevPK == 0 && baseEntries > 0 {
@@ -244,16 +238,56 @@ func deltaPathsK(prevPK, prevNodes, baseEntries int, d *Delta) int {
 	return pk
 }
 
-// PushTier layers a new tier over prev. When prev is itself a *Levels,
-// the new stack shares its base and existing tiers (no folding — the
-// O(accumulated delta) cost Overlay pays per batch is exactly what the
-// tier stack avoids); any other Storage becomes the base of a fresh
-// one-tier stack. delta must have been built by BuildDelta against prev.
-func PushTier(prev Storage, delta *Delta, seqLo, seqHi uint64) (*Levels, error) {
-	if prev.K() != delta.K() {
-		return nil, fmt.Errorf("pathindex: tier delta k=%d does not match storage k=%d", delta.K(), prev.K())
+// foldDeltas merges two successive deltas into one over the second's
+// graph. d2 was built over base∪d1, so its runs are disjoint from d1's;
+// the merge is a plain sorted union per path.
+func foldDeltas(d1, d2 *Delta) *Delta {
+	out := &Delta{g: d2.g, k: d2.k, ids: map[string]uint32{}}
+	out.stats.NewEdges = d1.stats.NewEdges + d2.stats.NewEdges
+	out.stats.Duration = d1.stats.Duration + d2.stats.Duration
+	out.stats.DerivedPaths = d1.stats.DerivedPaths + d2.stats.DerivedPaths
+	for id, p := range d1.paths {
+		out.add(p, mergeRuns(d1.rels[id], d2.Run(p)))
 	}
-	tier := NewTier(delta, seqLo, seqHi)
+	for id, p := range d2.paths {
+		if _, dup := out.ids[p.Key()]; !dup {
+			out.add(p, d2.rels[id])
+		}
+	}
+	return out
+}
+
+// mergeRuns returns the sorted union of two sorted disjoint runs. One
+// empty side returns the other unchanged (zero-copy).
+func mergeRuns(a, b []Packed) []Packed {
+	if len(a) == 0 {
+		return b
+	}
+	if len(b) == 0 {
+		return a
+	}
+	out := make([]Packed, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if a[i] < b[j] {
+			out = append(out, a[i])
+			i++
+		} else {
+			out = append(out, b[j])
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
+}
+
+// PushTier layers a new tier over prev. When prev is itself a *Levels,
+// the new stack shares its base and existing tiers (no folding — a push
+// costs the new tier, not the accumulated delta); any other Storage
+// becomes the base of a fresh one-tier stack. The tier's delta must have
+// been built by BuildDelta against prev (or reloaded from the spill of
+// one that was).
+func PushTier(prev Storage, tier *Tier) (*Levels, error) {
 	if ls, ok := prev.(*Levels); ok {
 		tiers := make([]*Tier, len(ls.tiers)+1)
 		copy(tiers, ls.tiers)
@@ -274,11 +308,11 @@ func (ls *Levels) Tiers() []*Tier { return ls.tiers }
 func (ls *Levels) BaseEntries() int { return ls.base.NumEntries() }
 
 // DeltaEntries returns the number of entries held in tier runs.
-func (ls *Levels) DeltaEntries() int { return ls.entries - ls.base.NumEntries() }
+func (ls *Levels) DeltaEntries() int { return ls.stats.Entries - ls.base.NumEntries() }
 
 // DeltaRatio returns DeltaEntries/BaseEntries — the compaction trigger
-// metric, as in Overlay.DeltaRatio. Against an empty base any non-empty
-// stack reports 1.
+// metric. Against an empty base the ratio is not well defined, so any
+// non-empty stack reports 1 (always worth compacting).
 func (ls *Levels) DeltaRatio() float64 {
 	de := ls.DeltaEntries()
 	be := ls.BaseEntries()
@@ -289,6 +323,35 @@ func (ls *Levels) DeltaRatio() float64 {
 		return 1
 	}
 	return float64(de) / float64(be)
+}
+
+// Partitioner implements Sharded: the base's partitioner, nil over an
+// unsharded base.
+func (ls *Levels) Partitioner() Partitioner {
+	if ls.sharded == nil {
+		return nil
+	}
+	return ls.sharded.Partitioner()
+}
+
+// Shard implements Sharded: a Levels over the base's shard i whose tiers
+// are this stack's tiers restricted to shard i's sources. The views are
+// built once, on first use; the base must be sharded.
+func (ls *Levels) Shard(i int) Storage {
+	ls.shardOnce.Do(func() {
+		part := ls.sharded.Partitioner()
+		tiers := make([][]*Tier, part.NumShards())
+		for _, t := range ls.tiers {
+			for sh, st := range t.shardTiers(part) {
+				tiers[sh] = append(tiers[sh], st)
+			}
+		}
+		ls.shards = make([]*Levels, len(tiers))
+		for sh := range ls.shards {
+			ls.shards[sh] = newLevels(ls.sharded.Shard(sh), tiers[sh], ls.g)
+		}
+	})
+	return ls.shards[i]
 }
 
 // MergeOnce folds one adjacent tier pair and returns the shortened
@@ -333,72 +396,17 @@ func (ls *Levels) mergedRun(id uint32) []Packed {
 	if p := ls.merged[id].Load(); p != nil {
 		return *p
 	}
-	runs := ls.tierRuns[id]
 	var m []Packed
-	switch len(runs) {
-	case 0:
-	case 1:
-		m = runs[0]
-	default:
-		m = runs[0]
-		for _, r := range runs[1:] {
-			m = mergeRuns(m, r)
-		}
+	for _, r := range ls.tierRuns[id] {
+		m = mergeRuns(m, r)
 	}
 	ls.merged[id].Store(&m)
 	return m
 }
 
-// K implements Storage.
-func (ls *Levels) K() int { return ls.base.K() }
-
-// Graph implements Storage: the newest tier's successor graph.
-func (ls *Levels) Graph() *graph.Graph { return ls.g }
-
-// Stats implements Storage. Entries and LabelPaths cover base + tiers;
-// Duration sums the tier delta build times.
-func (ls *Levels) Stats() BuildStats { return ls.stats }
-
-// NumEntries implements Storage.
-func (ls *Levels) NumEntries() int { return ls.entries }
-
-// NumLabelPaths implements Storage.
-func (ls *Levels) NumLabelPaths() int { return len(ls.paths) }
-
-// PathsKCount implements Storage (an upper bound; see deltaPathsK).
-func (ls *Levels) PathsKCount() int { return ls.stats.PathsKCount }
-
-// PathID implements Storage.
-func (ls *Levels) PathID(p Path) (uint32, bool) {
-	id, ok := ls.ids[p.Key()]
-	return id, ok
-}
-
-// PathByID implements Storage.
-func (ls *Levels) PathByID(id uint32) Path { return ls.paths[id] }
-
-// Count implements Storage.
-func (ls *Levels) Count(p Path) int {
-	if id, ok := ls.ids[p.Key()]; ok {
-		return ls.counts[id]
-	}
-	return 0
-}
-
-// CountByID implements Storage.
-func (ls *Levels) CountByID(id uint32) int { return ls.counts[id] }
-
-// AllPaths implements Storage.
-func (ls *Levels) AllPaths(fn func(id uint32, p Path, count int)) {
-	for id, p := range ls.paths {
-		fn(uint32(id), p, ls.counts[id])
-	}
-}
-
 // RunPair returns the base run and the merged tier run whose disjoint
 // union is p(G'). Either may be empty; both alias the storage and must
-// not be mutated. The executor's merge-union scan consumes this
-// directly — N tiers still cost the scan only one extra run.
+// not be mutated.
 func (ls *Levels) RunPair(p Path) (base, delta []Packed) {
 	id, ok := ls.ids[p.Key()]
 	if !ok {
@@ -411,8 +419,10 @@ func (ls *Levels) RunPair(p Path) (base, delta []Packed) {
 }
 
 // RunBlocks returns the base run as a block iterator plus the merged
-// tier run, never forcing a compressed base run to decode eagerly (see
-// Overlay.RunBlocks).
+// tier run, never forcing a compressed base run to decode eagerly: over
+// a *CompressedIndex base the iterator decodes block by block. The
+// executor's merge-union scan consumes this directly — N tiers still
+// cost the scan only one extra run.
 func (ls *Levels) RunBlocks(p Path) (base *BlockIterator, delta []Packed) {
 	id, ok := ls.ids[p.Key()]
 	if !ok {
@@ -427,29 +437,21 @@ func (ls *Levels) RunBlocks(p Path) (base *BlockIterator, delta []Packed) {
 }
 
 // Relation implements Storage. When both the base and tier runs are
-// non-empty the merged run is freshly allocated; prefer RunPair (or
+// non-empty the merged run is freshly allocated; prefer RunBlocks (or
 // Blocks/SrcRange) on hot paths.
 func (ls *Levels) Relation(p Path) []Packed {
 	base, delta := ls.RunPair(p)
 	return mergeRuns(base, delta)
 }
 
-// Blocks implements Storage.
+// Blocks implements Storage. Paths no tier touched delegate to the base
+// iterator (keeping a compressed base's decode-on-scan behaviour); paths
+// with tier pairs materialize the merged run.
 func (ls *Levels) Blocks(p Path) *BlockIterator {
-	return ls.BlocksSized(p, DefaultBlockSize)
-}
-
-// BlocksSized implements Storage. Paths no tier touched delegate to the
-// base iterator (keeping a compressed base's decode-on-scan behaviour);
-// paths with tier pairs materialize the merged run.
-func (ls *Levels) BlocksSized(p Path, blockSize int) *BlockIterator {
-	if blockSize < 1 {
-		blockSize = 1
-	}
 	if id, ok := ls.ids[p.Key()]; ok && id < uint32(ls.numBase) && len(ls.tierRuns[id]) == 0 {
-		return ls.base.BlocksSized(p, blockSize)
+		return ls.base.Blocks(p)
 	}
-	return &BlockIterator{rel: ls.Relation(p), size: blockSize}
+	return &BlockIterator{rel: ls.Relation(p), size: DefaultBlockSize}
 }
 
 // SrcRange implements Storage: the base ⟨p, src⟩ range merged with each
@@ -475,16 +477,6 @@ func (ls *Levels) SrcRange(p Path, src graph.NodeID) []Packed {
 	return out
 }
 
-// Scan implements Storage.
-func (ls *Levels) Scan(p Path) *PairIterator {
-	return &PairIterator{rel: ls.Relation(p)}
-}
-
-// ScanFrom implements Storage.
-func (ls *Levels) ScanFrom(p Path, src graph.NodeID) *PairIterator {
-	return &PairIterator{rel: ls.SrcRange(p, src)}
-}
-
 // Contains implements Storage: membership in any tier run or the base.
 func (ls *Levels) Contains(p Path, src, dst graph.NodeID) bool {
 	id, ok := ls.ids[p.Key()]
@@ -503,31 +495,31 @@ func (ls *Levels) Contains(p Path, src, dst graph.NodeID) bool {
 // Fold is an in-progress incremental compaction of a Levels stack: the
 // fold of base + all tiers into one fresh immutable heap index, done
 // path by path under a per-step entry budget so a large stack never
-// stalls the updater for one monolithic Materialize. The source stack
-// keeps serving readers throughout; the result is grafted back under
-// any tiers pushed since via Installable/NewLevels (see core's compact
-// job). A Fold is single-consumer: Step must not be called concurrently.
+// stalls the updater for one monolithic copy. The source stack keeps
+// serving readers throughout; the result is grafted back under any
+// tiers pushed since (see core's compact job). A Fold is
+// single-consumer: Step must not be called concurrently.
 type Fold struct {
-	src  *Levels
-	out  *Index
-	next int
-	dur  time.Duration
+	src    *Levels
+	out    *Index
+	result Storage
+	next   int
+	dur    time.Duration
 }
 
 // StartFold begins an incremental fold of the stack.
 func (ls *Levels) StartFold() *Fold {
-	return &Fold{
-		src: ls,
-		out: &Index{g: ls.g, k: ls.K(), ids: make(map[string]uint32, len(ls.paths))},
-	}
+	return &Fold{src: ls, out: newIndex(ls.g, ls.k)}
 }
 
 // Step materializes merged runs until at least entryBudget entries have
 // been copied (minimum one path per call, so progress is guaranteed),
 // returning true once the fold is complete. Work per step is bounded by
-// the budget plus one path's relation, independent of stack size.
+// the budget plus one path's relation, independent of stack size — but
+// for the last step over a sharded base, which also re-partitions the
+// folded index.
 func (f *Fold) Step(entryBudget int) bool {
-	if f.next >= len(f.src.paths) {
+	if f.Done() {
 		return true
 	}
 	start := time.Now()
@@ -551,10 +543,7 @@ func (f *Fold) Step(entryBudget int) bool {
 		default:
 			rel = mergeRuns(base, delta)
 		}
-		f.out.paths = append(f.out.paths, p)
-		f.out.ids[p.Key()] = id
-		f.out.count = append(f.out.count, len(rel))
-		f.out.relations = append(f.out.relations, rel)
+		f.out.addRun(p, rel)
 		budget -= len(rel)
 		f.next++
 	}
@@ -562,51 +551,47 @@ func (f *Fold) Step(entryBudget int) bool {
 	if f.next < len(f.src.paths) {
 		return false
 	}
-	f.out.stats = BuildStats{
-		Entries:    f.src.entries,
-		LabelPaths: len(f.src.paths),
-		// The stack's (upper-bound) count carries over instead of the
-		// full-sort recount Materialize pays — the recount is most of a
-		// rebuild's cost and the value only feeds selectivity estimates.
-		PathsKCount: f.src.PathsKCount(),
-		Duration:    f.dur,
+	// The stack's (upper-bound) count carries over instead of a
+	// full-sort recount — the recount is most of a rebuild's cost and the
+	// value only feeds selectivity estimates.
+	f.out.stats.PathsKCount = f.src.PathsKCount()
+	f.out.stats.Duration = f.dur
+	f.result = f.out
+	if f.src.sharded != nil {
+		sharded, err := ShardIndex(f.out, f.src.sharded.Partitioner())
+		if err != nil {
+			// The partitioner comes from a live sharded base.
+			panic(fmt.Sprintf("pathindex: Fold re-partitioning failed: %v", err))
+		}
+		f.result = sharded
 	}
 	return true
 }
 
-// Done reports whether the fold has materialized every path.
-func (f *Fold) Done() bool { return f.next >= len(f.src.paths) }
+// Done reports whether the fold has completed.
+func (f *Fold) Done() bool { return f.result != nil }
 
 // Src returns the stack the fold reads from.
 func (f *Fold) Src() *Levels { return f.src }
 
-// Result returns the folded index. It must only be called once Step has
-// returned true.
-func (f *Fold) Result() *Index {
+// Result returns the folded base in the layout of the base it replaces:
+// a heap *Index, partitioned into a *ShardedStorage when the source base
+// was sharded. It must only be called once Step has returned true.
+func (f *Fold) Result() Storage {
 	if !f.Done() {
 		panic("pathindex: Fold.Result before completion")
 	}
-	return f.out
+	return f.result
 }
 
-// Materialize folds the whole stack in one call (a Fold run to
-// completion) — the non-incremental convenience used by Save*.
-func (ls *Levels) Materialize() *Index {
+// Compacted folds the whole stack in one call (a Fold run to
+// completion) and returns Fold.Result.
+func (ls *Levels) Compacted() Storage {
 	f := ls.StartFold()
 	for !f.Step(1 << 30) {
 	}
-	return f.Result()
+	return f.result
 }
-
-// Save persists the folded index in format v1 (via Materialize).
-func (ls *Levels) Save(path string) error { return ls.Materialize().Save(path) }
-
-// SaveV2 persists the folded index in format v2 (via Materialize).
-func (ls *Levels) SaveV2(path string) error { return ls.Materialize().SaveV2(path) }
-
-// SaveV3 persists the folded index block-compressed in format v3 (via
-// Materialize).
-func (ls *Levels) SaveV3(path string) error { return ls.Materialize().SaveV3(path) }
 
 // FileBytes forwards the base storage's on-disk size (0 over a heap
 // base): tier runs are memory-resident and add no served file bytes
@@ -627,29 +612,22 @@ func (ls *Levels) DecodeStats() (blocks, bytes int64) {
 	return 0, 0
 }
 
-// Pin implements Pinner by delegating to the base (a heap base needs no
-// pinning and always succeeds).
-func (ls *Levels) Pin() error {
-	if p, ok := ls.base.(Pinner); ok {
-		return p.Pin()
-	}
-	return nil
-}
+// Pin implements Pinner by delegating to the base.
+func (ls *Levels) Pin() error { return ls.base.Pin() }
 
 // Unpin implements Pinner.
-func (ls *Levels) Unpin() {
-	if p, ok := ls.base.(Pinner); ok {
-		p.Unpin()
-	}
-}
+func (ls *Levels) Unpin() { ls.base.Unpin() }
 
 // Close releases the base storage when it is closeable (a mapped base's
 // unmap); stacks over heap bases close to a no-op.
 func (ls *Levels) Close() error {
-	if c, ok := ls.base.(interface{ Close() error }); ok {
+	if c, ok := ls.base.(io.Closer); ok {
 		return c.Close()
 	}
 	return nil
 }
 
-var _ Storage = (*Levels)(nil)
+var (
+	_ Storage = (*Levels)(nil)
+	_ Sharded = (*Levels)(nil)
+)

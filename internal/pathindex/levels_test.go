@@ -17,13 +17,16 @@ func pushBatches(t *testing.T, base *graph.Graph, batch []graph.LabeledEdge, k, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cur Storage = ix
-	g := base
-	seq := uint64(0)
+	return pushChunks(t, ix, batch, nChunks)
+}
+
+// pushChunks applies the batch over cur in nChunks sequential tiers
+// tagged with sequence numbers 1..nChunks.
+func pushChunks(t *testing.T, cur Storage, batch []graph.LabeledEdge, nChunks int) *Levels {
+	t.Helper()
 	for i := 0; i < nChunks; i++ {
 		lo, hi := i*len(batch)/nChunks, (i+1)*len(batch)/nChunks
-		chunk := batch[lo:hi]
-		g2, err := g.ExtendFrozen(chunk)
+		g2, err := cur.Graph().ExtendFrozen(batch[lo:hi])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,12 +34,12 @@ func pushBatches(t *testing.T, base *graph.Graph, batch []graph.LabeledEdge, k, 
 		if err != nil {
 			t.Fatal(err)
 		}
-		seq++
-		ls, err := PushTier(cur, d, seq, seq)
+		seq := uint64(i + 1)
+		ls, err := PushTier(cur, NewTier(d, seq, seq))
 		if err != nil {
 			t.Fatal(err)
 		}
-		cur, g = ls, g2
+		cur = ls
 	}
 	return cur.(*Levels)
 }
@@ -128,13 +131,19 @@ func TestLevelsFoldIncremental(t *testing.T) {
 	if steps < 2 {
 		t.Fatalf("fold with a 500-entry budget finished in %d steps over %d entries", steps+1, ls.NumEntries())
 	}
-	out := f.Result()
+	out := f.Result().(*Index)
 	checkStorageEqual(t, out, oracle)
 	if out.PathsKCount() != ls.PathsKCount() {
 		t.Fatalf("fold PathsKCount %d != stack's %d", out.PathsKCount(), ls.PathsKCount())
 	}
-	// Materialize (the one-call convenience) must agree too.
-	checkStorageEqual(t, ls.Materialize(), oracle)
+	// Compacted (the one-call convenience) and the generic Materialize
+	// must agree too.
+	checkStorageEqual(t, ls.Compacted().(*Index), oracle)
+	mat, err := Materialize(ls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStorageEqual(t, mat, oracle)
 
 	// Zero/negative budgets still make progress (one path per step).
 	f2 := ls.StartFold()
@@ -189,7 +198,8 @@ func TestTierSpillRoundTrip(t *testing.T) {
 	checkStorageEqual(t, ls2, oracle)
 }
 
-// TestLevelsDeltaRatio mirrors the Overlay ratio semantics.
+// TestLevelsDeltaRatio: the compaction trigger is tier entries over base
+// entries.
 func TestLevelsDeltaRatio(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	base, _, batch := extendRandom(r, 25, 60, []string{"a", "b"}, 0.2)

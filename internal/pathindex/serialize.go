@@ -90,7 +90,7 @@ func (ix *Index) WriteTo(w io.Writer) (int64, error) {
 			}
 		}
 	}
-	for _, c := range ix.count {
+	for _, c := range ix.counts {
 		if err := write(uint64(c)); err != nil {
 			return n, err
 		}
@@ -204,7 +204,7 @@ func ReadFrom(r io.Reader, g *graph.Graph) (*Index, error) {
 		}
 	}
 
-	ix := &Index{g: g, k: int(k), ids: map[string]uint32{}}
+	ix := newIndex(g, int(k))
 	var numPaths uint32
 	if err := read(&numPaths); err != nil {
 		return nil, fmt.Errorf("pathindex: reading path count: %w", err)
@@ -231,13 +231,13 @@ func ReadFrom(r io.Reader, g *graph.Graph) (*Index, error) {
 		ix.paths = append(ix.paths, p)
 		ix.ids[p.Key()] = uint32(i)
 	}
-	ix.count = make([]int, numPaths)
-	for i := range ix.count {
+	ix.counts = make([]int, numPaths)
+	for i := range ix.counts {
 		var c uint64
 		if err := read(&c); err != nil {
 			return nil, fmt.Errorf("pathindex: reading count of path %d: %w", i, err)
 		}
-		ix.count[i] = int(c)
+		ix.counts[i] = int(c)
 	}
 	var pathsK, numEntries uint64
 	if err := read(&pathsK); err != nil {
@@ -254,7 +254,7 @@ func ReadFrom(r io.Reader, g *graph.Graph) (*Index, error) {
 	// past the hints; the per-path totals are verified against the
 	// header after decoding.
 	allocBudget := 1 << 22 // packed words, 32 MB total
-	for i, c := range ix.count {
+	for i, c := range ix.counts {
 		hint := c
 		if hint < 0 || hint > 1<<20 {
 			hint = 1 << 20
@@ -301,7 +301,7 @@ func ReadFrom(r io.Reader, g *graph.Graph) (*Index, error) {
 		PathsKCount: int(pathsK),
 	}
 	// Per-path counts must be consistent with the entries.
-	for i, want := range ix.count {
+	for i, want := range ix.counts {
 		if len(ix.relations[i]) != want {
 			return nil, fmt.Errorf("pathindex: path %d has %d entries, header claims %d", i, len(ix.relations[i]), want)
 		}

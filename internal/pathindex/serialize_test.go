@@ -38,7 +38,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 		if loaded.Count(p) != count {
 			t.Errorf("path %s: count %d vs %d", p.Format(g), loaded.Count(p), count)
 		}
-		if !pairsEqual(collect(loaded.Scan(p)), collect(orig.Scan(p))) {
+		if !pairsEqual(collect(Scan(loaded, p)), collect(Scan(orig, p))) {
 			t.Errorf("path %s: relations differ after round trip", p.Format(g))
 		}
 	})
@@ -60,7 +60,7 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	knows, _ := g.LookupLabel("knows")
 	p := Path{graph.Fwd(knows), graph.Fwd(knows)}
-	if !pairsEqual(collect(loaded.Scan(p)), collect(orig.Scan(p))) {
+	if !pairsEqual(collect(Scan(loaded, p)), collect(Scan(orig, p))) {
 		t.Error("knows/knows differs after file round trip")
 	}
 	if _, err := Load(filepath.Join(t.TempDir(), "missing.pidx"), g); err == nil {
@@ -151,8 +151,8 @@ func TestSerializedQueriesAfterLoad(t *testing.T) {
 	}
 	orig.AllPaths(func(id uint32, p Path, count int) {
 		for src := 0; src < g.NumNodes(); src += 3 {
-			a := collect(orig.ScanFrom(p, graph.NodeID(src)))
-			b := collect(loaded.ScanFrom(p, graph.NodeID(src)))
+			a := collect(ScanFrom(orig, p, graph.NodeID(src)))
+			b := collect(ScanFrom(loaded, p, graph.NodeID(src)))
 			if !pairsEqual(a, b) {
 				t.Errorf("ScanFrom(%s, %d) differs", p.Format(g), src)
 			}

@@ -16,17 +16,16 @@
 // Sharding is an execution-layout choice, not a semantic one: a
 // ShardedStorage answers every Storage query identically to the
 // unsharded index it was split from. Updates preserve the partitioning —
-// a Delta is split by the same partitioner and layered per shard as
-// ordinary Overlays — so the shard assignment of a node never changes
-// for the lifetime of a database.
+// a Levels stack over a sharded base splits each tier by the same
+// partitioner for its shard view, and a compaction re-partitions the
+// folded index — so the shard assignment of a node never changes for the
+// lifetime of a database.
 
 package pathindex
 
 import (
 	"fmt"
 	"io"
-	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/graph"
@@ -103,34 +102,38 @@ func (r RangePartitioner) ShardOf(src graph.NodeID) int {
 }
 
 // ShardedStorage serves N per-shard Storage values as one Storage. The
-// directory (paths, ids, counts) is aggregated over the parts; per-path
-// counts sum exactly because shard runs are disjoint by construction.
+// directory is aggregated over the parts; per-path counts sum exactly
+// because shard runs are disjoint by construction.
 //
 // Like every Storage it is immutable after construction and safe for
-// concurrent readers; Pin/Unpin/Close fan out to every part that
-// manages a lifetime.
+// concurrent readers; Pin/Unpin/Close fan out to every part.
 type ShardedStorage struct {
+	directory
 	parts []Storage
 	part  Partitioner
-	g     *graph.Graph
-	k     int
-
-	paths  []Path
-	ids    map[string]uint32
-	counts []int
-	stats  BuildStats
 }
 
 // BuildSharded builds I_{G,k} partitioned by part: the full index is
 // built once (the derived-inverse optimization needs the unpartitioned
-// relations), then split into per-shard indexes concurrently, one
-// goroutine per shard.
+// relations), then split into per-shard indexes.
 func BuildSharded(g *graph.Graph, k int, opts BuildOptions, part Partitioner) (*ShardedStorage, error) {
 	full, err := Build(g, k, opts)
 	if err != nil {
 		return nil, err
 	}
 	return ShardIndex(full, part)
+}
+
+// splitRun partitions the sorted run rel by source shard, in one pass.
+// The parts are freshly allocated (never alias rel), sorted, and
+// pairwise source-disjoint.
+func splitRun(rel []Packed, part Partitioner) [][]Packed {
+	out := make([][]Packed, part.NumShards())
+	for _, pr := range rel {
+		sh := part.ShardOf(pr.Src())
+		out[sh] = append(out[sh], pr)
+	}
+	return out
 }
 
 // ShardIndex splits a built index into per-shard heap indexes under
@@ -142,37 +145,25 @@ func ShardIndex(full *Index, part Partitioner) (*ShardedStorage, error) {
 		return nil, fmt.Errorf("pathindex: shard count must be >= 1, got %d", n)
 	}
 	start := time.Now()
+	shards := make([]*Index, n)
 	parts := make([]Storage, n)
-	var wg sync.WaitGroup
-	for shard := 0; shard < n; shard++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			ix := &Index{
-				g:         full.g,
-				k:         full.k,
-				paths:     full.paths, // shared: immutable after build
-				ids:       full.ids,   // shared: immutable after build
-				relations: make([][]Packed, len(full.relations)),
-				count:     make([]int, len(full.relations)),
-			}
-			entries, nonEmpty := 0, 0
-			for id, rel := range full.relations {
-				sub := filterShard(rel, part, shard)
-				ix.relations[id] = sub
-				ix.count[id] = len(sub)
-				entries += len(sub)
-				if len(sub) > 0 {
-					nonEmpty++
-				}
-			}
-			ix.stats = BuildStats{Entries: entries, LabelPaths: nonEmpty}
-			parts[shard] = ix
-		}(shard)
+	for i := range shards {
+		// The path table is shared: it is immutable after build.
+		shards[i] = &Index{directory: directory{g: full.g, k: full.k, paths: full.paths, ids: full.ids}}
+		parts[i] = shards[i]
 	}
-	wg.Wait()
-	s := &ShardedStorage{parts: parts, part: part, g: full.g, k: full.k}
-	s.rebuildDirectory()
+	for _, rel := range full.relations {
+		for i, sub := range splitRun(rel, part) {
+			ix := shards[i]
+			ix.relations = append(ix.relations, sub)
+			ix.counts = append(ix.counts, len(sub))
+			ix.stats.Entries += len(sub)
+			if len(sub) > 0 {
+				ix.stats.LabelPaths++
+			}
+		}
+	}
+	s := newSharded(parts, part)
 	// The split is exact, so the full build's global statistics carry
 	// over; only the wall clock grows by the split itself.
 	s.stats.PathsKCount = full.stats.PathsKCount
@@ -180,25 +171,6 @@ func ShardIndex(full *Index, part Partitioner) (*ShardedStorage, error) {
 	s.stats.ComposedPairs = full.stats.ComposedPairs
 	s.stats.Duration = full.stats.Duration + time.Since(start)
 	return s, nil
-}
-
-// filterShard returns the elements of the sorted run rel owned by shard.
-// The result is freshly allocated (never aliases rel).
-func filterShard(rel []Packed, part Partitioner, shard int) []Packed {
-	var out []Packed
-	for i := 0; i < len(rel); {
-		// Runs are src-major: handle one source's span at a time.
-		src := rel[i].Src()
-		j := i + 1
-		for j < len(rel) && rel[j].Src() == src {
-			j++
-		}
-		if part.ShardOf(src) == shard {
-			out = append(out, rel[i:j]...)
-		}
-		i = j
-	}
-	return out
 }
 
 // NewSharded assembles a ShardedStorage from already-opened per-shard
@@ -211,43 +183,38 @@ func NewSharded(parts []Storage, part Partitioner) (*ShardedStorage, error) {
 	if part.NumShards() != len(parts) {
 		return nil, fmt.Errorf("pathindex: partitioner has %d shards but %d parts were given", part.NumShards(), len(parts))
 	}
-	k := parts[0].K()
 	for i, p := range parts {
-		if p.K() != k {
-			return nil, fmt.Errorf("pathindex: shard %d has k=%d, shard 0 has k=%d", i, p.K(), k)
+		if p.K() != parts[0].K() {
+			return nil, fmt.Errorf("pathindex: shard %d has k=%d, shard 0 has k=%d", i, p.K(), parts[0].K())
 		}
 	}
-	s := &ShardedStorage{parts: parts, part: part, g: parts[0].Graph(), k: k}
-	s.rebuildDirectory()
-	return s, nil
+	return newSharded(parts, part), nil
 }
 
-// rebuildDirectory aggregates the per-part directories: the union of
-// paths with summed counts. Shard runs are disjoint, so the sums are
-// exact.
-func (s *ShardedStorage) rebuildDirectory() {
-	s.paths, s.counts = nil, nil
-	s.ids = map[string]uint32{}
-	entries, nonEmpty := 0, 0
-	for _, part := range s.parts {
-		part.AllPaths(func(_ uint32, p Path, count int) {
+// newSharded aggregates the per-part directories: the union of paths
+// with summed counts. Shard runs are disjoint, so the sums are exact.
+func newSharded(parts []Storage, part Partitioner) *ShardedStorage {
+	s := &ShardedStorage{
+		directory: directory{g: parts[0].Graph(), k: parts[0].K(), ids: map[string]uint32{}},
+		parts:     parts,
+		part:      part,
+	}
+	for _, sp := range parts {
+		sp.AllPaths(func(_ uint32, p Path, count int) {
 			id, ok := s.ids[p.Key()]
 			if !ok {
-				id = uint32(len(s.paths))
-				s.paths = append(s.paths, slices.Clone(p))
-				s.ids[s.paths[id].Key()] = id
-				s.counts = append(s.counts, 0)
+				id = s.add(p, 0)
 			}
 			s.counts[id] += count
 		})
 	}
 	for _, c := range s.counts {
-		entries += c
+		s.stats.Entries += c
 		if c > 0 {
-			nonEmpty++
+			s.stats.LabelPaths++
 		}
 	}
-	s.stats = BuildStats{Entries: entries, LabelPaths: nonEmpty}
+	return s
 }
 
 // NumShards returns the shard count.
@@ -261,52 +228,6 @@ func (s *ShardedStorage) ShardOf(src graph.NodeID) int { return s.part.ShardOf(s
 
 // Partitioner returns the partitioning function.
 func (s *ShardedStorage) Partitioner() Partitioner { return s.part }
-
-// K returns the locality parameter.
-func (s *ShardedStorage) K() int { return s.k }
-
-// Graph returns the indexed graph.
-func (s *ShardedStorage) Graph() *graph.Graph { return s.g }
-
-// Stats returns aggregated build statistics.
-func (s *ShardedStorage) Stats() BuildStats { return s.stats }
-
-// NumEntries returns the total entry count over all shards.
-func (s *ShardedStorage) NumEntries() int { return s.stats.Entries }
-
-// NumLabelPaths returns the number of label paths with non-empty
-// relations in at least one shard.
-func (s *ShardedStorage) NumLabelPaths() int { return s.stats.LabelPaths }
-
-// PathsKCount returns |paths_k(G)| (aggregated at build/update time).
-func (s *ShardedStorage) PathsKCount() int { return s.stats.PathsKCount }
-
-// PathID resolves p in the aggregated directory.
-func (s *ShardedStorage) PathID(p Path) (uint32, bool) {
-	id, ok := s.ids[p.Key()]
-	return id, ok
-}
-
-// PathByID returns the path with the given aggregated id.
-func (s *ShardedStorage) PathByID(id uint32) Path { return s.paths[id] }
-
-// Count returns |p(G)| summed over shards.
-func (s *ShardedStorage) Count(p Path) int {
-	if id, ok := s.ids[p.Key()]; ok {
-		return s.counts[id]
-	}
-	return 0
-}
-
-// CountByID returns the count for an aggregated path id.
-func (s *ShardedStorage) CountByID(id uint32) int { return s.counts[id] }
-
-// AllPaths visits the aggregated directory in id order.
-func (s *ShardedStorage) AllPaths(fn func(id uint32, p Path, count int)) {
-	for id, p := range s.paths {
-		fn(uint32(id), p, s.counts[id])
-	}
-}
 
 // Relation materializes p's full relation by k-way merging the shard
 // runs. Executor scans avoid this through per-shard iterators; Relation
@@ -352,27 +273,11 @@ func kwayMergeRuns(runs [][]Packed) []Packed {
 	return out
 }
 
-// Blocks returns a block iterator over p's merged relation.
+// Blocks returns a block iterator over p's merged relation. The merge
+// materializes; the executor scans the shards through its k-way
+// merge-union instead.
 func (s *ShardedStorage) Blocks(p Path) *BlockIterator {
-	return s.BlocksSized(p, DefaultBlockSize)
-}
-
-// BlocksSized returns a block iterator over p's merged relation with the
-// given block size. The merge materializes; the executor uses
-// ShardBlocks plus its k-way merge-union scan instead.
-func (s *ShardedStorage) BlocksSized(p Path, blockSize int) *BlockIterator {
-	return &BlockIterator{rel: s.Relation(p), size: blockSize}
-}
-
-// ShardBlocks returns one block iterator per shard over p, in shard
-// order — the zero-materialization scan surface for the executor's
-// k-way merge.
-func (s *ShardedStorage) ShardBlocks(p Path) []*BlockIterator {
-	out := make([]*BlockIterator, len(s.parts))
-	for i, part := range s.parts {
-		out[i] = part.Blocks(p)
-	}
-	return out
+	return &BlockIterator{rel: s.Relation(p), size: DefaultBlockSize}
 }
 
 // SrcRange routes to the shard owning src.
@@ -380,32 +285,19 @@ func (s *ShardedStorage) SrcRange(p Path, src graph.NodeID) []Packed {
 	return s.parts[s.part.ShardOf(src)].SrcRange(p, src)
 }
 
-// Scan iterates p's merged relation.
-func (s *ShardedStorage) Scan(p Path) *PairIterator {
-	return &PairIterator{rel: s.Relation(p)}
-}
-
-// ScanFrom routes to the shard owning src.
-func (s *ShardedStorage) ScanFrom(p Path, src graph.NodeID) *PairIterator {
-	return s.parts[s.part.ShardOf(src)].ScanFrom(p, src)
-}
-
 // Contains routes to the shard owning src.
 func (s *ShardedStorage) Contains(p Path, src, dst graph.NodeID) bool {
 	return s.parts[s.part.ShardOf(src)].Contains(p, src, dst)
 }
 
-// Pin acquires a reader pin on every part that manages one. On failure
-// the already-pinned prefix is released, so a Pin error leaves no pins
-// held.
+// Pin acquires a reader pin on every part. On failure the already-pinned
+// prefix is released, so a Pin error leaves no pins held.
 func (s *ShardedStorage) Pin() error {
 	for i, p := range s.parts {
-		pn, ok := p.(Pinner)
-		if !ok {
-			continue
-		}
-		if err := pn.Pin(); err != nil {
-			s.unpinPrefix(i)
+		if err := p.Pin(); err != nil {
+			for _, q := range s.parts[:i] {
+				q.Unpin()
+			}
 			return err
 		}
 	}
@@ -413,13 +305,9 @@ func (s *ShardedStorage) Pin() error {
 }
 
 // Unpin releases the pins taken by a successful Pin.
-func (s *ShardedStorage) Unpin() { s.unpinPrefix(len(s.parts)) }
-
-func (s *ShardedStorage) unpinPrefix(n int) {
-	for _, p := range s.parts[:n] {
-		if pn, ok := p.(Pinner); ok {
-			pn.Unpin()
-		}
+func (s *ShardedStorage) Unpin() {
+	for _, p := range s.parts {
+		p.Unpin()
 	}
 }
 
@@ -436,50 +324,6 @@ func (s *ShardedStorage) Close() error {
 		}
 	}
 	return first
-}
-
-// baseDeltaSplit is implemented by parts that distinguish base from
-// overlay payload (Overlay, Levels).
-type baseDeltaSplit interface {
-	BaseEntries() int
-	DeltaEntries() int
-}
-
-// BaseEntries sums the per-part base payloads.
-func (s *ShardedStorage) BaseEntries() int {
-	total := 0
-	for _, p := range s.parts {
-		if bd, ok := p.(baseDeltaSplit); ok {
-			total += bd.BaseEntries()
-		} else {
-			total += p.NumEntries()
-		}
-	}
-	return total
-}
-
-// DeltaEntries sums the per-part overlay payloads.
-func (s *ShardedStorage) DeltaEntries() int {
-	total := 0
-	for _, p := range s.parts {
-		if bd, ok := p.(baseDeltaSplit); ok {
-			total += bd.DeltaEntries()
-		}
-	}
-	return total
-}
-
-// DeltaRatio returns the aggregated delta share — the auto-compaction
-// trigger, same contract as Overlay.DeltaRatio.
-func (s *ShardedStorage) DeltaRatio() float64 {
-	base, delta := s.BaseEntries(), s.DeltaEntries()
-	if delta == 0 {
-		return 0
-	}
-	if base == 0 {
-		return 1
-	}
-	return float64(delta) / float64(base+delta)
 }
 
 // decodeStatsPart mirrors the optional DecodeStats surface of
@@ -513,101 +357,8 @@ func (s *ShardedStorage) FileBytes() int {
 	return total
 }
 
-// ApplyDelta layers one update delta over the sharded storage: the
-// delta's runs are split by the partitioner and each shard gets its own
-// Overlay (every shard is wrapped — even with an empty slice of the
-// delta — so all parts advance to the successor graph together; stacked
-// overlays flatten per shard, keeping reads at two runs per path). The
-// receiver is not modified.
-func (s *ShardedStorage) ApplyDelta(d *Delta) (*ShardedStorage, error) {
-	n := len(s.parts)
-	shardDeltas := make([]*Delta, n)
-	for i := range shardDeltas {
-		shardDeltas[i] = &Delta{
-			g:   d.g,
-			k:   d.k,
-			ids: map[string]uint32{},
-			stats: DeltaStats{
-				NewEdges: d.stats.NewEdges,
-				Duration: d.stats.Duration,
-			},
-		}
-	}
-	bufs := make([][]Packed, n)
-	for id, p := range d.paths {
-		for i := range bufs {
-			bufs[i] = bufs[i][:0]
-		}
-		for _, pk := range d.rels[id] {
-			sh := s.part.ShardOf(pk.Src())
-			bufs[sh] = append(bufs[sh], pk)
-		}
-		for i, b := range bufs {
-			shardDeltas[i].add(p, slices.Clone(b))
-		}
-	}
-	parts := make([]Storage, n)
-	for i := range parts {
-		ov, err := NewOverlay(s.parts[i], shardDeltas[i])
-		if err != nil {
-			return nil, fmt.Errorf("pathindex: shard %d overlay: %w", i, err)
-		}
-		parts[i] = ov
-	}
-	ns := &ShardedStorage{parts: parts, part: s.part, g: d.Graph(), k: s.k}
-	ns.rebuildDirectory()
-	ns.stats.PathsKCount = overlayPathsK(s, d)
-	ns.stats.Duration = s.stats.Duration + d.Stats().Duration
-	return ns, nil
-}
-
-// Compact folds every shard's overlay stack into a fresh immutable heap
-// index, concurrently (one goroutine per shard). Parts without overlay
-// payload are kept as-is. The receiver is not modified.
-func (s *ShardedStorage) Compact() (*ShardedStorage, error) {
-	parts := make([]Storage, len(s.parts))
-	var wg sync.WaitGroup
-	for i, p := range s.parts {
-		if m, ok := p.(interface{ Materialize() *Index }); ok {
-			wg.Add(1)
-			go func(i int, m interface{ Materialize() *Index }) {
-				defer wg.Done()
-				parts[i] = m.Materialize()
-			}(i, m)
-		} else {
-			parts[i] = p
-		}
-	}
-	wg.Wait()
-	ns := &ShardedStorage{parts: parts, part: s.part, g: s.g, k: s.k}
-	ns.rebuildDirectory()
-	ns.stats.PathsKCount = s.stats.PathsKCount
-	ns.stats.Duration = s.stats.Duration
-	return ns, nil
-}
-
-// Materialize merges all shards back into one unsharded heap index —
-// the inverse of ShardIndex, used for checkpoints and migrations.
-func (s *ShardedStorage) Materialize() *Index {
-	ix := &Index{g: s.g, k: s.k, ids: map[string]uint32{}}
-	entries := 0
-	for id, p := range s.paths {
-		rel := slices.Clone(s.Relation(p))
-		ix.paths = append(ix.paths, slices.Clone(p))
-		ix.ids[p.Key()] = uint32(id)
-		ix.relations = append(ix.relations, rel)
-		ix.count = append(ix.count, len(rel))
-		entries += len(rel)
-	}
-	ix.stats = BuildStats{
-		Entries:     entries,
-		LabelPaths:  s.stats.LabelPaths,
-		PathsKCount: s.stats.PathsKCount,
-		Duration:    s.stats.Duration,
-	}
-	return ix
-}
-
-var _ Storage = (*ShardedStorage)(nil)
-var _ Pinner = (*ShardedStorage)(nil)
-var _ io.Closer = (*ShardedStorage)(nil)
+var (
+	_ Storage   = (*ShardedStorage)(nil)
+	_ Sharded   = (*ShardedStorage)(nil)
+	_ io.Closer = (*ShardedStorage)(nil)
+)

@@ -3,9 +3,9 @@
 // the partitioning. Shard files are complete, self-contained index
 // files — each opens through the normal OpenStorage path (mmap v2,
 // block-decoded v3) — so every existing tool that reads one index file
-// reads one shard unchanged. The manifest is written last: a crash
-// mid-save leaves either the previous manifest or none, never a
-// manifest pointing at missing shards.
+// reads one shard unchanged. A save builds the whole directory under a
+// sibling temp name, fsyncs it, and renames it into place, so a crash
+// mid-save never leaves a manifest over shards it does not describe.
 
 package pathindex
 
@@ -79,12 +79,12 @@ func IsShardedPath(path string) bool {
 func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.pix", i) }
 
 // SaveSharded writes the sharded index as a directory: one v3 file per
-// shard, then the manifest. Overlay shards are materialized for the
-// write; the in-memory storage is unchanged.
+// shard plus the manifest, every file fsync'd. The directory is built
+// under dir+".tmp" and renamed to dir, so dir only ever names a complete
+// layout; a layout already at dir is moved aside first and removed after
+// (a crash between the two renames leaves no dir, never a torn one). The
+// in-memory storage is unchanged.
 func (s *ShardedStorage) SaveSharded(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	kind, span, err := partitionerManifest(s.part)
 	if err != nil {
 		return err
@@ -97,14 +97,21 @@ func (s *ShardedStorage) SaveSharded(dir string) error {
 		RangeSpan:   span,
 		PathsKCount: s.stats.PathsKCount,
 	}
-	type v3Saver interface{ SaveV3(string) error }
+	tmp, old := dir+".tmp", dir+".old"
+	if err := os.RemoveAll(tmp); err != nil {
+		return err
+	}
+	if err := os.MkdirAll(tmp, 0o755); err != nil {
+		return err
+	}
+	defer os.RemoveAll(tmp) // a no-op once renamed
 	for i, p := range s.parts {
 		name := shardFileName(i)
-		sv, ok := p.(v3Saver)
-		if !ok {
-			return fmt.Errorf("pathindex: shard %d (%T) cannot be saved as v3", i, p)
+		ix, err := Materialize(p)
+		if err == nil {
+			err = ix.saveV3Sync(filepath.Join(tmp, name))
 		}
-		if err := sv.SaveV3(filepath.Join(dir, name)); err != nil {
+		if err != nil {
 			return fmt.Errorf("pathindex: save shard %d: %w", i, err)
 		}
 		m.Files = append(m.Files, name)
@@ -113,13 +120,62 @@ func (s *ShardedStorage) SaveSharded(dir string) error {
 	if err != nil {
 		return err
 	}
-	// Manifest last, atomically: readers see the old layout or the new
-	// one, never a partial directory.
-	tmp := filepath.Join(dir, ShardManifestName+".tmp")
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	err = createSync(filepath.Join(tmp, ShardManifestName), func(f *os.File) error {
+		_, err := f.Write(append(data, '\n'))
+		return err
+	})
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, filepath.Join(dir, ShardManifestName))
+	if err := syncDir(tmp); err != nil {
+		return err
+	}
+	if err := os.RemoveAll(old); err != nil {
+		return err
+	}
+	if err := os.Rename(dir, old); err != nil && !os.IsNotExist(err) {
+		return err
+	}
+	if err := os.Rename(tmp, dir); err != nil {
+		return err
+	}
+	return os.RemoveAll(old)
+}
+
+// syncDir fsyncs a directory, making the names inside it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
+}
+
+// SaveAtomic persists a folded base — Fold.Result — at path so that a
+// crash leaves either nothing or the complete artifact under that name:
+// one v3 file for an unsharded base (SaveV3Atomic), the sharded
+// directory layout for a sharded one (SaveSharded). Open reads either
+// back.
+func SaveAtomic(s Storage, path string) error {
+	if ss, ok := s.(*ShardedStorage); ok {
+		return ss.SaveSharded(path)
+	}
+	ix, err := Materialize(s)
+	if err != nil {
+		return err
+	}
+	return ix.SaveV3Atomic(path)
+}
+
+// Open opens a saved index for serving, whatever its layout: a sharded
+// directory (IsShardedPath) through OpenSharded, a single format-v2 or
+// -v3 file through OpenStorage.
+func Open(path string, g *graph.Graph) (Storage, error) {
+	if IsShardedPath(path) {
+		return OpenSharded(path, g)
+	}
+	return OpenStorage(path, g)
 }
 
 // OpenSharded opens a sharded index directory written by SaveSharded.
@@ -169,14 +225,3 @@ func OpenSharded(dir string, g *graph.Graph) (*ShardedStorage, error) {
 	s.stats.PathsKCount = m.PathsKCount
 	return s, nil
 }
-
-// Save writes the merged (unsharded) index in format v1 — sharding is a
-// layout choice, so the single-file savers fold the shards back
-// together. Use SaveSharded to keep the layout.
-func (s *ShardedStorage) Save(path string) error { return s.Materialize().Save(path) }
-
-// SaveV2 writes the merged index in format v2.
-func (s *ShardedStorage) SaveV2(path string) error { return s.Materialize().SaveV2(path) }
-
-// SaveV3 writes the merged index in format v3.
-func (s *ShardedStorage) SaveV3(path string) error { return s.Materialize().SaveV3(path) }

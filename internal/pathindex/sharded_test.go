@@ -1,7 +1,9 @@
 package pathindex
 
 import (
+	"bytes"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"slices"
 	"sync"
@@ -45,6 +47,57 @@ func TestPartitionerContract(t *testing.T) {
 	}
 }
 
+// shardedStorage is a Storage that also offers the shard view: a
+// *ShardedStorage, or a *Levels over one.
+type shardedStorage interface {
+	Storage
+	Sharded
+}
+
+// checkShardViews asserts the shard-view contract: every pair of shard
+// i's view is owned by shard i (so the views are pairwise
+// source-disjoint), every view serves the whole storage's graph, and the
+// k-way union of the views is both the storage's own global relation and
+// the unsharded oracle's.
+func checkShardViews(t *testing.T, s shardedStorage, oracle *Index) {
+	t.Helper()
+	part := s.Partitioner()
+	n := part.NumShards()
+	oracle.AllPaths(func(_ uint32, p Path, _ int) {
+		var runs [][]Packed
+		for i := 0; i < n; i++ {
+			view := s.Shard(i)
+			if view.Graph() != s.Graph() {
+				t.Fatalf("shard %d serves another graph than the storage", i)
+			}
+			run := view.Relation(p)
+			for _, pr := range run {
+				if owner := part.ShardOf(pr.Src()); owner != i {
+					t.Fatalf("shard %d holds %v owned by shard %d", i, pr, owner)
+				}
+			}
+			var viaBlocks []Packed
+			bi := view.Blocks(p)
+			for blk := bi.Next(); blk != nil; blk = bi.Next() {
+				viaBlocks = append(viaBlocks, blk...)
+			}
+			if !slices.Equal(viaBlocks, run) {
+				t.Fatalf("shard %d: Blocks(%v) differs from Relation", i, p)
+			}
+			if len(run) > 0 {
+				runs = append(runs, run)
+			}
+		}
+		union := kwayMergeRuns(runs)
+		if !slices.Equal(union, s.Relation(p)) {
+			t.Fatalf("n=%d: shard views of %v do not reassemble the global relation", n, p)
+		}
+		if !slices.Equal(union, oracle.Relation(p)) {
+			t.Fatalf("n=%d: shard views of %v do not reassemble the oracle relation", n, p)
+		}
+	})
+}
+
 func TestBuildShardedMatchesFull(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	_, full, _ := extendRandom(r, 40, 120, []string{"a", "b", "c"}, 0)
@@ -66,31 +119,7 @@ func TestBuildShardedMatchesFull(t *testing.T) {
 				if s.NumShards() != n {
 					t.Fatalf("NumShards = %d, want %d", s.NumShards(), n)
 				}
-				// Each shard holds only pairs it owns, and the shard
-				// runs reassemble exactly.
-				oracle.AllPaths(func(_ uint32, p Path, _ int) {
-					var runs [][]Packed
-					for i := 0; i < n; i++ {
-						run := s.Shard(i).Relation(p)
-						for _, pr := range run {
-							if part.ShardOf(pr.Src()) != i {
-								t.Fatalf("shard %d holds %v owned by shard %d", i, pr, part.ShardOf(pr.Src()))
-							}
-						}
-						if len(run) > 0 {
-							runs = append(runs, run)
-						}
-					}
-					if !slices.Equal(kwayMergeRuns(runs), oracle.Relation(p)) {
-						t.Fatalf("k=%d n=%d: shard runs of %v do not reassemble", k, n, p)
-					}
-				})
-				// ShardBlocks exposes one iterator per shard in order.
-				p0 := oracle.PathByID(0)
-				bis := s.ShardBlocks(p0)
-				if len(bis) != n {
-					t.Fatalf("ShardBlocks: %d iterators, want %d", len(bis), n)
-				}
+				checkShardViews(t, s, oracle)
 			}
 		}
 	}
@@ -210,99 +239,247 @@ func TestShardedPinDrain(t *testing.T) {
 	}
 }
 
-func TestShardedApplyDeltaMatchesRebuild(t *testing.T) {
+// TestLevelsOverShardedBase is the shard-view property test: for random
+// graphs × batches × partitioners, a tier stack over a sharded base
+// answers like a rebuild, its Shard(i) views keep the shard-view
+// contract (checkShardViews), and both hold before and after tier
+// merges, a spill reload, and a fold — which must hand back a sharded
+// base under the same partitioning.
+func TestLevelsOverShardedBase(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		base, full, batch := extendRandom(r, 30, 80, []string{"a", "b"}, 0.1)
+		base, full, batch := extendRandom(r, 30, 80, []string{"a", "b"}, 0.2)
+		oracle, err := Build(full, 2, BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, n := range []int{1, 2, 4} {
-			s, err := BuildSharded(base, 2, BuildOptions{}, NewHashPartitioner(n))
-			if err != nil {
-				t.Fatal(err)
-			}
-			g2, err := base.ExtendFrozen(batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d, err := BuildDelta(s, g2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			next, err := s.ApplyDelta(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oracle, err := Build(full, 2, BuildOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkStorageEqual(t, next, oracle)
-			if next.Graph() != g2 {
-				t.Fatal("ApplyDelta did not advance the graph on every shard")
-			}
-			for i := 0; i < next.NumShards(); i++ {
-				if next.Shard(i).Graph() != g2 {
-					t.Fatalf("shard %d still serves the old graph", i)
+			for _, part := range testPartitioners(n, base.NumNodes()) {
+				s, err := BuildSharded(base, 2, BuildOptions{}, part)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if next.DeltaEntries() != d.NumEntries() {
-				t.Errorf("DeltaEntries = %d, delta has %d", next.DeltaEntries(), d.NumEntries())
-			}
-			// Stacking a second (empty) delta must flatten, not pile up.
-			d2, err := BuildDelta(next, g2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			again, err := next.ApplyDelta(d2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < again.NumShards(); i++ {
-				ov, ok := again.Shard(i).(*Overlay)
+				const chunks = 3
+				ls := pushChunks(t, s, batch, chunks)
+				check := func(stage string, ls *Levels) {
+					t.Helper()
+					if ls.Partitioner() != part {
+						t.Fatalf("%s: stack is partitioned by %v, its base by %v", stage, ls.Partitioner(), part)
+					}
+					checkStorageEqual(t, ls, oracle)
+					checkShardViews(t, ls, oracle)
+					// One global stack: every shard view is exactly as deep.
+					for i := 0; i < n; i++ {
+						if got := len(ls.Shard(i).(*Levels).Tiers()); got != len(ls.Tiers()) {
+							t.Fatalf("%s: shard %d view has %d tiers, the stack %d", stage, i, got, len(ls.Tiers()))
+						}
+					}
+				}
+				// A push never folds: three batches are three tiers, over
+				// the original sharded base.
+				if len(ls.Tiers()) != chunks || ls.Base() != Storage(s) {
+					t.Fatalf("n=%d: %d tiers after %d pushes", n, len(ls.Tiers()), chunks)
+				}
+				check("pushed", ls)
+				entries := 0
+				for _, tier := range ls.Tiers() {
+					entries += tier.Entries()
+				}
+				if ls.DeltaEntries() != entries || ls.BaseEntries() != s.NumEntries() {
+					t.Errorf("DeltaEntries/BaseEntries = %d/%d, tiers hold %d over a base of %d", ls.DeltaEntries(), ls.BaseEntries(), entries, s.NumEntries())
+				}
+
+				for merged, ok := ls.MergeOnce(); ok; merged, ok = ls.MergeOnce() {
+					ls = merged
+					check("merged", ls)
+				}
+				if len(ls.Tiers()) != 1 {
+					t.Fatalf("merging stopped at %d tiers", len(ls.Tiers()))
+				}
+
+				// Spill the merged tier, reload it, and restack it.
+				path := filepath.Join(t.TempDir(), "spill.pix")
+				if err := ls.Tiers()[0].WriteSpill(path); err != nil {
+					t.Fatal(err)
+				}
+				loaded, err := Load(path, ls.Graph())
+				if err != nil {
+					t.Fatal(err)
+				}
+				reloaded, err := NewLevels(s, []*Tier{NewSpilledTier(loaded, ls.Graph(), 1, chunks, "spill.pix")})
+				if err != nil {
+					t.Fatal(err)
+				}
+				check("spill reloaded", reloaded)
+
+				// The fold re-partitions: a sharded base comes back sharded.
+				folded, ok := reloaded.Compacted().(*ShardedStorage)
 				if !ok {
-					t.Fatalf("shard %d is %T, want *Overlay", i, again.Shard(i))
+					t.Fatalf("fold of a stack over a sharded base returned %T", reloaded.Compacted())
 				}
-				if _, nested := ov.Base().(*Overlay); nested {
-					t.Fatalf("shard %d overlay did not flatten", i)
+				if folded.NumShards() != n || folded.Partitioner() != part || folded.Graph() != ls.Graph() {
+					t.Fatalf("fold changed the layout: %d shards under %v", folded.NumShards(), folded.Partitioner())
 				}
+				checkStorageEqual(t, folded, oracle)
+				checkShardViews(t, folded, oracle)
+				// And any of them merges back into one unsharded index.
+				mat, err := Materialize(reloaded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkStorageEqual(t, mat, oracle)
 			}
-			// Compact folds every shard back to a heap index with the
-			// same answers.
-			compacted, err := next.Compact()
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkStorageEqual(t, compacted, oracle)
-			if compacted.DeltaEntries() != 0 {
-				t.Errorf("DeltaEntries = %d after Compact", compacted.DeltaEntries())
-			}
-			// And the sharded storage merges back into one index.
-			checkStorageEqual(t, next.Materialize(), oracle)
 		}
 	}
 }
 
-// TestShardedConcurrentReaders exercises concurrent scans over distinct
-// shards under -race.
-func TestShardedConcurrentReaders(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	_, full, _ := extendRandom(r, 30, 100, []string{"a", "b"}, 0)
-	s, err := BuildSharded(full, 2, BuildOptions{}, NewHashPartitioner(4))
+// TestOpenShardedCorruptLayouts: a sharded directory that is incomplete,
+// inconsistent, or torn by a crashed save yields an error (or the intact
+// previous layout), never a panic and never a mix of two saves.
+func TestOpenShardedCorruptLayouts(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	base, full, batch := extendRandom(r, 30, 90, []string{"a", "b"}, 0.3)
+	old, err := BuildSharded(base, 2, BuildOptions{}, NewHashPartitioner(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(s.Relation(s.PathByID(0)))
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				if got := len(s.Relation(s.PathByID(0))); got != want {
-					t.Errorf("concurrent Relation: %d pairs, want %d", got, want)
-					return
-				}
-			}
-		}()
+	oracle, err := Build(base, 2, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
+	manifest := func(dir string) string { return filepath.Join(dir, ShardManifestName) }
+	rewrite := func(from, to string) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			data, err := os.ReadFile(manifest(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Contains(data, []byte(from)) {
+				t.Fatalf("manifest has no %q to corrupt", from)
+			}
+			if err := os.WriteFile(manifest(dir), bytes.Replace(data, []byte(from), []byte(to), 1), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cases := []struct {
+		name   string
+		damage func(t *testing.T, dir string)
+		intact bool // the layout must still open, as the old save
+	}{
+		{name: "missing manifest", damage: func(t *testing.T, dir string) { os.Remove(manifest(dir)) }},
+		{name: "manifest not JSON", damage: rewrite("{", "<")},
+		{name: "unknown manifest version", damage: rewrite(`"version": 1`, `"version": 9`)},
+		{name: "shard count disagrees with file list", damage: rewrite(`"shards": 3`, `"shards": 4`)},
+		{name: "unknown partitioner", damage: rewrite(`"hash"`, `"modulo"`)},
+		{name: "missing shard file", damage: func(t *testing.T, dir string) { os.Remove(filepath.Join(dir, shardFileName(1))) }},
+		{name: "truncated shard file", damage: func(t *testing.T, dir string) {
+			if err := os.Truncate(filepath.Join(dir, shardFileName(2)), 100); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// A save over an existing layout that crashed while writing: the
+		// half-written successor sits under the temp name, and dir still
+		// names the complete old layout.
+		{name: "torn overwrite, crashed mid-write", intact: true, damage: func(t *testing.T, dir string) {
+			if err := os.MkdirAll(dir+".tmp", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir+".tmp", shardFileName(0)), []byte("PIDX half a shard"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// ... or between the two renames: the old layout is moved aside
+		// and nothing is named dir — an error, not a torn layout.
+		{name: "torn overwrite, crashed between renames", damage: func(t *testing.T, dir string) {
+			if err := os.Rename(dir, dir+".old"); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "ix.shards")
+			if err := old.SaveSharded(dir); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, dir)
+			got, err := Open(dir, base)
+			if !tc.intact {
+				if err == nil {
+					t.Fatalf("damaged layout opened as %T", got)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("the old layout must survive: %v", err)
+			}
+			defer got.(*ShardedStorage).Close()
+			checkStorageEqual(t, got.(*ShardedStorage), oracle)
+		})
+	}
+
+	// A completed save over an existing layout replaces it wholesale, and
+	// clears what a crashed predecessor left behind.
+	dir := filepath.Join(t.TempDir(), "ix.shards")
+	if err := old.SaveSharded(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(dir+".tmp", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	next := pushChunks(t, old, batch, 1).Compacted().(*ShardedStorage)
+	if err := next.SaveSharded(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, leftover := range []string{dir + ".tmp", dir + ".old"} {
+		if _, err := os.Stat(leftover); !os.IsNotExist(err) {
+			t.Errorf("%s survives a completed save (%v)", leftover, err)
+		}
+	}
+	got, err := OpenSharded(dir, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer got.Close()
+	fullOracle, err := Build(full, 2, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStorageEqual(t, got, fullOracle)
+}
+
+// TestShardedConcurrentReaders exercises concurrent scans over distinct
+// shards under -race — over a sharded base, and over a tier stack on
+// one, whose shard views and per-tier splits are built by whichever
+// reader gets there first.
+func TestShardedConcurrentReaders(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	base, _, batch := extendRandom(r, 30, 100, []string{"a", "b"}, 0.2)
+	s, err := BuildSharded(base, 2, BuildOptions{}, NewHashPartitioner(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]shardedStorage{"base": s, "stack": pushChunks(t, s, batch, 2)} {
+		p0 := s.PathByID(0)
+		want := len(st.Relation(p0))
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					got := 0
+					for sh := 0; sh < st.Partitioner().NumShards(); sh++ {
+						got += len(st.Shard(sh).Relation(p0))
+					}
+					if got != want || len(st.Relation(p0)) != want {
+						t.Errorf("%s: concurrent shard reads: %d pairs, want %d", name, got, want)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
 }

@@ -2,6 +2,8 @@ package pathindex
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -11,14 +13,21 @@ import (
 // image is (or is about to be) unmapped and no new readers may start.
 var ErrClosed = errors.New("pathindex: index closed")
 
-// Pinner is implemented by storage whose backing memory has a managed
-// lifetime (*MappedIndex, *CompressedIndex, and *Overlay over such a
-// base). A reader that will touch relation memory must hold a pin for
-// the duration of the access: Pin fails with ErrClosed once Close has
-// begun, and Close blocks until every pin is released, so an unmap can
-// never pull pages out from under an in-flight scan. Heap-backed storage
-// needs no pinning and does not implement the interface; callers
-// type-assert and skip.
+// ErrGraphMismatch marks an index that refers to nodes the graph it is
+// being attached to does not have: the index was built from a different
+// graph (a generated graph against its re-interned edge list, say, where
+// isolated nodes vanish and identifiers shift). The open paths wrap it
+// when a run's last source lies outside the node table, and name
+// resolution returns it instead of indexing past that table.
+var ErrGraphMismatch = errors.New("pathindex: index does not match the graph")
+
+// Pinner is the reader-lifetime half of Storage. A reader that will
+// touch relation memory must hold a pin for the duration of the access:
+// over file-backed storage (*MappedIndex, *CompressedIndex, and a
+// *Levels or *ShardedStorage over such a base) Pin fails with ErrClosed
+// once Close has begun, and Close blocks until every pin is released, so
+// an unmap can never pull pages out from under an in-flight scan.
+// Heap-backed storage pins for free.
 type Pinner interface {
 	Pin() error
 	Unpin()
@@ -73,28 +82,29 @@ func (g *pinGate) shutdown(release func()) {
 	g.mu.Unlock()
 }
 
-// Storage is the read side of a k-path index: everything the engine,
-// executor, and histogram need to plan and evaluate queries. Four
-// implementations exist:
+// Storage is the read side of a k-path index: what the engine, the
+// executor, the histogram, and BuildDelta need to plan and evaluate
+// queries and to maintain the index. Four representations exist:
 //
 //   - *Index — heap-backed packed runs, built in memory or decoded from
-//     a saved file by Load/ReadFrom (any format version).
-//   - *MappedIndex — a format-v2 file opened zero-copy via mmap; its
-//     runs alias the file image directly.
+//     a saved file by Load/ReadFrom (any format version). *MappedIndex
+//     is an Index whose runs alias a format-v2 file image.
 //   - *CompressedIndex — a format-v3 file of block-compressed runs,
-//     also mmap-backed. Only the per-run block directories are decoded
-//     at open; relation payload is delta+varint decoded on scan, one
-//     block at a time, inside BlockIterator/SrcRange/Contains. Its
-//     Relation and SrcRange therefore return freshly decoded slices
-//     rather than aliases of storage memory.
-//   - *Overlay — a read-only base Storage (any of the above) merged
-//     with an in-memory Delta of live updates; Compact materializes and
-//     re-persists (in format v3 when saved via SaveV3/Migrate).
+//     mmap-backed. Only the per-run block directories are decoded at
+//     open; relation payload is delta+varint decoded on scan, one block
+//     at a time, inside BlockIterator/SrcRange/Contains. Its Relation
+//     and SrcRange therefore return freshly decoded slices rather than
+//     aliases of storage memory.
+//   - *ShardedStorage — N of the above, partitioned by source node.
+//   - *Levels — a read-only base (any of the above) under a stack of
+//     in-memory update tiers; the one update overlay.
 //
-// All implementations hand out relations as sorted []Packed runs that
-// must not be mutated; for the zero-copy storages the runs additionally
-// alias storage memory, so mmap-backed implementations also implement
-// Pinner and readers must hold a pin across any access.
+// All four embed one path directory, which supplies the path table and
+// every count (see directory), and add their own run access: Relation,
+// Blocks, SrcRange, and Contains, whose algorithms differ by layout.
+// Relations are handed out as sorted []Packed runs that must not be
+// mutated; for the zero-copy storages the runs alias storage memory, so
+// readers hold a pin across any access.
 //
 // Implementations are immutable after construction, so a Storage may be
 // shared by any number of concurrent readers.
@@ -108,19 +118,8 @@ type Storage interface {
 	Stats() BuildStats
 	// NumEntries returns the total number of ⟨path,src,dst⟩ entries.
 	NumEntries() int
-	// NumLabelPaths returns the number of label paths with non-empty
-	// relations.
-	NumLabelPaths() int
 	// PathsKCount returns |paths_k(G)|, the selectivity denominator.
 	PathsKCount() int
-	// PathID returns the identifier of p, if p is indexed.
-	PathID(p Path) (uint32, bool)
-	// PathByID returns the label path with the given identifier.
-	PathByID(id uint32) Path
-	// Count returns |p(G)|; unknown paths have count 0.
-	Count(p Path) int
-	// CountByID returns |p(G)| for a known path id.
-	CountByID(id uint32) int
 	// AllPaths invokes fn for every indexed label path in id order.
 	AllPaths(fn func(id uint32, p Path, count int))
 	// Relation returns p(G) as one sorted (src,dst) run.
@@ -128,20 +127,141 @@ type Storage interface {
 	// Blocks iterates p(G) as blocks of DefaultBlockSize (zero-copy for
 	// uncompressed storage, decode-on-scan for *CompressedIndex).
 	Blocks(p Path) *BlockIterator
-	// BlocksSized iterates p(G) with an explicit block size.
-	BlocksSized(p Path, blockSize int) *BlockIterator
 	// SrcRange returns the sub-run of p(G) with Src == src.
 	SrcRange(p Path, src graph.NodeID) []Packed
-	// Scan iterates p(G) pair by pair.
-	Scan(p Path) *PairIterator
-	// ScanFrom iterates the pairs of p with Src == src.
-	ScanFrom(p Path, src graph.NodeID) *PairIterator
 	// Contains reports whether (src,dst) ∈ p(G).
 	Contains(p Path, src, dst graph.NodeID) bool
+	Pinner
 }
 
-var (
-	_ Storage = (*Index)(nil)
-	_ Storage = (*MappedIndex)(nil)
-	_ Storage = (*Overlay)(nil)
-)
+// directory is the path directory every representation embeds: the
+// graph, the locality parameter, the path table with its per-path pair
+// counts, and the build statistics. It answers everything that needs no
+// run access, once, for all of them. Path ids are dense and follow the
+// order paths were added.
+type directory struct {
+	g      *graph.Graph
+	k      int
+	paths  []Path            // path id -> path
+	ids    map[string]uint32 // Path.Key() -> path id
+	counts []int             // path id -> |p(G)|
+	stats  BuildStats
+}
+
+// add appends p with its pair count and returns the new path id.
+func (d *directory) add(p Path, count int) uint32 {
+	id := uint32(len(d.paths))
+	d.paths = append(d.paths, p)
+	d.ids[p.Key()] = id
+	d.counts = append(d.counts, count)
+	return id
+}
+
+// K returns the index locality parameter.
+func (d *directory) K() int { return d.k }
+
+// Graph returns the indexed graph.
+func (d *directory) Graph() *graph.Graph { return d.g }
+
+// Stats returns build statistics.
+func (d *directory) Stats() BuildStats { return d.stats }
+
+// NumEntries returns the total number of ⟨path,src,dst⟩ entries.
+func (d *directory) NumEntries() int { return d.stats.Entries }
+
+// NumLabelPaths returns the number of label paths in the directory.
+func (d *directory) NumLabelPaths() int { return len(d.paths) }
+
+// PathsKCount returns |paths_k(G)|, the selectivity denominator.
+func (d *directory) PathsKCount() int { return d.stats.PathsKCount }
+
+// PathID returns the identifier of p, if p is indexed.
+func (d *directory) PathID(p Path) (uint32, bool) {
+	id, ok := d.ids[p.Key()]
+	return id, ok
+}
+
+// PathByID returns the label path with the given identifier.
+func (d *directory) PathByID(id uint32) Path { return d.paths[id] }
+
+// Count returns |p(G)|. Unknown paths (including paths longer than k)
+// have count 0; use len(p) <= K() to distinguish "empty" from "not
+// indexed".
+func (d *directory) Count(p Path) int {
+	if id, ok := d.ids[p.Key()]; ok {
+		return d.counts[id]
+	}
+	return 0
+}
+
+// CountByID returns |p(G)| for a known path id.
+func (d *directory) CountByID(id uint32) int { return d.counts[id] }
+
+// AllPaths invokes fn for every indexed label path in id order with its
+// pair count. It walks only the directory, so the histogram build over a
+// compressed index decodes nothing.
+func (d *directory) AllPaths(fn func(id uint32, p Path, count int)) {
+	for id, p := range d.paths {
+		fn(uint32(id), p, d.counts[id])
+	}
+}
+
+// checkNodeRange is the open-time graph check: last is the greatest pair
+// of the run of p, so its source is the run's greatest. Every node of
+// every relation is a source of some length-1 run (each label is indexed
+// in both directions), so the loaders call it for those runs only.
+func (d *directory) checkNodeRange(p Path, last Packed) error {
+	if n := d.g.NumNodes(); int(last.Src()) >= n {
+		return fmt.Errorf("%w: path %v relates node %d, the graph has %d nodes", ErrGraphMismatch, p, last.Src(), n)
+	}
+	return nil
+}
+
+// Materialize returns s as one unsharded heap index: s itself when it
+// already is one (a *MappedIndex's runs keep aliasing its mapping),
+// otherwise a copy of every relation — tiers folded, shards merged,
+// compressed runs decoded and verified. It backs the single-file writers
+// for storage that has no run array of its own.
+func Materialize(s Storage) (*Index, error) {
+	switch v := s.(type) {
+	case *Index:
+		return v, nil
+	case *MappedIndex:
+		return &v.heapIndex, nil
+	case *CompressedIndex:
+		return v.Materialize()
+	}
+	ix := newIndex(s.Graph(), s.K())
+	var short error
+	s.AllPaths(func(_ uint32, p Path, count int) {
+		rel := slices.Clone(s.Relation(p))
+		if len(rel) != count && short == nil {
+			short = fmt.Errorf("pathindex: path %v reads %d pairs, directory claims %d (corrupt payload?)", p, len(rel), count)
+		}
+		ix.addRun(p, rel)
+	})
+	ix.stats.PathsKCount = s.PathsKCount()
+	ix.stats.Duration = s.Stats().Duration
+	return ix, short
+}
+
+// Sharded is the shard view of source-partitioned storage: N per-shard
+// Storages, each holding the sub-runs whose sources the partitioner
+// assigns to it. *ShardedStorage provides it, and so does a *Levels
+// stacked over one; AsSharded tells the two cases of *Levels apart.
+type Sharded interface {
+	// Partitioner returns the source→shard assignment and the shard
+	// count (nil for a *Levels over an unsharded base).
+	Partitioner() Partitioner
+	// Shard returns shard i's Storage.
+	Shard(i int) Storage
+}
+
+// AsSharded returns the shard view of s when s is partitioned.
+func AsSharded(s Storage) (Sharded, bool) {
+	sh, ok := s.(Sharded)
+	if !ok || sh.Partitioner() == nil {
+		return nil, false
+	}
+	return sh, true
+}

@@ -124,14 +124,14 @@ type Options struct {
 	// trees. 0 uses the library default.
 	MaxTotalSteps int
 	// CompactRatio is the delta/base entry ratio beyond which ApplyBatch
-	// schedules a background compaction of the update overlay into a
+	// schedules a background compaction of the update tiers into a
 	// fresh immutable index. 0 uses DefaultCompactRatio; a negative
 	// value disables automatic compaction (Compact can still be called
 	// explicitly).
 	CompactRatio float64
 	// Shards, when > 1, partitions the index by source node into that
 	// many in-process shards: Build constructs one index partition per
-	// shard (concurrently), queries scatter across the shards and gather
+	// shard, queries scatter across the shards and gather
 	// through a sorted merge, and SaveShardedIndex/Open round-trip the
 	// layout as a directory of per-shard v3 files plus a manifest. 0 or 1
 	// keeps the single-index layout.
@@ -140,7 +140,7 @@ type Options struct {
 
 // DefaultCompactRatio is the automatic-compaction trigger: once delta
 // runs hold more than this fraction of the base index's entries, the
-// overlay is folded in the background. Below it, the two-run merge at
+// tier stack is folded in the background. Below it, the two-run merge at
 // scan time costs little; above it, the fold is worth its one-time copy.
 const DefaultCompactRatio = 0.25
 
@@ -148,9 +148,9 @@ const DefaultCompactRatio = 0.25
 // selectivity histogram, served through an atomically swappable engine
 // snapshot. Reads are wait-free against writes: every query runs over
 // the snapshot current when it started, ApplyBatch publishes a
-// successor snapshot (graph + delta overlay) with one pointer store,
-// and compaction folds accumulated deltas back into an immutable index
-// in the background.
+// successor snapshot (graph + one more update tier) with one pointer
+// store, and compaction folds the accumulated tiers back into an
+// immutable index in the background.
 //
 // A DB is safe for concurrent use: Query, QueryWith, QueryFrom,
 // QueryParallel, Explain, and the read accessors may be called from any
@@ -237,6 +237,13 @@ type Pair = pathindex.Pair
 // faulting on unmapped pages.
 var ErrIndexClosed = pathindex.ErrClosed
 
+// ErrGraphMismatch is the error (matched with errors.Is) behind an open
+// of, or a query over, an index that names nodes the graph does not
+// have: the index file was built from a different graph than the one
+// loaded (for example from a generated graph rather than its saved edge
+// list, where identifiers follow file order and isolated nodes vanish).
+var ErrGraphMismatch = pathindex.ErrGraphMismatch
+
 // Result is a query answer.
 type Result struct {
 	// Pairs are the answer (source, target) node identifiers.
@@ -275,11 +282,18 @@ func (db *DB) QueryWithContext(ctx context.Context, query string, strategy Strat
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Pairs: res.Pairs,
-		Names: e.NamedPairs(res.Pairs),
-		Stats: res.Stats,
-	}, nil
+	return namedResult(e, res)
+}
+
+// namedResult resolves res's pairs against the graph of e, the snapshot
+// that produced them: a newer epoch's graph may have more nodes, an
+// older one fewer.
+func namedResult(e *core.Engine, res *core.Result) (*Result, error) {
+	names, err := e.NamedPairs(res.Pairs)
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Pairs: res.Pairs, Names: names, Stats: res.Stats}, nil
 }
 
 // QueryFrom evaluates an RPQ from a single named source node, returning
@@ -322,11 +336,7 @@ func (db *DB) QueryParallelContext(ctx context.Context, query string, strategy S
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Pairs: res.Pairs,
-		Names: e.NamedPairs(res.Pairs),
-		Stats: res.Stats,
-	}, nil
+	return namedResult(e, res)
 }
 
 // SaveIndex persists the k-path index to a file in format v1 (the
@@ -336,7 +346,7 @@ func (db *DB) QueryParallelContext(ctx context.Context, query string, strategy S
 // (zero-copy mmap) for new files: both layouts open without an upfront
 // decode step.
 func (db *DB) SaveIndex(path string) error {
-	return db.eng().Storage().(indexSaver).Save(path)
+	return db.saveIndex(func(ix *pathindex.Index) error { return ix.Save(path) })
 }
 
 // SaveIndexV2 persists the k-path index to a file in the page-aligned
@@ -344,7 +354,7 @@ func (db *DB) SaveIndex(path string) error {
 // mmap — opening it later costs directory-only work regardless of index
 // size.
 func (db *DB) SaveIndexV2(path string) error {
-	return db.eng().Storage().(indexSaver).SaveV2(path)
+	return db.saveIndex(func(ix *pathindex.Index) error { return ix.SaveV2(path) })
 }
 
 // SaveIndexV3 persists the k-path index to a file in the
@@ -352,28 +362,45 @@ func (db *DB) SaveIndexV2(path string) error {
 // fraction of the v2 size. Open auto-detects it and serves scans by
 // block-granular decode-on-demand.
 func (db *DB) SaveIndexV3(path string) error {
-	return db.eng().Storage().(indexSaver).SaveV3(path)
+	return db.saveIndex(func(ix *pathindex.Index) error { return ix.SaveV3(path) })
 }
 
-// indexSaver is satisfied by every index storage (heap, mapped,
-// compressed, and overlay — the latter folds its delta first).
-type indexSaver interface {
-	Save(path string) error
-	SaveV2(path string) error
-	SaveV3(path string) error
+// saveIndex hands write the current snapshot's index as one heap index
+// (update tiers folded, shards merged, compressed runs decoded), read
+// under a storage pin.
+func (db *DB) saveIndex(write func(*pathindex.Index) error) error {
+	st := db.eng().Storage()
+	if err := st.Pin(); err != nil {
+		return err
+	}
+	defer st.Unpin()
+	ix, err := pathindex.Materialize(st)
+	if err != nil {
+		return err
+	}
+	return write(ix)
 }
 
 // SaveShardedIndex persists a sharded index as a directory: one v3 file
-// per shard plus a manifest describing the partitioning. Open
-// auto-detects the layout and restores the same shard structure. The DB
-// must have been built with Options.Shards > 1 (or opened from a sharded
-// layout); use SaveIndexV3 to fold a sharded index into one file.
+// per shard plus a manifest describing the partitioning, written under a
+// temporary name and renamed into place. Open auto-detects the layout
+// and restores the same shard structure; pending update tiers are folded
+// into the saved shards. The DB must have been built with
+// Options.Shards > 1 (or opened from a sharded layout); use SaveIndexV3
+// to fold a sharded index into one file.
 func (db *DB) SaveShardedIndex(dir string) error {
-	ss, ok := db.eng().Storage().(*pathindex.ShardedStorage)
-	if !ok {
+	st := db.eng().Storage()
+	if _, ok := pathindex.AsSharded(st); !ok {
 		return fmt.Errorf("pathdb: index is not sharded; build with Options.Shards > 1")
 	}
-	return ss.SaveSharded(dir)
+	if err := st.Pin(); err != nil {
+		return err
+	}
+	defer st.Unpin()
+	if ls, ok := st.(*pathindex.Levels); ok {
+		st = ls.Compacted()
+	}
+	return pathindex.SaveAtomic(st, dir)
 }
 
 // Open restores a ready-to-serve database from a graph edge-list file
@@ -399,29 +426,31 @@ func OpenWith(graphPath, indexPath string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pathdb: loading graph: %w", err)
 	}
-	var ix pathindex.Storage
-	if pathindex.IsShardedPath(indexPath) {
-		// A sharded layout (directory + manifest): open every per-shard
-		// file and serve scatter-gather over them.
-		ix, err = pathindex.OpenSharded(indexPath, g)
-	} else {
-		ix, err = pathindex.OpenStorage(indexPath, g)
-	}
+	engine, closer, err := openEngine(indexPath, g, opts)
 	if err != nil {
 		return nil, err
 	}
-	closer, _ := ix.(io.Closer)
-	if opts.K == 0 {
-		opts.K = ix.K()
+	return newDB(engine, closer, opts.CompactRatio), nil
+}
+
+// openEngine opens the saved index at indexPath — one v2/v3 file, or a
+// sharded directory, which is then served scatter-gather — over g and
+// wraps it in an engine. The closer releases the opened storage. An
+// index that names nodes g does not have fails with ErrGraphMismatch.
+func openEngine(indexPath string, g *Graph, opts Options) (*core.Engine, io.Closer, error) {
+	ix, err := pathindex.Open(indexPath, g)
+	if err != nil {
+		return nil, nil, err
 	}
+	closer, _ := ix.(io.Closer)
 	engine, err := core.NewEngineFromStorage(ix, opts.coreOptions())
 	if err != nil {
 		if closer != nil {
 			closer.Close()
 		}
-		return nil, err
+		return nil, nil, err
 	}
-	return newDB(engine, closer, opts.CompactRatio), nil
+	return engine, closer, nil
 }
 
 // Close releases resources held by the database: for a DB produced by
@@ -516,10 +545,6 @@ func (db *DB) ApplyBatch(edges []LabeledEdge) error {
 	return nil
 }
 
-// deltaRatioed is satisfied by both update storages (the legacy Overlay
-// and the tiered Levels stack).
-type deltaRatioed interface{ DeltaRatio() float64 }
-
 // maybeCompact schedules a background compaction when the current
 // snapshot's update tiers have outgrown the configured ratio. At most
 // one compaction runs at a time. Called with db.mu held.
@@ -527,8 +552,8 @@ func (db *DB) maybeCompact() {
 	if db.compactRatio < 0 {
 		return
 	}
-	st, ok := db.eng().Storage().(deltaRatioed)
-	if !ok || st.DeltaRatio() < db.compactRatio {
+	ls, ok := db.eng().Storage().(*pathindex.Levels)
+	if !ok || ls.DeltaRatio() < db.compactRatio {
 		return
 	}
 	if !db.compacting.CompareAndSwap(false, true) {
@@ -546,7 +571,7 @@ func (db *DB) maybeCompact() {
 			return
 		}
 		// A failed background compaction (e.g. the DB was closed under
-		// it) is dropped; the overlay keeps serving correctly and the
+		// it) is dropped; the tier stack keeps serving correctly and the
 		// next ApplyBatch re-triggers.
 		_ = db.Compact()
 	}()
@@ -569,18 +594,7 @@ func (db *DB) Compact() error {
 	defer db.compactMu.Unlock()
 
 	db.mu.Lock()
-	e := db.eng()
-	if _, tiered := e.Storage().(*pathindex.Levels); !tiered {
-		// Legacy overlay (or nothing to fold): the one-call path.
-		ne, err := e.Compact()
-		if err == nil && ne != e {
-			db.engine.Store(ne)
-			db.compactions.Add(1)
-		}
-		db.mu.Unlock()
-		return err
-	}
-	job, err := e.StartCompact()
+	job, err := db.eng().StartCompact()
 	if job == nil || err != nil {
 		db.mu.Unlock()
 		return err
@@ -635,7 +649,7 @@ type UpdateStats struct {
 	DeltaEntries int
 	DeltaRatio   float64
 	// Tiers is the depth of the current update tier stack (0 for a
-	// freshly built or compacted index, or legacy overlay storage).
+	// freshly built or compacted index).
 	Tiers int
 }
 
@@ -648,20 +662,11 @@ func (db *DB) UpdateStats() UpdateStats {
 		Compactions:    db.compactions.Load(),
 		BaseEntries:    e.Storage().NumEntries(),
 	}
-	switch s := e.Storage().(type) {
-	case *pathindex.Levels:
-		st.BaseEntries = s.BaseEntries()
-		st.DeltaEntries = s.DeltaEntries()
-		st.DeltaRatio = s.DeltaRatio()
-		st.Tiers = len(s.Tiers())
-	case *pathindex.Overlay:
-		st.BaseEntries = s.BaseEntries()
-		st.DeltaEntries = s.DeltaEntries()
-		st.DeltaRatio = s.DeltaRatio()
-	case *pathindex.ShardedStorage:
-		st.BaseEntries = s.BaseEntries()
-		st.DeltaEntries = s.DeltaEntries()
-		st.DeltaRatio = s.DeltaRatio()
+	if ls, ok := e.Storage().(*pathindex.Levels); ok {
+		st.BaseEntries = ls.BaseEntries()
+		st.DeltaEntries = ls.DeltaEntries()
+		st.DeltaRatio = ls.DeltaRatio()
+		st.Tiers = len(ls.Tiers())
 	}
 	return st
 }
@@ -681,20 +686,21 @@ type ShardStats struct {
 // ShardStats returns a snapshot of the shard layout of the current
 // engine snapshot.
 func (db *DB) ShardStats() ShardStats {
-	ss, ok := db.eng().Storage().(*pathindex.ShardedStorage)
+	ss, ok := pathindex.AsSharded(db.eng().Storage())
 	if !ok {
 		return ShardStats{}
 	}
-	st := ShardStats{Shards: ss.NumShards()}
-	switch ss.Partitioner().(type) {
+	part := ss.Partitioner()
+	st := ShardStats{Shards: part.NumShards()}
+	switch part.(type) {
 	case pathindex.HashPartitioner:
 		st.Partitioner = "hash"
 	case pathindex.RangePartitioner:
 		st.Partitioner = "range"
 	default:
-		st.Partitioner = fmt.Sprintf("%T", ss.Partitioner())
+		st.Partitioner = fmt.Sprintf("%T", part)
 	}
-	for i := 0; i < ss.NumShards(); i++ {
+	for i := 0; i < st.Shards; i++ {
 		st.EntriesPerShard = append(st.EntriesPerShard, ss.Shard(i).NumEntries())
 	}
 	return st
@@ -900,13 +906,7 @@ func (s *Server) QueryWithContext(ctx context.Context, query string, strategy St
 	if err != nil {
 		return nil, err
 	}
-	return &Result{
-		Pairs: res.Pairs,
-		// Name against the snapshot that produced the pairs: a newer
-		// epoch's graph may have more nodes, an older one fewer.
-		Names: prep.Engine().NamedPairs(res.Pairs),
-		Stats: res.Stats,
-	}, nil
+	return namedResult(prep.Engine(), res)
 }
 
 // Stats describes one query evaluation (timings, plan estimates,
@@ -948,8 +948,12 @@ func (s *Server) StreamWith(ctx context.Context, query string, strategy Strategy
 			names = make([][2]string, len(pairs))
 		}
 		names = names[:len(pairs)]
+		table := g.NodeNames()
 		for i, p := range pairs {
-			names[i] = [2]string{g.NodeName(p.Src), g.NodeName(p.Dst)}
+			if int(p.Src) >= len(table) || int(p.Dst) >= len(table) {
+				return fmt.Errorf("pathdb: naming pair (%d,%d): %w", p.Src, p.Dst, ErrGraphMismatch)
+			}
+			names[i] = [2]string{table[p.Src], table[p.Dst]}
 		}
 		return fn(pairs, names)
 	})

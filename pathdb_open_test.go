@@ -1,6 +1,7 @@
 package pathdb_test
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -196,5 +197,59 @@ func TestOpenErrors(t *testing.T) {
 	// Close on a Build-produced DB is a harmless no-op.
 	if err := db.Close(); err != nil {
 		t.Errorf("Close on a built DB: %v", err)
+	}
+}
+
+// TestOpenRejectsMismatchedGraph is the reproducer of a deployment
+// mistake that used to panic in name resolution: the index is built from
+// an in-memory graph, but the graph opened beside it is that graph's
+// saved edge list, re-interned in file order — isolated nodes vanish and
+// the surviving identifiers shift, so the index names nodes the loaded
+// graph does not have. Every open path must fail with ErrGraphMismatch.
+func TestOpenRejectsMismatchedGraph(t *testing.T) {
+	build := func(shards int) *pathdb.DB {
+		g := pathdb.NewGraph()
+		for _, iso := range []string{"iso1", "iso2", "iso3"} {
+			g.Node(iso) // ids 0..2: never written to an edge list
+		}
+		g.AddEdge("ada", "knows", "zoe")
+		g.AddEdge("zoe", "knows", "bob")
+		g.AddEdge("bob", "worksFor", "ada")
+		db, err := pathdb.Build(g, pathdb.Options{K: 2, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	dir := t.TempDir()
+	graphPath := filepath.Join(dir, "graph.txt")
+	if err := build(0).Graph().SaveEdgeList(graphPath); err != nil {
+		t.Fatal(err)
+	}
+	saves := map[string]func(path string) error{
+		"v2":      build(0).SaveIndexV2,
+		"v3":      build(0).SaveIndexV3,
+		"sharded": build(2).SaveShardedIndex,
+	}
+	for name, save := range saves {
+		t.Run(name, func(t *testing.T) {
+			indexPath := filepath.Join(dir, name+".pix")
+			if err := save(indexPath); err != nil {
+				t.Fatal(err)
+			}
+			if db, err := pathdb.Open(graphPath, indexPath); !errors.Is(err, pathdb.ErrGraphMismatch) {
+				if err == nil {
+					db.Close()
+				}
+				t.Fatalf("Open over the re-interned graph: %v, want ErrGraphMismatch", err)
+			}
+			dopts := pathdb.DurabilityOptions{Dir: filepath.Join(dir, name+".wal"), NoSync: true}
+			if db, err := pathdb.OpenDurable(graphPath, indexPath, pathdb.Options{}, dopts); !errors.Is(err, pathdb.ErrGraphMismatch) {
+				if err == nil {
+					db.Close()
+				}
+				t.Fatalf("OpenDurable over the re-interned graph: %v, want ErrGraphMismatch", err)
+			}
+		})
 	}
 }

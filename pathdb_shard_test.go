@@ -1,7 +1,6 @@
 package pathdb_test
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -9,19 +8,6 @@ import (
 
 	pathdb "repro"
 )
-
-// buildDurableShardedT is buildDurableT with a sharded engine: the WAL
-// and recovery machinery are identical, only the index layout changes.
-func buildDurableShardedT(t *testing.T, seed int64, dir string, shards int, d pathdb.DurabilityOptions) *pathdb.DB {
-	t.Helper()
-	d.Dir = dir
-	d.NoSync = true
-	db, err := pathdb.BuildDurable(durableBase(seed), pathdb.Options{K: 2, CompactRatio: -1, Shards: shards}, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db
-}
 
 // TestShardedBuildOpenRoundTrip: Build with Options.Shards partitions
 // the index, SaveShardedIndex persists the directory layout, and Open
@@ -124,6 +110,48 @@ func TestShardedBuildOpenRoundTrip(t *testing.T) {
 	if !containsAll(text, "scatter", "gather") {
 		t.Fatalf("sharded EXPLAIN lacks the scatter/gather shape:\n%s", text)
 	}
+
+	// An updated sharded DB saves its folded state: the pending tier lands
+	// in the shard files, under the same partitioning.
+	if err := sharded.ApplyBatch([]pathdb.LabeledEdge{{Src: "cid", Label: "likes", Dst: "ada"}}); err != nil {
+		t.Fatal(err)
+	}
+	if us := sharded.UpdateStats(); us.Tiers != 1 {
+		t.Fatalf("UpdateStats after one batch on a sharded DB: %+v", us)
+	}
+	dir2 := filepath.Join(t.TempDir(), "updated.pixd")
+	if err := sharded.SaveShardedIndex(dir2); err != nil {
+		t.Fatal(err)
+	}
+	edges, err := os.ReadFile(graphPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphPath2 := filepath.Join(t.TempDir(), "updated.txt")
+	if err := os.WriteFile(graphPath2, append(edges, "cid likes ada\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := pathdb.Open(graphPath2, dir2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	if got := reopened.ShardStats(); got.Shards != 3 || reopened.UpdateStats().Tiers != 0 {
+		t.Fatalf("reopened updated save: %+v, %+v", got, reopened.UpdateStats())
+	}
+	for _, q := range queries {
+		want, err := sharded.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := reopened.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(sortedNames(got.Names), sortedNames(want.Names)) {
+			t.Fatalf("saved updated index answers %q differently from the live DB", q)
+		}
+	}
 }
 
 func containsAll(s string, subs ...string) bool {
@@ -140,95 +168,4 @@ func containsAll(s string, subs ...string) bool {
 		}
 	}
 	return true
-}
-
-// TestShardedDurableRecoverRoundTrip: the WAL round trip of
-// TestDurableRecoverRoundTrip with a sharded engine — replayed batches
-// are routed to the owning shards and the recovered DB keeps its shard
-// layout.
-func TestShardedDurableRecoverRoundTrip(t *testing.T) {
-	const seed = 31
-	dir := t.TempDir()
-	batches := durableBatches(seed, 4, 25)
-	db := buildDurableShardedT(t, seed, dir, 3, pathdb.DurabilityOptions{SpillEntries: -1})
-	for _, b := range batches {
-		if err := db.ApplyBatch(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	oracle := prefixOracle(t, seed, batches, len(batches))
-	checkAllStrategies(t, db, oracle, "sharded before close")
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	db2 := buildDurableShardedT(t, seed, dir, 3, pathdb.DurabilityOptions{SpillEntries: -1})
-	defer db2.Close()
-	if st := db2.ShardStats(); st.Shards != 3 {
-		t.Fatalf("recovered DB lost its shard layout: %+v", st)
-	}
-	st := db2.DurabilityStats()
-	if !st.Enabled || st.RecoveredBatches != int64(len(batches)) {
-		t.Fatalf("DurabilityStats after sharded recovery: %+v", st)
-	}
-	// Sharded lineages never spill — recovery is pure batch replay.
-	if st.RecoveredSpills != 0 || st.Spills != 0 {
-		t.Fatalf("sharded durability wrote spills: %+v", st)
-	}
-	checkAllStrategies(t, db2, oracle, "sharded after recovery")
-
-	// Compaction folds the per-shard overlays and keeps serving correctly.
-	if err := db2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if us := db2.UpdateStats(); us.DeltaEntries != 0 {
-		t.Fatalf("%d delta entries survive a sharded Compact", us.DeltaEntries)
-	}
-	checkAllStrategies(t, db2, oracle, "sharded after compact")
-	if err := db2.ApplyBatch([]pathdb.LabeledEdge{{Src: "p00", Label: "knows", Dst: "p33"}}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestShardedDurableTornTailSweep is the crash-window differential with
-// Shards > 1: every WAL truncation point must recover a clean batch
-// prefix whose answers match an unsharded from-scratch rebuild.
-func TestShardedDurableTornTailSweep(t *testing.T) {
-	const seed = 32
-	srcDir := t.TempDir()
-	batches := durableBatches(seed, 3, 12)
-	db := buildDurableShardedT(t, seed, srcDir, 3, pathdb.DurabilityOptions{SpillEntries: -1})
-	for _, b := range batches {
-		if err := db.ApplyBatch(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	full, err := os.ReadFile(filepath.Join(srcDir, pathdb.WALFileName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracles := make([]*pathdb.DB, len(batches)+1)
-	for n := range oracles {
-		oracles[n] = prefixOracle(t, seed, batches, n)
-	}
-
-	for cut := 8; cut <= len(full); cut += 13 {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, pathdb.WALFileName), full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		db2 := buildDurableShardedT(t, seed, dir, 3, pathdb.DurabilityOptions{SpillEntries: -1})
-		n := db2.DurabilityStats().RecoveredBatches
-		if n < 0 || n > int64(len(batches)) {
-			t.Fatalf("cut=%d: recovered %d batches", cut, n)
-		}
-		if st := db2.ShardStats(); st.Shards != 3 {
-			t.Fatalf("cut=%d: recovered DB lost its shard layout: %+v", cut, st)
-		}
-		checkAllStrategies(t, db2, oracles[n], fmt.Sprintf("sharded cut=%d (prefix %d)", cut, n))
-		db2.Close()
-	}
 }
