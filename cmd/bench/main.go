@@ -4,11 +4,10 @@
 //
 // Usage:
 //
-//	bench [-experiment all|fig2|datalog|indexcost|datasets|ablation|reach|execprofile|serve|open|star|update|compress|shard]
+//	bench [-experiment all|fig2|datalog|indexcost|datasets|ablation|reach|execprofile|serve|star|update|shard]
 //	      [-scale 1.0] [-seed 1] [-runs 3] [-buckets 64]
 //	      [-clients 8] [-servedur 2s] [-serveout BENCH_serve.json]
-//	      [-openout BENCH_open.json] [-starout BENCH_star.json]
-//	      [-updateout BENCH_update.json] [-compressout BENCH_compress.json]
+//	      [-starout BENCH_star.json] [-updateout BENCH_update.json]
 //	      [-shardout BENCH_shard.json]
 //
 // Full scale (-scale 1.0) matches the published Advogato dimensions and
@@ -21,12 +20,6 @@
 // serving layer, measuring client counts 1, 2, 4, ... up to -clients
 // plus an uncached single-client baseline, and writes the JSON report
 // to -serveout.
-//
-// The open experiment (also selected implicitly by passing -openout with
-// -experiment all) measures the cold-start path of the persistence
-// layer — full rebuild vs the v1 copy-decoding loader vs the v2
-// zero-copy mmap open — across index sizes, and writes the JSON report
-// to -openout.
 //
 // The star experiment (also selected implicitly by passing -starout with
 // -experiment all) measures Kleene-closure evaluation — the default
@@ -46,13 +39,6 @@
 // the scatter/gather operators, and answer identity with the unsharded
 // oracle at shard counts 1, 2, 4, 8 — and writes the JSON report to
 // -shardout.
-//
-// The compress experiment (also selected implicitly by passing
-// -compressout with -experiment all) measures the block-compressed
-// on-disk format v3 against the uncompressed v2 — file sizes, cold
-// opens, full-workload scan latency over each storage, decompression
-// counters, and answer identity under live updates — and writes the
-// JSON report to -compressout.
 package main
 
 import (
@@ -65,7 +51,7 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "experiment to run: all, fig2, datalog, indexcost, datasets, ablation, reach, execprofile, serve, open, star, update, compress, shard")
+	experiment := flag.String("experiment", "all", "experiment to run: all, fig2, datalog, indexcost, datasets, ablation, reach, execprofile, serve, star, update, shard")
 	scale := flag.Float64("scale", 1.0, "Advogato scale factor in (0,1]")
 	seed := flag.Int64("seed", 1, "generator seed")
 	runs := flag.Int("runs", 3, "samples per measurement (median reported)")
@@ -73,10 +59,8 @@ func main() {
 	clients := flag.Int("clients", 8, "serve: maximum concurrent clients (measures 1,2,4,... up to this)")
 	servedur := flag.Duration("servedur", 2*time.Second, "serve: measured window per client count")
 	serveout := flag.String("serveout", "BENCH_serve.json", "serve: JSON report output path")
-	openout := flag.String("openout", "BENCH_open.json", "open: JSON report output path")
 	starout := flag.String("starout", "BENCH_star.json", "star: JSON report output path")
 	updateout := flag.String("updateout", "BENCH_update.json", "update: JSON report output path")
-	compressout := flag.String("compressout", "BENCH_compress.json", "compress: JSON report output path")
 	shardout := flag.String("shardout", "BENCH_shard.json", "shard: JSON report output path")
 	flag.Parse()
 
@@ -98,15 +82,10 @@ func main() {
 	if what == "all" {
 		// Report flags implicitly select their experiment; passing
 		// several kinds runs them all.
-		wantOpen := flagPassed("openout")
 		wantServe := flagPassed("clients") || flagPassed("servedur") || flagPassed("serveout")
 		wantStar := flagPassed("starout")
 		wantUpdate := flagPassed("updateout")
-		wantCompress := flagPassed("compressout")
 		wantShard := flagPassed("shardout")
-		if wantOpen {
-			die(runOpen(cfg, *openout))
-		}
 		if wantServe {
 			die(runServe(cfg, *clients, *servedur, *serveout))
 		}
@@ -116,44 +95,25 @@ func main() {
 		if wantUpdate {
 			die(runUpdate(cfg, *updateout))
 		}
-		if wantCompress {
-			die(runCompress(cfg, *compressout))
-		}
 		if wantShard {
 			die(runShard(cfg, *shardout))
 		}
-		if wantOpen || wantServe || wantStar || wantUpdate || wantCompress || wantShard {
+		if wantServe || wantStar || wantUpdate || wantShard {
 			return
 		}
 	}
 	switch what {
-	case "open":
-		die(runOpen(cfg, *openout))
 	case "serve":
 		die(runServe(cfg, *clients, *servedur, *serveout))
 	case "star":
 		die(runStar(cfg, *starout))
 	case "update":
 		die(runUpdate(cfg, *updateout))
-	case "compress":
-		die(runCompress(cfg, *compressout))
 	case "shard":
 		die(runShard(cfg, *shardout))
 	default:
 		die(run(what, cfg))
 	}
-}
-
-func runCompress(cfg bench.Config, out string) error {
-	_, table, err := bench.RunCompress(cfg, out)
-	if err != nil {
-		return err
-	}
-	fmt.Println(table.String())
-	if out != "" {
-		fmt.Printf("report written to %s\n", out)
-	}
-	return nil
 }
 
 func runShard(cfg bench.Config, out string) error {
@@ -212,24 +172,6 @@ func clientCounts(max int) []int {
 		out = append(out, n)
 	}
 	return append(out, max)
-}
-
-func runOpen(cfg bench.Config, out string) error {
-	rep, err := bench.RunOpen(cfg, out)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("cold-open cost per index size (runs=%d, medians, ms):\n", rep.Runs)
-	fmt.Printf("%8s %10s %10s %12s %12s %14s %14s\n",
-		"scale", "entries", "v2 bytes", "rebuild", "load v1", "open mapped", "first query")
-	for _, p := range rep.Points {
-		fmt.Printf("%8.2f %10d %10d %12.2f %12.2f %14.3f %14.2f\n",
-			p.Scale, p.Entries, p.V2Bytes, p.RebuildMillis, p.LoadV1Millis, p.OpenMappedMillis, p.FirstQueryMillis)
-	}
-	if out != "" {
-		fmt.Printf("report written to %s\n", out)
-	}
-	return nil
 }
 
 func runServe(cfg bench.Config, clients int, dur time.Duration, out string) error {

@@ -8,15 +8,15 @@
 //	rpq -graph FILE [-k 2] [-strategy minSupport] [-buckets 64] \
 //	    (-query RPQ | -explain RPQ | -stats)
 //
-//	rpq build -graph FILE -index FILE [-k 2] [-format v3] [-shards N]
+//	rpq build -graph FILE -index FILE [-k 2] [-shards N]
 //	rpq serve -graph FILE -index FILE [-strategy minSupport] [-limit 20] [-http ADDR] [-durable DIR]
 //	rpq wal -dir DIR [-v]
 //
 // The build/serve pair exercises the save-once/open-many lifecycle:
 // `build` constructs the k-path index and writes it block-compressed in
-// format v3 (or uncompressed mmap-able v2 with -format v2); `serve`
-// auto-detects the format — mapping v2 zero-copy, decoding v3 block by
-// block on scan — and answers queries read from stdin, one per line.
+// format v3; `serve` maps the file, decodes it block by block on scan,
+// and answers queries read from stdin, one per line. An index file of
+// the retired formats v1 or v2 is refused by name: rerun `build`.
 // With -shards N, `build` partitions the index by source node and
 // writes a directory of per-shard v3 files plus a manifest; `serve`
 // auto-detects that layout too and scatters every query across the
@@ -109,24 +109,17 @@ func main() {
 }
 
 // runBuild implements `rpq build`: construct the index once and persist
-// it — block-compressed v3 by default, or uncompressed mmap-able v2 —
-// for any number of later `rpq serve` cold starts.
+// it block-compressed (format v3) for any number of later `rpq serve`
+// cold starts.
 func runBuild(args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	graphPath := fs.String("graph", "", "edge-list file (required)")
 	indexPath := fs.String("index", "", "output index file (required); a directory when -shards > 1")
 	k := fs.Int("k", 2, "path-index locality parameter")
-	format := fs.String("format", "v3", "index file format: v3 (block-compressed) or v2 (uncompressed mmap)")
 	shards := fs.Int("shards", 1, "partition the index by source node into this many shards (writes a directory of per-shard v3 files + manifest)")
 	fs.Parse(args)
 	if *graphPath == "" || *indexPath == "" {
 		return fmt.Errorf("-graph and -index are required")
-	}
-	if *format != "v2" && *format != "v3" {
-		return fmt.Errorf("unknown -format %q (want v2 or v3)", *format)
-	}
-	if *shards > 1 && *format != "v3" {
-		return fmt.Errorf("-shards layouts are always block-compressed v3; drop -format %s", *format)
 	}
 	g, err := pathdb.LoadGraph(*graphPath)
 	if err != nil {
@@ -141,14 +134,8 @@ func runBuild(args []string) error {
 		if err := db.SaveShardedIndex(*indexPath); err != nil {
 			return err
 		}
-	} else {
-		save := db.SaveIndexV3
-		if *format == "v2" {
-			save = db.SaveIndexV2
-		}
-		if err := save(*indexPath); err != nil {
-			return err
-		}
+	} else if err := db.SaveIndexV3(*indexPath); err != nil {
+		return err
 	}
 	st := db.IndexStats()
 	fmt.Printf("built k=%d index: %d entries over %d label paths in %.2f ms\n",
@@ -163,8 +150,8 @@ func runBuild(args []string) error {
 			*indexPath, size, ss.Shards, ss.Partitioner, float64(8*st.Entries)/float64(size),
 			float64(time.Since(t0).Microseconds())/1000.0)
 	} else {
-		fmt.Printf("wrote %s: %d bytes (format %s, %.2fx vs raw pairs) in %.2f ms\n",
-			*indexPath, size, *format, float64(8*st.Entries)/float64(size),
+		fmt.Printf("wrote %s: %d bytes (format v3, %.2fx vs raw pairs) in %.2f ms\n",
+			*indexPath, size, float64(8*st.Entries)/float64(size),
 			float64(time.Since(t0).Microseconds())/1000.0)
 	}
 	return nil
@@ -201,7 +188,7 @@ func pathSize(path string) (int64, error) {
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	graphPath := fs.String("graph", "", "edge-list file (required)")
-	indexPath := fs.String("index", "", "index file from `rpq build`, format v2 or v3 (required)")
+	indexPath := fs.String("index", "", "index file or sharded directory from `rpq build` (required)")
 	strategyName := fs.String("strategy", "minSupport", "naive, semiNaive, minSupport, or minJoin")
 	limit := fs.Int("limit", 20, "maximum result pairs to print per query (0 = all)")
 	httpAddr := fs.String("http", "", "serve over HTTP on this address (e.g. :8080) instead of stdin")

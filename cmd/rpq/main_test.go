@@ -156,9 +156,4 @@ func TestRunBuildShardedRoundTrip(t *testing.T) {
 	if !strings.Contains(out.String(), "ada -> ada") {
 		t.Errorf("sharded serve answer missing pair:\n%s", out.String())
 	}
-
-	// -shards with the mmap format is refused (shards are always v3).
-	if err := runBuild([]string{"-graph", graphPath, "-index", indexDir, "-shards", "2", "-format", "v2"}); err == nil {
-		t.Error("runBuild accepted -shards with -format v2")
-	}
 }

@@ -69,6 +69,10 @@ func ms(d time.Duration) string {
 	return fmt.Sprintf("%.2f", float64(d.Microseconds())/1000.0)
 }
 
+// ms2 is a duration in milliseconds at microsecond resolution, for JSON
+// reports.
+func ms2(d time.Duration) float64 { return float64(d.Microseconds()) / 1000.0 }
+
 // median returns the median of a non-empty duration sample.
 func median(ds []time.Duration) time.Duration {
 	sorted := append([]time.Duration(nil), ds...)

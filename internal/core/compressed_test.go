@@ -11,41 +11,27 @@ import (
 	"repro/internal/rpq"
 )
 
-// TestDifferentialHeapV2V3 is the storage-format differential for the
-// block-compressed format: engines over heap storage, the mapped v2
-// file, and the compressed v3 file must return identical answers for
-// random RPQs — closures included — across all four strategies,
-// EvalFrom, and ExecuteParallel (checkEnginesAgree covers them all).
-// Streamed closure evaluation is likewise pinned against the forced
-// materialized fixpoint.
-func TestDifferentialHeapV2V3(t *testing.T) {
+// TestDifferentialHeapV3 is the storage-format differential for the
+// block-compressed file: engines over heap storage and over the
+// compressed v3 file must return identical answers for random RPQs —
+// closures included — across all four strategies, EvalFrom, and
+// ExecuteParallel (checkEnginesAgree covers them all). Streamed closure
+// evaluation is likewise pinned against the forced materialized
+// fixpoint.
+func TestDifferentialHeapV3(t *testing.T) {
 	labels := []string{"a", "b", "c"}
 	g := randomGraph(rand.New(rand.NewSource(41)), 35, 100, labels)
 	heap := newTestEngine(t, g, 2)
 
-	dir := t.TempDir()
-	v2Path := filepath.Join(dir, "diff.v2")
-	v3Path := filepath.Join(dir, "diff.v3")
-	if err := heap.Storage().(*pathindex.Index).SaveV2(v2Path); err != nil {
-		t.Fatal(err)
-	}
+	v3Path := filepath.Join(t.TempDir(), "diff.v3")
 	if err := heap.Storage().(*pathindex.Index).SaveV3(v3Path); err != nil {
 		t.Fatal(err)
 	}
-	m, err := pathindex.OpenMapped(v2Path, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
 	c, err := pathindex.OpenCompressed(v3Path, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	v2Eng, err := NewEngineFromStorage(m, Options{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	v3Eng, err := NewEngineFromStorage(c, Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +46,6 @@ func TestDifferentialHeapV2V3(t *testing.T) {
 	fixed := []string{"a", "a/b", "a|b/c", "a^-/b", "(a|b){1,2}", "a*", "(a|b^-)*", "a/(b|c)*", "c?/a+"}
 	for _, q := range fixed {
 		expr := rpq.MustParse(q)
-		checkEnginesAgree(t, v2Eng, heap, expr)
 		checkEnginesAgree(t, v3Eng, heap, expr)
 		checkEnginesAgree(t, matEng, heap, expr)
 	}
@@ -71,8 +56,7 @@ func TestDifferentialHeapV2V3(t *testing.T) {
 	checked := 0
 	for i := 0; i < 30; i++ {
 		expr := rpq.Generate(r, genOpts)
-		if checkEnginesAgree(t, v2Eng, heap, expr) &&
-			checkEnginesAgree(t, v3Eng, heap, expr) &&
+		if checkEnginesAgree(t, v3Eng, heap, expr) &&
 			checkEnginesAgree(t, matEng, heap, expr) {
 			checked++
 		}

@@ -83,18 +83,18 @@ func TestDifferentialRandomQueries(t *testing.T) {
 // TestDifferentialHeapVsMapped is the property-based differential test
 // of the storage layer: on a random graph, an engine over the in-memory
 // index and an engine over the same index saved to disk and reopened
-// with pathindex.OpenMapped (zero-copy over the v2 file) must return
-// identical sorted result sets for random RPQs under all four
-// strategies, and identical single-source answers via EvalFrom.
+// with pathindex.OpenCompressed (the v3 file memory-mapped, decoded on
+// scan) must return identical sorted result sets for random RPQs under
+// all four strategies, and identical single-source answers via EvalFrom.
 func TestDifferentialHeapVsMapped(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(31)), 40, 120, []string{"a", "b", "c"})
 	heap := newTestEngine(t, g, 2)
 
-	path := filepath.Join(t.TempDir(), "diff.v2")
-	if err := heap.Storage().(*pathindex.Index).SaveV2(path); err != nil {
+	path := filepath.Join(t.TempDir(), "diff.v3")
+	if err := heap.Storage().(*pathindex.Index).SaveV3(path); err != nil {
 		t.Fatal(err)
 	}
-	m, err := pathindex.OpenMapped(path, g)
+	m, err := pathindex.OpenCompressed(path, g)
 	if err != nil {
 		t.Fatal(err)
 	}

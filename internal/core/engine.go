@@ -118,9 +118,9 @@ type Options struct {
 // comment for the full contract.
 //
 // The index is held through the pathindex.Storage interface, so an
-// engine serves heap-built indexes and memory-mapped on-disk indexes
-// (pathindex.OpenMapped) identically — the executor's scans, range
-// lookups, and membership probes run over whichever byte layout the
+// engine serves heap-built indexes and memory-mapped compressed index
+// files (pathindex.OpenCompressed) identically — the executor's scans,
+// range lookups, and membership probes run over whichever layout the
 // storage exposes.
 type Engine struct {
 	g    *graph.Graph
@@ -188,8 +188,8 @@ func NewEngineFromIndex(ix *pathindex.Index, opts Options) (*Engine, error) {
 	return NewEngineFromStorage(ix, opts)
 }
 
-// NewEngineFromStorage wraps existing index storage — heap-backed or
-// memory-mapped (pathindex.OpenMapped) — in an engine, rebuilding only
+// NewEngineFromStorage wraps existing index storage — heap-backed or a
+// memory-mapped file (pathindex.OpenStorage) — in an engine, rebuilding only
 // the histogram, whose cost is proportional to the number of label
 // paths, not to the relation payload. Options.K must be zero or match
 // the storage.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -159,21 +160,21 @@ func TestDifferentialUpdateVsRebuild(t *testing.T) {
 }
 
 // TestUpdateOverMappedStorage runs the same differential over a
-// memory-mapped base index: heap and mapped bases must serve updates
-// identically.
+// memory-mapped base index file: heap and mapped bases must serve
+// updates identically.
 func TestUpdateOverMappedStorage(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	base, full, batches := splitGraph(r, 25, 70, []string{"a", "b"}, 1)
 	heapEng := newTestEngine(t, base, 2)
-	path := filepath.Join(t.TempDir(), "base.pidx")
-	if err := heapEng.Storage().(*pathindex.Index).SaveV2(path); err != nil {
+	path := filepath.Join(t.TempDir(), "base.pix")
+	if err := heapEng.Storage().(*pathindex.Index).SaveV3(path); err != nil {
 		t.Fatal(err)
 	}
-	m, err := pathindex.OpenMapped(path, base)
+	m, err := pathindex.OpenStorage(path, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer m.Close()
+	defer m.(io.Closer).Close()
 	mappedEng, err := NewEngineFromStorage(m, Options{K: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +187,7 @@ func TestUpdateOverMappedStorage(t *testing.T) {
 	// The updated snapshot still reads relation payload out of the
 	// mapping through the overlay, so it must pin it: a query racing
 	// Close either completes or fails with ErrClosed — never faults.
-	if err := m.Close(); err != nil {
+	if err := m.(io.Closer).Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := updated.Eval(rpq.MustParse("a/b"), plan.MinSupport); !errors.Is(err, pathindex.ErrClosed) {

@@ -2,15 +2,12 @@ package pathindex
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
-// The corrupt-file tests assert one property for both on-disk formats:
+// The corrupt-file tests assert one property of the index file reader:
 // any truncated or mutated index file produces a descriptive error —
 // never a panic, never a silently wrong index. Each case runs under a
 // helper that turns panics into test failures so a regression reads as
@@ -27,243 +24,42 @@ func mustNotPanic(t *testing.T, name string, fn func() error) (err error) {
 	return fn()
 }
 
-func TestCorruptV1(t *testing.T) {
-	r := rand.New(rand.NewSource(51))
-	g := randomGraph(r, 20, 50, 2)
-	ix, err := Build(g, 2, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	load := func(data []byte) func() error {
-		return func() error {
-			_, err := ReadFrom(bytes.NewReader(data), g)
-			return err
+// FuzzOpenV3 feeds arbitrary bytes to the v3 parser, seeded with small
+// built images. Whatever the input, parseV3 returns an error or an index
+// whose every run decodes — through the verifying decodeAll — to an error
+// or to exactly its directory count of strictly ascending pairs. It never
+// panics.
+func FuzzOpenV3(f *testing.F) {
+	g := randomGraph(rand.New(rand.NewSource(55)), 12, 30, 2)
+	for k := 1; k <= 2; k++ {
+		ix, err := Build(g, k, BuildOptions{})
+		if err != nil {
+			f.Fatal(err)
 		}
-	}
-
-	// Offsets into the v1 layout, for targeted mutations. The counts
-	// section sits between the path table and the 16-byte pathsK+entries
-	// header that precedes the 12-byte entry records and 4-byte trailer.
-	numPaths := ix.NumLabelPaths()
-	entries := ix.NumEntries()
-	countsOff := len(full) - 4 - 12*entries - 16 - 8*numPaths
-	entriesCountOff := len(full) - 4 - 12*entries - 8
-
-	mutate := func(off int, val []byte) []byte {
-		bad := append([]byte(nil), full...)
-		copy(bad[off:], val)
-		return bad
-	}
-	u64 := func(v uint64) []byte {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		return b[:]
-	}
-	u32 := func(v uint32) []byte {
-		var b [4]byte
-		binary.LittleEndian.PutUint32(b[:], v)
-		return b[:]
-	}
-
-	cases := []struct {
-		name string
-		data []byte
-	}{
-		{"bad magic", mutate(0, []byte{'Z'})},
-		{"unsupported version", mutate(4, u32(99))},
-		{"k zero", mutate(8, u32(0))},
-		{"k implausible", mutate(8, u32(1<<30))},
-		// A giant per-path count used to drive pre-allocation straight
-		// from the header — the classic corrupt-file OOM panic.
-		{"count implausible", mutate(countsOff, u64(1<<62))},
-		{"entry count inflated", mutate(entriesCountOff, u64(uint64(entries)+1))},
-		{"entry count truncated", mutate(entriesCountOff, u64(uint64(entries)-1))},
-	}
-	for _, tc := range cases {
-		if err := mustNotPanic(t, tc.name, load(tc.data)); err == nil {
-			t.Errorf("v1 %s: accepted", tc.name)
+		var buf bytes.Buffer
+		if _, err := ix.WriteV3To(&buf); err != nil {
+			f.Fatal(err)
 		}
+		f.Add(buf.Bytes())
 	}
-
-	// Truncation sweep: header, label table, path table, counts, runs,
-	// trailer — every prefix must fail cleanly.
-	cuts := []int{0, 2, 4, 7, 8, 11, 12, 15, 20, countsOff + 3, entriesCountOff + 4, len(full) - 13, len(full) - 1}
-	for _, cut := range cuts {
-		if cut < 0 || cut >= len(full) {
-			continue
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := parseV3(data, g)
+		if err != nil {
+			return
 		}
-		name := fmt.Sprintf("truncated at %d", cut)
-		if err := mustNotPanic(t, name, load(full[:cut])); err == nil {
-			t.Errorf("v1 %s: accepted", name)
-		}
-	}
-}
-
-func TestCorruptV2(t *testing.T) {
-	r := rand.New(rand.NewSource(52))
-	g := randomGraph(r, 20, 50, 2)
-	ix, err := Build(g, 2, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := ix.WriteV2To(&buf); err != nil {
-		t.Fatal(err)
-	}
-	full := buf.Bytes()
-	le := binary.LittleEndian
-	dirOff := int(le.Uint64(full[64:]))
-	dataOff := int(le.Uint64(full[80:]))
-	labelsOff := int(le.Uint64(full[48:]))
-
-	parse := func(data []byte) func() error {
-		return func() error {
-			_, err := parseV2(data, g)
-			return err
-		}
-	}
-	mutate := func(off int, val []byte) []byte {
-		bad := append([]byte(nil), full...)
-		copy(bad[off:], val)
-		return bad
-	}
-	u64 := func(v uint64) []byte {
-		var b [8]byte
-		le.PutUint64(b[:], v)
-		return b[:]
-	}
-	u32 := func(v uint32) []byte {
-		var b [4]byte
-		le.PutUint32(b[:], v)
-		return b[:]
-	}
-
-	// Duplicate path: copy directory record 0 over record 1.
-	recSize := v2RecSize(ix.K())
-	dupPath := append([]byte(nil), full...)
-	copy(dupPath[dirOff+recSize:dirOff+2*recSize], dupPath[dirOff:dirOff+recSize])
-
-	cases := []struct {
-		name string
-		data []byte
-	}{
-		{"bad magic", mutate(0, []byte{'Z'})},
-		{"unsupported version", mutate(4, u32(99))},
-		{"v1 version on v2 layout", mutate(4, u32(1))},
-		{"bad page size", mutate(12, u32(3))},
-		{"k zero", mutate(16, u32(0))},
-		{"k implausible", mutate(16, u32(1<<30))},
-		{"label count mismatch", mutate(20, u32(uint32(g.NumLabels())+1))},
-		{"path count mismatch", mutate(24, u32(uint32(ix.NumLabelPaths())+1))},
-		{"entry count mismatch", mutate(32, u64(uint64(ix.NumEntries())+1))},
-		{"labels offset out of bounds", mutate(48, u64(uint64(len(full))+1))},
-		{"directory offset out of bounds", mutate(64, u64(uint64(len(full))+1))},
-		{"directory length overflow", mutate(72, u64(^uint64(0)))},
-		{"data offset misaligned", mutate(80, u64(uint64(dataOff)+4))},
-		{"data length out of bounds", mutate(88, u64(^uint64(0)))},
-		{"label table truncated", mutate(labelsOff, u32(1<<24))},
-		{"run offset misaligned", mutate(dirOff, u64(uint64(dataOff)+4))},
-		{"run offset before data", mutate(dirOff, u64(0))},
-		// An aligned, in-bounds offset that merely points 8 bytes into
-		// the previous run would alias neighbouring pairs — the tiling
-		// requirement must reject it, not just range checks.
-		{"run offset aliases neighbour", mutate(
-			dirOff+(ix.NumLabelPaths()-1)*recSize,
-			u64(le.Uint64(full[dirOff+(ix.NumLabelPaths()-1)*recSize:])-8))},
-		{"run count out of bounds", mutate(dirOff+8, u64(^uint64(0)>>3))},
-		{"path length zero", mutate(dirOff+16, u32(0))},
-		{"path length beyond k", mutate(dirOff+16, u32(uint32(ix.K())+1))},
-		{"unknown step label", mutate(dirOff+20, u32(^uint32(0)))},
-		{"duplicate path", dupPath},
-	}
-	for _, tc := range cases {
-		if err := mustNotPanic(t, tc.name, parse(tc.data)); err == nil {
-			t.Errorf("v2 %s: accepted", tc.name)
-		}
-	}
-
-	// Truncation sweep: header, labels, directory, data payload.
-	cuts := []int{0, 3, 4, 50, 95, labelsOff + 2, dirOff + 3, dirOff + recSize/2, dataOff - 1, dataOff + 5, len(full) - 8, len(full) - 1}
-	for _, cut := range cuts {
-		if cut < 0 || cut >= len(full) {
-			continue
-		}
-		name := fmt.Sprintf("truncated at %d", cut)
-		if err := mustNotPanic(t, name, parse(full[:cut])); err == nil {
-			t.Errorf("v2 %s: accepted", name)
-		}
-	}
-
-	// The same corruption classes must surface through OpenMapped (the
-	// file-backed entry point), not just the in-memory parser.
-	dir := t.TempDir()
-	for _, tc := range []struct {
-		name string
-		data []byte
-	}{
-		{"truncated file", full[:dataOff+5]},
-		{"mutated header", mutate(32, u64(uint64(ix.NumEntries())+1))},
-	} {
-		path := filepath.Join(dir, "corrupt.v2")
-		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		err := mustNotPanic(t, "OpenMapped "+tc.name, func() error {
-			m, err := OpenMapped(path, g)
-			if err == nil {
-				m.Close()
+		for pid := range c.runs {
+			rel, err := c.runs[pid].decodeAll(make([]Packed, 0, c.counts[pid]))
+			if err != nil {
+				continue
 			}
-			return err
-		})
-		if err == nil {
-			t.Errorf("OpenMapped %s: accepted", tc.name)
+			if len(rel) != c.counts[pid] {
+				t.Fatalf("path %d decodes to %d pairs, directory claims %d", pid, len(rel), c.counts[pid])
+			}
+			for i := 1; i < len(rel); i++ {
+				if rel[i] <= rel[i-1] {
+					t.Fatalf("path %d not strictly ascending at pair %d", pid, i)
+				}
+			}
 		}
-	}
-
-	// ReadFrom must reject the same corruptions when asked to decode a
-	// v2 stream onto the heap.
-	if err := mustNotPanic(t, "ReadFrom truncated v2", func() error {
-		_, err := ReadFrom(bytes.NewReader(full[:len(full)-5]), g)
-		return err
-	}); err == nil {
-		t.Error("ReadFrom accepted a truncated v2 stream")
-	}
-
-	// Corruption inside the run payload (bytes flipped so a run is no
-	// longer sorted): the heap loaders verify and reject it; OpenMapped
-	// deliberately trusts the payload to keep open cost directory-only,
-	// but VerifyRuns must catch it on demand.
-	unsorted := append([]byte(nil), full...)
-	for i := 0; i < 8; i++ {
-		unsorted[dataOff+i] = 0xff // first pair of the first run becomes maximal
-	}
-	if err := mustNotPanic(t, "ReadFrom unsorted run", func() error {
-		_, err := ReadFrom(bytes.NewReader(unsorted), g)
-		return err
-	}); err == nil {
-		t.Error("ReadFrom accepted a v2 stream with an unsorted run")
-	}
-	unsortedPath := filepath.Join(dir, "unsorted.v2")
-	if err := os.WriteFile(unsortedPath, unsorted, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := mustNotPanic(t, "Load unsorted run", func() error {
-		_, err := Load(unsortedPath, g)
-		return err
-	}); err == nil {
-		t.Error("Load accepted a v2 file with an unsorted run")
-	}
-	m, err := OpenMapped(unsortedPath, g)
-	if err != nil {
-		t.Fatalf("OpenMapped validates the directory only, but rejected: %v", err)
-	}
-	defer m.Close()
-	if err := m.VerifyRuns(); err == nil {
-		t.Error("VerifyRuns missed an unsorted run in a mapped index")
-	}
+	})
 }

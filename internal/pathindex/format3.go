@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"math/bits"
 	"os"
 	"sort"
@@ -13,20 +14,34 @@ import (
 	"repro/internal/graph"
 )
 
-// On-disk index format v3: format v2's page-aligned layout with the data
-// section block-compressed. Every sorted packed run is split into blocks
+// On-disk index format v3, the one index file format: a page-aligned
+// header, label table, and path directory, then a data section in which
+// every sorted packed run is block-compressed. A run is split into blocks
 // of at most v3BlockPairs pairs; a block stores its first pair verbatim
 // in a per-run block directory and the remaining pairs as uvarint deltas
 // between consecutive packed words (strict ascent makes every delta ≥ 1,
 // so a zero delta on decode is proof of corruption). Dense runs — whose
 // pairs share sources and differ in small dst steps — compress to 1–2
-// bytes per pair against v2's fixed 8. All integers are little-endian;
-// varints are the unsigned LEB128 of encoding/binary.
+// bytes per pair against 8 raw. All integers are little-endian; varints
+// are the unsigned LEB128 of encoding/binary.
 //
-//	page 0          96-byte header as in v2, version = 3; the data
-//	                length field holds the compressed byte count (the
-//	                aligned sum of run encodings), not 8×entries
-//	labels section  identical to v2
+//	page 0          fixed-width 96-byte header (rest of the page zero):
+//	                  [0:4)   magic "PIDX"
+//	                  [4:8)   version u32 = 3
+//	                  [8:12)  flags u32 (reserved, zero)
+//	                  [12:16) page size u32 (4096)
+//	                  [16:20) k u32
+//	                  [20:24) label count u32
+//	                  [24:28) path count u32
+//	                  [28:32) reserved u32
+//	                  [32:40) entry count u64
+//	                  [40:48) |paths_k(G)| u64 (0 when skipped at build)
+//	                  [48:64) labels section offset u64, length u64
+//	                  [64:80) directory offset u64, length u64
+//	                  [80:96) data offset u64, length u64 (the aligned
+//	                          sum of run encodings)
+//	labels section  per label: u32 name length + name bytes, checked
+//	                against the graph the index is attached to
 //	directory       one fixed-width record per path id, 8-byte aligned:
 //	                  [0:8)      run offset u64 (absolute, 8-aligned)
 //	                  [8:16)     encoded length u64 (block dir + payload)
@@ -41,14 +56,25 @@ import (
 //	                pair count u32) followed by the concatenated varint
 //	                payloads of all blocks
 //
-// The trust model mirrors v2: OpenCompressed validates the header,
-// label table, directory, and every block directory (cost proportional
-// to the block count, not the payload), but trusts the varint payload
-// itself; the heap loaders (Load/ReadFrom) decode and therefore verify
-// everything, and VerifyBlocks runs the full decode on demand for a
-// mapped index of untrusted provenance.
+// Format versions 1 and 2 (an entry stream and an uncompressed mmap
+// layout) share the magic and version field and are rejected by name. An
+// index is derived data — a pure function of the graph file and k — so
+// rebuilding it with `rpq build` is the migration.
+//
+// Trust model: OpenCompressed validates the header, label table,
+// directory, and every block directory (cost proportional to the block
+// count, not the payload), but trusts the varint payload itself; Load
+// decodes and therefore verifies everything, and VerifyBlocks runs the
+// full decode on demand for a mapped index of untrusted provenance.
 const (
-	v3Version = 3
+	magic      = "PIDX"
+	v3Version  = 3
+	pageSize   = 4096
+	headerSize = 96
+	// maxSaneK bounds the locality parameter accepted from disk; real
+	// indexes use single digits, so anything larger marks a corrupt or
+	// hostile file before it can drive huge allocations.
+	maxSaneK = 1024
 	// v3BlockPairs is the maximum number of pairs per compressed block —
 	// the decode granularity of every scan. It matches DefaultBlockSize
 	// so one decoded block feeds the executor's block iterator directly.
@@ -56,6 +82,9 @@ const (
 	// v3BlockDirEntry is the size of one block-directory entry.
 	v3BlockDirEntry = 16
 )
+
+func align8(n int) int    { return (n + 7) &^ 7 }
+func alignPage(n int) int { return (n + pageSize - 1) &^ (pageSize - 1) }
 
 // v3RecSize returns the directory record width for locality parameter k.
 func v3RecSize(k int) int { return align8(32 + 4*k) }
@@ -107,7 +136,7 @@ func appendV3Run(buf []byte, rel []Packed) []byte {
 
 // WriteV3To serializes the index in format v3 and returns the number of
 // bytes written. The output is a valid input for OpenCompressed,
-// OpenStorage, Load, and ReadFrom.
+// OpenStorage, and Load.
 func (ix *Index) WriteV3To(w io.Writer) (int64, error) {
 	labels := ix.g.Labels()
 	labelsLen := 0
@@ -115,7 +144,7 @@ func (ix *Index) WriteV3To(w io.Writer) (int64, error) {
 		labelsLen += 4 + len(name)
 	}
 	recSize := v3RecSize(ix.k)
-	labelsOff := v2PageSize
+	labelsOff := pageSize
 	dirOff := align8(labelsOff + labelsLen)
 	dirLen := len(ix.paths) * recSize
 	dataOff := alignPage(dirOff + dirLen)
@@ -137,7 +166,7 @@ func (ix *Index) WriteV3To(w io.Writer) (int64, error) {
 	head := make([]byte, dataOff)
 	copy(head, magic)
 	le.PutUint32(head[4:], v3Version)
-	le.PutUint32(head[12:], v2PageSize)
+	le.PutUint32(head[12:], pageSize)
 	le.PutUint32(head[16:], uint32(ix.k))
 	le.PutUint32(head[20:], uint32(len(labels)))
 	le.PutUint32(head[24:], uint32(len(ix.paths)))
@@ -344,18 +373,22 @@ var blockBufPool = sync.Pool{
 
 // CompressedIndex is a read-only k-path index served directly from a
 // format-v3 file image: on unix hosts a read-only memory mapping,
-// elsewhere an aligned in-memory copy. Opening decodes only the header,
-// label table, directory, and per-run block directories — cost
-// proportional to the block count, never to the payload. Scans decode
-// one block at a time into a reused buffer (see BlockIterator), range
-// and membership lookups decode only the touched blocks, and Relation
-// decodes the full run into a fresh slice.
+// elsewhere (or when mmap fails) an in-memory copy of the file. Opening
+// decodes only the header, label table, directory, and per-run block
+// directories — cost proportional to the block count, never to the
+// payload. Scans decode one block at a time into a reused buffer (see
+// BlockIterator), range and membership lookups decode only the touched
+// blocks, and Relation decodes the full run into a fresh slice.
 //
-// A CompressedIndex satisfies Storage and Pinner with the same
-// close-vs-reader discipline as MappedIndex. Corrupt varint payload
-// encountered during a trusted scan terminates that scan early rather
-// than panicking; run VerifyBlocks (or load via Load/ReadFrom, which
-// always verify) for files of untrusted provenance.
+// A CompressedIndex satisfies Storage and is safe for any number of
+// concurrent readers. Its Pinner half guards the mapping: the engine
+// pins the index around every evaluation, and Close marks the index
+// closing (failing new Pins with ErrClosed), blocks until in-flight
+// readers release their pins, and only then unmaps, so a concurrent
+// Close never invalidates memory a query is scanning. Corrupt varint
+// payload encountered during a trusted scan terminates that scan early
+// rather than panicking; run VerifyBlocks (or load via Load, which always
+// verifies) for files of untrusted provenance.
 type CompressedIndex struct {
 	directory
 	runs []compressedRun
@@ -372,8 +405,8 @@ type CompressedIndex struct {
 
 // OpenCompressed opens a format-v3 index file over g, decoding block
 // directories but no payload. The file must have been produced by SaveV3
-// (or Migrate) from an index built on an identical graph; the label
-// vocabulary is verified, as in Load.
+// from an index built on an identical graph; the label vocabulary is
+// verified, as in Load.
 func OpenCompressed(path string, g *graph.Graph) (*CompressedIndex, error) {
 	data, unmap, mapped, err := mapFile(path)
 	if err != nil {
@@ -392,6 +425,15 @@ func OpenCompressed(path string, g *graph.Graph) (*CompressedIndex, error) {
 	return c, nil
 }
 
+// sectionBounds validates that [off, off+length) lies inside a file of
+// the given size, guarding against overflow.
+func sectionBounds(name string, off, length, size uint64) error {
+	if off > size || length > size-off {
+		return fmt.Errorf("pathindex: %s section [%d, +%d) exceeds file size %d (truncated file?)", name, off, length, size)
+	}
+	return nil
+}
+
 // parseV3 builds a CompressedIndex over a complete format-v3 image,
 // validating everything except the varint payload (see the format
 // comment for the trust model). data must stay alive and unmodified for
@@ -401,20 +443,19 @@ func parseV3(data []byte, g *graph.Graph) (*CompressedIndex, error) {
 		return nil, fmt.Errorf("pathindex: graph must be frozen")
 	}
 	le := binary.LittleEndian
-	if len(data) < v2HeaderSize {
-		return nil, fmt.Errorf("pathindex: v3 header truncated: file is %d bytes, need %d", len(data), v2HeaderSize)
+	if len(data) < 8 {
+		return nil, fmt.Errorf("pathindex: index header truncated: file is %d bytes", len(data))
 	}
 	if string(data[0:4]) != magic {
 		return nil, fmt.Errorf("pathindex: bad magic %q", data[0:4])
 	}
+	// The version comes before the header-length check: a short file of
+	// a retired version is still told to rebuild.
 	if v := le.Uint32(data[4:]); v != v3Version {
-		if v == 1 {
-			return nil, fmt.Errorf("pathindex: format v1 file: load it with pathindex.Load or rewrite it with pathindex.Migrate")
-		}
-		if v == v2Version {
-			return nil, fmt.Errorf("pathindex: format v2 file: open it with pathindex.OpenMapped (or pathindex.OpenStorage)")
-		}
-		return nil, fmt.Errorf("pathindex: unsupported index version %d (supported: 1, 2, 3)", v)
+		return nil, fmt.Errorf("pathindex: index format v%d is not readable (only v3 is); rebuild the index with `rpq build`", v)
+	}
+	if len(data) < headerSize {
+		return nil, fmt.Errorf("pathindex: v3 header truncated: file is %d bytes, need %d", len(data), headerSize)
 	}
 	if ps := le.Uint32(data[12:]); ps < 512 || ps > 1<<20 || ps&(ps-1) != 0 {
 		return nil, fmt.Errorf("pathindex: implausible page size %d", ps)
@@ -494,9 +535,9 @@ func parseV3(data []byte, g *graph.Graph) (*CompressedIndex, error) {
 			}
 			p[j] = d
 		}
-		// As in v2, runs must tile the data section densely in directory
-		// order; the equality check rejects offsets that would alias a
-		// neighbouring run's bytes.
+		// Runs must tile the data section densely in directory order; the
+		// equality check rejects offsets that would alias a neighbouring
+		// run's bytes.
 		if runOff != dataOff+sum {
 			return nil, fmt.Errorf("pathindex: path %d run offset %d, want %d (runs must tile the data section)", i, runOff, dataOff+sum)
 		}
@@ -512,6 +553,9 @@ func parseV3(data []byte, g *graph.Graph) (*CompressedIndex, error) {
 			return nil, fmt.Errorf("pathindex: path %d encoded length %d cannot hold its %d-entry block directory", i, encLen, nb)
 		}
 		payloadLen := encLen - dirBytes
+		if payloadLen > math.MaxUint32 {
+			return nil, fmt.Errorf("pathindex: path %d payload of %d bytes exceeds the u32 block offsets", i, payloadLen)
+		}
 		run := compressedRun{
 			firsts:  make([]Packed, nb),
 			offs:    make([]uint32, nb+1),
@@ -545,6 +589,14 @@ func parseV3(data []byte, g *graph.Graph) (*CompressedIndex, error) {
 			return nil, fmt.Errorf("pathindex: path %d first block payload offset %d, want 0", i, run.offs[0])
 		}
 		run.offs[nb] = uint32(payloadLen)
+		for b := 0; b < nb; b++ {
+			// Every delta takes at least one byte, so a block of c pairs
+			// needs c−1 payload bytes; a count the payload cannot hold
+			// would otherwise size decode buffers far past the file.
+			if have := run.offs[b+1] - run.offs[b]; have < run.counts[b]-1 {
+				return nil, fmt.Errorf("pathindex: path %d block %d claims %d pairs in %d payload bytes", i, b, run.counts[b], have)
+			}
+		}
 		if blockPairs != count {
 			return nil, fmt.Errorf("pathindex: path %d blocks sum to %d pairs, directory claims %d", i, blockPairs, count)
 		}
@@ -585,8 +637,7 @@ func parseV3(data []byte, g *graph.Graph) (*CompressedIndex, error) {
 // VerifyBlocks decodes every block of every run, checking varint
 // well-formedness and strict pair ascent within and across blocks — the
 // full-payload verification OpenCompressed deliberately skips to keep
-// open cost proportional to the block directories. The v3 counterpart of
-// MappedIndex.VerifyRuns.
+// open cost proportional to the block directories.
 func (c *CompressedIndex) VerifyBlocks() error {
 	buf := make([]Packed, 0, v3BlockPairs)
 	for pid := range c.runs {
@@ -607,8 +658,8 @@ func (c *CompressedIndex) VerifyBlocks() error {
 }
 
 // Materialize decodes the whole index into a fresh heap-backed Index
-// (verifying the payload as a side effect): the heap loaders' decode,
-// and the compressed case of the package-level Materialize.
+// (verifying the payload as a side effect): Load's decode, and the
+// compressed case of the package-level Materialize.
 func (c *CompressedIndex) Materialize() (*Index, error) {
 	ix := newIndex(c.g, c.k)
 	for pid := range c.runs {
@@ -724,15 +775,17 @@ func (c *CompressedIndex) DecodeStats() (blocks, bytes int64) {
 	return c.dec.blocks.Load(), c.dec.bytes.Load()
 }
 
-// Pin implements Pinner; see MappedIndex.Pin.
+// Pin implements Pinner: it registers a reader, failing with ErrClosed
+// once Close has begun. Every successful Pin must be paired with Unpin.
 func (c *CompressedIndex) Pin() error { return c.gate.pin() }
 
-// Unpin implements Pinner.
+// Unpin implements Pinner, releasing a reader registered by Pin.
 func (c *CompressedIndex) Unpin() { c.gate.unpin() }
 
-// Close releases the file mapping with the same drain discipline as
-// MappedIndex.Close: new Pins fail, in-flight readers finish, then the
-// image is unmapped exactly once.
+// Close releases the file mapping. New Pins fail with ErrClosed, Close
+// blocks until in-flight readers have called Unpin, and then the image is
+// unmapped exactly once; Close is idempotent, and concurrent Closes all
+// wait.
 func (c *CompressedIndex) Close() error {
 	var data []byte
 	c.gate.shutdown(func() {
@@ -755,35 +808,35 @@ func (c *CompressedIndex) Mapped() bool { return c.mapped }
 // Close).
 func (c *CompressedIndex) FileBytes() int { return len(c.data) }
 
-// OpenStorage opens a saved index file with the storage its format
-// version calls for: a format-v2 file as a *MappedIndex (zero-copy
-// packed runs), a format-v3 file as a *CompressedIndex (block-compressed
-// runs decoded on scan). Format-v1 files are rejected with an error
-// pointing at Load/Migrate, as they have no serve-in-place layout.
+// OpenStorage opens a saved index file for serving: OpenCompressed
+// behind the Storage interface.
 func OpenStorage(path string, g *graph.Graph) (Storage, error) {
-	f, err := os.Open(path)
+	c, err := OpenCompressed(path, g)
+	if err != nil {
+		return nil, err // a literal nil: a nil *CompressedIndex would not compare equal to nil
+	}
+	return c, nil
+}
+
+// Load reads an index file and decodes it onto the heap, verifying every
+// block of varint payload on the way — the entry point for files of
+// untrusted provenance and for callers that want heap runs (spill
+// recovery, BuildWithIndex). g must be the graph the index was built
+// from, checked as in OpenCompressed.
+func Load(path string, g *graph.Graph) (*Index, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	var head [8]byte
-	_, err = io.ReadFull(f, head[:])
-	f.Close()
+	c, err := parseV3(data, g)
 	if err != nil {
-		return nil, fmt.Errorf("pathindex: reading magic of %s: %w", path, err)
+		return nil, fmt.Errorf("pathindex: loading %s: %w", path, err)
 	}
-	if string(head[:4]) != magic {
-		return nil, fmt.Errorf("pathindex: %s: bad magic %q", path, head[:4])
+	ix, err := c.Materialize()
+	if err != nil {
+		return nil, fmt.Errorf("pathindex: loading %s: %w", path, err)
 	}
-	switch v := binary.LittleEndian.Uint32(head[4:]); v {
-	case v2Version:
-		return OpenMapped(path, g)
-	case v3Version:
-		return OpenCompressed(path, g)
-	case curVersion:
-		return nil, fmt.Errorf("pathindex: %s is a format v1 file: load it with pathindex.Load or rewrite it with pathindex.Migrate", path)
-	default:
-		return nil, fmt.Errorf("pathindex: %s: unsupported index version %d (supported: 1, 2, 3)", path, v)
-	}
+	return ix, nil
 }
 
 var (

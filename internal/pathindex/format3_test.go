@@ -7,10 +7,72 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
 )
+
+// assertSameIndex verifies that b answers every index operation exactly
+// like a: shape, per-path counts, full scans, prefix ranges, block
+// iteration, and membership probes.
+func assertSameIndex(t *testing.T, g *graph.Graph, a, b dirStorage) {
+	t.Helper()
+	if a.K() != b.K() || a.NumEntries() != b.NumEntries() ||
+		a.NumLabelPaths() != b.NumLabelPaths() || a.PathsKCount() != b.PathsKCount() {
+		t.Fatalf("shape differs: %d/%d/%d/%d vs %d/%d/%d/%d",
+			a.K(), a.NumEntries(), a.NumLabelPaths(), a.PathsKCount(),
+			b.K(), b.NumEntries(), b.NumLabelPaths(), b.PathsKCount())
+	}
+	a.AllPaths(func(id uint32, p Path, count int) {
+		if got, ok := b.PathID(p); !ok || got != id {
+			t.Fatalf("path %s: id %d/%v, want %d", p.Format(g), got, ok, id)
+		}
+		if !b.PathByID(id).Equal(p) {
+			t.Fatalf("PathByID(%d) differs", id)
+		}
+		if b.Count(p) != count || b.CountByID(id) != count {
+			t.Errorf("path %s: count %d/%d, want %d", p.Format(g), b.Count(p), b.CountByID(id), count)
+		}
+		ra, rb := a.Relation(p), b.Relation(p)
+		if len(ra) != len(rb) {
+			t.Fatalf("path %s: relation length %d vs %d", p.Format(g), len(ra), len(rb))
+		}
+		for i := range ra {
+			if ra[i] != rb[i] {
+				t.Fatalf("path %s: relation differs at %d: %v vs %v", p.Format(g), i, ra[i], rb[i])
+			}
+		}
+		for src := 0; src < g.NumNodes(); src += 7 {
+			if !pairsEqual(collect(ScanFrom(a, p, graph.NodeID(src))), collect(ScanFrom(b, p, graph.NodeID(src)))) {
+				t.Errorf("path %s: ScanFrom(%d) differs", p.Format(g), src)
+			}
+		}
+		bi := b.Blocks(p).Sized(16)
+		var viaBlocks []Packed
+		for blk := bi.Next(); blk != nil; blk = bi.Next() {
+			viaBlocks = append(viaBlocks, blk...)
+		}
+		if len(viaBlocks) != len(ra) {
+			t.Errorf("path %s: block iteration yields %d pairs, want %d", p.Format(g), len(viaBlocks), len(ra))
+		}
+		for _, pr := range ra[:min(len(ra), 50)] {
+			if !b.Contains(p, pr.Src(), pr.Dst()) {
+				t.Errorf("path %s: Contains(%d,%d) = false for an indexed pair", p.Format(g), pr.Src(), pr.Dst())
+			}
+		}
+	})
+}
+
+// saveV3 writes ix to a fresh v3 file and returns its path.
+func saveV3(t *testing.T, ix *Index) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "ix.v3")
+	if err := ix.SaveV3(path); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
 
 func TestV3RoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
@@ -20,7 +82,7 @@ func TestV3RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var v3buf, v2buf bytes.Buffer
+	var v3buf bytes.Buffer
 	n, err := ix.WriteV3To(&v3buf)
 	if err != nil {
 		t.Fatal(err)
@@ -28,11 +90,8 @@ func TestV3RoundTrip(t *testing.T) {
 	if n != int64(v3buf.Len()) {
 		t.Fatalf("WriteV3To reported %d bytes, wrote %d", n, v3buf.Len())
 	}
-	if _, err := ix.WriteV2To(&v2buf); err != nil {
-		t.Fatal(err)
-	}
-	if v3buf.Len() >= v2buf.Len() {
-		t.Errorf("v3 image (%d bytes) not smaller than v2 (%d bytes)", v3buf.Len(), v2buf.Len())
+	if dataLen := binary.LittleEndian.Uint64(v3buf.Bytes()[88:]); dataLen >= uint64(8*ix.NumEntries()) {
+		t.Errorf("v3 data section (%d bytes) not smaller than the raw pairs (%d bytes)", dataLen, 8*ix.NumEntries())
 	}
 
 	c, err := parseV3(v3buf.Bytes(), g)
@@ -55,12 +114,8 @@ func TestV3RoundTrip(t *testing.T) {
 		t.Errorf("DecodeStats after scans = (%d, %d), want non-zero", blocks, bytes)
 	}
 
-	// File-backed round trip through every v3 entry point.
-	dir := t.TempDir()
-	v3Path := filepath.Join(dir, "ix.v3")
-	if err := ix.SaveV3(v3Path); err != nil {
-		t.Fatal(err)
-	}
+	// File-backed round trip through every entry point.
+	v3Path := saveV3(t, ix)
 	oc, err := OpenCompressed(v3Path, g)
 	if err != nil {
 		t.Fatal(err)
@@ -82,17 +137,280 @@ func TestV3RoundTrip(t *testing.T) {
 	}
 	st.(*CompressedIndex).Close()
 
-	// Heap loaders decode (and verify) v3 images.
+	// Load decodes (and verifies) v3 images onto the heap.
 	loaded, err := Load(v3Path, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameIndex(t, g, ix, loaded)
-	read, err := ReadFrom(bytes.NewReader(v3buf.Bytes()), g)
+}
+
+// TestV3RoundTripMapped serves a k=3 index straight from its mapped file
+// and checks the open-file bookkeeping: FileBytes, and a second Close.
+func TestV3RoundTripMapped(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	g := randomGraph(r, 40, 120, 3)
+	orig, err := Build(g, 3, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameIndex(t, g, ix, read)
+	path := saveV3(t, orig)
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := OpenCompressed(path, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if int64(m.FileBytes()) != fi.Size() {
+		t.Errorf("FileBytes = %d, want the file size %d", m.FileBytes(), fi.Size())
+	}
+	assertSameIndex(t, g, orig, m)
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil { // Close is idempotent
+		t.Fatal(err)
+	}
+}
+
+// TestSerializeRoundTrip is the in-memory image round trip at k=3, whose
+// directory records are wider than at k=2.
+func TestSerializeRoundTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	g := randomGraph(r, 25, 60, 2)
+	orig, err := Build(g, 3, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := orig.WriteV3To(&buf); err != nil {
+		t.Fatal(err)
+	}
+	c, err := parseV3(buf.Bytes(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameIndex(t, g, orig, c)
+	loaded, err := c.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameIndex(t, g, orig, loaded)
+}
+
+func TestSaveLoadFile(t *testing.T) {
+	g := graph.ExampleGraph()
+	orig, err := Build(g, 2, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(saveV3(t, orig), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	knows, _ := g.LookupLabel("knows")
+	p := Path{graph.Fwd(knows), graph.Fwd(knows)}
+	if !pairsEqual(collect(Scan(loaded, p)), collect(Scan(orig, p))) {
+		t.Error("knows/knows differs after file round trip")
+	}
+	if _, err := Load(filepath.Join(t.TempDir(), "missing.pidx"), g); err == nil {
+		t.Error("loading a missing file should fail")
+	}
+}
+
+func TestSerializedQueriesAfterLoad(t *testing.T) {
+	// A loaded index must serve ScanFrom exactly like the original for
+	// every source, not just the sample assertSameIndex probes.
+	r := rand.New(rand.NewSource(31))
+	g := randomGraph(r, 20, 50, 2)
+	orig, err := Build(g, 2, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(saveV3(t, orig), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig.AllPaths(func(id uint32, p Path, count int) {
+		for src := 0; src < g.NumNodes(); src++ {
+			a := collect(ScanFrom(orig, p, graph.NodeID(src)))
+			b := collect(ScanFrom(loaded, p, graph.NodeID(src)))
+			if !pairsEqual(a, b) {
+				t.Errorf("ScanFrom(%s, %d) differs", p.Format(g), src)
+			}
+		}
+	})
+}
+
+// TestMappedSaveRoundTrip re-saves an index opened from a mapped file —
+// what saving an opened DB does — and verifies a decoded copy agrees.
+func TestMappedSaveRoundTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(44))
+	g := randomGraph(r, 20, 60, 2)
+	orig, err := Build(g, 2, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := OpenCompressed(saveV3(t, orig), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	m, err := Materialize(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(saveV3(t, m), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameIndex(t, g, orig, loaded)
+}
+
+// TestV3ReadFileFallback serves an image read into ordinary memory, as
+// the open path does where mmap is unavailable, at an odd address: the
+// format needs no alignment.
+func TestV3ReadFileFallback(t *testing.T) {
+	r := rand.New(rand.NewSource(42))
+	g := randomGraph(r, 30, 90, 2)
+	orig, err := Build(g, 2, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(saveV3(t, orig))
+	if err != nil {
+		t.Fatal(err)
+	}
+	odd := append(make([]byte, 1, len(data)+1), data...)[1:]
+	c, err := parseV3(odd, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameIndex(t, g, orig, c)
+}
+
+// wrongGraphs saves an index of the example graph and returns its path
+// with graphs it must not attach to, keyed by how they differ.
+func wrongGraphs(t *testing.T) (string, map[string]*graph.Graph) {
+	t.Helper()
+	orig, err := Build(graph.ExampleGraph(), 2, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A graph with a different label vocabulary.
+	other := graph.New()
+	other.AddEdge("x", "likes", "y")
+	other.Freeze()
+	// Same label count, different names.
+	renamed := graph.New()
+	renamed.AddEdge("x", "a", "y")
+	renamed.AddEdge("x", "b", "y")
+	renamed.AddEdge("x", "c", "y")
+	renamed.Freeze()
+	return saveV3(t, orig), map[string]*graph.Graph{
+		"different labels": other,
+		"renamed labels":   renamed,
+		"unfrozen graph":   graph.New(),
+	}
+}
+
+func TestLoadRejectsWrongGraph(t *testing.T) {
+	path, wrong := wrongGraphs(t)
+	for name, g := range wrong {
+		if _, err := Load(path, g); err == nil {
+			t.Errorf("Load attached the index to a graph with %s", name)
+		}
+	}
+}
+
+// TestOpenStorageRejectsWrongGraph is the same check on the mapped open
+// path, which attaches the file without decoding it.
+func TestOpenStorageRejectsWrongGraph(t *testing.T) {
+	path, wrong := wrongGraphs(t)
+	for name, g := range wrong {
+		if s, err := OpenStorage(path, g); err == nil {
+			s.(*CompressedIndex).Close()
+			t.Errorf("OpenStorage attached the index to a graph with %s", name)
+		}
+		if c, err := OpenCompressed(path, g); err == nil {
+			c.Close()
+			t.Errorf("OpenCompressed attached the index to a graph with %s", name)
+		}
+	}
+}
+
+func TestLoadRejectsCorruption(t *testing.T) {
+	g := graph.ExampleGraph()
+	orig, err := Build(g, 2, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := orig.WriteV3To(&buf); err != nil {
+		t.Fatal(err)
+	}
+	full := buf.Bytes()
+	dir := t.TempDir()
+	load := func(data []byte) error {
+		path := filepath.Join(dir, "corrupt.v3")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return mustNotPanic(t, "Load", func() error {
+			_, err := Load(path, g)
+			return err
+		})
+	}
+
+	// Truncations at various points must all fail cleanly.
+	for _, cut := range []int{0, 2, 4, 8, 20, len(full) / 2, len(full) - 1} {
+		if load(full[:cut]) == nil {
+			t.Errorf("truncation at %d not detected", cut)
+		}
+	}
+	// Bad magic.
+	bad := append([]byte(nil), full...)
+	bad[0] = 'Z'
+	if load(bad) == nil {
+		t.Error("bad magic not detected")
+	}
+	// Bad version.
+	bad = append([]byte(nil), full...)
+	bad[4] = 99
+	if load(bad) == nil {
+		t.Error("bad version not detected")
+	}
+}
+
+// TestLoadDetectsV2 checks the retired-format message at the parser: a
+// v2 file, full-length or cut short of a v3 header, is refused with its
+// version named and the rebuild pointed at.
+func TestLoadDetectsV2(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	g := randomGraph(r, 25, 70, 2)
+	orig, err := Build(g, 2, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := orig.WriteV3To(&buf); err != nil {
+		t.Fatal(err)
+	}
+	v2 := buf.Bytes()
+	binary.LittleEndian.PutUint32(v2[4:], 2)
+	for _, data := range [][]byte{v2, v2[:12]} {
+		path := filepath.Join(t.TempDir(), "ix.v2")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(path, g)
+		if err == nil || !strings.Contains(err.Error(), "v2") || !strings.Contains(err.Error(), "rpq build") {
+			t.Errorf("Load of a %d-byte v2 file: %v, want an error naming v2 and `rpq build`", len(data), err)
+		}
+	}
 }
 
 // TestV3SmallRuns exercises the block-boundary edge cases: single-pair
@@ -123,30 +441,6 @@ func TestV3SmallRuns(t *testing.T) {
 			t.Errorf("%d pairs: VerifyBlocks: %v", pairs, err)
 		}
 	}
-}
-
-func TestV3RoundTripViaMigrate(t *testing.T) {
-	r := rand.New(rand.NewSource(62))
-	g := randomGraph(r, 30, 120, 2)
-	ix, err := Build(g, 2, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	v2Path := filepath.Join(dir, "ix.v2")
-	v3Path := filepath.Join(dir, "ix.v3")
-	if err := ix.SaveV2(v2Path); err != nil {
-		t.Fatal(err)
-	}
-	if err := Migrate(v2Path, v3Path, g); err != nil {
-		t.Fatal(err)
-	}
-	c, err := OpenCompressed(v3Path, g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	assertSameIndex(t, g, ix, c)
 }
 
 func TestCorruptV3(t *testing.T) {
@@ -194,6 +488,17 @@ func TestCorruptV3(t *testing.T) {
 	dupPath := append([]byte(nil), full...)
 	copy(dupPath[dirOff+recSize+24:dirOff+2*recSize], dupPath[dirOff+24:dirOff+recSize])
 
+	// The first run is a single block. Raising its pair count to a full
+	// block in the directory, the block entry, and the header total keeps
+	// every count consistent, but its payload holds far fewer than
+	// count−1 deltas; accepted, it would size decode buffers from the lie.
+	if le.Uint32(full[dirOff+24:]) != 1 {
+		t.Fatal("fixture: first run is not a single block")
+	}
+	inflated := mutate(dirOff+16, u64(v3BlockPairs))
+	copy(inflated[dataOff+12:], u32(v3BlockPairs))
+	copy(inflated[32:], u64(uint64(ix.NumEntries())-le.Uint64(full[dirOff+16:])+v3BlockPairs))
+
 	cases := []struct {
 		name string
 		data []byte
@@ -229,6 +534,7 @@ func TestCorruptV3(t *testing.T) {
 		{"block count zero", mutate(dataOff+12, u32(0))},
 		{"block count beyond cap", mutate(dataOff+12, u32(v3BlockPairs+1))},
 		{"block payload offset out of range", mutate(dataOff+8, u32(^uint32(0)))},
+		{"block count beyond payload", inflated},
 	}
 	for _, tc := range cases {
 		if err := mustNotPanic(t, tc.name, parse(tc.data)); err == nil {
@@ -287,9 +593,8 @@ func TestCorruptV3(t *testing.T) {
 
 	// Varint payload corruption. OpenCompressed deliberately trusts the
 	// payload (open cost stays proportional to the block directories), so
-	// these images parse — but VerifyBlocks, the heap loaders, and plain
-	// scans must all fail or terminate cleanly, never panic or fabricate
-	// pairs.
+	// these images parse — but VerifyBlocks, Load, and plain scans must
+	// all fail or terminate cleanly, never panic or fabricate pairs.
 	firstRunBlocks := int(le.Uint32(full[dirOff+24:]))
 	payloadOff := dataOff + firstRunBlocks*v3BlockDirEntry
 	payloadCases := []struct {
@@ -335,13 +640,7 @@ func TestCorruptV3(t *testing.T) {
 			})
 			return nil
 		})
-		// The always-verifying heap loaders must reject the stream.
-		if err := mustNotPanic(t, "ReadFrom "+tc.name, func() error {
-			_, err := ReadFrom(bytes.NewReader(tc.data), g)
-			return err
-		}); err == nil {
-			t.Errorf("ReadFrom accepted %s", tc.name)
-		}
+		// The always-verifying Load must reject the file.
 		v3Path := filepath.Join(dir, "payload.v3")
 		if err := os.WriteFile(v3Path, tc.data, 0o644); err != nil {
 			t.Fatal(err)

@@ -5,14 +5,9 @@ package pathindex
 import "os"
 
 // mapFile on platforms without a usable mmap reads the whole file into
-// an aligned buffer; runs are still reinterpreted in place, but the open
-// cost includes one sequential read of the file.
+// memory, so the open cost includes one sequential read of the file.
 func mapFile(path string) ([]byte, func([]byte) error, bool, error) {
-	st, err := os.Stat(path)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	data, err := readFileAligned(path, st.Size())
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, false, err
 	}

@@ -11,7 +11,7 @@ import (
 // mapFile maps path read-only and returns the file image, an unmap
 // function (nil when the image is an ordinary heap buffer), and whether
 // a true mapping was established. Filesystems that refuse mmap fall back
-// to reading the file into an aligned buffer.
+// to reading the file into memory.
 func mapFile(path string) ([]byte, func([]byte) error, bool, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -31,7 +31,7 @@ func mapFile(path string) ([]byte, func([]byte) error, bool, error) {
 	}
 	data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_PRIVATE)
 	if err != nil {
-		data, rerr := readFileAligned(path, size)
+		data, rerr := os.ReadFile(path)
 		if rerr != nil {
 			return nil, nil, false, fmt.Errorf("pathindex: mmap %s failed (%v) and so did the read fallback: %w", path, err, rerr)
 		}

@@ -1,9 +1,8 @@
 // On-disk layout for sharded indexes: a directory holding one ordinary
 // v3 index file per shard plus a small SHARDS.json manifest describing
 // the partitioning. Shard files are complete, self-contained index
-// files — each opens through the normal OpenStorage path (mmap v2,
-// block-decoded v3) — so every existing tool that reads one index file
-// reads one shard unchanged. A save builds the whole directory under a
+// files — each opens through the normal OpenStorage path — so every
+// existing tool that reads one index file reads one shard unchanged. A save builds the whole directory under a
 // sibling temp name, fsyncs it, and renames it into place, so a crash
 // mid-save never leaves a manifest over shards it does not describe.
 
@@ -169,8 +168,8 @@ func SaveAtomic(s Storage, path string) error {
 }
 
 // Open opens a saved index for serving, whatever its layout: a sharded
-// directory (IsShardedPath) through OpenSharded, a single format-v2 or
-// -v3 file through OpenStorage.
+// directory (IsShardedPath) through OpenSharded, a single file through
+// OpenStorage.
 func Open(path string, g *graph.Graph) (Storage, error) {
 	if IsShardedPath(path) {
 		return OpenSharded(path, g)

@@ -23,10 +23,10 @@ var ErrGraphMismatch = errors.New("pathindex: index does not match the graph")
 
 // Pinner is the reader-lifetime half of Storage. A reader that will
 // touch relation memory must hold a pin for the duration of the access:
-// over file-backed storage (*MappedIndex, *CompressedIndex, and a
-// *Levels or *ShardedStorage over such a base) Pin fails with ErrClosed
-// once Close has begun, and Close blocks until every pin is released, so
-// an unmap can never pull pages out from under an in-flight scan.
+// over file-backed storage (*CompressedIndex, and a *Levels or
+// *ShardedStorage over one) Pin fails with ErrClosed once Close has
+// begun, and Close blocks until every pin is released, so an unmap can
+// never pull pages out from under an in-flight scan.
 // Heap-backed storage pins for free.
 type Pinner interface {
 	Pin() error
@@ -87,8 +87,7 @@ func (g *pinGate) shutdown(release func()) {
 // queries and to maintain the index. Four representations exist:
 //
 //   - *Index — heap-backed packed runs, built in memory or decoded from
-//     a saved file by Load/ReadFrom (any format version). *MappedIndex
-//     is an Index whose runs alias a format-v2 file image.
+//     a saved file by Load.
 //   - *CompressedIndex — a format-v3 file of block-compressed runs,
 //     mmap-backed. Only the per-run block directories are decoded at
 //     open; relation payload is delta+varint decoded on scan, one block
@@ -103,7 +102,7 @@ func (g *pinGate) shutdown(release func()) {
 // every count (see directory), and add their own run access: Relation,
 // Blocks, SrcRange, and Contains, whose algorithms differ by layout.
 // Relations are handed out as sorted []Packed runs that must not be
-// mutated; for the zero-copy storages the runs alias storage memory, so
+// mutated; blocks of a file-backed run are decoded from the mapping, so
 // readers hold a pin across any access.
 //
 // Implementations are immutable after construction, so a Storage may be
@@ -218,16 +217,13 @@ func (d *directory) checkNodeRange(p Path, last Packed) error {
 }
 
 // Materialize returns s as one unsharded heap index: s itself when it
-// already is one (a *MappedIndex's runs keep aliasing its mapping),
-// otherwise a copy of every relation — tiers folded, shards merged,
-// compressed runs decoded and verified. It backs the single-file writers
-// for storage that has no run array of its own.
+// already is one, otherwise a copy of every relation — tiers folded,
+// shards merged, compressed runs decoded and verified. It backs the
+// single-file writers for storage that has no run array of its own.
 func Materialize(s Storage) (*Index, error) {
 	switch v := s.(type) {
 	case *Index:
 		return v, nil
-	case *MappedIndex:
-		return &v.heapIndex, nil
 	case *CompressedIndex:
 		return v.Materialize()
 	}

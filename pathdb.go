@@ -339,36 +339,14 @@ func (db *DB) QueryParallelContext(ctx context.Context, query string, strategy S
 	return namedResult(e, res)
 }
 
-// SaveIndex persists the k-path index to a file in format v1 (the
-// copy-decoded stream format). The graph itself is not stored; pair
-// BuildWithIndex with the same graph (e.g. reloaded from its edge list)
-// to reuse the index. Prefer SaveIndexV3 (compressed) or SaveIndexV2
-// (zero-copy mmap) for new files: both layouts open without an upfront
-// decode step.
-func (db *DB) SaveIndex(path string) error {
-	return db.saveIndex(func(ix *pathindex.Index) error { return ix.Save(path) })
-}
-
-// SaveIndexV2 persists the k-path index to a file in the page-aligned
-// format v2, which Open and pathindex.OpenMapped serve zero-copy via
-// mmap — opening it later costs directory-only work regardless of index
-// size.
-func (db *DB) SaveIndexV2(path string) error {
-	return db.saveIndex(func(ix *pathindex.Index) error { return ix.SaveV2(path) })
-}
-
 // SaveIndexV3 persists the k-path index to a file in the
-// block-compressed format v3 (delta+varint packed runs), typically a
-// fraction of the v2 size. Open auto-detects it and serves scans by
-// block-granular decode-on-demand.
+// block-compressed format v3 (delta+varint packed runs, typically a
+// fifth to a quarter of the raw pairs), the one index file format. The
+// graph itself is not stored: Open serves the file over the same graph
+// (reloaded from its edge list) by block-granular decode-on-demand, and
+// BuildWithIndex decodes it onto the heap. Pending update tiers are
+// folded and shards merged into the one file.
 func (db *DB) SaveIndexV3(path string) error {
-	return db.saveIndex(func(ix *pathindex.Index) error { return ix.SaveV3(path) })
-}
-
-// saveIndex hands write the current snapshot's index as one heap index
-// (update tiers folded, shards merged, compressed runs decoded), read
-// under a storage pin.
-func (db *DB) saveIndex(write func(*pathindex.Index) error) error {
 	st := db.eng().Storage()
 	if err := st.Pin(); err != nil {
 		return err
@@ -378,7 +356,7 @@ func (db *DB) saveIndex(write func(*pathindex.Index) error) error {
 	if err != nil {
 		return err
 	}
-	return write(ix)
+	return ix.SaveV3(path)
 }
 
 // SaveShardedIndex persists a sharded index as a directory: one v3 file
@@ -404,16 +382,16 @@ func (db *DB) SaveShardedIndex(dir string) error {
 }
 
 // Open restores a ready-to-serve database from a graph edge-list file
-// and an index file in format v2 or v3 (written by SaveIndexV2,
-// SaveIndexV3, or the `rpq build` command) without rebuilding anything:
-// the format is auto-detected, a v2 file is memory-mapped and scanned
-// in place, and a v3 file is served by block-granular decode-on-scan
-// over its compressed runs. Either way open time is independent of the
-// relation payload. The returned DB serves exactly like one produced by
-// Build with zero-valued non-K Options; a DB built with explicit
-// rewrite limits or histogram resolution should be reopened with
-// OpenWith and the same Options to answer identically. Call Close to
-// release the storage when done.
+// and an index written by SaveIndexV3, SaveShardedIndex, or the `rpq
+// build` command, without rebuilding anything: the file is
+// memory-mapped and served by block-granular decode-on-scan over its
+// compressed runs, so open time is independent of the relation payload.
+// Index files of the retired formats v1 and v2 are refused with an error
+// naming the version; rebuild them with `rpq build`. The returned DB
+// serves exactly like one produced by Build with zero-valued non-K
+// Options; a DB built with explicit rewrite limits or histogram
+// resolution should be reopened with OpenWith and the same Options to
+// answer identically. Call Close to release the storage when done.
 func Open(graphPath, indexPath string) (*DB, error) {
 	return OpenWith(graphPath, indexPath, Options{})
 }
@@ -433,7 +411,7 @@ func OpenWith(graphPath, indexPath string, opts Options) (*DB, error) {
 	return newDB(engine, closer, opts.CompactRatio), nil
 }
 
-// openEngine opens the saved index at indexPath — one v2/v3 file, or a
+// openEngine opens the saved index at indexPath — one file, or a
 // sharded directory, which is then served scatter-gather — over g and
 // wraps it in an engine. The closer releases the opened storage. An
 // index that names nodes g does not have fails with ErrGraphMismatch.
@@ -706,23 +684,11 @@ func (db *DB) ShardStats() ShardStats {
 	return st
 }
 
-// MigrateIndex rewrites a saved index file (any format version) as the
-// current serving format — block-compressed v3 — at dst, making it
-// servable by Open. g must be the graph the index was built from,
-// exactly as for BuildWithIndex.
-func MigrateIndex(src, dst string, g *Graph) error {
-	if g == nil {
-		return fmt.Errorf("pathdb: nil graph")
-	}
-	g.Freeze()
-	return pathindex.Migrate(src, dst, g)
-}
-
-// BuildWithIndex opens a database over g using a previously saved index
-// (either format version, decoded onto the heap) instead of rebuilding
-// it. The index must have been built from an identical graph; the label
-// vocabulary is verified on load. Prefer Open for v2 files — it maps the
-// index instead of decoding it.
+// BuildWithIndex opens a database over g using an index file saved by
+// SaveIndexV3 instead of rebuilding it, decoding (and so verifying) the
+// whole file onto the heap. The index must have been built from an
+// identical graph; the label vocabulary is verified on load. Open serves
+// the same file without the upfront decode.
 func BuildWithIndex(g *Graph, indexPath string, opts Options) (*DB, error) {
 	if g == nil {
 		return nil, fmt.Errorf("pathdb: nil graph")
@@ -766,10 +732,10 @@ type IndexStats struct {
 	BuildMillis float64 // index construction time
 
 	// FileBytes is the on-disk size of the index for file-backed storage
-	// (v2 mapped or v3 compressed); 0 for heap-backed indexes.
+	// (an opened v3 file); 0 for heap-backed indexes.
 	FileBytes int
 	// CompressionRatio is uncompressed payload bytes (8 per entry) over
-	// FileBytes — ≈1 for v2, >1 for v3; 0 when FileBytes is 0.
+	// FileBytes; 0 when FileBytes is 0.
 	CompressionRatio float64
 	// BlocksDecoded and BytesDecoded are cumulative decompression
 	// counters for v3 storage (see also Stats.BlocksDecoded for the

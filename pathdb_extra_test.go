@@ -84,7 +84,7 @@ func TestSaveAndReopenIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "gex.pidx")
-	if err := db.SaveIndex(path); err != nil {
+	if err := db.SaveIndexV3(path); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,7 +1,10 @@
 package pathdb_test
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -9,6 +12,7 @@ import (
 	"testing"
 
 	pathdb "repro"
+	"repro/internal/pathindex"
 )
 
 func writeTestGraph(t *testing.T) string {
@@ -37,8 +41,8 @@ func sortedNames(names [][2]string) [][2]string {
 }
 
 // TestOpenServesWithoutRebuild is the save-once/open-many lifecycle:
-// build once, persist the index in format v2, then Open must serve
-// identical answers over the memory-mapped file with zero build work.
+// build once, persist the index, then Open must serve identical answers
+// over the memory-mapped file with zero build work.
 func TestOpenServesWithoutRebuild(t *testing.T) {
 	graphPath := writeTestGraph(t)
 	g, err := pathdb.LoadGraph(graphPath)
@@ -50,7 +54,7 @@ func TestOpenServesWithoutRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	indexPath := filepath.Join(t.TempDir(), "graph.pix")
-	if err := built.SaveIndexV2(indexPath); err != nil {
+	if err := built.SaveIndexV3(indexPath); err != nil {
 		t.Fatal(err)
 	}
 
@@ -127,7 +131,7 @@ func TestOpenWithHonorsOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	indexPath := filepath.Join(t.TempDir(), "graph.pix")
-	if err := built.SaveIndexV2(indexPath); err != nil {
+	if err := built.SaveIndexV3(indexPath); err != nil {
 		t.Fatal(err)
 	}
 	reopened, err := pathdb.OpenWith(graphPath, indexPath, opts)
@@ -174,8 +178,7 @@ func TestOpenErrors(t *testing.T) {
 		t.Error("Open with a missing index file succeeded")
 	}
 
-	// A v1 index must be rejected with a pointer at migration, not
-	// mis-parsed.
+	// Close on a Build-produced DB is a harmless no-op.
 	g, err := pathdb.LoadGraph(graphPath)
 	if err != nil {
 		t.Fatal(err)
@@ -184,19 +187,82 @@ func TestOpenErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1 := filepath.Join(dir, "graph.v1")
-	if err := db.SaveIndex(v1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pathdb.Open(graphPath, v1); err == nil {
-		t.Error("Open accepted a v1 index file")
-	} else if !strings.Contains(err.Error(), "v1") {
-		t.Errorf("Open error on a v1 file should mention the version; got %v", err)
-	}
-
-	// Close on a Build-produced DB is a harmless no-op.
 	if err := db.Close(); err != nil {
 		t.Errorf("Close on a built DB: %v", err)
+	}
+}
+
+// TestOpenRejectsRetiredFormats: index files of formats v1 and v2 —
+// whole, or just a header — are refused by every reader with an error
+// that names the version and points at the rebuild, never mis-parsed
+// and never a panic. The files are a v3 image with its version field
+// rewritten, which is all any reader inspects before refusing.
+func TestOpenRejectsRetiredFormats(t *testing.T) {
+	graphPath := writeTestGraph(t)
+	g, err := pathdb.LoadGraph(graphPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := pathdb.Build(g, pathdb.Options{K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	v3Path := filepath.Join(dir, "graph.v3")
+	if err := built.SaveIndexV3(v3Path); err != nil {
+		t.Fatal(err)
+	}
+	image, err := os.ReadFile(v3Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readers := map[string]func(path string) error{
+		"pathdb.Open": func(path string) error {
+			db, err := pathdb.Open(graphPath, path)
+			if err == nil {
+				db.Close()
+			}
+			return err
+		},
+		"pathdb.BuildWithIndex": func(path string) error {
+			_, err := pathdb.BuildWithIndex(g, path, pathdb.Options{})
+			return err
+		},
+		"pathindex.OpenStorage": func(path string) error {
+			s, err := pathindex.OpenStorage(path, g)
+			if err == nil {
+				s.(io.Closer).Close()
+			}
+			return err
+		},
+		"pathindex.Load": func(path string) error {
+			_, err := pathindex.Load(path, g)
+			return err
+		},
+	}
+	for _, version := range []uint32{1, 2} {
+		retired := slices.Clone(image)
+		binary.LittleEndian.PutUint32(retired[4:], version)
+		for _, size := range []int{len(retired), 16} {
+			path := filepath.Join(dir, fmt.Sprintf("graph-v%d-%d.pix", version, size))
+			if err := os.WriteFile(path, retired[:size], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for name, read := range readers {
+				err := func() (err error) {
+					defer func() {
+						if r := recover(); r != nil {
+							err = fmt.Errorf("panic: %v", r)
+						}
+					}()
+					return read(path)
+				}()
+				want := fmt.Sprintf("v%d", version)
+				if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "rpq build") {
+					t.Errorf("%s on a %d-byte %s file: %v, want an error naming %s and `rpq build`", name, size, want, err, want)
+				}
+			}
+		}
 	}
 }
 
@@ -227,7 +293,6 @@ func TestOpenRejectsMismatchedGraph(t *testing.T) {
 		t.Fatal(err)
 	}
 	saves := map[string]func(path string) error{
-		"v2":      build(0).SaveIndexV2,
 		"v3":      build(0).SaveIndexV3,
 		"sharded": build(2).SaveShardedIndex,
 	}

@@ -226,7 +226,7 @@ func TestCloseDuringAutoCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 		indexPath := filepath.Join(t.TempDir(), "graph.pix")
-		if err := built.SaveIndexV2(indexPath); err != nil {
+		if err := built.SaveIndexV3(indexPath); err != nil {
 			t.Fatal(err)
 		}
 		db, err := pathdb.OpenWith(graphPath, indexPath, pathdb.Options{K: 2, CompactRatio: 1e-6})
@@ -280,7 +280,7 @@ func TestCloseDuringQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	indexPath := filepath.Join(t.TempDir(), "graph.pix")
-	if err := built.SaveIndexV2(indexPath); err != nil {
+	if err := built.SaveIndexV3(indexPath); err != nil {
 		t.Fatal(err)
 	}
 	db, err := pathdb.Open(graphPath, indexPath)
