@@ -169,8 +169,8 @@ func RunShard(cfg Config, out string) (*ShardReport, *Table, error) {
 			fmt.Sprintf("%v", pt.OracleMatch))
 	}
 	tab.Notes = append(tab.Notes,
-		"queries whose head is source-partitionable scan only the owning shard; inverted heads broadcast and filter",
-		"the gather merges per-shard streams in sorted order, deduplicating at the frontier")
+		"merge joins run per shard on co-partitioned runs (both sides keyed by the join node); every other operator runs once over the concatenated shard runs",
+		"the gather fans per-shard join streams in unordered; the result union deduplicates")
 
 	if out != "" {
 		data, err := json.MarshalIndent(report, "", "  ")

@@ -105,9 +105,9 @@ type Options struct {
 	NoDerivedInverses bool
 	// Shards, when > 1, partitions the index by source node into that
 	// many in-process shards (hash partitioning): NewEngine builds a
-	// sharded index, plans wrap every disjunct in a scatter node, and the
-	// executor evaluates shards concurrently and gathers through a sorted
-	// merge. 0 or 1 keeps the single-index layout.
+	// sharded index, plans run each merge join per shard (concurrently,
+	// under a gather) and every other operator once over the shards'
+	// concatenated runs. 0 or 1 keeps the single-index layout.
 	Shards int
 }
 

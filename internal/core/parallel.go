@@ -31,11 +31,10 @@ func (p *Prepared) ExecuteParallelContext(ctx context.Context, workers int) (*Re
 		ctx = context.Background()
 	}
 	if workers < 2 || len(p.plan.Disjuncts) < 2 {
-		// Not a sequential fallback when the engine is sharded: a
-		// single-disjunct plan over sharded storage carries a Scatter
-		// node, so ExecuteContext still fans out across shards (a Gather
-		// runs one goroutine per shard) — scatter parallelism does not
-		// require multiple disjuncts.
+		// Over sharded storage a single disjunct still fans out where
+		// its runs are co-partitioned: each merge join of two scans sits
+		// under a Scatter, whose Gather runs one goroutine per shard. The
+		// rest of the tree runs once, over the shards' concatenated runs.
 		return p.ExecuteContext(ctx)
 	}
 	unpin, err := p.engine.pin()

@@ -217,15 +217,17 @@ func TestShardedApplyBatchCompact(t *testing.T) {
 }
 
 // TestShardedSingleDisjunctScatters: the ExecuteParallel single-disjunct
-// fallback must still fan out across shards — the plan carries a Scatter
-// and the executed tree reports gather work.
+// fallback must still fan out across shards — a merge-join disjunct
+// (a/b/a at k=2: a/b ⋈ a) carries a Scatter and the executed tree
+// reports gather work.
 func TestShardedSingleDisjunctScatters(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(61)), 25, 80, []string{"a", "b"})
 	e, err := NewEngine(g, Options{K: 2, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	prep, err := e.Compile(rpq.MustParse("a/b"), plan.SemiNaive)
+	const query = "a/b/a"
+	prep, err := e.Compile(rpq.MustParse(query), plan.SemiNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +245,7 @@ func TestShardedSingleDisjunctScatters(t *testing.T) {
 		t.Fatalf("no gather rows recorded; operator rows: %v", res.Stats.OperatorRows)
 	}
 	oracle := newTestEngine(t, g, 2)
-	want, err := oracle.EvalQuery("a/b", plan.SemiNaive)
+	want, err := oracle.EvalQuery(query, plan.SemiNaive)
 	if err != nil {
 		t.Fatal(err)
 	}

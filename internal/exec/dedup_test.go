@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -33,20 +34,44 @@ func rootDedups(op Operator, depth int, visit func(op Operator, depth int)) {
 	}
 }
 
+// twoRouteGraph is a graph on which a/b/c reaches (s,d) along two
+// routes, s→x1→y1→d and s→x2→y2→d, whose middle nodes the 4-shard hash
+// partitioner assigns to different shards: whichever node a merge join
+// of a/b/c joins on, two shards each emit (s,d).
+func twoRouteGraph() *graph.Graph {
+	part := pathindex.NewHashPartitioner(4)
+	g := graph.New()
+	g.EnsureNodes(32)
+	la, lb, lc := g.Label("a"), g.Label("b"), g.Label("c")
+	// Pick x1,x2 and y1,y2 among nodes 2.. in different shards.
+	var mids []graph.NodeID
+	for id := graph.NodeID(2); len(mids) < 4; id++ {
+		if len(mids)%2 == 0 || part.ShardOf(id) != part.ShardOf(mids[len(mids)-1]) {
+			mids = append(mids, id)
+		}
+	}
+	s, d := graph.NodeID(0), graph.NodeID(1)
+	for _, r := range [][2]graph.NodeID{{mids[0], mids[2]}, {mids[1], mids[3]}} {
+		g.AddEdgeID(s, la, r[0])
+		g.AddEdgeID(r[0], lb, r[1])
+		g.AddEdgeID(r[1], lc, d)
+	}
+	g.Freeze()
+	return g
+}
+
 // TestDedupPlacement builds the plan shapes Build treats differently —
-// one scan, one join, several disjuncts, the three closure modes — over
-// unsharded and 4-shard storage, with and without per-join dedup, and
+// one scan, one join, several disjuncts, the three closure modes — under
+// every strategy, over unsharded storage and 1/2/4/7 shards, with and
+// without per-join dedup, and
 // checks three things: the result equals the automaton oracle, it holds
 // no pair twice, and no pair went through more than one root-level
 // deduplicating operator (so those operators emitted, in total, exactly
 // the result or — under a duplicate-free root — nothing at all).
 func TestDedupPlacement(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
-	g := randomGraph(r, 40, 90, 3)
+	random := randomGraph(r, 40, 90, 3)
 	const k = 2
-	ix := buildIndex(t, g, k)
-	sharded := buildShardedIndex(t, g, k, 4)
-	hist := histogram.BuildExact(ix)
 	a, b, c := graph.Fwd(0), graph.Fwd(1), graph.Fwd(2)
 	seg := func(p ...graph.DirLabel) plan.SeqElem { return plan.SeqElem{Seg: pathindex.Path(p)} }
 	star := func(body ...plan.Seq) plan.SeqElem { return plan.SeqElem{Star: body} }
@@ -60,11 +85,16 @@ func TestDedupPlacement(t *testing.T) {
 		epsilon  bool
 		planner  plan.Planner // K, Hist, NumNodes and Shards are filled in
 		// noUnion says when Build must return the lone disjunct as is,
-		// its root emitting a set by itself: "always", "perJoin" or never.
+		// its root emitting a set by itself: "always", "perJoin" (a join
+		// under its per-join Distinct, unsharded: a scattered join is
+		// gathered, and the Gather is a union) or never.
 		noUnion string
+		g       *graph.Graph // nil: the random graph
 	}{
 		{name: "single-scan", query: "a/b", paths: []pathindex.Path{{a, b}}, noUnion: "always"},
 		{name: "single-join", query: "a/b/c", paths: []pathindex.Path{{a, b, c}}, noUnion: "perJoin"},
+		{name: "join-two-shard-routes", query: "a/b/c", paths: []pathindex.Path{{a, b, c}}, noUnion: "perJoin",
+			g: twoRouteGraph()},
 		{name: "multi-disjunct", query: "a/b/c|b^-/a|c|()", epsilon: true,
 			paths: []pathindex.Path{{a, b, c}, {graph.Inv(1), a}, {c}}},
 		{name: "closure-fixpoint", query: "a/(b/c)*",
@@ -78,6 +108,12 @@ func TestDedupPlacement(t *testing.T) {
 			closures: []plan.Seq{seq(seg(a), star(seq(seg(b, c))))}},
 	}
 	for _, tc := range cases {
+		g := random
+		if tc.g != nil {
+			g = tc.g
+		}
+		ix := buildIndex(t, g, k)
+		hist := histogram.BuildExact(ix)
 		expr, err := rpq.Parse(tc.query)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
@@ -87,48 +123,51 @@ func TestDedupPlacement(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		want := asSet(oracle)
-		for _, shards := range []int{0, 4} {
-			pl := tc.planner
-			pl.K, pl.Hist, pl.NumNodes, pl.Shards = k, hist, g.NumNodes(), shards
-			p, err := pl.PlanQuery(tc.paths, tc.closures, tc.epsilon, plan.MinSupport)
-			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
-			}
+		for _, shards := range []int{0, 1, 2, 4, 7} {
 			var storage pathindex.Storage = ix
 			if shards > 0 {
-				storage = sharded
+				storage = buildShardedIndex(t, g, k, shards)
 			}
-			for _, perJoin := range []bool{true, false} {
-				op, err := Build(p, storage, BuildOptions{PerJoinDedup: perJoin, Reach: reachProvider{g}})
+			for _, strat := range plan.Strategies() {
+				pl := tc.planner
+				pl.K, pl.Hist, pl.NumNodes, pl.Shards = k, hist, g.NumNodes(), shards
+				p, err := pl.PlanQuery(tc.paths, tc.closures, tc.epsilon, strat)
 				if err != nil {
-					t.Fatalf("%s shards=%d perJoin=%v: %v", tc.name, shards, perJoin, err)
+					t.Fatalf("%s: %v", tc.name, err)
 				}
-				got := Run(op)
-				if len(got) != len(want) || !setsEqual(asSet(got), want) {
-					t.Errorf("%s shards=%d perJoin=%v: %d pairs (%d distinct), oracle %d",
-						tc.name, shards, perJoin, len(got), len(asSet(got)), len(want))
-					continue
-				}
-				rootRows := 0
-				rootDedups(op, 0, func(d Operator, depth int) {
-					rootRows += d.Rows()
-					if depth > 1 {
-						t.Errorf("%s shards=%d perJoin=%v: %s stacked %d deep at the root",
-							tc.name, shards, perJoin, d.Name(), depth)
+				for _, perJoin := range []bool{true, false} {
+					where := fmt.Sprintf("%s %v shards=%d perJoin=%v", tc.name, strat, shards, perJoin)
+					op, err := Build(p, storage, BuildOptions{PerJoinDedup: perJoin, Reach: reachProvider{g}})
+					if err != nil {
+						t.Fatalf("%s: %v", where, err)
 					}
-				})
-				st := CollectStats(op)
-				wantUnion := len(got)
-				if tc.noUnion == "always" || tc.noUnion == "perJoin" && perJoin {
-					wantUnion = 0
-				}
-				if st.RowsByOperator["union-distinct"] != wantUnion {
-					t.Errorf("%s shards=%d perJoin=%v: union-distinct emitted %d rows, want %d; rows by operator %v",
-						tc.name, shards, perJoin, st.RowsByOperator["union-distinct"], wantUnion, st.RowsByOperator)
-				}
-				if rootRows != len(got) && !(rootRows == 0 && duplicateFree(op)) {
-					t.Errorf("%s shards=%d perJoin=%v: root-level dedups emitted %d rows for %d result pairs; rows by operator %v",
-						tc.name, shards, perJoin, rootRows, len(got), st.RowsByOperator)
+					got := Run(op)
+					if len(got) != len(want) || !setsEqual(asSet(got), want) {
+						t.Errorf("%s: %d pairs (%d distinct), oracle %d", where, len(got), len(asSet(got)), len(want))
+						continue
+					}
+					rootRows := 0
+					rootDedups(op, 0, func(d Operator, depth int) {
+						rootRows += d.Rows()
+						if depth > 1 {
+							t.Errorf("%s: %s stacked %d deep at the root", where, d.Name(), depth)
+						}
+					})
+					st := CollectStats(op)
+					// The noUnion shapes are those of k=2 segmentations; naive
+					// plans single labels, so its a/b is already a join.
+					wantUnion := len(got)
+					if tc.noUnion == "always" || tc.noUnion == "perJoin" && perJoin && shards <= 1 {
+						wantUnion = 0
+					}
+					if strat != plan.Naive && st.RowsByOperator["union-distinct"] != wantUnion {
+						t.Errorf("%s: union-distinct emitted %d rows, want %d; rows by operator %v",
+							where, st.RowsByOperator["union-distinct"], wantUnion, st.RowsByOperator)
+					}
+					if rootRows != len(got) && !(rootRows == 0 && duplicateFree(op)) {
+						t.Errorf("%s: root-level dedups emitted %d rows for %d result pairs; rows by operator %v",
+							where, rootRows, len(got), st.RowsByOperator)
+					}
 				}
 			}
 		}

@@ -167,23 +167,16 @@ func Build(p *plan.Plan, ix pathindex.Storage, opts BuildOptions) (Operator, err
 // duplicateFree reports whether op emits no pair twice — the one rule
 // that places duplicate elimination. Duplicates arise only where a join
 // projects away its middle node and where a union concatenates streams;
-// every other operator emits a set: scans read a relation, closures and
-// Distinct keep a seen-set (or enumerate each source's reach set once),
-// a filter only drops pairs, and buildScatter's Gather merges per-shard
-// trees with disjoint sources.
+// every other operator emits a set: scans read a relation (a ConcatScan
+// reads disjoint shard runs), closures and Distinct keep a seen-set (or
+// enumerate each source's reach set once). A Gather is a union too: its
+// per-shard joins meet the same (src,dst) through join nodes of
+// different shards, so it is never duplicate-free, not even over
+// per-shard Distincts.
 func duplicateFree(op Operator) bool {
-	switch v := op.(type) {
-	case *IndexScan, *MergeUnionScan, *KWayMergeUnion, *IdentityScan, *ShardIdentityScan,
+	switch op.(type) {
+	case *IndexScan, *MergeUnionScan, *ConcatScan, *IdentityScan,
 		*ReachScan, *StreamClosure, *Closure, *Distinct, *UnionDistinct:
-		return true
-	case *ShardFilter:
-		return duplicateFree(v.child)
-	case *Gather:
-		for _, k := range v.kids {
-			if !duplicateFree(k) {
-				return false
-			}
-		}
 		return true
 	}
 	return false
@@ -213,6 +206,11 @@ func buildNode(n plan.Node, ix pathindex.Storage, opts BuildOptions) (Operator, 
 		}
 		return WithContext(newSegmentScan(ix, v.Segment, v.Inverted), opts.Ctx), nil
 	case *plan.Join:
+		// Over several shards the global runs are concatenations, not
+		// sorted on the join node: a merge join must run per shard.
+		if sh, ok := pathindex.AsSharded(ix); ok && v.Algo == plan.Merge && sh.Partitioner().NumShards() > 1 {
+			return nil, fmt.Errorf("exec: merge join over %d-shard storage has no plan.Scatter above it", sh.Partitioner().NumShards())
+		}
 		left, err := buildNode(v.Left, ix, opts)
 		if err != nil {
 			return nil, err
@@ -343,11 +341,9 @@ type runBlocksProvider interface {
 // physical path.
 func newSegmentScan(ix pathindex.Storage, segment pathindex.Path, inverted bool) Operator {
 	if sh, ok := pathindex.AsSharded(ix); ok {
-		// A global scan over sharded storage is the sorted merge-union of
-		// the per-shard scans — each per-shard scan recurses here and so
-		// keeps its own base+delta merge and block decoding. byDst follows
-		// inversion: inverted per-shard scans emit in target order, and
-		// the merge must compare in emitted order to preserve it.
+		// A global scan over sharded storage concatenates the per-shard
+		// scans — each recurses here and so keeps its own base+delta merge
+		// and block decoding. One shard's scan is the whole, sorted run.
 		n := sh.Partitioner().NumShards()
 		if n == 1 {
 			return newSegmentScan(sh.Shard(0), segment, inverted)
@@ -356,7 +352,7 @@ func newSegmentScan(ix pathindex.Storage, segment pathindex.Path, inverted bool)
 		for i := range kids {
 			kids[i] = newSegmentScan(sh.Shard(i), segment, inverted)
 		}
-		return NewKWayMergeUnion(kids, inverted)
+		return &ConcatScan{kids: kids}
 	}
 	p := segment
 	if inverted {

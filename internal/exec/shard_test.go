@@ -2,7 +2,10 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -23,82 +26,90 @@ func buildShardedIndex(t testing.TB, g *graph.Graph, k, shards int) *pathindex.S
 // pp builds a Pair; vet rejects unkeyed literals of the aliased type.
 func pp(src, dst graph.NodeID) Pair { return Pair{Src: src, Dst: dst} }
 
-func TestKWayMergeUnionOrderAndDedup(t *testing.T) {
-	mk := func(prs ...Pair) Operator { return &sliceOp{pairs: prs} }
-	// Overlapping sorted children: duplicates must collapse at the merge
-	// frontier and the output must stay in (src,dst) order.
-	m := NewKWayMergeUnionSized([]Operator{
-		mk(pp(1, 2), pp(1, 5), pp(3, 3)),
-		mk(pp(1, 2), pp(2, 1), pp(3, 3)),
-		mk(),
-		mk(pp(0, 9)),
-	}, false, 2)
-	got := Run(m)
-	want := []Pair{pp(0, 9), pp(1, 2), pp(1, 5), pp(2, 1), pp(3, 3)}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
+// multiset counts each pair's occurrences in a stream.
+func multiset(ps []Pair) map[Pair]int {
+	m := map[Pair]int{}
+	for _, p := range ps {
+		m[p]++
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	// byDst compares in (dst,src) order — the emitted order of inverted
-	// scans.
-	m = NewKWayMergeUnionSized([]Operator{
-		mk(pp(5, 1), pp(2, 3)),
-		mk(pp(9, 1), pp(1, 2), pp(0, 4)),
-	}, true, 3)
-	got = Run(m)
-	want = []Pair{pp(5, 1), pp(9, 1), pp(1, 2), pp(2, 3), pp(0, 4)}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("byDst: got %v, want %v", got, want)
-		}
-	}
+	return m
 }
 
-// TestShardedSegmentScan: scanning a segment over sharded storage must
-// produce exactly the unsharded scan, in the same order, forward and
-// inverted, at every shard count.
+func multisetsEqual(a, b map[Pair]int) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, n := range a {
+		if b[k] != n {
+			return false
+		}
+	}
+	return true
+}
+
+// TestShardedSegmentScan: scanning a segment over sharded storage yields
+// exactly the unsharded relation, each pair once, forward and inverted,
+// at every shard count; the per-shard sub-scans are disjoint, and each
+// holds only pairs whose physical source — the source forward, the
+// target inverted — its shard owns.
 func TestShardedSegmentScan(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	g := randomGraph(r, 25, 60, 2)
 	ix := buildIndex(t, g, 2)
 	p := pathindex.Path{graph.Fwd(0), graph.Fwd(1)}
 	for _, inverted := range []bool{false, true} {
-		want := Run(newSegmentScan(ix, p, inverted))
+		want := asSet(Run(newSegmentScan(ix, p, inverted)))
 		for _, n := range []int{1, 2, 4, 7} {
 			s := buildShardedIndex(t, g, 2, n)
 			got := Run(newSegmentScan(s, p, inverted))
-			if len(got) != len(want) {
-				t.Fatalf("n=%d inverted=%v: %d pairs, want %d", n, inverted, len(got), len(want))
+			if len(got) != len(want) || !setsEqual(asSet(got), want) {
+				t.Fatalf("n=%d inverted=%v: %d pairs (%d distinct), want %d", n, inverted, len(got), len(asSet(got)), len(want))
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d inverted=%v: pair %d = %v, want %v", n, inverted, i, got[i], want[i])
+			owner := map[Pair]int{}
+			for i := 0; i < n; i++ {
+				for _, pr := range Run(newSegmentScan(s.Shard(i), p, inverted)) {
+					if prev, dup := owner[pr]; dup {
+						t.Fatalf("n=%d inverted=%v: %v in shards %d and %d", n, inverted, pr, prev, i)
+					}
+					owner[pr] = i
+					key := pr.Src
+					if inverted {
+						key = pr.Dst
+					}
+					if s.ShardOf(key) != i {
+						t.Fatalf("n=%d inverted=%v: shard %d holds %v, owned by %d", n, inverted, i, pr, s.ShardOf(key))
+					}
 				}
+			}
+			if len(owner) != len(want) {
+				t.Fatalf("n=%d inverted=%v: shards hold %d pairs, want %d", n, inverted, len(owner), len(want))
 			}
 		}
 	}
 }
 
-func TestGatherMergesAndDedups(t *testing.T) {
+// TestGatherUnionPassesDuplicates: a Gather emits the multiset union of
+// its children, in no particular order, duplicates included.
+func TestGatherUnionPassesDuplicates(t *testing.T) {
 	mk := func(prs ...Pair) Operator { return &sliceOp{pairs: prs} }
-	g := NewGather([]Operator{
-		mk(pp(1, 1), pp(4, 2)),
-		mk(pp(2, 7), pp(4, 2), pp(9, 0)),
-		mk(),
-	}, 2, nil)
-	got := Run(g)
-	want := []Pair{pp(1, 1), pp(2, 7), pp(4, 2), pp(9, 0)}
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
+	kids := [][]Pair{
+		{pp(1, 1), pp(4, 2)},
+		{pp(2, 7), pp(4, 2), pp(9, 0), pp(4, 2)},
+		{},
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
+	var ops []Operator
+	var want []Pair
+	for _, k := range kids {
+		ops = append(ops, mk(k...))
+		want = append(want, k...)
+	}
+	g := NewGather(ops, 2, nil)
+	got := Run(g)
+	if !multisetsEqual(multiset(got), multiset(want)) {
+		t.Fatalf("got %v, want the multiset %v", got, want)
+	}
+	if g.Rows() != len(want) {
+		t.Fatalf("Rows = %d, want %d", g.Rows(), len(want))
 	}
 	// Exhausted gathers have quiesced themselves; extra calls are no-ops.
 	g.Quiesce()
@@ -150,53 +161,56 @@ func TestGatherAbandonedQuiesce(t *testing.T) {
 	if g.Rows() == 0 {
 		t.Fatal("gather reported no rows")
 	}
+	if n := g.NextBatch(make([]Pair, 8)); n != 0 {
+		t.Fatalf("NextBatch after Quiesce = %d", n)
+	}
 }
 
-func TestShardIdentityScanAndFilter(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	g := randomGraph(r, 30, 40, 1)
-	s := buildShardedIndex(t, g, 1, 3)
-	seen := map[Pair]bool{}
-	for shard := 0; shard < 3; shard++ {
-		for _, pr := range Run(NewShardIdentityScan(g, s, shard)) {
-			if pr.Src != pr.Dst {
-				t.Fatalf("non-identity pair %v", pr)
-			}
-			if s.ShardOf(pr.Src) != shard {
-				t.Fatalf("shard %d emitted node %d owned by %d", shard, pr.Src, s.ShardOf(pr.Src))
-			}
-			if seen[pr] {
-				t.Fatalf("node %d emitted twice", pr.Src)
-			}
-			seen[pr] = true
-		}
-	}
-	if len(seen) != g.NumNodes() {
-		t.Fatalf("identity scans covered %d nodes, want %d", len(seen), g.NumNodes())
-	}
+// endless emits the same batch forever without allocating.
+type endless struct{ rows int }
 
-	// ShardFilter keeps exactly the shard's sources, preserving order.
-	p := pathindex.Path{graph.Fwd(0)}
-	full := Run(newSegmentScan(buildIndex(t, g, 1), p, false))
-	var joined []Pair
-	for shard := 0; shard < 3; shard++ {
-		f := NewShardFilter(&sliceOp{pairs: full}, s, shard)
-		part := Run(f)
-		for i := 1; i < len(part); i++ {
-			if !pairLess(part[i-1], part[i], false) {
-				t.Fatalf("filter broke order at %d", i)
+func (e *endless) NextBatch(buf []Pair) int {
+	for i := range buf {
+		buf[i] = pp(graph.NodeID(i), 1)
+	}
+	e.rows += len(buf)
+	return len(buf)
+}
+func (e *endless) Rows() int    { return e.rows }
+func (e *endless) Batches() int { return e.rows }
+func (e *endless) Name() string { return "endless" }
+
+// TestGatherZeroAllocsPerBatch: once started, a Gather hands batches from
+// its senders to the consumer through recycled buffers — no allocation
+// per batch on either side.
+func TestGatherZeroAllocsPerBatch(t *testing.T) {
+	g := NewGather([]Operator{&endless{}, &endless{}, &endless{}}, 64, nil)
+	defer g.Quiesce()
+	buf := make([]Pair, 64)
+	if g.NextBatch(buf) == 0 {
+		t.Fatal("no pairs")
+	}
+	if avg := testing.AllocsPerRun(200, func() { g.NextBatch(buf) }); avg != 0 {
+		t.Fatalf("started Gather allocates %.2f per batch, want 0", avg)
+	}
+}
+
+// hasScatter reports whether a plan subtree holds a plan.Scatter.
+func hasScatter(n plan.Node) bool {
+	switch v := n.(type) {
+	case *plan.Scatter:
+		return true
+	case *plan.Join:
+		return hasScatter(v.Left) || hasScatter(v.Right)
+	case *plan.Closure:
+		for _, b := range v.Body {
+			if hasScatter(b) {
+				return true
 			}
 		}
-		for _, pr := range part {
-			if s.ShardOf(pr.Src) != shard {
-				t.Fatalf("filter for shard %d passed %v", shard, pr)
-			}
-		}
-		joined = append(joined, part...)
+		return v.Input != nil && hasScatter(v.Input)
 	}
-	if len(joined) != len(full) {
-		t.Fatalf("filters covered %d pairs, want %d", len(joined), len(full))
-	}
+	return false
 }
 
 // TestScatterPlansMatchUnsharded is the exec-level differential test:
@@ -233,10 +247,11 @@ func TestScatterPlansMatchUnsharded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n > 1 {
-				if _, ok := p1.Disjuncts[0].(*plan.Scatter); !ok {
-					t.Fatalf("n=%d: disjunct not wrapped in Scatter", n)
-				}
+			if got := hasScatter(p1.Disjuncts[0]); got != (n > 1) {
+				t.Fatalf("n=%d %v: three-label disjunct scattered = %v", n, strat, got)
+			}
+			if hasScatter(p1.Disjuncts[2]) {
+				t.Fatalf("n=%d %v: a lone scan scattered", n, strat)
 			}
 			op1, err := Build(p1, s, BuildOptions{})
 			if err != nil {
@@ -259,28 +274,123 @@ func TestScatterPlansMatchUnsharded(t *testing.T) {
 	}
 }
 
-// TestScatterExplainShape: the plan renders its scatter/gather shape.
+// mergeJoinPlan is the paper's merge join left ⋈ right: left scanned
+// inverted, right forward, optionally under a Scatter.
+func mergeJoinPlan(left, right pathindex.Path, shards int) plan.Node {
+	var n plan.Node = &plan.Join{
+		Left:  &plan.Scan{Segment: left, Inverted: true},
+		Right: &plan.Scan{Segment: right},
+		Algo:  plan.Merge,
+	}
+	if shards > 0 {
+		n = &plan.Scatter{Child: n, Shards: shards}
+	}
+	return n
+}
+
+// TestCoPartitionedMergeJoin is the co-partitioning property: on random
+// graphs, the per-shard merge joins under one Gather emit exactly the
+// unsharded merge join's multiset of pairs — every match is found by the
+// one shard owning its join node — at 1/2/4/7 shards, over heap shards,
+// reopened on-disk shards, and a Levels stack over a sharded base after
+// an update. Without the Scatter, a merge join over several shards is
+// refused.
+func TestCoPartitionedMergeJoin(t *testing.T) {
+	const k = 2
+	labels := []graph.DirLabel{graph.Fwd(0), graph.Inv(0), graph.Fwd(1), graph.Inv(1)}
+	for seed := int64(1); seed <= 3; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		g := randomGraph(r, 30, 70, 2)
+		var batch []graph.LabeledEdge
+		for i := 0; i < 25; i++ {
+			batch = append(batch, graph.LabeledEdge{
+				Src:   g.NodeName(graph.NodeID(r.Intn(30))),
+				Label: g.LabelName(graph.LabelID(r.Intn(2))),
+				Dst:   fmt.Sprint(r.Intn(34)), // a few new nodes
+			})
+		}
+		g2, err := g.ExtendFrozen(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, ix2 := buildIndex(t, g, k), buildIndex(t, g2, k)
+		randPath := func() pathindex.Path {
+			p := pathindex.Path{labels[r.Intn(len(labels))]}
+			if r.Intn(2) == 0 {
+				p = append(p, labels[r.Intn(len(labels))])
+			}
+			return p
+		}
+		joins := make([][2]pathindex.Path, 6)
+		for i := range joins {
+			joins[i] = [2]pathindex.Path{randPath(), randPath()}
+		}
+		for _, n := range []int{1, 2, 4, 7} {
+			heap := buildShardedIndex(t, g, k, n)
+			dir := filepath.Join(t.TempDir(), "shards.pixd")
+			if err := heap.SaveSharded(dir); err != nil {
+				t.Fatal(err)
+			}
+			disk, err := pathindex.OpenSharded(dir, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { disk.Close() })
+			d, err := pathindex.BuildDelta(heap, g2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			levels, err := pathindex.PushTier(heap, pathindex.NewTier(d, 1, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			suts := []struct {
+				name   string
+				s, ref pathindex.Storage
+			}{{"heap", heap, ix}, {"disk", disk, ix}, {"levels", levels, ix2}}
+			for _, sut := range suts {
+				for _, j := range joins {
+					want := multiset(Run(mustBuild(t, mergeJoinPlan(j[0], j[1], 0), sut.ref)))
+					got := multiset(Run(mustBuild(t, mergeJoinPlan(j[0], j[1], n), sut.s)))
+					if !multisetsEqual(got, want) {
+						t.Fatalf("seed %d %s n=%d %v⋈%v: scattered join differs from the unsharded one", seed, sut.name, n, j[0], j[1])
+					}
+					_, err := buildNode(mergeJoinPlan(j[0], j[1], 0), sut.s, BuildOptions{})
+					if (err != nil) != (n > 1) {
+						t.Fatalf("seed %d %s n=%d: unscattered merge join over sharded storage: err = %v", seed, sut.name, n, err)
+					}
+					if n > 1 && !strings.Contains(err.Error(), "Scatter") {
+						t.Fatalf("error does not name the missing scatter: %v", err)
+					}
+				}
+			}
+		}
+	}
+}
+
+func mustBuild(t *testing.T, n plan.Node, ix pathindex.Storage) Operator {
+	t.Helper()
+	op, err := buildNode(n, ix, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return op
+}
+
+// TestScatterExplainShape: the plan renders the exchange on the
+// co-partitioned join, and nothing broadcasts.
 func TestScatterExplainShape(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	g := randomGraph(r, 15, 30, 2)
 	ix := buildIndex(t, g, 2)
 	h := histogram.BuildExact(ix)
 	pl := &plan.Planner{K: 2, Hist: h, NumNodes: g.NumNodes(), Shards: 4}
-	p, err := pl.PlanPaths([]pathindex.Path{{graph.Fwd(0), graph.Fwd(1)}}, false, plan.SemiNaive)
+	p, err := pl.PlanPaths([]pathindex.Path{{graph.Fwd(0), graph.Fwd(1), graph.Fwd(0)}}, false, plan.SemiNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := p.Format(g)
-	if !containsStr(out, "scatter ×4") || !containsStr(out, "gather merge-union") {
-		t.Fatalf("EXPLAIN missing scatter/gather shape:\n%s", out)
+	if !strings.Contains(out, "scatter ×4 [co-partitioned on join node] → gather") || strings.Contains(out, "broadcast") {
+		t.Fatalf("EXPLAIN lacks the co-partitioned scatter shape:\n%s", out)
 	}
-}
-
-func containsStr(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
 }

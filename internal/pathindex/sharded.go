@@ -9,9 +9,9 @@
 // sources yields a sub-run that is still sorted and still disjoint from
 // every other shard's sub-run. Per-source lookups (SrcRange, ScanFrom,
 // Contains, EvalFrom's frontier expansion) route to the single owning
-// shard; whole-relation reads merge the per-shard runs back together,
-// which the executor does with a k-way ordered merge-union instead of
-// materializing.
+// shard; whole-relation reads (Relation, Blocks) merge the per-shard runs
+// back together. The executor needs no global order and avoids that: it
+// concatenates the per-shard scans, and runs each merge join per shard.
 //
 // Sharding is an execution-layout choice, not a semantic one: a
 // ShardedStorage answers every Storage query identically to the
@@ -274,8 +274,7 @@ func kwayMergeRuns(runs [][]Packed) []Packed {
 }
 
 // Blocks returns a block iterator over p's merged relation. The merge
-// materializes; the executor scans the shards through its k-way
-// merge-union instead.
+// materializes; the executor scans the shards one after another instead.
 func (s *ShardedStorage) Blocks(p Path) *BlockIterator {
 	return &BlockIterator{rel: s.Relation(p), size: DefaultBlockSize}
 }

@@ -146,11 +146,22 @@ func (pl *Planner) reach(labels []graph.DirLabel) *Reach {
 
 // PlanQuery generates a plan for a full star-factored query: plain
 // label-path disjuncts plus closure-sequence disjuncts, with hasEpsilon
-// adding the identity disjunct. It is PlanPaths extended with closures.
+// adding the identity disjunct. Over sharded storage (Shards > 1) the
+// finished join trees get their scatters last.
 func (pl *Planner) PlanQuery(disjuncts []pathindex.Path, closures []Seq, hasEpsilon bool, strategy Strategy) (*Plan, error) {
-	p, err := pl.PlanPaths(disjuncts, hasEpsilon, strategy)
-	if err != nil {
-		return nil, err
+	if pl.Hist == nil {
+		return nil, fmt.Errorf("plan: planner requires a histogram")
+	}
+	if pl.K < 1 {
+		return nil, fmt.Errorf("plan: k must be >= 1, got %d", pl.K)
+	}
+	p := &Plan{Strategy: strategy, K: pl.K, HasEpsilon: hasEpsilon}
+	for _, d := range disjuncts {
+		node, err := pl.planPath(d, strategy)
+		if err != nil {
+			return nil, err
+		}
+		p.Disjuncts = append(p.Disjuncts, node)
 	}
 	for _, s := range closures {
 		node, err := pl.planSeq(s, strategy)
@@ -159,7 +170,11 @@ func (pl *Planner) PlanQuery(disjuncts []pathindex.Path, closures []Seq, hasEpsi
 		}
 		p.Disjuncts = append(p.Disjuncts, node)
 	}
-	pl.scatterDisjuncts(p)
+	if pl.Shards > 1 {
+		for i, d := range p.Disjuncts {
+			p.Disjuncts[i] = pl.scatter(d)
+		}
+	}
 	return p, nil
 }
 

@@ -179,7 +179,8 @@ type Planner struct {
 	// instead of the pair-materializing fixpoint.
 	StreamClosures bool
 	// Shards, when > 1, targets source-partitioned storage: every
-	// disjunct is wrapped in a Scatter node for per-shard evaluation.
+	// co-partitioned merge join is wrapped in a Scatter node for
+	// per-shard evaluation (see shard.go).
 	Shards int
 }
 
@@ -188,26 +189,11 @@ type Planner struct {
 // sides. Every operator additionally pays 1 per output row.
 const hashBuildFactor = 1.5
 
-// PlanPaths generates a plan for the given disjuncts under the strategy.
-// Disjuncts must be non-empty label paths; hasEpsilon adds the identity
-// disjunct.
+// PlanPaths generates a plan for the given disjuncts under the strategy:
+// PlanQuery without closures. Disjuncts must be non-empty label paths;
+// hasEpsilon adds the identity disjunct.
 func (pl *Planner) PlanPaths(disjuncts []pathindex.Path, hasEpsilon bool, strategy Strategy) (*Plan, error) {
-	if pl.Hist == nil {
-		return nil, fmt.Errorf("plan: planner requires a histogram")
-	}
-	if pl.K < 1 {
-		return nil, fmt.Errorf("plan: k must be >= 1, got %d", pl.K)
-	}
-	p := &Plan{Strategy: strategy, K: pl.K, HasEpsilon: hasEpsilon}
-	for _, d := range disjuncts {
-		node, err := pl.planPath(d, strategy)
-		if err != nil {
-			return nil, err
-		}
-		p.Disjuncts = append(p.Disjuncts, node)
-	}
-	pl.scatterDisjuncts(p)
-	return p, nil
+	return pl.PlanQuery(disjuncts, nil, hasEpsilon, strategy)
 }
 
 // planPath generates the subplan of one label-path disjunct under the
@@ -486,10 +472,6 @@ func (pl *Planner) cloneTree(n Node) Node {
 	case *Reach:
 		c := *v
 		return &c
-	case *Scatter:
-		c := *v
-		c.Child = pl.cloneTree(v.Child)
-		return &c
 	default:
 		return n
 	}
@@ -560,11 +542,7 @@ func formatNode(b *strings.Builder, n Node, g *graph.Graph, prefix, indent strin
 		fmt.Fprintf(b, "%sreach-scan (%s)* [reachability index] (est %.1f)\n",
 			prefix, strings.Join(parts, "|"), v.Card())
 	case *Scatter:
-		shape := "src-partitioned"
-		if v.Broadcast {
-			shape = "broadcast + src-filter"
-		}
-		fmt.Fprintf(b, "%sscatter ×%d [%s] → gather merge-union\n", prefix, v.Shards, shape)
+		fmt.Fprintf(b, "%sscatter ×%d [co-partitioned on join node] → gather\n", prefix, v.Shards)
 		formatNode(b, v.Child, g, indent+"└─ ", indent+"   ")
 	default:
 		fmt.Fprintf(b, "%s<unknown node %T>\n", prefix, n)

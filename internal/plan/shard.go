@@ -1,17 +1,19 @@
-// Scatter planning for source-partitioned (sharded) storage. Every
-// answer pair's shard is determined by its source node, so a disjunct
-// whose head — the operator position that determines output sources —
-// can be restricted to one shard evaluates shard-locally; the per-shard
-// streams are disjoint and gather through a sorted merge. Heads that are
-// physically ordered by the other endpoint (inverted scans) or have no
-// source structure at all (reach-scans) instead broadcast a global
-// evaluation and filter each shard's sources out of it.
+// Scatter planning for source-partitioned (sharded) storage. A shard
+// holds the sub-run of every label path whose sources it owns. The
+// paper's merge join I(w⁻k⁻k⁻) ⋈ I(kww) reads an inverted left run —
+// physically the run of the inverse path, so its sources are the join
+// node — and a forward right run keyed by the same join node: both inputs
+// are partitioned on the join key. Each shard therefore joins its own two
+// sub-runs and finds exactly the matches on the join nodes it owns, and
+// the union over the shards is the whole join. That co-partitioned merge
+// join is the only subtree the planner scatters; every other operator
+// runs once over the shards' concatenated runs.
 
 package plan
 
-// Scatter marks a disjunct for scatter-gather evaluation: the executor
-// builds Child once per shard, restricted to that shard's sources, and
-// merges the per-shard streams. Cost and cardinality are the child's —
+// Scatter marks a co-partitioned merge join for per-shard evaluation:
+// the executor builds Child once per shard over that shard's storage and
+// gathers the per-shard streams. Cost and cardinality are the child's —
 // scattering redistributes work without changing the result, so strategy
 // choice is unaffected by sharding.
 type Scatter struct {
@@ -19,49 +21,37 @@ type Scatter struct {
 	// Shards is the fan-out recorded at plan time (for EXPLAIN; the
 	// executor re-derives it from the storage it is given).
 	Shards int
-	// Broadcast reports that the head is not source-partitionable: each
-	// shard evaluates the child globally and filters to its own sources,
-	// rather than reading only its shard's data.
-	Broadcast bool
 }
 
 func (s *Scatter) Card() float64 { return s.Child.Card() }
 func (s *Scatter) Cost() float64 { return s.Child.Cost() }
 
-// headPartitionable reports whether n's head position can be restricted
-// to one shard's sources: a forward scan reads its shard's sub-run, a
-// join inherits its left (source-side) input's head, a closure inherits
-// its input's head (the ε input restricts to the shard's identity
-// pairs). Inverted scans are physically ordered by target and
-// reach-scans have no per-source runs — those broadcast.
-func headPartitionable(n Node) bool {
-	switch v := n.(type) {
-	case *Scan:
-		return !v.Inverted
-	case *Join:
-		return headPartitionable(v.Left)
-	case *Closure:
-		if v.Input == nil {
-			return true
-		}
-		return headPartitionable(v.Input)
-	default:
-		return false
-	}
+// coPartitioned reports whether j reads two runs partitioned on its join
+// node: a merge join of an inverted left scan and a forward right scan.
+func coPartitioned(j *Join) bool {
+	l, lok := j.Left.(*Scan)
+	r, rok := j.Right.(*Scan)
+	return j.Algo == Merge && lok && rok && l.Inverted && !r.Inverted
 }
 
-// scatterDisjuncts wraps each disjunct in a Scatter when the planner
-// targets sharded storage. Idempotent: already-wrapped disjuncts are
-// left alone, so PlanQuery can re-apply after appending closure
-// disjuncts to a PlanPaths result.
-func (pl *Planner) scatterDisjuncts(p *Plan) {
-	if pl.Shards <= 1 {
-		return
-	}
-	for i, d := range p.Disjuncts {
-		if _, ok := d.(*Scatter); ok {
-			continue
+// scatter wraps every co-partitioned merge join under n in a Scatter
+// when the planner targets sharded storage, wherever the join sits:
+// disjunct root, hash-join input, closure input or body. It runs after
+// the join tree is chosen, because join() mutates inversion flags.
+func (pl *Planner) scatter(n Node) Node {
+	switch v := n.(type) {
+	case *Join:
+		if coPartitioned(v) {
+			return &Scatter{Child: v, Shards: pl.Shards}
 		}
-		p.Disjuncts[i] = &Scatter{Child: d, Shards: pl.Shards, Broadcast: !headPartitionable(d)}
+		v.Left, v.Right = pl.scatter(v.Left), pl.scatter(v.Right)
+	case *Closure:
+		if v.Input != nil {
+			v.Input = pl.scatter(v.Input)
+		}
+		for i, b := range v.Body {
+			v.Body[i] = pl.scatter(b)
+		}
 	}
+	return n
 }

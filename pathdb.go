@@ -131,8 +131,8 @@ type Options struct {
 	CompactRatio float64
 	// Shards, when > 1, partitions the index by source node into that
 	// many in-process shards: Build constructs one index partition per
-	// shard, queries scatter across the shards and gather
-	// through a sorted merge, and SaveShardedIndex/Open round-trip the
+	// shard, queries run each merge join per shard and read the rest
+	// across the shards' runs, and SaveShardedIndex/Open round-trip the
 	// layout as a directory of per-shard v3 files plus a manifest. 0 or 1
 	// keeps the single-index layout.
 	Shards int

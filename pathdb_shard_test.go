@@ -101,14 +101,18 @@ func TestShardedBuildOpenRoundTrip(t *testing.T) {
 		}
 	}
 
-	// EXPLAIN over the opened sharded DB surfaces the scatter shape.
+	// EXPLAIN over the opened sharded DB puts the exchange on the merge
+	// join (knows/worksFor ⋈ knows at k=2); a lone scan has none.
 	srv := opened.Serve(pathdb.ServeOptions{})
-	text, err := srv.ExplainWith("knows/worksFor", pathdb.Strategies()[0])
+	text, err := srv.ExplainWith("knows/worksFor/knows", pathdb.StrategySemiNaive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !containsAll(text, "scatter", "gather") {
+	if !containsAll(text, "merge-join", "scatter ×3 [co-partitioned on join node] → gather") {
 		t.Fatalf("sharded EXPLAIN lacks the scatter/gather shape:\n%s", text)
+	}
+	if text, err = srv.ExplainWith("knows/worksFor", pathdb.StrategySemiNaive); err != nil || containsAll(text, "scatter") {
+		t.Fatalf("a lone scan scatters (err %v):\n%s", err, text)
 	}
 
 	// An updated sharded DB saves its folded state: the pending tier lands
