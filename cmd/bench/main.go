@@ -4,11 +4,10 @@
 //
 // Usage:
 //
-//	bench [-experiment all|fig2|datalog|indexcost|datasets|ablation|reach|execprofile|serve|star|update|shard]
+//	bench [-experiment all|fig2|datalog|indexcost|datasets|ablation|reach|execprofile|serve|update|shard]
 //	      [-scale 1.0] [-seed 1] [-runs 3] [-buckets 64]
 //	      [-clients 8] [-servedur 2s] [-serveout BENCH_serve.json]
-//	      [-starout BENCH_star.json] [-updateout BENCH_update.json]
-//	      [-shardout BENCH_shard.json]
+//	      [-updateout BENCH_update.json] [-shardout BENCH_shard.json]
 //
 // Full scale (-scale 1.0) matches the published Advogato dimensions and
 // takes a few minutes, dominated by the k=3 index build; -scale 0.25
@@ -20,12 +19,6 @@
 // serving layer, measuring client counts 1, 2, 4, ... up to -clients
 // plus an uncached single-client baseline, and writes the JSON report
 // to -serveout.
-//
-// The star experiment (also selected implicitly by passing -starout with
-// -experiment all) measures Kleene-closure evaluation — the default
-// reachability/fixpoint routing versus the legacy bounded star
-// expansion — on a 201-node chain and the Advogato star queries, and
-// writes the JSON report to -starout.
 //
 // The update experiment (also selected implicitly by passing -updateout
 // with -experiment all) measures live graph updates — ApplyBatch's
@@ -51,7 +44,7 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "experiment to run: all, fig2, datalog, indexcost, datasets, ablation, reach, execprofile, serve, star, update, shard")
+	experiment := flag.String("experiment", "all", "experiment to run: all, fig2, datalog, indexcost, datasets, ablation, reach, execprofile, serve, update, shard")
 	scale := flag.Float64("scale", 1.0, "Advogato scale factor in (0,1]")
 	seed := flag.Int64("seed", 1, "generator seed")
 	runs := flag.Int("runs", 3, "samples per measurement (median reported)")
@@ -59,7 +52,6 @@ func main() {
 	clients := flag.Int("clients", 8, "serve: maximum concurrent clients (measures 1,2,4,... up to this)")
 	servedur := flag.Duration("servedur", 2*time.Second, "serve: measured window per client count")
 	serveout := flag.String("serveout", "BENCH_serve.json", "serve: JSON report output path")
-	starout := flag.String("starout", "BENCH_star.json", "star: JSON report output path")
 	updateout := flag.String("updateout", "BENCH_update.json", "update: JSON report output path")
 	shardout := flag.String("shardout", "BENCH_shard.json", "shard: JSON report output path")
 	flag.Parse()
@@ -83,14 +75,10 @@ func main() {
 		// Report flags implicitly select their experiment; passing
 		// several kinds runs them all.
 		wantServe := flagPassed("clients") || flagPassed("servedur") || flagPassed("serveout")
-		wantStar := flagPassed("starout")
 		wantUpdate := flagPassed("updateout")
 		wantShard := flagPassed("shardout")
 		if wantServe {
 			die(runServe(cfg, *clients, *servedur, *serveout))
-		}
-		if wantStar {
-			die(runStar(cfg, *starout))
 		}
 		if wantUpdate {
 			die(runUpdate(cfg, *updateout))
@@ -98,15 +86,13 @@ func main() {
 		if wantShard {
 			die(runShard(cfg, *shardout))
 		}
-		if wantServe || wantStar || wantUpdate || wantShard {
+		if wantServe || wantUpdate || wantShard {
 			return
 		}
 	}
 	switch what {
 	case "serve":
 		die(runServe(cfg, *clients, *servedur, *serveout))
-	case "star":
-		die(runStar(cfg, *starout))
 	case "update":
 		die(runUpdate(cfg, *updateout))
 	case "shard":
@@ -130,18 +116,6 @@ func runShard(cfg bench.Config, out string) error {
 
 func runUpdate(cfg bench.Config, out string) error {
 	_, table, err := bench.RunUpdate(cfg, out)
-	if err != nil {
-		return err
-	}
-	fmt.Println(table.String())
-	if out != "" {
-		fmt.Printf("report written to %s\n", out)
-	}
-	return nil
-}
-
-func runStar(cfg bench.Config, out string) error {
-	_, table, err := bench.RunStar(cfg, out)
 	if err != nil {
 		return err
 	}

@@ -151,8 +151,6 @@ func (o Options) coreOptions() core.Options {
 	return core.Options{
 		K:                o.K,
 		HistogramBuckets: o.HistogramBuckets,
-		StarBound:        o.StarBound,
-		ExpandStars:      o.ExpandStars,
 		MaxDisjuncts:     o.MaxDisjuncts,
 		MaxPathLength:    o.MaxPathLength,
 		MaxTotalSteps:    o.MaxTotalSteps,

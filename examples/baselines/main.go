@@ -64,9 +64,8 @@ func main() {
 	}
 	fmt.Println("\nn/a marks queries an approach cannot evaluate:")
 	fmt.Println("  - the reachability index only answers (l1|...|lm)* shapes")
-	fmt.Println("  - the path index answers every query: stars are evaluated by semi-naive")
-	fmt.Println("    fixpoint (or routed to a cached reachability index for (l1|...|lm)*),")
-	fmt.Println("    never by bounded expansion")
+	fmt.Println("  - the path index answers every query: each star is evaluated over the")
+	fmt.Println("    SCC condensation of its body, never by bounded expansion")
 }
 
 // report times one evaluation and prints "12.34ms" or "n/a".

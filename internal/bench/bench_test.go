@@ -156,36 +156,9 @@ func TestReachSmoke(t *testing.T) {
 		t.Errorf("reachability index should reject the composition query: %v", tab.Rows[2])
 	}
 	// The multi-label star used to overflow the path-index expansion;
-	// the fixpoint closure operator must evaluate it.
+	// the closure operator must evaluate it.
 	if strings.Contains(tab.Rows[1][4], "n/a") {
-		t.Errorf("multi-label star should now evaluate by fixpoint: %v", tab.Rows[1])
-	}
-}
-
-func TestRunStarSmoke(t *testing.T) {
-	rep, tab, err := RunStar(tinyConfig(), "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Points) != 4 || len(tab.Rows) != 4 {
-		t.Fatalf("got %d points / %d rows, want 4 each", len(rep.Points), len(tab.Rows))
-	}
-	chainStar := rep.Points[0]
-	if chainStar.Query != "a*" || chainStar.Pairs != 201*202/2 {
-		t.Errorf("chain a* point wrong: %+v", chainStar)
-	}
-	if !chainStar.ReachRouted {
-		t.Errorf("a* is a restricted shape; want reach_routed")
-	}
-	if chainStar.ExpandMillis < 0 {
-		t.Errorf("legacy expansion of chain a* should succeed (n=201 < limits): %+v", chainStar)
-	}
-	multi := rep.Points[1]
-	if multi.Query != "(a|a^-)*" || multi.ExpandMillis >= 0 || multi.ExpandError == "" {
-		t.Errorf("chain (a|a^-)* must fail under legacy expansion: %+v", multi)
-	}
-	if multi.Pairs != 201*201 {
-		t.Errorf("chain (a|a^-)* pairs = %d, want %d", multi.Pairs, 201*201)
+		t.Errorf("multi-label star should evaluate as a closure: %v", tab.Rows[1])
 	}
 }
 

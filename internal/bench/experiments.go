@@ -34,10 +34,6 @@ type Config struct {
 	Ks []int
 	// HistogramBuckets for the engines (0 = exact statistics).
 	HistogramBuckets int
-	// StarMaxScale caps the Advogato subsample used for the
-	// Kleene-closure classes (Q9, Q10); 0 uses
-	// workload.DefaultStarMaxScale.
-	StarMaxScale float64
 }
 
 // DefaultConfig returns the full-scale configuration used by cmd/bench.
@@ -74,9 +70,8 @@ func (c Config) engine(g *graph.Graph, k int, mutate func(*core.Options)) (*core
 // Kleene-closure queries (Q9, Q10) run inside the general experiments:
 // closure answers are quadratic in SCC size, so on the full-scale
 // Advogato stand-in a single (master|journeyer)* evaluation would
-// materialize tens of millions of pairs. Larger instances are covered
-// by the dedicated star experiment (RunStar), which caps its fixture at
-// the same order of size.
+// materialize tens of millions of pairs. The closure.star workload of
+// benchmark/ covers larger instances.
 const maxClosureNodes = 700
 
 // skipClosure reports whether q is a closure-class query too large to
@@ -87,7 +82,7 @@ func skipClosure(g *graph.Graph, q workload.Query) bool {
 
 // closureSkipNote is appended to tables that dropped closure rows.
 func closureSkipNote(skipped []string) string {
-	return fmt.Sprintf("closure queries %s skipped at this scale (quadratic answers); see -experiment star / BENCH_star.json",
+	return fmt.Sprintf("closure queries %s skipped at this scale (quadratic answers); benchmark/'s closure.star runs them",
 		strings.Join(skipped, ", "))
 }
 
@@ -406,10 +401,7 @@ func Reach(c Config) (*Table, error) {
 			small.NumNodes(), small.NumEdges()),
 		Header: []string{"query", "reachIndex", "automaton", "datalog", "pathIndex(k=2)"},
 	}
-	// The path-index engine runs with the reachability fast path
-	// disabled so its column measures the general fixpoint Closure
-	// operator, not a second copy of the reachIndex column.
-	e, err := c.engine(small, 2, func(o *core.Options) { o.NoReachIndex = true })
+	e, err := c.engine(small, 2, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -459,9 +451,7 @@ func Reach(c Config) (*Table, error) {
 		t.AddRow(row...)
 	}
 	t.Notes = append(t.Notes,
-		"the reachability index answers only (l|...)* shapes (third row: n/a); the path index answers arbitrary RPQs",
-		"pathIndex evaluates stars by semi-naive fixpoint here (reach fast path disabled for the comparison);",
-		"by default the engine routes (l|...)* shapes to the same reachability index as column two")
+		"the reachability index answers only (l|...)* shapes (third row: n/a); the path index answers arbitrary RPQs")
 	return t, nil
 }
 

@@ -15,9 +15,7 @@ import (
 // block-compressed file: engines over heap storage and over the
 // compressed v3 file must return identical answers for random RPQs —
 // closures included — across all four strategies, EvalFrom, and
-// ExecuteParallel (checkEnginesAgree covers them all). Streamed closure
-// evaluation is likewise pinned against the forced materialized
-// fixpoint.
+// ExecuteParallel (checkEnginesAgree covers them all).
 func TestDifferentialHeapV3(t *testing.T) {
 	labels := []string{"a", "b", "c"}
 	g := randomGraph(rand.New(rand.NewSource(41)), 35, 100, labels)
@@ -36,18 +34,11 @@ func TestDifferentialHeapV3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The forced-materialized engine pins streamed closures (on by
-	// default in all engines above) against the fixpoint.
-	matEng, err := NewEngine(g, Options{K: 2, NoStreamClosures: true, NoReachIndex: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	fixed := []string{"a", "a/b", "a|b/c", "a^-/b", "(a|b){1,2}", "a*", "(a|b^-)*", "a/(b|c)*", "c?/a+"}
 	for _, q := range fixed {
 		expr := rpq.MustParse(q)
 		checkEnginesAgree(t, v3Eng, heap, expr)
-		checkEnginesAgree(t, matEng, heap, expr)
 	}
 
 	r := rand.New(rand.NewSource(42))
@@ -56,8 +47,7 @@ func TestDifferentialHeapV3(t *testing.T) {
 	checked := 0
 	for i := 0; i < 30; i++ {
 		expr := rpq.Generate(r, genOpts)
-		if checkEnginesAgree(t, v3Eng, heap, expr) &&
-			checkEnginesAgree(t, matEng, heap, expr) {
+		if checkEnginesAgree(t, v3Eng, heap, expr) {
 			checked++
 		}
 	}
@@ -137,35 +127,19 @@ func TestUpdateOverCompressedStorage(t *testing.T) {
 	}
 }
 
-// TestStreamedClosureStats verifies the planner's mode choice is
-// observable: a pure star on a reach-disabled engine streams (and says
-// so in Stats and Explain), and NoStreamClosures forces it back to the
-// materialized fixpoint.
+// TestStreamedClosureStats verifies a closure is observable in Stats:
+// a* on a chain counts one closure disjunct and no path disjuncts, and
+// the closure operator's rows are exactly the answer it streamed.
 func TestStreamedClosureStats(t *testing.T) {
 	g := chainTestGraph(t, 30)
-	streamed, err := NewEngine(g, Options{K: 2, NoReachIndex: true})
+	res, err := newTestEngine(t, g, 2).Eval(rpq.MustParse("a*"), plan.MinSupport)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mat, err := NewEngine(g, Options{K: 2, NoReachIndex: true, NoStreamClosures: true})
-	if err != nil {
-		t.Fatal(err)
+	if res.Stats.Closures != 1 || res.Stats.Disjuncts != 0 {
+		t.Errorf("a* stats: %d closures / %d path disjuncts, want 1/0", res.Stats.Closures, res.Stats.Disjuncts)
 	}
-	res, err := streamed.Eval(rpq.MustParse("a*"), plan.MinSupport)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.StreamedClosures == 0 {
-		t.Error("reach-disabled a* reports no streamed closures")
-	}
-	resMat, err := mat.Eval(rpq.MustParse("a*"), plan.MinSupport)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resMat.Stats.StreamedClosures != 0 {
-		t.Errorf("NoStreamClosures engine reports %d streamed closures", resMat.Stats.StreamedClosures)
-	}
-	if len(res.Pairs) != len(resMat.Pairs) {
-		t.Fatalf("streamed a* returned %d pairs, fixpoint %d", len(res.Pairs), len(resMat.Pairs))
+	if want := 30 * 31 / 2; len(res.Pairs) != want || res.Stats.OperatorRows["closure"] != want {
+		t.Errorf("a* returned %d pairs, closure operator %d rows; want %d", len(res.Pairs), res.Stats.OperatorRows["closure"], want)
 	}
 }

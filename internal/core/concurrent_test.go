@@ -33,8 +33,7 @@ func sortedPairs(ps []pathindex.Pair) []pathindex.Pair {
 func TestConcurrentExecute(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(7)), 80, 240, []string{"a", "b", "c"})
 	e := newTestEngine(t, g, 2)
-	// a* and a/b* exercise the closure operators — including the lazily
-	// built, lock-protected reachability-index cache — under contention.
+	// a* and a/b* exercise the closure operator under contention.
 	queries := []string{"a/b", "a|b/c", "(a|b){1,2}", "c^-/a/b", "a?/c", "a*", "a/b*"}
 
 	// Sequential baselines, plus one shared Prepared per query: sharing

@@ -152,13 +152,10 @@ func TestDifferentialHeapVsMapped(t *testing.T) {
 	}
 }
 
-// TestDifferentialReachability compares the engine (cache on and off,
-// all strategies) against the reachability-index baseline on the
-// (l1|...|lm)* query shapes that baseline supports. The graph is small
-// enough that the default star bound n(G) makes bounded expansion exact.
+// TestDifferentialReachability compares the engine (plan cache on and
+// off, all strategies) against the reachability-index baseline on the
+// (l1|...|lm)* query shapes that baseline supports.
 func TestDifferentialReachability(t *testing.T) {
-	// Small n keeps the default star bound n(G) — and with it the 2^n(G)
-	// disjunct expansion of (a|b)* — manageable while staying exact.
 	g := randomGraph(rand.New(rand.NewSource(23)), 8, 12, []string{"a", "b"})
 	e := newTestEngine(t, g, 2)
 	srv := e.Serve(ServeOptions{CacheCapacity: 32})

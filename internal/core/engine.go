@@ -11,20 +11,17 @@
 // operator tree and deduplicate the union of the disjunct results.
 //
 // Kleene closures are not expanded: the rewriter keeps them as
-// first-class factors, the planner turns them into fixpoint Closure
-// operators (or Reach nodes for the restricted (ℓ1|…|ℓm)* shape, served
-// from a per-label-set reachability index cached on the engine), and the
-// executor iterates a delta frontier until no new pairs appear.
+// first-class factors, the planner turns each into a Closure node, and
+// the executor condenses the closure body into strongly connected
+// components and walks the component DAG from every source.
 //
 // # Concurrency
 //
-// An Engine is effectively immutable after construction: the graph,
-// index, and histogram are never written again (the lazily built
-// reachability-index cache is the one lock-protected exception), and
-// every evaluation entry point (Compile, Eval, EvalQuery, EvalFrom,
-// Prepared.Execute, Prepared.ExecuteParallel) builds its executor
-// state — operator trees, batch buffers, dedup sets, statistics — per
-// call. All of them are safe
+// An Engine is immutable after construction: the graph, index, and
+// histogram are never written again, and every evaluation entry point
+// (Compile, Eval, EvalQuery, EvalFrom, Prepared.Execute,
+// Prepared.ExecuteParallel) builds its executor state — operator trees,
+// batch buffers, dedup sets, statistics — per call. All of them are safe
 // for concurrent use by any number of goroutines over one Engine, as is
 // sharing a single Prepared across goroutines (each Execute call gets a
 // fresh operator tree). Engine.Serve adds a plan cache on top for
@@ -42,9 +39,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
-	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/exec"
@@ -52,7 +46,6 @@ import (
 	"repro/internal/histogram"
 	"repro/internal/pathindex"
 	"repro/internal/plan"
-	"repro/internal/reachability"
 	"repro/internal/rewrite"
 	"repro/internal/rpq"
 )
@@ -65,28 +58,10 @@ type Options struct {
 	// HistogramBuckets sets the equi-depth histogram resolution; 0 uses
 	// exact per-path statistics.
 	HistogramBuckets int
-	// StarBound bounds unbounded repetitions (R*, R+, R{i,}) when
-	// ExpandStars is set; 0 uses the node count, the paper's n(G)
-	// observation. In the default closure mode it is unused.
-	StarBound int
-	// ExpandStars restores the legacy rewrite of unbounded repetitions
-	// into StarBound-bounded unions instead of first-class closure
-	// operators (ablation; the baseline of the star benchmark and the
-	// closure differential tests).
-	ExpandStars bool
-	// NoReachIndex disables the reachability-index fast path for
-	// restricted closures (ℓ1|…|ℓm)*, forcing the general fixpoint
-	// operator (ablation).
-	NoReachIndex bool
-	// NoStreamClosures disables the output-sensitive streaming closure
-	// mode, forcing every Closure node to the pair-materializing fixpoint
-	// (ablation and differential testing). By default the planner streams
-	// closures whose estimated output dwarfs their touched-edge count.
-	NoStreamClosures bool
 	// MaxDisjuncts, MaxPathLength, and MaxTotalSteps bound query
 	// expansion; 0 uses the rewrite package defaults. MaxTotalSteps caps
-	// the summed size of all expanded disjuncts, which is what actually
-	// bounds the legacy ExpandStars operator trees.
+	// the summed size of all expanded disjuncts, which is what bounds the
+	// operator trees of bounded repetitions such as (a|b){1,15}.
 	MaxDisjuncts  int
 	MaxPathLength int
 	MaxTotalSteps int
@@ -112,9 +87,8 @@ type Options struct {
 }
 
 // Engine evaluates RPQs over one indexed graph. The graph, index, and
-// histogram are frozen by construction, and the only mutable state — the
-// lazily built reachability-index cache — is lock-protected, so one
-// Engine may serve any number of concurrent callers; see the package
+// histogram are frozen by construction and nothing else is mutable, so
+// one Engine may serve any number of concurrent callers; see the package
 // comment for the full contract.
 //
 // The index is held through the pathindex.Storage interface, so an
@@ -133,24 +107,6 @@ type Engine struct {
 	// serving layer uses the number to lazily invalidate cached plans
 	// compiled against older snapshots. A standalone engine is epoch 0.
 	epoch uint64
-
-	// reach caches reachability indexes per direction-qualified label
-	// set, built lazily the first time a restricted closure over that
-	// set executes. It is the engine's only mutable state; the mutex
-	// guards only the map (builds run outside it, once per key), and a
-	// built index is itself immutable.
-	reachMu sync.Mutex
-	reach   map[string]*reachEntry
-}
-
-// reachEntry is one lazily built reachability index. The once gate runs
-// the build outside the engine's map lock, so a slow SCC condensation
-// for one label set never blocks queries over other (or already built)
-// label sets.
-type reachEntry struct {
-	once sync.Once
-	ix   *reachability.Index
-	err  error
 }
 
 // NewEngine builds the k-path index and histogram for g and returns an
@@ -248,20 +204,19 @@ func (e *Engine) pin() (func(), error) {
 
 // Stats describes one query evaluation.
 type Stats struct {
-	Disjuncts        int           // label-path disjuncts after rewriting
-	Closures         int           // Kleene-closure disjuncts after rewriting
-	StreamedClosures int           // closure nodes the planner marked for streaming evaluation
-	DroppedEmpty     int           // disjuncts dropped (labels absent from the graph)
-	HasEpsilon       bool          // identity disjunct present
-	PlanCost         float64       // estimated plan cost
-	PlanCard         float64       // estimated result cardinality
-	RewriteTime      time.Duration //
-	PlanTime         time.Duration //
-	ExecTime         time.Duration //
-	ResultPairs      int           // actual result cardinality
-	OperatorRows     map[string]int
-	OperatorBatches  map[string]int // batches emitted, by operator kind
-	TotalIntermRows  int            // summed rows over all operators
+	Disjuncts       int           // label-path disjuncts after rewriting
+	Closures        int           // Kleene-closure disjuncts after rewriting
+	DroppedEmpty    int           // disjuncts dropped (labels absent from the graph)
+	HasEpsilon      bool          // identity disjunct present
+	PlanCost        float64       // estimated plan cost
+	PlanCard        float64       // estimated result cardinality
+	RewriteTime     time.Duration //
+	PlanTime        time.Duration //
+	ExecTime        time.Duration //
+	ResultPairs     int           // actual result cardinality
+	OperatorRows    map[string]int
+	OperatorBatches map[string]int // batches emitted, by operator kind
+	TotalIntermRows int            // summed rows over all operators
 	// TotalBatches is the summed batches over all operators. Under
 	// ExecuteParallel, which omits per-operator statistics, it instead
 	// counts the batches merged at the top level — do not compare the
@@ -301,54 +256,13 @@ type Prepared struct {
 	strategy plan.Strategy
 }
 
-// rewriteOptions returns the engine's expansion limits, defaulting the
-// star bound to the node count (the paper's n(G) observation).
+// rewriteOptions returns the engine's expansion limits.
 func (e *Engine) rewriteOptions() rewrite.Options {
-	starBound := e.opts.StarBound
-	if starBound == 0 {
-		starBound = e.g.NumNodes()
-	}
 	return rewrite.Options{
-		StarBound:     starBound,
-		ExpandStars:   e.opts.ExpandStars,
 		MaxDisjuncts:  e.opts.MaxDisjuncts,
 		MaxPathLength: e.opts.MaxPathLength,
 		MaxTotalSteps: e.opts.MaxTotalSteps,
 	}
-}
-
-// reachKey builds the cache key for a direction-qualified label set.
-// Labels are sorted so the key is order-insensitive (the closure of a
-// label set does not depend on enumeration order).
-func reachKey(labels []graph.DirLabel) string {
-	sorted := make([]graph.DirLabel, len(labels))
-	copy(sorted, labels)
-	slices.Sort(sorted)
-	var b strings.Builder
-	for _, l := range sorted {
-		fmt.Fprintf(&b, "%d,", l)
-	}
-	return b.String()
-}
-
-// ReachIndex returns the reachability index for the subgraph induced by
-// labels, building it on first use and caching it on the engine. It
-// implements exec.ReachProvider for the restricted-closure fast path and
-// is safe for concurrent use.
-func (e *Engine) ReachIndex(labels []graph.DirLabel) (*reachability.Index, error) {
-	key := reachKey(labels)
-	e.reachMu.Lock()
-	if e.reach == nil {
-		e.reach = map[string]*reachEntry{}
-	}
-	ent, ok := e.reach[key]
-	if !ok {
-		ent = &reachEntry{}
-		e.reach[key] = ent
-	}
-	e.reachMu.Unlock()
-	ent.once.Do(func() { ent.ix, ent.err = reachability.Build(e.g, labels) })
-	return ent.ix, ent.err
 }
 
 // resolveSeq resolves a star-factored closure sequence against the
@@ -380,9 +294,6 @@ func (e *Engine) resolveSeq(s rewrite.Seq) (plan.Seq, bool) {
 		}
 		out.Elems = append(out.Elems, plan.SeqElem{Star: body})
 	}
-	// Carry the rewriter's closure-mode hint when the resolved shape is
-	// still a bare star (resolution can only have dropped elements).
-	out.Pure = s.PureStar() && len(out.Elems) == 1 && out.Elems[0].IsStar()
 	return out, true
 }
 
@@ -439,13 +350,11 @@ func (e *Engine) compileNormal(norm rewrite.Normal, strategy plan.Strategy, st S
 	st.HasEpsilon = hasEpsilon
 
 	planner := &plan.Planner{
-		K:              e.opts.K,
-		Hist:           e.hist,
-		NumNodes:       e.g.NumNodes(),
-		HashOnly:       e.opts.HashOnly,
-		NoReachIndex:   e.opts.NoReachIndex,
-		StreamClosures: !e.opts.NoStreamClosures,
-		Shards:         e.numShards(),
+		K:        e.opts.K,
+		Hist:     e.hist,
+		NumNodes: e.g.NumNodes(),
+		HashOnly: e.opts.HashOnly,
+		Shards:   e.numShards(),
 	}
 	pln, err := planner.PlanQuery(disjuncts, closures, hasEpsilon, strategy)
 	if err != nil {
@@ -454,9 +363,6 @@ func (e *Engine) compileNormal(norm rewrite.Normal, strategy plan.Strategy, st S
 	st.PlanTime = time.Since(t1)
 	st.PlanCost = pln.Cost()
 	st.PlanCard = pln.Card()
-	for _, d := range pln.Disjuncts {
-		st.StreamedClosures += countStreamed(d)
-	}
 	return &Prepared{engine: e, plan: pln, stats: st, strategy: strategy}, nil
 }
 
@@ -468,31 +374,6 @@ func (e *Engine) numShards() int {
 		return sh.Partitioner().NumShards()
 	}
 	return 0
-}
-
-// countStreamed counts the Closure nodes marked Streamed in a subtree —
-// the Stats evidence of which closure mode the planner chose.
-func countStreamed(n plan.Node) int {
-	switch v := n.(type) {
-	case *plan.Scatter:
-		return countStreamed(v.Child)
-	case *plan.Join:
-		return countStreamed(v.Left) + countStreamed(v.Right)
-	case *plan.Closure:
-		total := 0
-		if v.Streamed {
-			total = 1
-		}
-		if v.Input != nil {
-			total += countStreamed(v.Input)
-		}
-		for _, b := range v.Body {
-			total += countStreamed(b)
-		}
-		return total
-	default:
-		return 0
-	}
 }
 
 // Plan returns the physical plan.
@@ -514,8 +395,7 @@ func (p *Prepared) Execute() (*Result, error) {
 }
 
 // ExecuteContext is Execute under a cancellation scope: every operator
-// of the tree checks ctx at batch boundaries (the closure fixpoint and
-// BFS loops check mid-batch as well), so once ctx is done the whole
+// of the tree checks ctx at batch boundaries, so once ctx is done the whole
 // tree stops within about one batch per level and ExecuteContext
 // returns ctx's error. Partial results are never returned as an answer.
 func (p *Prepared) ExecuteContext(ctx context.Context) (*Result, error) {
@@ -535,7 +415,6 @@ func (p *Prepared) ExecuteContext(ctx context.Context) (*Result, error) {
 	t0 := time.Now()
 	op, err := exec.Build(p.plan, p.engine.ix, exec.BuildOptions{
 		PerJoinDedup: !p.engine.opts.NoIntermediateDedup,
-		Reach:        p.engine,
 		Ctx:          ctx,
 	})
 	if err != nil {
@@ -593,7 +472,6 @@ func (p *Prepared) StreamContext(ctx context.Context, fn func(batch []pathindex.
 	t0 := time.Now()
 	op, err := exec.Build(p.plan, p.engine.ix, exec.BuildOptions{
 		PerJoinDedup: !p.engine.opts.NoIntermediateDedup,
-		Reach:        p.engine,
 		Ctx:          ctx,
 	})
 	if err != nil {

@@ -186,7 +186,8 @@ func TestUnknownLabelDropped(t *testing.T) {
 }
 
 func TestUnboundedStarUsesNodeCountBound(t *testing.T) {
-	// knows* must equal the oracle when StarBound defaults to n(G).
+	// knows* must equal the oracle on a cycle with a tail: the closure
+	// needs no bound, n(G) or otherwise.
 	g := graph.New()
 	g.AddEdge("a", "knows", "b")
 	g.AddEdge("b", "knows", "c")

@@ -44,7 +44,6 @@ func (p *Prepared) ExecuteParallelContext(ctx context.Context, workers int) (*Re
 	defer unpin()
 	buildOpts := exec.BuildOptions{
 		PerJoinDedup: !p.engine.opts.NoIntermediateDedup,
-		Reach:        p.engine,
 		Ctx:          ctx,
 	}
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -11,46 +10,51 @@ import (
 
 	"repro/internal/automaton"
 	"repro/internal/graph"
+	"repro/internal/pathindex"
 	"repro/internal/reachability"
-	"repro/internal/rewrite"
 	"repro/internal/rpq"
 
 	"repro/internal/plan"
 )
 
-// starTestEngines builds the three closure-evaluation variants over one
-// graph: the default (reachability fast path + fixpoint), the forced
-// fixpoint, and the legacy bounded expansion.
-func starTestEngines(t *testing.T, g *graph.Graph) (def, fix, expand *Engine) {
+// checkStarOracles compares e's answer to expr under every strategy
+// with the automaton oracle and, for the restricted shape (ℓ1|…|ℓm)*,
+// with the reachability index of the paper's approach 3.
+func checkStarOracles(t *testing.T, e *Engine, expr rpq.Expr, where string) []pathindex.Pair {
 	t.Helper()
-	var err error
-	if def, err = NewEngine(g, Options{K: 2}); err != nil {
-		t.Fatal(err)
+	want, err := automaton.Eval(expr, e.Graph())
+	if err != nil {
+		t.Fatalf("%s: automaton oracle on %q: %v", where, expr, err)
 	}
-	if fix, err = NewEngine(g, Options{K: 2, NoReachIndex: true}); err != nil {
-		t.Fatal(err)
+	wantSorted := sortedPairs(want)
+	if _, ok := reachability.CanHandle(expr, e.Graph()); ok {
+		reach, err := reachability.Eval(expr, e.Graph())
+		if err != nil {
+			t.Fatalf("%s: reachability oracle on %q: %v", where, expr, err)
+		}
+		if !slices.Equal(sortedPairs(reach), wantSorted) {
+			t.Fatalf("%s: the oracles disagree on %q", where, expr)
+		}
 	}
-	// The legacy baseline gets a tight disjunct cap: without it, a
-	// multi-label star on a ~15-node graph expands to just under the
-	// 65536 default (2^15 disjuncts) and "succeeds" into a
-	// gigabyte-scale operator tree — the pathology the closure
-	// operators remove. Capped, such cases fail fast with a LimitError
-	// and the differential skips them.
-	if expand, err = NewEngine(g, Options{K: 2, ExpandStars: true, MaxDisjuncts: 2048}); err != nil {
-		t.Fatal(err)
+	for _, strat := range plan.Strategies() {
+		res, err := e.Eval(expr, strat)
+		if err != nil {
+			t.Fatalf("%s: eval of %q under %v: %v", where, expr, strat, err)
+		}
+		if !slices.Equal(sortedPairs(res.Pairs), wantSorted) {
+			t.Errorf("%s: engine disagrees with the oracles on %q under %v", where, expr, strat)
+		}
 	}
-	return def, fix, expand
+	return wantSorted
 }
 
-// TestDifferentialClosureEngines is the closure differential test the
-// issue asks for: on random small graphs, the fixpoint operator, the
-// reachability fast path, and the legacy bounded expansion must agree
-// with each other and with the automaton oracle, across all four
-// strategies and EvalFrom. Graphs are kept small enough that bounded
-// expansion (star bound n(G)) is exact and affordable.
+// TestDifferentialClosureEngines is the closure differential test: on
+// random small graphs, the engine must agree with the automaton oracle
+// (and the reachability index where it applies) across all four
+// strategies and EvalFrom.
 func TestDifferentialClosureEngines(t *testing.T) {
 	queries := []string{
-		"a*", "b*", "(a|b)*", "(a|b^-)*", // restricted shapes (reach-routed)
+		"a*", "b*", "(a|b)*", "(a|b^-)*", // restricted shapes
 		"a/b*", "a*/b", "a/(a|b)*/b", // closures inside compositions
 		"(a/b)*", "a+", "a{2,}", "b?/a*", // longer bodies, mandatory prefixes
 		"(a*)*", "(a|b*)*", "(a/b*)*", // nested stars
@@ -59,38 +63,10 @@ func TestDifferentialClosureEngines(t *testing.T) {
 	for seed := int64(40); seed < 43; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g := randomGraph(r, 10+r.Intn(10), 25, []string{"a", "b"})
-		def, fix, expand := starTestEngines(t, g)
+		e := newTestEngine(t, g, 2)
 		for _, text := range queries {
 			expr := rpq.MustParse(text)
-			want, err := automaton.Eval(expr, g)
-			if err != nil {
-				t.Fatalf("seed %d: automaton oracle on %q: %v", seed, text, err)
-			}
-			wantSorted := sortedPairs(want)
-			for _, strat := range plan.Strategies() {
-				for name, e := range map[string]*Engine{"default": def, "fixpoint": fix} {
-					res, err := e.Eval(expr, strat)
-					if err != nil {
-						t.Fatalf("seed %d: %s eval of %q under %v: %v", seed, name, text, strat, err)
-					}
-					if !slices.Equal(sortedPairs(res.Pairs), wantSorted) {
-						t.Errorf("seed %d: %s engine disagrees with automaton on %q under %v",
-							seed, name, text, strat)
-					}
-				}
-				res, err := expand.Eval(expr, strat)
-				if err != nil {
-					var le *rewrite.LimitError
-					if errors.As(err, &le) {
-						continue // expansion too large; the other engines stand
-					}
-					t.Fatalf("seed %d: expansion eval of %q under %v: %v", seed, text, strat, err)
-				}
-				if !slices.Equal(sortedPairs(res.Pairs), wantSorted) {
-					t.Errorf("seed %d: bounded expansion disagrees with automaton on %q under %v",
-						seed, text, strat)
-				}
-			}
+			wantSorted := checkStarOracles(t, e, expr, fmt.Sprintf("seed %d", seed))
 			// EvalFrom must agree with the filtered pair relation.
 			src := graph.NodeID(r.Intn(g.NumNodes()))
 			var wantFrom []graph.NodeID
@@ -99,15 +75,13 @@ func TestDifferentialClosureEngines(t *testing.T) {
 					wantFrom = append(wantFrom, pr.Dst)
 				}
 			}
-			for name, e := range map[string]*Engine{"default": def, "fixpoint": fix} {
-				gotFrom, err := e.EvalFrom(expr, src)
-				if err != nil {
-					t.Fatalf("seed %d: %s EvalFrom(%q, %d): %v", seed, name, text, src, err)
-				}
-				if !slices.Equal(gotFrom, wantFrom) {
-					t.Errorf("seed %d: %s EvalFrom disagrees on %q from %d: got %v want %v",
-						seed, name, text, src, gotFrom, wantFrom)
-				}
+			gotFrom, err := e.EvalFrom(expr, src)
+			if err != nil {
+				t.Fatalf("seed %d: EvalFrom(%q, %d): %v", seed, text, src, err)
+			}
+			if !slices.Equal(gotFrom, wantFrom) {
+				t.Errorf("seed %d: EvalFrom disagrees on %q from %d: got %v want %v",
+					seed, text, src, gotFrom, wantFrom)
 			}
 		}
 	}
@@ -118,59 +92,33 @@ func TestDifferentialClosureEngines(t *testing.T) {
 func TestDifferentialRandomStarQueries(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
 	g := randomGraph(r, 12, 30, []string{"a", "b"})
-	def, fix, _ := starTestEngines(t, g)
+	e := newTestEngine(t, g, 2)
 	genOpts := rpq.GenOptions{
 		Labels: []string{"a", "b"}, MaxDepth: 3, MaxFanout: 2,
 		MaxRepeatBound: 2, AllowInverse: true, AllowUnbounded: true,
 	}
 	for i := 0; i < 40; i++ {
-		expr := rpq.Generate(r, genOpts)
-		want, err := automaton.Eval(expr, g)
-		if err != nil {
-			t.Fatalf("automaton oracle on %q: %v", expr, err)
-		}
-		wantSorted := sortedPairs(want)
-		for _, strat := range plan.Strategies() {
-			for name, e := range map[string]*Engine{"default": def, "fixpoint": fix} {
-				res, err := e.Eval(expr, strat)
-				if err != nil {
-					t.Fatalf("%s eval of %q under %v: %v", name, expr, strat, err)
-				}
-				if !slices.Equal(sortedPairs(res.Pairs), wantSorted) {
-					t.Errorf("%s engine disagrees with automaton on %q under %v", name, expr, strat)
-				}
-			}
-		}
+		checkStarOracles(t, e, rpq.Generate(r, genOpts), fmt.Sprintf("query %d", i))
 	}
 }
 
-// TestRestrictedStarMatchesReachability is the regression the issue
-// names: (a|a^-)* must succeed (it used to die with an expansion-limit
-// error) and return exactly the reachability index's answer, both via
-// the default reach routing and the forced fixpoint.
+// TestRestrictedStarMatchesReachability is the regression for
+// (a|a^-)* on a 201-node chain, which bounded star expansion could not
+// answer (2^201 disjuncts): the closure must return exactly the
+// reachability index's answer.
 func TestRestrictedStarMatchesReachability(t *testing.T) {
 	g := chainTestGraph(t, 201)
-	def, fix, expand := starTestEngines(t, g)
 	expr := rpq.MustParse("(a|a^-)*")
-
 	want, err := reachability.Eval(expr, g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantSorted := sortedPairs(want)
-	for name, e := range map[string]*Engine{"default": def, "fixpoint": fix} {
-		res, err := e.Eval(expr, plan.MinSupport)
-		if err != nil {
-			t.Fatalf("%s eval of (a|a^-)*: %v", name, err)
-		}
-		if !slices.Equal(sortedPairs(res.Pairs), wantSorted) {
-			t.Errorf("%s engine disagrees with reachability.Eval on (a|a^-)*", name)
-		}
+	res, err := newTestEngine(t, g, 2).Eval(expr, plan.MinSupport)
+	if err != nil {
+		t.Fatalf("eval of (a|a^-)*: %v", err)
 	}
-	// The legacy path must still fail on this shape (2^201 disjuncts),
-	// documenting what the closure operators fixed.
-	if _, err := expand.Eval(expr, plan.MinSupport); err == nil {
-		t.Error("bounded expansion of (a|a^-)* on a 201-node chain should exceed limits")
+	if !slices.Equal(sortedPairs(res.Pairs), sortedPairs(want)) {
+		t.Error("engine disagrees with reachability.Eval on (a|a^-)*")
 	}
 }
 
@@ -190,79 +138,58 @@ func chainTestGraph(t *testing.T, n int) *graph.Graph {
 // CI headroom).
 func TestChainStarFast(t *testing.T) {
 	g := chainTestGraph(t, 201)
-	def, fix, _ := starTestEngines(t, g)
+	e := newTestEngine(t, g, 2)
 	wantPairs := 201 * 202 / 2 // identity + all ordered chain pairs
 
-	for name, e := range map[string]*Engine{"default": def, "fixpoint": fix} {
-		start := time.Now()
-		res, err := e.EvalQuery("a*", plan.MinSupport)
-		if err != nil {
-			t.Fatalf("%s a*: %v", name, err)
-		}
-		elapsed := time.Since(start)
-		if len(res.Pairs) != wantPairs {
-			t.Errorf("%s a* returned %d pairs, want %d", name, len(res.Pairs), wantPairs)
-		}
-		if res.Stats.Closures != 1 || res.Stats.Disjuncts != 0 {
-			t.Errorf("%s a* stats: %d closures / %d path disjuncts, want 1/0",
-				name, res.Stats.Closures, res.Stats.Disjuncts)
-		}
-		// ~4ms measured; 100ms leaves ~25x headroom for slow CI while
-		// still catching any return of the 580ms expansion path.
-		if elapsed > 100*time.Millisecond {
-			t.Errorf("%s a* took %v; the expansion path is back?", name, elapsed)
-		}
+	start := time.Now()
+	res, err := e.EvalQuery("a*", plan.MinSupport)
+	if err != nil {
+		t.Fatalf("a*: %v", err)
+	}
+	elapsed := time.Since(start)
+	if len(res.Pairs) != wantPairs {
+		t.Errorf("a* returned %d pairs, want %d", len(res.Pairs), wantPairs)
+	}
+	if res.Stats.Closures != 1 || res.Stats.Disjuncts != 0 {
+		t.Errorf("a* stats: %d closures / %d path disjuncts, want 1/0",
+			res.Stats.Closures, res.Stats.Disjuncts)
+	}
+	// The whole test, index build included, runs in under 5ms; 100ms
+	// leaves ample headroom for slow CI while still catching any return
+	// of the 580ms expansion path.
+	if elapsed > 100*time.Millisecond {
+		t.Errorf("a* took %v; the expansion path is back?", elapsed)
 	}
 }
 
-// TestExplainClosureNodes checks the new node kinds surface in Explain.
+// TestExplainClosureNodes checks every star surfaces in Explain as the
+// one closure node, with its input.
 func TestExplainClosureNodes(t *testing.T) {
-	g := chainTestGraph(t, 10)
-	def, fix, _ := starTestEngines(t, g)
-
-	out, err := def.Explain("a*", plan.MinSupport)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !contains(out, "reach-scan") {
-		t.Errorf("default Explain of a* lacks reach-scan:\n%s", out)
-	}
-	// Without the reachability fast path, a bare star is a pure closure
-	// — the planner streams it by default.
-	out, err = fix.Explain("a*", plan.MinSupport)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !contains(out, "closure [streamed]") || !contains(out, "identity (ε)") {
-		t.Errorf("Explain of a* without reach index lacks streamed closure node:\n%s", out)
-	}
-	// With streaming disabled the same closure falls back to the
-	// fixpoint and Explain says so.
-	fp, err := NewEngine(fix.Graph(), Options{K: 2, NoReachIndex: true, NoStreamClosures: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err = fp.Explain("a*", plan.MinSupport)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !contains(out, "closure [fixpoint]") || !contains(out, "identity (ε)") {
-		t.Errorf("fixpoint Explain of a* lacks closure node:\n%s", out)
-	}
-	out, err = def.Explain("a/(a)*", plan.MinSupport)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !contains(out, "closure [") || !contains(out, "input: scan") {
-		t.Errorf("Explain of a/(a)* lacks closure with scan input:\n%s", out)
+	e := newTestEngine(t, chainTestGraph(t, 10), 2)
+	for _, tc := range []struct{ query, input string }{
+		{"a*", "input: identity (ε)"},
+		{"(a|a^-)*", "input: identity (ε)"},
+		{"a/(a)*", "input: scan"},
+	} {
+		out, err := e.Explain(tc.query, plan.MinSupport)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !contains(out, "closure (") || !contains(out, tc.input) {
+			t.Errorf("Explain of %s lacks a closure node with %q:\n%s", tc.query, tc.input, out)
+		}
+		for _, gone := range []string{"reach-scan", "[streamed]", "[fixpoint]"} {
+			if contains(out, gone) {
+				t.Errorf("Explain of %s still names %q:\n%s", tc.query, gone, out)
+			}
+		}
 	}
 }
 
 func contains(s, sub string) bool { return strings.Contains(s, sub) }
 
 // TestExecuteParallelClosures checks the parallel executor handles
-// closure and reach disjuncts (workers build their own operator trees,
-// sharing the engine's reachability cache).
+// closure disjuncts (workers build their own operator trees).
 func TestExecuteParallelClosures(t *testing.T) {
 	r := rand.New(rand.NewSource(61))
 	g := randomGraph(r, 15, 30, []string{"a", "b"})
@@ -283,26 +210,5 @@ func TestExecuteParallelClosures(t *testing.T) {
 		if !slices.Equal(sortedPairs(got.Pairs), sortedPairs(want.Pairs)) {
 			t.Errorf("ExecuteParallel disagrees with Execute on %q", text)
 		}
-	}
-}
-
-// TestReachIndexCached checks the engine builds one reachability index
-// per label set and reuses it across executions and label orderings.
-func TestReachIndexCached(t *testing.T) {
-	g := chainTestGraph(t, 20)
-	e := newTestEngine(t, g, 2)
-	for i := 0; i < 3; i++ {
-		if _, err := e.EvalQuery("(a|a^-)*", plan.MinSupport); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.EvalQuery("(a^-|a)*", plan.MinSupport); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e.reachMu.Lock()
-	n := len(e.reach)
-	e.reachMu.Unlock()
-	if n != 1 {
-		t.Errorf("engine cached %d reachability indexes, want 1 (order-insensitive key)", n)
 	}
 }

@@ -13,8 +13,7 @@ import (
 // answering over the old snapshot throughout — and returns a successor
 // engine (epoch+1) whose storage is a pathindex.Levels stack: the same
 // immutable base index plus the accumulated update tiers, with the
-// histogram rebuilt from the stack's merged counts and a fresh lazily
-// populated reachability cache. MergeTiersStep folds adjacent tiers to
+// histogram rebuilt from the stack's merged counts. MergeTiersStep folds adjacent tiers to
 // keep the stack shallow, and compaction — StartCompact / CompactJob /
 // FinishCompact, or the one-call Compact — folds the whole stack back
 // into a single immutable index in bounded increments. The base may be
@@ -228,8 +227,7 @@ func (e *Engine) Compact() (*Engine, error) {
 }
 
 // AtEpoch returns a copy of the engine renumbered to the given epoch,
-// sharing graph, storage, and histogram but starting a fresh
-// reachability cache. Recovery uses it to resume the epoch lineage
+// sharing graph, storage, and histogram. Recovery uses it to resume the epoch lineage
 // recorded in the WAL instead of the replay's own count.
 func (e *Engine) AtEpoch(epoch uint64) *Engine {
 	return &Engine{g: e.g, ix: e.ix, hist: e.hist, opts: e.opts, epoch: epoch}
@@ -237,9 +235,7 @@ func (e *Engine) AtEpoch(epoch uint64) *Engine {
 
 // successor wraps new storage in an engine one epoch ahead of e,
 // carrying the options over and rebuilding the histogram (whose cost is
-// proportional to the number of label paths). The reachability cache
-// starts empty and is rebuilt lazily per label set on first use — a
-// cached closure over the old graph would silently miss new edges.
+// proportional to the number of label paths).
 func (e *Engine) successor(ix pathindex.Storage) (*Engine, error) {
 	ne, err := NewEngineFromStorage(ix, e.opts)
 	if err != nil {

@@ -1,291 +1,252 @@
-// Kleene-closure operators: the semi-naive fixpoint Closure, which
-// iterates a delta frontier of pairs against a materialized body
-// relation until no new pairs appear, and ReachScan, which streams a
-// restricted closure (ℓ1|…|ℓm)* straight out of a reachability index.
+// The Kleene-closure operator. StreamClosure evaluates input ∘ body*
+// over the strongly-connected-component condensation of the body
+// relation: every member of a component reaches every other, so a
+// per-source search walks the (much smaller) component DAG and emits
+// whole components. It is the reachability-index algorithm of the
+// paper's approach 3 — SCC condensation plus a descent over the DAG —
+// built once per execution from whatever body the plan supplies, with
+// no precomputed transitive closure and no cache.
 
 package exec
 
 import (
+	"cmp"
 	"context"
-	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
-	"repro/internal/reachability"
 )
 
-// ReachProvider supplies reachability indexes for Reach plan nodes. The
-// engine implements it with a lazily built per-label-set cache.
-type ReachProvider interface {
-	ReachIndex(labels []graph.DirLabel) (*reachability.Index, error)
+// adjacency is a relation in compressed sparse rows: node v's
+// successors are to[off[v]:off[v+1]].
+type adjacency struct {
+	off []int
+	to  []graph.NodeID
 }
 
-// Closure computes the Kleene closure of a body relation applied to an
-// input relation by semi-naive fixpoint iteration:
-//
-//	total ← input;  Δ ← input
-//	repeat: Δ ← (Δ ∘ body) \ total;  total ← total ∪ Δ
-//	until Δ = ∅
-//
-// The body operator is drained once into an adjacency table; each
-// iteration extends the delta frontier through it, deduplicating
-// against the accumulated relation, so evaluation costs
-// O(iterations · frontier · degree) instead of the O(n(G) · disjuncts)
-// of bounded star expansion. Pairs are emitted as they are discovered
-// (the output is duplicate-free but carries no order). With an
-// IdentityScan input this enumerates the full star relation, identity
-// pairs included.
-type Closure struct {
-	input Operator
-	body  Operator
-
-	adj      map[graph.NodeID][]graph.NodeID
-	total    pairSet
-	delta    []Pair // frontier produced by the previous iteration
-	next     []Pair // frontier being produced by the current iteration
-	di       int    // expansion cursor into delta
-	out      []Pair // pending emissions
-	outPos   int
-	inputIn  input
-	done     bool
-	ctx      context.Context
-	steps    int // fixpoint steps since the last cancellation check
-	iters    int
-	rows     int
-	batches  int
-	emitSize int
+// newAdjacency lays pairs out as rows over nodes 0..n-1; every pair's
+// endpoints must be below n. Duplicate pairs are kept (the condensation
+// does not mind them).
+func newAdjacency(n int, pairs []Pair) adjacency {
+	off := make([]int, n+1)
+	for _, p := range pairs {
+		off[p.Src+1]++
+	}
+	for v := 0; v < n; v++ {
+		off[v+1] += off[v]
+	}
+	to := make([]graph.NodeID, len(pairs))
+	next := slices.Clone(off[:n])
+	for _, p := range pairs {
+		to[next[p.Src]] = p.Dst
+		next[p.Src]++
+	}
+	return adjacency{off: off, to: to}
 }
 
-func (c *Closure) setContext(ctx context.Context) { c.ctx = ctx }
-
-// NewClosure returns a fixpoint closure of body applied to input with
-// default-size buffers.
-func NewClosure(input, body Operator) *Closure {
-	return NewClosureSized(input, body, DefaultBatchSize)
+// condensation is the SCC condensation of a body relation, restricted to
+// the nodes its roots reach. It is immutable once built, so any number of
+// traversals — one per source range, say — may share it.
+type condensation struct {
+	// comp maps a node to its component, -1 for nodes no root reaches.
+	comp []int32
+	// Component c's members are members[memOff[c]:memOff[c+1]] and its
+	// successors in the component DAG (deduplicated, no self-loops) are
+	// dag[dagOff[c]:dagOff[c+1]].
+	memOff  []int
+	members []graph.NodeID
+	dagOff  []int
+	dag     []int32
 }
 
-// NewClosureSized returns a fixpoint closure whose input pulls and
-// emission chunks move batchSize pairs at a time.
-func NewClosureSized(input, body Operator, batchSize int) *Closure {
-	if batchSize < 1 {
-		batchSize = 1
+// condense runs Tarjan's algorithm from every root over body, then
+// collects the condensation DAG. The depth-first search keeps its own
+// stack of frames, so long chains cost heap, not goroutine stack.
+// Components are numbered in reverse topological order.
+func condense(body adjacency, roots []graph.NodeID) *condensation {
+	n := len(body.off) - 1
+	c := &condensation{comp: make([]int32, n), memOff: []int{0}}
+	for i := range c.comp {
+		c.comp[i] = -1
 	}
-	return &Closure{
-		input:    input,
-		body:     body,
-		inputIn:  newInput(input, batchSize),
-		emitSize: batchSize,
+	// order is the DFS preorder number plus one (0: unvisited); a visited
+	// node without a component is on Tarjan's stack.
+	order := make([]int32, n)
+	low := make([]int32, n)
+	var stack []graph.NodeID
+	type frame struct {
+		v    graph.NodeID
+		edge int // next position in body.to
 	}
-}
-
-func (c *Closure) children() []Operator { return []Operator{c.input, c.body} }
-
-// materializeBody drains the body operator into the adjacency table
-// keyed on source: one fixpoint step maps a frontier pair (s,t) to
-// (s,u) for every u ∈ adj[t].
-func (c *Closure) materializeBody() {
-	c.adj = map[graph.NodeID][]graph.NodeID{}
-	buf := make([]Pair, c.emitSize)
-	for {
-		n := c.body.NextBatch(buf)
-		if n == 0 {
-			return
-		}
-		for _, pr := range buf[:n] {
-			c.adj[pr.Src] = append(c.adj[pr.Src], pr.Dst)
-		}
+	var call []frame
+	var visited int32
+	push := func(v graph.NodeID) {
+		visited++
+		order[v], low[v] = visited, visited
+		stack = append(stack, v)
+		call = append(call, frame{v: v, edge: body.off[v]})
 	}
-}
-
-// discover admits pr if unseen: it joins the accumulated relation, the
-// next frontier, and the pending output.
-func (c *Closure) discover(pr Pair) {
-	if !c.total.add(pr) {
-		return
-	}
-	c.next = append(c.next, pr)
-	c.out = append(c.out, pr)
-}
-
-// step performs one unit of fixpoint work, appending discoveries to the
-// pending output. It reports false when the fixpoint is complete.
-func (c *Closure) step() bool {
-	// Phase 1: absorb the input relation as iteration zero's frontier.
-	if !c.inputIn.done {
-		if c.inputIn.fill() {
-			for c.inputIn.pos < c.inputIn.n {
-				c.discover(c.inputIn.buf[c.inputIn.pos])
-				c.inputIn.pos++
-			}
-			return true
-		}
-		c.delta, c.next = c.next, nil
-		c.di = 0
-		if len(c.delta) > 0 {
-			c.materializeBody()
-		}
-	}
-	// Phase 2: expand the current frontier one pair at a time.
-	for c.di >= len(c.delta) {
-		if len(c.next) == 0 {
-			return false // empty delta: fixpoint reached
-		}
-		c.delta, c.next = c.next, c.delta[:0]
-		c.di = 0
-		c.iters++
-	}
-	pr := c.delta[c.di]
-	c.di++
-	for _, u := range c.adj[pr.Dst] {
-		c.discover(Pair{Src: pr.Src, Dst: u})
-	}
-	return true
-}
-
-// NextBatch implements Operator.
-func (c *Closure) NextBatch(buf []Pair) int {
-	if len(buf) == 0 || cancelled(c.ctx) {
-		return 0
-	}
-	n := 0
-	for n < len(buf) {
-		if c.outPos < len(c.out) {
-			m := copy(buf[n:], c.out[c.outPos:])
-			n += m
-			c.outPos += m
+	for _, r := range roots {
+		if order[r] != 0 {
 			continue
 		}
-		c.out = c.out[:0]
-		c.outPos = 0
-		if c.done {
-			break
-		}
-		// Duplicate-heavy fixpoints can run many steps without a single
-		// emission, so the batch boundary alone is not a reliable
-		// cancellation point — re-check the context every 256 steps.
-		c.steps++
-		if c.steps&255 == 0 && cancelled(c.ctx) {
-			break
-		}
-		if !c.step() {
-			c.done = true
+		push(r)
+		for len(call) > 0 {
+			f := &call[len(call)-1]
+			v := f.v
+			if f.edge < body.off[v+1] {
+				w := body.to[f.edge]
+				f.edge++
+				if order[w] == 0 {
+					push(w)
+				} else if c.comp[w] < 0 && order[w] < low[v] {
+					low[v] = order[w]
+				}
+				continue
+			}
+			call = call[:len(call)-1]
+			if len(call) > 0 {
+				if p := call[len(call)-1].v; low[v] < low[p] {
+					low[p] = low[v]
+				}
+			}
+			if low[v] != order[v] {
+				continue
+			}
+			id := int32(len(c.memOff) - 1)
+			for {
+				w := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				c.comp[w] = id
+				c.members = append(c.members, w)
+				if w == v {
+					break
+				}
+			}
+			c.memOff = append(c.memOff, len(c.members))
 		}
 	}
-	c.rows += n
-	if n > 0 {
-		c.batches++
+	numComps := len(c.memOff) - 1
+	c.dagOff = make([]int, 1, numComps+1)
+	// mark[d] == s+1 once the edge s→d is recorded for component s.
+	mark := make([]int32, numComps)
+	for s := 0; s < numComps; s++ {
+		for _, v := range c.members[c.memOff[s]:c.memOff[s+1]] {
+			for _, w := range body.to[body.off[v]:body.off[v+1]] {
+				if d := c.comp[w]; int(d) != s && mark[d] != int32(s+1) {
+					mark[d] = int32(s + 1)
+					c.dag = append(c.dag, d)
+				}
+			}
+		}
+		c.dagOff = append(c.dagOff, len(c.dag))
 	}
-	return n
+	return c
 }
 
-// Iterations returns the number of completed fixpoint iterations beyond
-// the input absorption (0 until evaluation starts).
-func (c *Closure) Iterations() int { return c.iters }
-
-// Rows implements Operator.
-func (c *Closure) Rows() int { return c.rows }
-
-// Batches implements Operator.
-func (c *Closure) Batches() int { return c.batches }
-
-// Name implements Operator.
-func (c *Closure) Name() string { return "closure" }
-
-// StreamClosure computes the same relation as Closure —
-// input ∘ body* — output-sensitively: instead of accumulating every
-// discovered pair in one seen-set (O(output) memory, quadratic in the
-// graph for dense closures), it groups the input pairs by source and
-// runs one per-source BFS over the materialized body adjacency, emitting
-// (source, reached) pairs batch-at-a-time straight from the BFS queue.
-// A visited array with epoch stamping (no per-source clearing) makes
-// each BFS O(reached + edges touched), so peak memory is
-// O(input + body + n(G) + batch) — bounded by the graph, never by the
-// output. The output is duplicate-free (each source's reach set is
-// enumerated once, sources are distinct groups) but carries no order.
+// StreamClosure computes input ∘ body*, the Kleene closure of the union
+// of its body operators applied to its input (an IdentityScan input
+// gives the bare star). On the first NextBatch it drains the input into
+// seeds sorted by source and the body straight into an adjacency, and
+// condenses the body graph reachable from the seeds' targets. Then, for
+// each source in turn, it marks the components of that source's seed
+// targets, walks the component DAG breadth-first with a stamped
+// visited array, and emits (source, member) for every member of every
+// component reached — resuming mid-component across calls.
+//
+// The build is O(V + E_body); each source then costs O(components and
+// DAG edges it reaches + pairs it emits). Memory is O(V + E_body + input),
+// never proportional to the output. The output is duplicate-free
+// (components partition the nodes, sources are distinct groups) and
+// grouped by ascending source.
 type StreamClosure struct {
 	input Operator
-	body  Operator
+	body  []Operator
 
-	adj     map[graph.NodeID][]graph.NodeID
+	cond    *condensation
 	seeds   []Pair // input pairs sorted by (src, dst)
-	si      int    // cursor: start of the next source group
+	si      int    // start of the next source group in seeds
 	started bool
-	done    bool
 
-	visited []uint32 // node -> epoch of the BFS that last reached it
-	epoch   uint32
-	queue   []graph.NodeID
-	qi      int // emission/expansion cursor into queue
-	curSrc  graph.NodeID
+	src   graph.NodeID // source of the group being emitted
+	seen  []uint32     // component -> stamp of the source group that last reached it
+	stamp uint32
+	queue []int32 // components the current source reaches, in BFS order
+	qi    int     // next component of queue to expand and emit
+	mi    int     // next member of the component being emitted
+	mend  int     // end of that component's members
 
 	ctx     context.Context
-	sources int
 	rows    int
 	batches int
 }
 
 func (c *StreamClosure) setContext(ctx context.Context) { c.ctx = ctx }
 
-// NewStreamClosure returns a streaming closure of body applied to input
-// over a graph of numNodes nodes.
-func NewStreamClosure(input, body Operator, numNodes int) *StreamClosure {
-	// epoch 0 means "no BFS has stamped visited yet"; spelled out for the
-	// epochkey invariant check.
-	return &StreamClosure{input: input, body: body, visited: make([]uint32, numNodes), epoch: 0}
+// NewStreamClosure returns the closure of the union of body applied to
+// input.
+func NewStreamClosure(input Operator, body ...Operator) *StreamClosure {
+	return &StreamClosure{input: input, body: body}
 }
 
-func (c *StreamClosure) children() []Operator { return []Operator{c.input, c.body} }
+func (c *StreamClosure) children() []Operator { return append([]Operator{c.input}, c.body...) }
 
-// start drains the input into source-grouped seeds and the body into the
-// adjacency table.
-func (c *StreamClosure) start() {
-	buf := make([]Pair, DefaultBatchSize)
+// appendAll appends every pair op produces to dst, pulling through buf.
+func appendAll(dst []Pair, op Operator, buf []Pair) []Pair {
 	for {
-		n := c.input.NextBatch(buf)
+		n := op.NextBatch(buf)
 		if n == 0 {
-			break
+			return dst
 		}
-		c.seeds = append(c.seeds, buf[:n]...)
+		dst = append(dst, buf[:n]...)
 	}
-	sort.Slice(c.seeds, func(i, j int) bool {
-		if c.seeds[i].Src != c.seeds[j].Src {
-			return c.seeds[i].Src < c.seeds[j].Src
-		}
-		return c.seeds[i].Dst < c.seeds[j].Dst
-	})
-	if len(c.seeds) > 0 {
-		c.adj = map[graph.NodeID][]graph.NodeID{}
-		for {
-			n := c.body.NextBatch(buf)
-			if n == 0 {
-				break
-			}
-			for _, pr := range buf[:n] {
-				c.adj[pr.Src] = append(c.adj[pr.Src], pr.Dst)
-			}
-		}
-	}
-	c.started = true
 }
 
-// nextSource seeds the BFS of the next source group, reporting false
-// when every group is exhausted.
+// start drains the input and the body and condenses the body over the
+// nodes they mention.
+func (c *StreamClosure) start() {
+	c.started = true
+	buf := make([]Pair, DefaultBatchSize)
+	c.seeds = appendAll(nil, c.input, buf)
+	if len(c.seeds) == 0 {
+		return
+	}
+	slices.SortFunc(c.seeds, func(a, b Pair) int {
+		return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
+	})
+	var pairs []Pair
+	for _, b := range c.body {
+		pairs = appendAll(pairs, b, buf)
+	}
+	n := 0
+	roots := make([]graph.NodeID, len(c.seeds))
+	for i, s := range c.seeds {
+		roots[i] = s.Dst
+		n = max(n, int(s.Dst)+1)
+	}
+	for _, p := range pairs {
+		n = max(n, int(p.Src)+1, int(p.Dst)+1)
+	}
+	c.cond = condense(newAdjacency(n, pairs), roots)
+	c.seen = make([]uint32, len(c.cond.memOff)-1)
+}
+
+// nextSource loads the next source group: its seed targets' components
+// start the BFS queue. It reports false when every group is done.
 func (c *StreamClosure) nextSource() bool {
 	if c.si >= len(c.seeds) {
 		return false
 	}
-	c.curSrc = c.seeds[c.si].Src
-	c.epoch++
+	c.src = c.seeds[c.si].Src
+	c.stamp++
 	c.queue = c.queue[:0]
 	c.qi = 0
-	for ; c.si < len(c.seeds) && c.seeds[c.si].Src == c.curSrc; c.si++ {
-		t := c.seeds[c.si].Dst
-		if int(t) < len(c.visited) && c.visited[t] != c.epoch {
-			c.visited[t] = c.epoch
-			c.queue = append(c.queue, t)
+	for ; c.si < len(c.seeds) && c.seeds[c.si].Src == c.src; c.si++ {
+		if d := c.cond.comp[c.seeds[c.si].Dst]; c.seen[d] != c.stamp {
+			c.seen[d] = c.stamp
+			c.queue = append(c.queue, d)
 		}
 	}
-	c.sources++
 	return true
 }
 
@@ -299,22 +260,29 @@ func (c *StreamClosure) NextBatch(buf []Pair) int {
 	}
 	n := 0
 	for n < len(buf) {
-		if c.qi >= len(c.queue) {
-			if c.done || !c.nextSource() {
-				c.done = true
-				break
+		if c.mi < c.mend {
+			k := min(c.mend-c.mi, len(buf)-n)
+			for _, m := range c.cond.members[c.mi : c.mi+k] {
+				buf[n] = Pair{Src: c.src, Dst: m}
+				n++
 			}
+			c.mi += k
 			continue
 		}
-		u := c.queue[c.qi]
-		c.qi++
-		buf[n] = Pair{Src: c.curSrc, Dst: u}
-		n++
-		for _, v := range c.adj[u] {
-			if int(v) < len(c.visited) && c.visited[v] != c.epoch {
-				c.visited[v] = c.epoch
-				c.queue = append(c.queue, v)
+		if c.qi < len(c.queue) {
+			d := c.queue[c.qi]
+			c.qi++
+			for _, s := range c.cond.dag[c.cond.dagOff[d]:c.cond.dagOff[d+1]] {
+				if c.seen[s] != c.stamp {
+					c.seen[s] = c.stamp
+					c.queue = append(c.queue, s)
+				}
 			}
+			c.mi, c.mend = c.cond.memOff[d], c.cond.memOff[d+1]
+			continue
+		}
+		if !c.nextSource() {
+			break
 		}
 	}
 	c.rows += n
@@ -324,10 +292,6 @@ func (c *StreamClosure) NextBatch(buf []Pair) int {
 	return n
 }
 
-// Sources returns the number of per-source BFS traversals completed or
-// in progress.
-func (c *StreamClosure) Sources() int { return c.sources }
-
 // Rows implements Operator.
 func (c *StreamClosure) Rows() int { return c.rows }
 
@@ -335,64 +299,4 @@ func (c *StreamClosure) Rows() int { return c.rows }
 func (c *StreamClosure) Batches() int { return c.batches }
 
 // Name implements Operator.
-func (c *StreamClosure) Name() string { return "closure-stream" }
-
-// ReachScan streams the restricted closure (ℓ1|…|ℓm)* from a
-// reachability index: SCC condensation plus descendant bitsets make
-// every pair an O(1) bitset probe, and enumeration is linear in the
-// output. Output is grouped by component pair, not sorted.
-type ReachScan struct {
-	it      *reachability.PairIterator
-	ctx     context.Context
-	rows    int
-	batches int
-}
-
-func (s *ReachScan) setContext(ctx context.Context) { s.ctx = ctx }
-
-// NewReachScan returns a scan over the index's closure relation.
-func NewReachScan(ix *reachability.Index) *ReachScan {
-	return &ReachScan{it: ix.Iter()}
-}
-
-// NextBatch implements Operator.
-func (s *ReachScan) NextBatch(buf []Pair) int {
-	if len(buf) == 0 || cancelled(s.ctx) {
-		return 0
-	}
-	n := s.it.Next(buf)
-	s.rows += n
-	if n > 0 {
-		s.batches++
-	}
-	return n
-}
-
-// Rows implements Operator.
-func (s *ReachScan) Rows() int { return s.rows }
-
-// Batches implements Operator.
-func (s *ReachScan) Batches() int { return s.batches }
-
-// Name implements Operator.
-func (s *ReachScan) Name() string { return "reach-scan" }
-
-// buildClosure translates a Closure plan node: a nil input becomes the
-// identity scan (pure star), and the body union is wrapped in a
-// Distinct so repeated body pairs are materialized once. streamed
-// selects the output-sensitive per-source BFS operator over the
-// pair-materializing fixpoint.
-func buildClosure(input Operator, body []Operator, batchSize int, streamed bool, numNodes int, ctx context.Context) Operator {
-	var b Operator
-	if len(body) == 1 {
-		b = WithContext(NewDistinctSized(body[0], batchSize), ctx)
-	} else {
-		b = WithContext(NewUnionDistinctSized(body, batchSize), ctx)
-	}
-	if streamed {
-		return WithContext(NewStreamClosure(input, b, numNodes), ctx)
-	}
-	return WithContext(NewClosureSized(input, b, batchSize), ctx)
-}
-
-var errNoReachProvider = fmt.Errorf("exec: plan contains a reach-scan but BuildOptions.Reach is nil")
+func (c *StreamClosure) Name() string { return "closure" }

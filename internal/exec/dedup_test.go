@@ -61,7 +61,7 @@ func twoRouteGraph() *graph.Graph {
 }
 
 // TestDedupPlacement builds the plan shapes Build treats differently —
-// one scan, one join, several disjuncts, the three closure modes — under
+// one scan, one join, several disjuncts, a closure and a nested one — under
 // every strategy, over unsharded storage and 1/2/4/7 shards, with and
 // without per-join dedup, and
 // checks three things: the result equals the automaton oracle, it holds
@@ -83,7 +83,6 @@ func TestDedupPlacement(t *testing.T) {
 		paths    []pathindex.Path
 		closures []plan.Seq
 		epsilon  bool
-		planner  plan.Planner // K, Hist, NumNodes and Shards are filled in
 		// noUnion says when Build must return the lone disjunct as is,
 		// its root emitting a set by itself: "always", "perJoin" (a join
 		// under its per-join Distinct, unsharded: a scattered join is
@@ -97,12 +96,10 @@ func TestDedupPlacement(t *testing.T) {
 			g: twoRouteGraph()},
 		{name: "multi-disjunct", query: "a/b/c|b^-/a|c|()", epsilon: true,
 			paths: []pathindex.Path{{a, b, c}, {graph.Inv(1), a}, {c}}},
-		{name: "closure-fixpoint", query: "a/(b/c)*",
+		{name: "closure", query: "a/(b/c)*",
 			closures: []plan.Seq{seq(seg(a), star(seq(seg(b, c))))}, noUnion: "always"},
-		{name: "closure-streamed", query: "(b/c)*", planner: plan.Planner{StreamClosures: true},
-			closures: []plan.Seq{seq(star(seq(seg(b, c))))}, noUnion: "always"},
-		{name: "closure-reach", query: "(a|b^-)*",
-			closures: []plan.Seq{seq(star(seq(seg(a)), seq(seg(graph.Inv(1)))))}, noUnion: "always"},
+		{name: "nested-closure", query: "(a/b*)*",
+			closures: []plan.Seq{seq(star(seq(seg(a), star(seq(seg(b))))))}, noUnion: "always"},
 		{name: "closure-and-path", query: "a/(b/c)*|c/a/b",
 			paths:    []pathindex.Path{{c, a, b}},
 			closures: []plan.Seq{seq(seg(a), star(seq(seg(b, c))))}},
@@ -129,15 +126,14 @@ func TestDedupPlacement(t *testing.T) {
 				storage = buildShardedIndex(t, g, k, shards)
 			}
 			for _, strat := range plan.Strategies() {
-				pl := tc.planner
-				pl.K, pl.Hist, pl.NumNodes, pl.Shards = k, hist, g.NumNodes(), shards
+				pl := plan.Planner{K: k, Hist: hist, NumNodes: g.NumNodes(), Shards: shards}
 				p, err := pl.PlanQuery(tc.paths, tc.closures, tc.epsilon, strat)
 				if err != nil {
 					t.Fatalf("%s: %v", tc.name, err)
 				}
 				for _, perJoin := range []bool{true, false} {
 					where := fmt.Sprintf("%s %v shards=%d perJoin=%v", tc.name, strat, shards, perJoin)
-					op, err := Build(p, storage, BuildOptions{PerJoinDedup: perJoin, Reach: reachProvider{g}})
+					op, err := Build(p, storage, BuildOptions{PerJoinDedup: perJoin})
 					if err != nil {
 						t.Fatalf("%s: %v", where, err)
 					}

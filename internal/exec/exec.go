@@ -84,13 +84,8 @@ type BuildOptions struct {
 	// from their children; 0 uses DefaultBatchSize. Exposed for the
 	// batch-size micro-benchmarks.
 	BatchSize int
-	// Reach supplies reachability indexes for Reach plan nodes (the
-	// restricted-closure fast path). Required when the plan contains
-	// them; plans without closures never consult it.
-	Reach ReachProvider
 	// Ctx, when non-nil, is checked by every operator at batch
-	// boundaries (and periodically inside the closure fixpoint and BFS
-	// loops): once it is done, operators stop producing and return 0,
+	// boundaries: once it is done, operators stop producing and return 0,
 	// so the whole tree winds down within one batch per level. A
 	// cancelled stream terminates early rather than at exhaustion —
 	// drain with RunContext (or check ctx after the drain) so partial
@@ -168,15 +163,15 @@ func Build(p *plan.Plan, ix pathindex.Storage, opts BuildOptions) (Operator, err
 // that places duplicate elimination. Duplicates arise only where a join
 // projects away its middle node and where a union concatenates streams;
 // every other operator emits a set: scans read a relation (a ConcatScan
-// reads disjoint shard runs), closures and Distinct keep a seen-set (or
-// enumerate each source's reach set once). A Gather is a union too: its
+// reads disjoint shard runs), Distinct keeps a seen-set and a closure
+// enumerates each source's reach set once. A Gather is a union too: its
 // per-shard joins meet the same (src,dst) through join nodes of
 // different shards, so it is never duplicate-free, not even over
 // per-shard Distincts.
 func duplicateFree(op Operator) bool {
 	switch op.(type) {
 	case *IndexScan, *MergeUnionScan, *ConcatScan, *IdentityScan,
-		*ReachScan, *StreamClosure, *Closure, *Distinct, *UnionDistinct:
+		*StreamClosure, *Distinct, *UnionDistinct:
 		return true
 	}
 	return false
@@ -247,16 +242,7 @@ func buildNode(n plan.Node, ix pathindex.Storage, opts BuildOptions) (Operator, 
 			}
 			body[i] = op
 		}
-		return buildClosure(input, body, opts.batchSize(), v.Streamed, ix.Graph().NumNodes(), opts.Ctx), nil
-	case *plan.Reach:
-		if opts.Reach == nil {
-			return nil, errNoReachProvider
-		}
-		rix, err := opts.Reach.ReachIndex(v.Labels)
-		if err != nil {
-			return nil, fmt.Errorf("exec: building reachability index: %w", err)
-		}
-		return WithContext(NewReachScan(rix), opts.Ctx), nil
+		return WithContext(NewStreamClosure(input, body...), opts.Ctx), nil
 	default:
 		return nil, fmt.Errorf("exec: unknown plan node %T", n)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // pairSet is the seen-set of the deduplicating operators (Distinct,
-// UnionDistinct, the fixpoint Closure): an open-addressing hash set over
+// UnionDistinct): an open-addressing hash set over
 // the packed pair (pathindex.Pack: src<<32|dst) with linear probing, a
 // multiplicative hash and doubling growth — one 8-byte slot per entry,
 // 2.5x cheaper per pair than map[Pair]struct{} (BenchmarkDedup).

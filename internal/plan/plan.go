@@ -169,15 +169,6 @@ type Planner struct {
 	NumNodes int
 	// HashOnly disables merge joins (ablation Ext-3b).
 	HashOnly bool
-	// NoReachIndex disables the reachability-index fast path for
-	// restricted closures (ℓ1|…|ℓm)*, forcing the general fixpoint
-	// Closure operator (ablation and differential testing).
-	NoReachIndex bool
-	// StreamClosures enables the output-sensitive closure mode: Closure
-	// nodes whose estimated output dwarfs their touched-edge estimate are
-	// marked Streamed and evaluated by per-source BFS with bounded memory
-	// instead of the pair-materializing fixpoint.
-	StreamClosures bool
 	// Shards, when > 1, targets source-partitioned storage: every
 	// co-partitioned merge join is wrapped in a Scatter node for
 	// per-shard evaluation (see shard.go).
@@ -469,9 +460,6 @@ func (pl *Planner) cloneTree(n Node) Node {
 			c.Body[i] = pl.cloneTree(b)
 		}
 		return &c
-	case *Reach:
-		c := *v
-		return &c
 	default:
 		return n
 	}
@@ -517,11 +505,7 @@ func formatNode(b *strings.Builder, n Node, g *graph.Graph, prefix, indent strin
 		formatNode(b, v.Left, g, indent+"├─ ", indent+"│  ")
 		formatNode(b, v.Right, g, indent+"└─ ", indent+"   ")
 	case *Closure:
-		mode := "fixpoint"
-		if v.Streamed {
-			mode = "streamed"
-		}
-		fmt.Fprintf(b, "%sclosure [%s] (est card %.1f, cost %.1f)\n", prefix, mode, v.Card(), v.Cost())
+		fmt.Fprintf(b, "%sclosure (est card %.1f, cost %.1f)\n", prefix, v.Card(), v.Cost())
 		if v.Input == nil {
 			fmt.Fprintf(b, "%s├─ input: identity (ε)\n", indent)
 		} else {
@@ -534,13 +518,6 @@ func formatNode(b *strings.Builder, n Node, g *graph.Graph, prefix, indent strin
 			}
 			formatNode(b, c, g, childPrefix, childIndent)
 		}
-	case *Reach:
-		parts := make([]string, len(v.Labels))
-		for i, l := range v.Labels {
-			parts[i] = g.DirLabelName(l)
-		}
-		fmt.Fprintf(b, "%sreach-scan (%s)* [reachability index] (est %.1f)\n",
-			prefix, strings.Join(parts, "|"), v.Card())
 	case *Scatter:
 		fmt.Fprintf(b, "%sscatter ×%d [co-partitioned on join node] → gather\n", prefix, v.Shards)
 		formatNode(b, v.Child, g, indent+"└─ ", indent+"   ")

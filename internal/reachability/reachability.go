@@ -215,75 +215,6 @@ func (ix *Index) Pairs() []pathindex.Pair {
 	return out
 }
 
-// PairIterator streams the (ℓ1∪…∪ℓm)* relation without materializing
-// it: component pairs are walked in (source SCC, destination SCC) order
-// and expanded member-by-member into caller-supplied buffers. The
-// executor's reach-scan operator drains it batch-at-a-time.
-type PairIterator struct {
-	ix      *Index
-	members [][]graph.NodeID
-	cs, cd  int // current component pair (cd scans reach[cs])
-	si, ti  int // member cursors within (cs, cd)
-	started bool
-	valid   bool // a current component pair is loaded
-}
-
-// Iter returns a fresh iterator over the closure relation. The order is
-// grouped by component pair, not globally sorted by node id.
-func (ix *Index) Iter() *PairIterator {
-	members := make([][]graph.NodeID, ix.numSCC)
-	for v := 0; v < ix.g.NumNodes(); v++ {
-		members[ix.comp[v]] = append(members[ix.comp[v]], graph.NodeID(v))
-	}
-	return &PairIterator{ix: ix, members: members, cd: -1}
-}
-
-// advance moves to the next reachable (cs, cd) component pair, returning
-// false at exhaustion.
-func (it *PairIterator) advance() bool {
-	for {
-		it.cd++
-		if it.cd >= it.ix.numSCC {
-			it.cs++
-			it.cd = 0
-			if it.cs >= it.ix.numSCC {
-				return false
-			}
-		}
-		if it.ix.reach[it.cs][it.cd/64]&(1<<(uint(it.cd)%64)) != 0 {
-			it.si, it.ti = 0, 0
-			return true
-		}
-	}
-}
-
-// Next fills buf with up to len(buf) pairs and returns the number
-// filled; 0 means exhaustion. buf must be non-empty.
-func (it *PairIterator) Next(buf []pathindex.Pair) int {
-	if !it.started {
-		it.started = true
-		it.valid = it.advance()
-	}
-	n := 0
-	for n < len(buf) && it.valid {
-		src := it.members[it.cs]
-		dst := it.members[it.cd]
-		for n < len(buf) && it.si < len(src) {
-			buf[n] = pathindex.Pair{Src: src[it.si], Dst: dst[it.ti]}
-			n++
-			it.ti++
-			if it.ti == len(dst) {
-				it.ti = 0
-				it.si++
-			}
-		}
-		if it.si >= len(src) {
-			it.valid = it.advance()
-		}
-	}
-	return n
-}
-
 // CanHandle reports whether e has the restricted shape this approach
 // supports — (ℓ1 ∪ … ∪ ℓm)* or ℓ* — returning the label set. Labels
 // absent from g make the query unsupported here (their steps cannot be

@@ -2,13 +2,11 @@ package reachability
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/automaton"
 	"repro/internal/graph"
-	"repro/internal/pathindex"
 	"repro/internal/rpq"
 )
 
@@ -203,68 +201,5 @@ func TestDeepGraphNoStackOverflow(t *testing.T) {
 	}
 	if !ix.Reachable(0, n-1) {
 		t.Error("chain head should reach tail")
-	}
-}
-
-// TestPairIteratorMatchesPairs checks the streaming iterator enumerates
-// exactly the Pairs() relation, across buffer sizes and random graphs.
-func TestPairIteratorMatchesPairs(t *testing.T) {
-	r := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 10; trial++ {
-		n := 1 + r.Intn(12)
-		g := graph.New()
-		g.EnsureNodes(n)
-		l := g.Label("a")
-		for e := 0; e < r.Intn(3*n); e++ {
-			g.AddEdgeID(graph.NodeID(r.Intn(n)), l, graph.NodeID(r.Intn(n)))
-		}
-		g.Freeze()
-		ix, err := Build(g, []graph.DirLabel{graph.Fwd(l)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := ix.Pairs()
-		for _, bs := range []int{1, 3, 64} {
-			it := ix.Iter()
-			buf := make([]pathindex.Pair, bs)
-			var got []pathindex.Pair
-			for {
-				m := it.Next(buf)
-				if m == 0 {
-					break
-				}
-				got = append(got, buf[:m]...)
-			}
-			sort.Slice(got, func(i, j int) bool {
-				if got[i].Src != got[j].Src {
-					return got[i].Src < got[j].Src
-				}
-				return got[i].Dst < got[j].Dst
-			})
-			if len(got) != len(want) {
-				t.Fatalf("trial %d bs %d: iterator yields %d pairs, Pairs() %d", trial, bs, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("trial %d bs %d: pair %d = %v, want %v", trial, bs, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestPairIteratorEmptyGraph: no nodes, no pairs, no panic.
-func TestPairIteratorEmptyGraph(t *testing.T) {
-	g := graph.New()
-	g.Label("a") // vocabulary without edges
-	g.Freeze()
-	lid, _ := g.LookupLabel("a")
-	ix, err := Build(g, []graph.DirLabel{graph.Fwd(lid)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	it := ix.Iter()
-	if m := it.Next(make([]pathindex.Pair, 4)); m != 0 {
-		t.Errorf("empty graph iterator yields %d pairs", m)
 	}
 }

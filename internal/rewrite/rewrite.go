@@ -5,17 +5,16 @@
 // form: unbounded repetitions (R*, R+, R{i,}) are NOT expanded into
 // n(G)-bounded unions but kept as first-class Kleene-closure factors, so
 // a query normalizes to a union of plain label paths plus closure
-// sequences (and possibly the identity ε). The planner evaluates closure
-// factors by fixpoint iteration (or a reachability index for the
-// restricted single-step shapes), which is how related systems
-// (Arroyuelo & Navarro; Abo Khamis et al.) treat closures, instead of
-// the exponential disjunct expansion of the paper's prototype.
+// sequences (and possibly the identity ε). The executor evaluates each
+// closure factor over the SCC condensation of its body, which is how
+// related systems (Arroyuelo & Navarro; Abo Khamis et al.) treat
+// closures, instead of the exponential disjunct expansion of the
+// paper's prototype.
 //
 // Expansion of the bounded fragment is exponential in the worst case, so
-// Normalize enforces configurable limits on the number of disjuncts and
-// on path length and fails cleanly when a query exceeds them. The legacy
-// behavior — bounding stars by n(G) and expanding them — survives behind
-// Options.ExpandStars for ablation and differential testing.
+// Normalize enforces configurable limits on the number of disjuncts, on
+// path length and on total size, and fails cleanly when a query exceeds
+// them.
 package rewrite
 
 import (
@@ -148,15 +147,6 @@ func (s Seq) TotalSteps() int {
 	return total
 }
 
-// PureStar reports whether the sequence is a bare Kleene star — exactly
-// one element, a closure factor with no fixed segments around it. The
-// planner uses this as a closure-mode hint: a pure star's answer is
-// every source's reach set, the shape the output-sensitive streaming
-// evaluator is built for.
-func (s Seq) PureStar() bool {
-	return len(s.Elems) == 1 && s.Elems[0].IsStar()
-}
-
 // HasStar reports whether the sequence contains a closure factor.
 func (s Seq) HasStar() bool {
 	for _, e := range s.Elems {
@@ -251,20 +241,6 @@ func (n Normal) String() string {
 
 // Options bounds the expansion.
 type Options struct {
-	// StarBound replaces the missing upper bound of unbounded repetitions
-	// (R*, R+, R{i,}) when ExpandStars is set. The paper (Section 2.2)
-	// observes that for every graph G there is an n(G) with
-	// R*(G) = R^{0,n(G)}(G); callers typically pass the node count or a
-	// diameter bound. In the default star-factored mode this field is
-	// unused: closures are kept symbolic and evaluated by fixpoint
-	// iteration, so no bound is needed.
-	StarBound int
-	// ExpandStars restores the legacy rewrite of unbounded repetitions
-	// into StarBound-bounded unions (the paper's prototype behavior).
-	// With it set, StarBound must be positive for queries containing
-	// unbounded repetition. Kept as an ablation and as the baseline for
-	// the closure differential tests and the star benchmark.
-	ExpandStars bool
 	// MaxDisjuncts caps the number of disjuncts produced (after
 	// deduplication of intermediate results). Zero means the
 	// DefaultMaxDisjuncts limit.
@@ -276,10 +252,10 @@ type Options struct {
 	// MaxTotalSteps caps the total expanded size of the normal form:
 	// the summed steps over every produced disjunct (closure bodies
 	// included). The per-disjunct and disjunct-count limits alone do
-	// not compose into a memory bound — a StarBound-expanded
-	// multi-label star can sit just under MaxDisjuncts with long
-	// disjuncts, "succeeding" into an expansion whose downstream
-	// operator tree is gigabytes — so the total is capped on its own.
+	// not compose into a memory bound — a bounded repetition such as
+	// (a|b){1,15} sits just under MaxDisjuncts with long disjuncts,
+	// "succeeding" into an expansion whose downstream operator tree is
+	// gigabytes — so the total is capped on its own.
 	// Zero means the DefaultMaxTotalSteps limit.
 	MaxTotalSteps int
 }
@@ -447,32 +423,22 @@ func expand(e rpq.Expr, opts Options) (*seqSet, error) {
 		}
 		return acc, nil
 	case rpq.Repeat:
-		if v.Max == rpq.Unbounded && !opts.ExpandStars {
+		if v.Max == rpq.Unbounded {
 			return expandClosure(v, opts)
-		}
-		max := v.Max
-		if max == rpq.Unbounded {
-			if opts.StarBound <= 0 {
-				return nil, fmt.Errorf("rewrite: unbounded repetition %s requires a star bound (n(G)) when Options.ExpandStars is set", e)
-			}
-			max = opts.StarBound
-			if max < v.Min {
-				max = v.Min
-			}
 		}
 		sub, err := expand(v.Sub, opts)
 		if err != nil {
 			return nil, err
 		}
 		// power accumulates sub^i; out accumulates the union over
-		// i ∈ [Min, max].
+		// i ∈ [Min, Max].
 		power := newSeqSet()
 		power.add(Seq{})
 		out := newSeqSet()
 		if v.Min == 0 {
 			out.add(Seq{})
 		}
-		for i := 1; i <= max; i++ {
+		for i := 1; i <= v.Max; i++ {
 			power, err = cross(power, sub, opts)
 			if err != nil {
 				return nil, annotate(err, e)
@@ -500,7 +466,7 @@ func expand(e rpq.Expr, opts Options) (*seqSet, error) {
 // form R^m ∘ (body)*, where body is R's own expansion flattened by the
 // closure identities (B ∪ ε)* = B* and (P ∪ C*)* = (P ∪ C)*. The body
 // may itself contain closure factors (nested stars that do not flatten,
-// e.g. (a/b*)*), which the evaluator handles by nested fixpoints.
+// e.g. (a/b*)*), which the evaluator handles by nested closures.
 func expandClosure(v rpq.Repeat, opts Options) (*seqSet, error) {
 	sub, err := expand(v.Sub, opts)
 	if err != nil {

@@ -139,38 +139,6 @@ func TestPathInverse(t *testing.T) {
 	}
 }
 
-func TestStarBoundLegacyExpansion(t *testing.T) {
-	// The legacy mode (ExpandStars) rejects unbounded repetition without
-	// a star bound.
-	if _, err := Normalize(rpq.MustParse("a*"), Options{ExpandStars: true}); err == nil {
-		t.Error("a* with ExpandStars but no StarBound should fail")
-	}
-	// With bound 3: ε, a, aa, aaa.
-	n, err := Normalize(rpq.MustParse("a*"), Options{ExpandStars: true, StarBound: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !n.HasEpsilon || len(n.Paths) != 3 || len(n.Closures) != 0 {
-		t.Errorf("a* bound 3: %v (eps=%v)", pathStrings(n), n.HasEpsilon)
-	}
-	// a+ excludes ε.
-	n, err = Normalize(rpq.MustParse("a+"), Options{ExpandStars: true, StarBound: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n.HasEpsilon || len(n.Paths) != 3 {
-		t.Errorf("a+ bound 3: %v (eps=%v)", pathStrings(n), n.HasEpsilon)
-	}
-	// a{2,} with bound smaller than min still produces at least a^min.
-	n, err = Normalize(rpq.MustParse("a{2,}"), Options{ExpandStars: true, StarBound: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(n.Paths) != 1 || n.Paths[0].String() != "a/a" {
-		t.Errorf("a{2,} bound 1: %v", pathStrings(n))
-	}
-}
-
 func closureStrings(n Normal) []string {
 	out := make([]string, len(n.Closures))
 	for i, s := range n.Closures {
@@ -294,20 +262,20 @@ func TestLimitErrorContext(t *testing.T) {
 	}
 }
 
-// TestExpandStarsTotalSizeBound is the regression test for the legacy
-// ExpandStars blowout: a two-label star bounded at 15 expands to 65535
-// disjuncts — one under the default MaxDisjuncts — whose summed size is
-// ~900k steps, enough that the downstream operator tree used to reach
-// gigabytes. The expansion must now fail on the total-size bound, naming
+// TestBoundedRepeatTotalSizeBound is the regression test for the
+// bounded-repetition blowout: (a|b){1,15} expands to 65534 disjuncts —
+// just under the default MaxDisjuncts — whose summed size is ~900k
+// steps, enough that the downstream operator tree would reach
+// gigabytes. The expansion must fail on the total-size bound, naming
 // Options.MaxTotalSteps, well before any such allocation: the limit is
 // checked at every accumulation point, so the expansion is abandoned as
-// soon as the running total crosses DefaultMaxTotalSteps (a few MB of
-// sequences at most).
-func TestExpandStarsTotalSizeBound(t *testing.T) {
-	_, err := Normalize(rpq.MustParse("(a|b)*"), Options{ExpandStars: true, StarBound: 15})
+// soon as the running total crosses DefaultMaxTotalSteps (at i = 14, a
+// few MB of sequences at most).
+func TestBoundedRepeatTotalSizeBound(t *testing.T) {
+	_, err := Normalize(rpq.MustParse("(a|b){1,15}"), Options{})
 	var le *LimitError
 	if !errors.As(err, &le) {
-		t.Fatalf("(a|b)* with StarBound 15 must exceed the total-size bound, got %v", err)
+		t.Fatalf("(a|b){1,15} must exceed the total-size bound, got %v", err)
 	}
 	if le.Option != "MaxTotalSteps" {
 		t.Errorf("Option = %q, want MaxTotalSteps (the disjunct count alone stays under its limit)", le.Option)
@@ -319,14 +287,14 @@ func TestExpandStarsTotalSizeBound(t *testing.T) {
 		t.Errorf("error text does not name the size option: %q", msg)
 	}
 
-	// Raising the bound admits the same expansion (sanity: the new limit
-	// is the only thing rejecting it).
-	if _, err := Normalize(rpq.MustParse("(a|b)*"), Options{ExpandStars: true, StarBound: 15, MaxTotalSteps: 1 << 21}); err != nil {
+	// Raising the bound admits the same expansion (sanity: the limit is
+	// the only thing rejecting it).
+	if _, err := Normalize(rpq.MustParse("(a|b){1,15}"), Options{MaxTotalSteps: 1 << 21}); err != nil {
 		t.Errorf("raised MaxTotalSteps still rejects: %v", err)
 	}
 	// Moderate expansions stay admitted under the default.
-	if _, err := Normalize(rpq.MustParse("(a|b)*"), Options{ExpandStars: true, StarBound: 8}); err != nil {
-		t.Errorf("moderate star expansion rejected: %v", err)
+	if _, err := Normalize(rpq.MustParse("(a|b){1,8}"), Options{}); err != nil {
+		t.Errorf("moderate bounded repetition rejected: %v", err)
 	}
 }
 
@@ -335,8 +303,8 @@ func TestEpsilonOnlyRepeat(t *testing.T) {
 	if !n.HasEpsilon || len(n.Paths) != 0 {
 		t.Errorf("ε{5,9}: %v (eps=%v)", pathStrings(n), n.HasEpsilon)
 	}
-	// ε* with a huge bound must terminate fast via the fixed-point break.
-	n2, err := Normalize(rpq.MustParse("()*"), Options{StarBound: 1 << 30})
+	// ε with a huge bound must terminate fast via the fixed-point break.
+	n2, err := Normalize(rpq.MustParse("(){0,1073741824}"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,9 +8,8 @@
 // length, unions, inverse steps, and bounded recursions — including the
 // paper's own worked-example shape R = ℓ ◦ (ℓ ◦ ℓ')^{2,4} ◦ ℓ'. Q9 and
 // Q10 extend the workload with Kleene-closure classes (a restricted
-// star answered by the reachability fast path, and a closure inside a
-// composition evaluated by fixpoint), so the serving mix exercises the
-// closure operators too. The workload exercises every rewrite and
+// star over two labels, and a closure inside a composition), so the
+// serving mix exercises the closure operator too. The workload exercises every rewrite and
 // planning path; DESIGN.md records the substitution.
 package workload
 
@@ -32,9 +31,9 @@ type Query struct {
 
 // Advogato returns the ten-query workload over the Advogato trust
 // labels (apprentice, journeyer, master): the eight query classes of
-// the paper's discussion plus two Kleene-closure classes (Q9, Q10) that
-// exercise the restricted reachability fast path and the general
-// fixpoint closure operator.
+// the paper's discussion plus two Kleene-closure classes (Q9, Q10): the
+// restricted shape a reachability index answers, and a closure whose
+// input is a composition segment.
 func Advogato() []Query {
 	qs := []struct{ name, class, text string }{
 		{"Q1", "short composition", "master/journeyer"},
@@ -53,27 +52,6 @@ func Advogato() []Query {
 		out[i] = Query{Name: q.name, Text: q.text, Expr: rpq.MustParse(q.text), Class: q.class}
 	}
 	return out
-}
-
-// DefaultStarMaxScale caps the Advogato subsample on which the
-// Kleene-closure classes (Q9, Q10) are generated and benchmarked.
-// Closure answers are quadratic in SCC size, so the closure experiments
-// never use the full-scale graph; the cap bounds their answer sets. It
-// was 0.1 while closures were always materialized — output-sensitive
-// streamed evaluation (which never holds the accumulated relation) lifts
-// it to 0.4, four times the node count of the old fixture.
-const DefaultStarMaxScale = 0.4
-
-// StarScale clamps a requested Advogato scale for the closure classes:
-// min(scale, maxScale), with maxScale <= 0 meaning DefaultStarMaxScale.
-func StarScale(scale, maxScale float64) float64 {
-	if maxScale <= 0 {
-		maxScale = DefaultStarMaxScale
-	}
-	if scale < maxScale {
-		return scale
-	}
-	return maxScale
 }
 
 // Lookup returns the Advogato workload query with the given name.

@@ -16,10 +16,9 @@
 // Queries are regular expressions over edge labels: `knows/worksFor^-`
 // composes a forward step with an inverse step; `a|b` is disjunction;
 // `(knows/worksFor){2,4}` is bounded recursion; `knows*` is Kleene
-// closure, evaluated natively by semi-naive fixpoint iteration — or, for
-// the restricted shape `(l1|...|lm)*`, by a cached reachability index —
-// rather than by expansion, so closures over cyclic graphs terminate
-// and stay fast. Answers follow the standard RPQ semantics: the set of
+// closure, evaluated natively over the strongly connected components of
+// its body rather than by expansion, so closures over cyclic graphs
+// terminate and stay fast. Answers follow the standard RPQ semantics: the set of
 // node pairs connected by a path whose label sequence is in the
 // expression's language.
 //
@@ -103,14 +102,6 @@ type Options struct {
 	// HistogramBuckets is the equi-depth histogram resolution used for
 	// selectivity estimation; 0 keeps exact per-path counts.
 	HistogramBuckets int
-	// StarBound bounds unbounded repetitions when ExpandStars is set;
-	// 0 uses the node count. Unused in the default closure mode.
-	StarBound int
-	// ExpandStars restores the legacy evaluation of unbounded
-	// repetitions by StarBound-bounded expansion instead of the native
-	// fixpoint/reachability closure operators. Kept as an ablation; the
-	// expansion is exponential on multi-label stars.
-	ExpandStars bool
 	// MaxDisjuncts and MaxPathLength bound query expansion (guards
 	// against exponential rewrites); 0 uses library defaults.
 	MaxDisjuncts  int
@@ -120,8 +111,8 @@ type Options struct {
 	MaxIndexEntries int
 	// MaxTotalSteps caps the total expanded size of a query's normal
 	// form (summed steps over all disjuncts) — the bound that keeps
-	// legacy ExpandStars expansions from "succeeding" into huge operator
-	// trees. 0 uses the library default.
+	// bounded repetitions such as (a|b){1,15} from "succeeding" into huge
+	// operator trees. 0 uses the library default.
 	MaxTotalSteps int
 	// CompactRatio is the delta/base entry ratio beyond which ApplyBatch
 	// schedules a background compaction of the update tiers into a
@@ -262,8 +253,7 @@ func (db *DB) Query(query string) (*Result, error) {
 
 // QueryContext is Query under a cancellation scope: once ctx is done —
 // cancelled or past its deadline — every operator of the running tree
-// stops at its next batch boundary (the closure fixpoint and BFS loops
-// check mid-batch as well) and ctx's error is returned. A cancelled
+// stops at its next batch boundary and ctx's error is returned. A cancelled
 // query never returns partial pairs as an answer.
 func (db *DB) QueryContext(ctx context.Context, query string) (*Result, error) {
 	return db.QueryWithContext(ctx, query, db.DefaultStrategy())
@@ -397,7 +387,7 @@ func Open(graphPath, indexPath string) (*DB, error) {
 }
 
 // OpenWith is Open with explicit engine options (histogram resolution,
-// star bound, expansion limits). Options.K must be zero or match the
+// expansion limits). Options.K must be zero or match the
 // saved index; the index itself is never rebuilt.
 func OpenWith(graphPath, indexPath string, opts Options) (*DB, error) {
 	g, err := graph.LoadEdgeList(graphPath)
@@ -701,8 +691,6 @@ func BuildWithIndex(g *Graph, indexPath string, opts Options) (*DB, error) {
 	engine, err := core.NewEngineFromIndex(ix, core.Options{
 		K:                ix.K(),
 		HistogramBuckets: opts.HistogramBuckets,
-		StarBound:        opts.StarBound,
-		ExpandStars:      opts.ExpandStars,
 		MaxDisjuncts:     opts.MaxDisjuncts,
 		MaxPathLength:    opts.MaxPathLength,
 		MaxTotalSteps:    opts.MaxTotalSteps,

@@ -115,17 +115,16 @@ func TestOpenServesWithoutRebuild(t *testing.T) {
 }
 
 // TestOpenWithHonorsOptions reopens with the same non-default engine
-// options as the original Build and checks the answers track them (in
-// the legacy ExpandStars mode, the star bound changes how far `knows*`
-// expands on the 4-cycle; the default closure mode computes the full
-// fixpoint).
+// options as the original Build and checks the answers track them: a
+// one-disjunct cap rejects knows|likes on both, while the default Open
+// answers it, proving the option reached the rewriter.
 func TestOpenWithHonorsOptions(t *testing.T) {
 	graphPath := writeTestGraph(t)
 	g, err := pathdb.LoadGraph(graphPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := pathdb.Options{K: 2, StarBound: 1, ExpandStars: true}
+	opts := pathdb.Options{K: 2, MaxDisjuncts: 1}
 	built, err := pathdb.Build(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -139,6 +138,11 @@ func TestOpenWithHonorsOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer reopened.Close()
+	for name, db := range map[string]*pathdb.DB{"Build": built, "OpenWith": reopened} {
+		if _, err := db.Query("knows|likes"); err == nil {
+			t.Errorf("%s with MaxDisjuncts 1 answered a two-disjunct query", name)
+		}
+	}
 	want, err := built.Query("knows*")
 	if err != nil {
 		t.Fatal(err)
@@ -150,20 +154,13 @@ func TestOpenWithHonorsOptions(t *testing.T) {
 	if !slices.Equal(sortedNames(got.Names), sortedNames(want.Names)) {
 		t.Fatal("OpenWith with matching options disagrees with Build")
 	}
-	// The default Open (star bound = node count) must expand further on
-	// this cycle than the bound-1 engine, proving the option actually
-	// reached the rewriter.
 	unbounded, err := pathdb.Open(graphPath, indexPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer unbounded.Close()
-	full, err := unbounded.Query("knows*")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Pairs) <= len(want.Pairs) {
-		t.Fatalf("unbounded knows* yields %d pairs, bounded %d; star bound did not take effect", len(full.Pairs), len(want.Pairs))
+	if _, err := unbounded.Query("knows|likes"); err != nil {
+		t.Fatalf("default Open rejects knows|likes: %v", err)
 	}
 }
 
