@@ -35,7 +35,10 @@ import (
 //	                  [24:28) path count u32
 //	                  [28:32) reserved u32
 //	                  [32:40) entry count u64
-//	                  [40:48) |paths_k(G)| u64 (0 when skipped at build)
+//	                  [40:48) |paths_k(G)| u64 (0 when skipped at build).
+//	                          In a tier's spill file: the tier's own
+//	                          distinct non-identity pair count (0 in
+//	                          files written before spills carried it)
 //	                  [48:64) labels section offset u64, length u64
 //	                  [64:80) directory offset u64, length u64
 //	                  [80:96) data offset u64, length u64 (the aligned

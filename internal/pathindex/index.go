@@ -214,20 +214,24 @@ func sortDedup(rel []Packed) []Packed {
 
 // countDistinctPairs computes |paths_k(G)|: the number of distinct node
 // pairs related by any indexed label path, plus the identity pairs (the
-// paper's 0-paths, Section 2.1).
+// paper's 0-paths, Section 2.1) of numNodes nodes. With numNodes = 0 it
+// is the distinct non-identity pairs alone — a tier's share of the count.
 func countDistinctPairs(relations [][]Packed, numNodes int) int {
 	total := 0
 	for _, rel := range relations {
 		total += len(rel)
 	}
-	all := make([]Packed, 0, total+numNodes)
+	all := make([]Packed, 0, total)
 	for _, rel := range relations {
 		all = append(all, rel...)
 	}
-	for n := 0; n < numNodes; n++ {
-		all = append(all, Pack(graph.NodeID(n), graph.NodeID(n)))
+	n := numNodes
+	for _, pr := range sortDedup(all) {
+		if pr.Src() != pr.Dst() {
+			n++
+		}
 	}
-	return len(sortDedup(all))
+	return n
 }
 
 // Relation returns p(G) as the index's own sorted (src,dst) run. The

@@ -3,6 +3,7 @@ package pathindex
 import (
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -14,11 +15,13 @@ import (
 // Tier is one frozen update increment in a Levels stack: the Delta of
 // one batch (or of several adjacent batches folded together by tier
 // merging), tagged with the inclusive WAL sequence range it covers and,
-// once persisted, the name of its spill file. The delta payload is
-// immutable; the spill marker is set at most once, after the v3 run
-// file is durable, and is metadata only — serving never reads it.
+// once persisted, the name of its spill file. The delta payload and its
+// pair count are immutable; the spill marker is set at most once, after
+// the v3 run file is durable, and is metadata only — serving never reads
+// it.
 type Tier struct {
 	delta  *Delta
+	pairs  int // the tier's share of |paths_k|: see NewTier
 	seqLo  uint64
 	seqHi  uint64
 	spill  atomic.Pointer[string]
@@ -27,9 +30,12 @@ type Tier struct {
 
 // NewTier wraps a freshly built delta as a tier covering the given
 // inclusive sequence range (lo == hi for a single batch; 0,0 for
-// non-durable stacks that do not track sequence numbers).
+// non-durable stacks that do not track sequence numbers). It counts the
+// delta's distinct non-identity pairs once, at O(|Δ| log |Δ|): the
+// tier's share of the stack's |paths_k|, which no later push, merge or
+// recovery step recounts.
 func NewTier(d *Delta, seqLo, seqHi uint64) *Tier {
-	return &Tier{delta: d, seqLo: seqLo, seqHi: seqHi}
+	return &Tier{delta: d, pairs: countDistinctPairs(d.rels, 0), seqLo: seqLo, seqHi: seqHi}
 }
 
 // Entries returns the tier's total entry count.
@@ -54,8 +60,9 @@ func (t *Tier) SetSpill(file string) { t.spill.Store(&file) }
 
 // SpillIndex returns the tier's delta as a standalone heap Index over
 // the tier's (successor) graph — the value WriteSpill persists. The
-// index shares the delta's immutable runs; |paths_k| is left at zero
-// (skipped), as a spill is payload, not a statistics source.
+// index shares the delta's immutable runs, and its |paths_k| field holds
+// the tier's pair count, so recovery adopts the count instead of
+// recounting the runs.
 func (t *Tier) SpillIndex() *Index {
 	d := t.delta
 	ix := &Index{directory: directory{g: d.g, k: d.k, paths: d.paths, ids: d.ids}, relations: d.rels}
@@ -63,7 +70,7 @@ func (t *Tier) SpillIndex() *Index {
 	for i, rel := range d.rels {
 		ix.counts[i] = len(rel)
 	}
-	ix.stats = BuildStats{Entries: d.stats.Entries, LabelPaths: len(d.paths)}
+	ix.stats = BuildStats{Entries: d.stats.Entries, LabelPaths: len(d.paths), PathsKCount: t.pairs}
 	return ix
 }
 
@@ -77,11 +84,21 @@ func (t *Tier) WriteSpill(path string) error { return t.SpillIndex().SaveV3Atomi
 // produced by WriteSpill for the same sequence range and loaded against
 // the graph as of seqHi; g is that graph (the index's own attachment
 // graph), passed explicitly so the call site states the invariant.
+//
+// The tier adopts the pair count WriteSpill stored in the file's
+// |paths_k| field. A zero there marks a file written before spills
+// carried the count; only then are the runs recounted, which yields the
+// same value for a one-batch tier and at most the stored sum for a
+// merged one.
 func NewSpilledTier(ix *Index, g *graph.Graph, seqLo, seqHi uint64, file string) *Tier {
 	d := &Delta{g: g, k: ix.k, rels: ix.relations, paths: ix.paths, ids: ix.ids}
 	d.stats.Entries = ix.stats.Entries
 	d.stats.DeltaPaths = len(ix.paths)
-	t := NewTier(d, seqLo, seqHi)
+	pairs := ix.stats.PathsKCount
+	if pairs == 0 {
+		pairs = countDistinctPairs(d.rels, 0)
+	}
+	t := &Tier{delta: d, pairs: pairs, seqLo: seqLo, seqHi: seqHi}
 	t.SetSpill(file)
 	return t
 }
@@ -90,7 +107,8 @@ func NewSpilledTier(ix *Index, g *graph.Graph, seqLo, seqHi uint64, file string)
 // part — the per-shard tiers of a stack over a sharded base. The split
 // is computed on first use and cached: a tier lives in one lineage,
 // whose partitioning never changes. Concurrent first calls may both
-// compute, which is benign (identical results, last store wins).
+// compute, which is benign (identical results, last store wins). Shard
+// tiers carry no pair count: only the global stack reports |paths_k|.
 func (t *Tier) shardTiers(part Partitioner) []*Tier {
 	if p := t.shards.Load(); p != nil {
 		return *p
@@ -98,7 +116,7 @@ func (t *Tier) shardTiers(part Partitioner) []*Tier {
 	d := t.delta
 	tiers := make([]*Tier, part.NumShards())
 	for i := range tiers {
-		tiers[i] = NewTier(&Delta{g: d.g, k: d.k, ids: map[string]uint32{}}, t.seqLo, t.seqHi)
+		tiers[i] = &Tier{delta: &Delta{g: d.g, k: d.k, ids: map[string]uint32{}}, seqLo: t.seqLo, seqHi: t.seqHi}
 	}
 	for id, p := range d.paths {
 		for i, sub := range splitRun(d.rels[id], part) {
@@ -154,18 +172,19 @@ type Levels struct {
 // by the tiers before it, which is what makes the runs disjoint; the
 // constructor checks the locality parameter and graph lineage, not
 // disjointness itself.
+//
+// |paths_k| is the base's count extended by each tier's (pathsKAfter):
+// O(T), reading no run. It depends only on the base and the batches the
+// tiers hold, not on how they were merged or spilled.
 func NewLevels(base Storage, tiers []*Tier) (*Levels, error) {
 	g := base.Graph()
 	pk := base.PathsKCount()
 	dur := time.Duration(0)
 	for i, t := range tiers {
-		if t.delta.K() != base.K() {
-			return nil, fmt.Errorf("pathindex: tier %d has k=%d, base has k=%d", i, t.delta.K(), base.K())
+		if err := checkTier(i, base.K(), g, t); err != nil {
+			return nil, err
 		}
-		if t.delta.Graph().NumNodes() < g.NumNodes() {
-			return nil, fmt.Errorf("pathindex: tier %d graph is smaller than its predecessor", i)
-		}
-		pk = deltaPathsK(pk, g.NumNodes(), base.NumEntries(), t.delta)
+		pk = pathsKAfter(pk, base, g, t)
 		dur += t.delta.Stats().Duration
 		g = t.delta.Graph()
 	}
@@ -173,6 +192,32 @@ func NewLevels(base Storage, tiers []*Tier) (*Levels, error) {
 	ls.stats.PathsKCount = pk
 	ls.stats.Duration = dur
 	return ls, nil
+}
+
+// checkTier validates the i-th tier of a stack over a k-index against
+// the graph of the layers below it.
+func checkTier(i, k int, below *graph.Graph, t *Tier) error {
+	if t.delta.K() != k {
+		return fmt.Errorf("pathindex: tier %d has k=%d, base has k=%d", i, t.delta.K(), k)
+	}
+	if t.delta.Graph().NumNodes() < below.NumNodes() {
+		return fmt.Errorf("pathindex: tier %d graph is smaller than its predecessor", i)
+	}
+	return nil
+}
+
+// pathsKAfter extends a stack's |paths_k| by one tier: the tier's pair
+// count plus the identity pairs of the nodes it adds to the graph below
+// it. Pairs a tier relates by a path that an older layer already relates
+// them by under another path are counted again, so the value is an upper
+// bound on the exact count; it only feeds selectivity estimates, where
+// the slack is harmless. A base that skipped the count (0 with non-empty
+// relations) keeps the stack's at 0.
+func pathsKAfter(pk int, base Storage, below *graph.Graph, t *Tier) int {
+	if pk == 0 && base.NumEntries() > 0 {
+		return 0
+	}
+	return pk + t.pairs + t.delta.Graph().NumNodes() - below.NumNodes()
 }
 
 // newLevels builds the merged directory and the per-path tier runs of a
@@ -194,48 +239,67 @@ func newLevels(base Storage, tiers []*Tier, g *graph.Graph) *Levels {
 	ls.tierRuns = make([][][]Packed, ls.numBase)
 	ls.stats.Entries = base.NumEntries()
 	for _, t := range tiers {
-		for i, p := range t.delta.paths {
-			id, ok := ls.ids[p.Key()]
-			if !ok {
-				id = ls.add(p, 0)
-				ls.tierRuns = append(ls.tierRuns, nil)
-			}
-			run := t.delta.rels[i]
-			ls.tierRuns[id] = append(ls.tierRuns[id], run)
-			ls.counts[id] += len(run)
-			ls.stats.Entries += len(run)
-		}
+		ls.addRuns(t)
 	}
 	ls.merged = make([]atomic.Pointer[[]Packed], len(ls.paths))
 	ls.stats.LabelPaths = len(ls.paths)
 	return ls
 }
 
-// deltaPathsK extends a |paths_k| value by one delta: identity pairs of
-// new nodes plus distinct non-identity delta pairs. Pairs already
-// related by a different path in an older layer are counted again, so
-// the value is an upper bound; it only feeds selectivity estimation,
-// where the slack is harmless. A base that skipped the count (0 with
-// non-empty relations) stays 0.
-func deltaPathsK(prevPK, prevNodes, baseEntries int, d *Delta) int {
-	if prevPK == 0 && baseEntries > 0 {
-		return 0
+// addRuns files a tier's runs under the directory, adding the paths the
+// stack has not seen. Only constructors call it, on a stack no reader
+// holds yet.
+func (ls *Levels) addRuns(t *Tier) {
+	for i, p := range t.delta.paths {
+		id, ok := ls.ids[p.Key()]
+		if !ok {
+			id = ls.add(p, 0)
+			ls.tierRuns = append(ls.tierRuns, nil)
+		}
+		run := t.delta.rels[i]
+		ls.tierRuns[id] = append(ls.tierRuns[id], run)
+		ls.counts[id] += len(run)
+		ls.stats.Entries += len(run)
 	}
-	total := 0
-	for _, rel := range d.rels {
-		total += len(rel)
+}
+
+// push returns the stack with t on top, sharing everything it can with
+// the receiver: the directory is copied (O(label paths)), the run lists
+// of the paths t touches grow by one, and the cached unions of every
+// other path carry over. No tier's runs are read.
+func (ls *Levels) push(t *Tier) (*Levels, error) {
+	if err := checkTier(len(ls.tiers), ls.k, ls.g, t); err != nil {
+		return nil, err
 	}
-	all := make([]Packed, 0, total)
-	for _, rel := range d.rels {
-		all = append(all, rel...)
+	out := &Levels{
+		directory: directory{
+			g: t.delta.Graph(), k: ls.k, stats: ls.stats,
+			// Clipped, so an append copies instead of writing into
+			// the receiver's backing array.
+			paths:  slices.Clip(ls.paths),
+			ids:    maps.Clone(ls.ids),
+			counts: slices.Clone(ls.counts),
+		},
+		base:     ls.base,
+		tiers:    append(slices.Clip(ls.tiers), t),
+		tierRuns: make([][][]Packed, len(ls.tierRuns)),
+		numBase:  ls.numBase,
+		sharded:  ls.sharded,
 	}
-	pk := prevPK + (d.Graph().NumNodes() - prevNodes)
-	for _, pr := range sortDedup(all) {
-		if pr.Src() != pr.Dst() {
-			pk++
+	for id, runs := range ls.tierRuns {
+		out.tierRuns[id] = slices.Clip(runs)
+	}
+	out.addRuns(t)
+	out.merged = make([]atomic.Pointer[[]Packed], len(out.paths))
+	for id := range ls.merged {
+		if len(out.tierRuns[id]) == len(ls.tierRuns[id]) {
+			out.merged[id].Store(ls.merged[id].Load())
 		}
 	}
-	return pk
+	out.stats.LabelPaths = len(out.paths)
+	out.stats.PathsKCount = pathsKAfter(ls.stats.PathsKCount, ls.base, ls.g, t)
+	out.stats.Duration += t.delta.Stats().Duration
+	return out, nil
 }
 
 // foldDeltas merges two successive deltas into one over the second's
@@ -282,17 +346,14 @@ func mergeRuns(a, b []Packed) []Packed {
 }
 
 // PushTier layers a new tier over prev. When prev is itself a *Levels,
-// the new stack shares its base and existing tiers (no folding — a push
-// costs the new tier, not the accumulated delta); any other Storage
-// becomes the base of a fresh one-tier stack. The tier's delta must have
-// been built by BuildDelta against prev (or reloaded from the spill of
-// one that was).
+// the new stack shares its base, its tiers and its directory (see push):
+// a push costs the new tier and the directory, not the accumulated
+// delta. Any other Storage becomes the base of a fresh one-tier stack.
+// The tier's delta must have been built by BuildDelta against prev (or
+// reloaded from the spill of one that was).
 func PushTier(prev Storage, tier *Tier) (*Levels, error) {
 	if ls, ok := prev.(*Levels); ok {
-		tiers := make([]*Tier, len(ls.tiers)+1)
-		copy(tiers, ls.tiers)
-		tiers[len(ls.tiers)] = tier
-		return NewLevels(ls.base, tiers)
+		return ls.push(tier)
 	}
 	return NewLevels(prev, []*Tier{tier})
 }
@@ -372,7 +433,13 @@ func (ls *Levels) MergeOnce() (*Levels, bool) {
 		if newer.Entries()*2 < older.Entries() {
 			continue
 		}
-		folded := NewTier(foldDeltas(older.delta, newer.delta), older.seqLo, newer.seqHi)
+		// A merge changes no relation, so the pair counts add and
+		// nothing is recounted.
+		folded := &Tier{
+			delta: foldDeltas(older.delta, newer.delta),
+			pairs: older.pairs + newer.pairs,
+			seqLo: older.seqLo, seqHi: newer.seqHi,
+		}
 		tiers := make([]*Tier, 0, len(ls.tiers)-1)
 		tiers = append(tiers, ls.tiers[:i-1]...)
 		tiers = append(tiers, folded)

@@ -1,6 +1,7 @@
 package pathindex
 
 import (
+	"fmt"
 	"math/rand"
 	"path/filepath"
 	"slices"
@@ -22,7 +23,7 @@ func pushBatches(t *testing.T, base *graph.Graph, batch []graph.LabeledEdge, k, 
 
 // pushChunks applies the batch over cur in nChunks sequential tiers
 // tagged with sequence numbers 1..nChunks.
-func pushChunks(t *testing.T, cur Storage, batch []graph.LabeledEdge, nChunks int) *Levels {
+func pushChunks(t testing.TB, cur Storage, batch []graph.LabeledEdge, nChunks int) *Levels {
 	t.Helper()
 	for i := 0; i < nChunks; i++ {
 		lo, hi := i*len(batch)/nChunks, (i+1)*len(batch)/nChunks
@@ -196,6 +197,18 @@ func TestTierSpillRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkStorageEqual(t, ls2, oracle)
+	// The file carries the tier's pair count, so the stack's |paths_k|
+	// survives the round trip.
+	if rt.pairs != tier.pairs || ls2.PathsKCount() != ls.PathsKCount() {
+		t.Fatalf("reloaded tier counts %d pairs (stack %d), spilled tier %d (stack %d)",
+			rt.pairs, ls2.PathsKCount(), tier.pairs, ls.PathsKCount())
+	}
+	// A spill written before the count was stored holds 0 there: the
+	// tier is recounted from its runs, which for one batch is the same.
+	loaded.stats.PathsKCount = 0
+	if old := NewSpilledTier(loaded, g2, 1, 1, "spill-1-1.pix"); old.pairs != tier.pairs {
+		t.Fatalf("recounted tier has %d pairs, spilled tier %d", old.pairs, tier.pairs)
+	}
 }
 
 // TestLevelsDeltaRatio: the compaction trigger is tier entries over base
@@ -210,5 +223,176 @@ func TestLevelsDeltaRatio(t *testing.T) {
 	want := float64(ls.DeltaEntries()) / float64(ls.BaseEntries())
 	if got := ls.DeltaRatio(); got != want {
 		t.Fatalf("DeltaRatio = %v, want %v", got, want)
+	}
+}
+
+// BenchmarkPushTier times one PushTier onto a stack already T-1 tiers
+// deep, for 16-edge batches over a k=3 index. The pushed tier is made
+// (and its pairs counted) outside the loop: that cost is the tier's own.
+// |paths_k| is a sum of per-tier counts and the directory is shared, so
+// no older tier is re-read and the push must not grow with T.
+func BenchmarkPushTier(b *testing.B) {
+	const batchEdges = 16
+	r := rand.New(rand.NewSource(1))
+	base, _, batch := extendRandom(r, 300, 600, []string{"a", "b", "c"}, 0.35)
+	ix, err := Build(base, 3, BuildOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, depth := range []int{1, 8, 32} {
+		b.Run(fmt.Sprintf("T=%d", depth), func(b *testing.B) {
+			var cur Storage = ix
+			if depth > 1 {
+				cur = pushChunks(b, ix, batch[:(depth-1)*batchEdges], depth-1)
+			}
+			last := batch[(depth-1)*batchEdges : depth*batchEdges]
+			g2, err := cur.Graph().ExtendFrozen(last)
+			if err != nil {
+				b.Fatal(err)
+			}
+			d, err := BuildDelta(cur, g2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tier := NewTier(d, uint64(depth), uint64(depth))
+			for b.Loop() {
+				if _, err := PushTier(cur, tier); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(d.NumEntries()), "tier-entries")
+		})
+	}
+}
+
+// TestPathsKAdditive runs random sequences of pushes, tier merges, spill
+// round trips and budgeted folds — each fold grafting the tiers pushed
+// while it ran back over its result, as core's compaction does — and
+// checks at every step that the stack's |paths_k| equals the reference
+// (the base count plus, per batch, the nodes it added and the distinct
+// non-identity pairs of its delta), is never below the exact count of a
+// rebuild, and that every fold's result carries the value of the stack
+// it folded. Every state must also serve exactly like the rebuild, and
+// pushes must leave the stack they extend, and each other, untouched.
+func TestPathsKAdditive(t *testing.T) {
+	dir := t.TempDir()
+	for seed := int64(1); seed <= 6; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		k := 1 + int(seed%3)
+		g, _, _ := extendRandom(r, 24, 20, []string{"a", "b"}, 0)
+		ix, err := Build(g, k, BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ix.PathsKCount()
+		var cur Storage = ix
+		seq := uint64(0)
+
+		// push applies one random batch (new nodes and, rarely, a new
+		// label included) over s and returns the stack with the batch's
+		// reference share of |paths_k|.
+		push := func(s Storage) (*Levels, int) {
+			var batch []graph.LabeledEdge
+			for range 1 + r.Intn(4) {
+				node := func() string {
+					if r.Intn(8) == 0 {
+						return fmt.Sprintf("new%d", r.Intn(40))
+					}
+					return s.Graph().NodeName(graph.NodeID(r.Intn(s.Graph().NumNodes())))
+				}
+				label := []string{"a", "b", "a", "b", "c"}[r.Intn(5)]
+				batch = append(batch, graph.LabeledEdge{Src: node(), Label: label, Dst: node()})
+			}
+			g2, err := s.Graph().ExtendFrozen(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := BuildDelta(s, g2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs := map[Packed]bool{}
+			for _, rel := range d.rels {
+				for _, pr := range rel {
+					if pr.Src() != pr.Dst() {
+						pairs[pr] = true
+					}
+				}
+			}
+			seq++
+			ls, err := PushTier(s, NewTier(d, seq, seq))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ls, g2.NumNodes() - s.Graph().NumNodes() + len(pairs)
+		}
+		check := func(step string, s Storage) {
+			t.Helper()
+			if got := s.PathsKCount(); got != want {
+				t.Fatalf("seed %d %s: PathsKCount = %d, reference %d", seed, step, got, want)
+			}
+			oracle, err := Build(s.Graph(), k, BuildOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.PathsKCount() < oracle.PathsKCount() {
+				t.Fatalf("seed %d %s: PathsKCount = %d, below the rebuild's %d", seed, step, s.PathsKCount(), oracle.PathsKCount())
+			}
+			checkStorageEqual(t, s.(dirStorage), oracle)
+		}
+
+		for step := range 16 {
+			ls, stacked := cur.(*Levels)
+			switch op := r.Intn(4); {
+			case op == 0 || !stacked:
+				// A sibling pushed onto the same stack must disturb
+				// neither the stack nor the first push.
+				next, share := push(cur)
+				push(cur)
+				check(fmt.Sprintf("step %d, the stack under two pushes", step), cur)
+				cur, want = next, want+share
+			case op == 1:
+				cur, _ = ls.MergeOnce()
+			case op == 2:
+				i := r.Intn(len(ls.Tiers()))
+				tier := ls.Tiers()[i]
+				path := filepath.Join(dir, fmt.Sprintf("spill-%d-%d.pix", seed, step))
+				if err := tier.WriteSpill(path); err != nil {
+					t.Fatal(err)
+				}
+				loaded, err := Load(path, tier.delta.Graph())
+				if err != nil {
+					t.Fatal(err)
+				}
+				tiers := slices.Clone(ls.Tiers())
+				tiers[i] = NewSpilledTier(loaded, tier.delta.Graph(), tier.SeqLo(), tier.SeqHi(), path)
+				if cur, err = NewLevels(ls.Base(), tiers); err != nil {
+					t.Fatal(err)
+				}
+			default:
+				f := ls.StartFold()
+				foldWant := want
+				live := ls
+				for !f.Step(1 + r.Intn(200)) {
+					if r.Intn(3) == 0 {
+						var share int
+						live, share = push(live)
+						want += share
+					}
+				}
+				if got := f.Result().PathsKCount(); got != foldWant {
+					t.Fatalf("seed %d step %d: fold result PathsKCount = %d, stack's %d", seed, step, got, foldWant)
+				}
+				rest := live.Tiers()[len(ls.Tiers()):]
+				cur = f.Result()
+				if len(rest) > 0 {
+					var err error
+					if cur, err = NewLevels(f.Result(), slices.Clone(rest)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			check(fmt.Sprintf("step %d", step), cur)
+		}
 	}
 }

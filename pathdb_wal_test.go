@@ -578,3 +578,150 @@ func TestDurableWALRecordShape(t *testing.T) {
 		lastEpoch = br.Epoch
 	}
 }
+
+// saveDurableBase writes the seed's base graph as an edge list plus an
+// index built over the reloaded file (its node ids follow file order) —
+// the pair of base files OpenDurable reads.
+func saveDurableBase(t *testing.T, seed int64, shards int) (graphPath, indexPath string) {
+	t.Helper()
+	dir := t.TempDir()
+	g := durableBase(seed)
+	g.Freeze()
+	graphPath = filepath.Join(dir, "base.txt")
+	if err := g.SaveEdgeList(graphPath); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := pathdb.LoadGraph(graphPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := pathdb.Build(loaded, pathdb.Options{K: 2, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexPath = filepath.Join(dir, "base.pix")
+	if shards > 0 {
+		err = db.SaveShardedIndex(indexPath)
+	} else {
+		err = db.SaveIndexV3(indexPath)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return graphPath, indexPath
+}
+
+// pathsKStats is what |paths_k| feeds: the count itself and the
+// selectivities it is the denominator of.
+func pathsKStats(t *testing.T, db *pathdb.DB) []float64 {
+	t.Helper()
+	out := []float64{float64(db.IndexStats().PathsKCount)}
+	for _, p := range []string{"knows", "worksFor^-", "knows/worksFor"} {
+		sel, err := db.Selectivity(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, sel)
+	}
+	return out
+}
+
+// TestDurableRecoveryKeepsPathsK: |paths_k| is a function of the base
+// and the batch log, so a DB whose tiers were merged, spilled and
+// checkpointed reports the same count and selectivities after
+// OpenDurable replays its directory, whatever tier shapes the replay
+// rebuilds: loading the spills, or replaying every batch unmerged once
+// they are gone. Spill files written before they carried their tier's
+// count (0 in the header's |paths_k|) still recover, the tiers recounted
+// from their runs.
+func TestDurableRecoveryKeepsPathsK(t *testing.T) {
+	forShardLayouts(t, func(t *testing.T, shards int) {
+		const seed = 27
+		graphPath, indexPath := saveDurableBase(t, seed, shards)
+		dopts := pathdb.DurabilityOptions{Dir: t.TempDir(), NoSync: true, SpillEntries: 200}
+		opts := pathdb.Options{CompactRatio: -1}
+		open := func() *pathdb.DB {
+			t.Helper()
+			db, err := pathdb.OpenDurable(graphPath, indexPath, opts, dopts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return db
+		}
+		batches := durableBatches(seed, 9, 12)
+		db := open()
+		for i, b := range batches {
+			if err := db.ApplyBatch(b); err != nil {
+				t.Fatal(err)
+			}
+			if i == 2 {
+				if err := db.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// Six batches since the checkpoint: fewer tiers means merges ran.
+		if st := db.DurabilityStats(); st.Spills == 0 || st.Checkpoints != 1 || st.Tiers >= 6 {
+			t.Fatalf("workload did not spill, checkpoint and merge: %+v", st)
+		}
+		oracle := prefixOracle(t, seed, batches, len(batches))
+		exact := oracle.IndexStats().PathsKCount
+		want := pathsKStats(t, db)
+		if int(want[0]) < exact {
+			t.Fatalf("PathsKCount %v is below the rebuild's exact %d", want[0], exact)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		reopen := func(context string, spills bool) *pathdb.DB {
+			t.Helper()
+			db := open()
+			if st := db.DurabilityStats(); (st.RecoveredSpills > 0) != spills || st.CheckpointSeq == 0 {
+				t.Fatalf("%s: recovery took the wrong route: %+v", context, st)
+			}
+			checkAllStrategies(t, db, oracle, context)
+			return db
+		}
+
+		db2 := reopen("recovery over spills", true)
+		if got := pathsKStats(t, db2); !slices.Equal(got, want) {
+			t.Fatalf("after recovery over spills |paths_k| and selectivities are %v, before close %v", got, want)
+		}
+		db2.Close()
+
+		// Zero the |paths_k| field of every spill file, as spills were
+		// written before they carried their tier's count.
+		spills, err := filepath.Glob(filepath.Join(dopts.Dir, "spill-*"))
+		if err != nil || len(spills) == 0 {
+			t.Fatalf("no spill files (%v)", err)
+		}
+		for _, p := range spills {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clear(data[40:48])
+			if err := os.WriteFile(p, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db3 := reopen("recovery over count-less spills", true)
+		// A recount is exact per tier, so it lands between the rebuild's
+		// exact count and the per-batch sum.
+		if got := db3.IndexStats().PathsKCount; got < exact || got > int(want[0]) {
+			t.Fatalf("PathsKCount over recounted spills = %d, want within [%d, %v]", got, exact, want[0])
+		}
+		db3.Close()
+
+		for _, p := range spills {
+			if err := os.Remove(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db4 := reopen("replay of every batch", false)
+		defer db4.Close()
+		if got := pathsKStats(t, db4); !slices.Equal(got, want) {
+			t.Fatalf("after replaying every batch |paths_k| and selectivities are %v, before close %v", got, want)
+		}
+	})
+}
