@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"maps"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -141,5 +142,67 @@ func TestStreamedClosureStats(t *testing.T) {
 	}
 	if want := 30 * 31 / 2; len(res.Pairs) != want || res.Stats.OperatorRows["closure"] != want {
 		t.Errorf("a* returned %d pairs, closure operator %d rows; want %d", len(res.Pairs), res.Stats.OperatorRows["closure"], want)
+	}
+}
+
+// TestExecuteParallelStats: parallel execution reports the same
+// statistics as Execute — exec time, decode work over compressed
+// storage, and per-operator rows equal for every operator kind but the
+// disjuncts' gather — and TotalBatches sums the per-operator batches.
+func TestExecuteParallelStats(t *testing.T) {
+	labels := []string{"a", "b", "c"}
+	g := randomGraph(rand.New(rand.NewSource(43)), 40, 120, labels)
+	heap := newTestEngine(t, g, 2)
+	path := filepath.Join(t.TempDir(), "stats.v3")
+	if err := heap.Storage().(*pathindex.Index).SaveV3(path); err != nil {
+		t.Fatal(err)
+	}
+	c, err := pathindex.OpenCompressed(path, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	e, err := NewEngineFromStorage(c, Options{K: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{"a/b|b/c|c^-/a", "(a|b){1,3}", "a/b/c|c*|()"} {
+		prep, err := e.Compile(rpq.MustParse(q), plan.MinSupport)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(prep.Plan().Disjuncts) < 2 {
+			t.Fatalf("%q: %d disjuncts, want several", q, len(prep.Plan().Disjuncts))
+		}
+		seq, err := prep.Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := prep.ExecuteParallel(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := par.Stats
+		if st.ExecTime <= 0 || st.BlocksDecoded <= 0 {
+			t.Errorf("%q: ExecuteParallel reports ExecTime %v, %d blocks decoded; want both > 0", q, st.ExecTime, st.BlocksDecoded)
+		}
+		if st.ResultPairs != len(par.Pairs) || len(par.Pairs) != len(seq.Pairs) {
+			t.Errorf("%q: ExecuteParallel %d pairs (ResultPairs %d), Execute %d", q, len(par.Pairs), st.ResultPairs, len(seq.Pairs))
+		}
+		if st.OperatorRows["gather"] == 0 {
+			t.Errorf("%q: no gather rows; operator rows %v", q, st.OperatorRows)
+		}
+		rows := maps.Clone(st.OperatorRows)
+		delete(rows, "gather")
+		if !maps.Equal(rows, seq.Stats.OperatorRows) {
+			t.Errorf("%q: operator rows %v, Execute's %v", q, st.OperatorRows, seq.Stats.OperatorRows)
+		}
+		sum := 0
+		for _, n := range st.OperatorBatches {
+			sum += n
+		}
+		if sum == 0 || st.TotalBatches != sum {
+			t.Errorf("%q: TotalBatches %d, per-operator batches sum to %d", q, st.TotalBatches, sum)
+		}
 	}
 }

@@ -27,6 +27,13 @@
 // fresh operator tree). Engine.Serve adds a plan cache on top for
 // serving repeated queries cheaply.
 //
+// Within one evaluation, exec.Gather is the only source of concurrency:
+// over sharded storage each co-partitioned merge join runs per shard
+// under one, and ExecuteParallel drains the disjuncts under one below the
+// root union. Every entry point runs through Prepared.run, which stops
+// and awaits the gather senders before it reads statistics or releases
+// the storage pin.
+//
 // Immutability does not mean the data is static: updates are
 // functional. Engine.ApplyBatch returns a successor engine (epoch+1)
 // over the extended graph and a delta overlay of the same base index,
@@ -217,11 +224,7 @@ type Stats struct {
 	OperatorRows    map[string]int
 	OperatorBatches map[string]int // batches emitted, by operator kind
 	TotalIntermRows int            // summed rows over all operators
-	// TotalBatches is the summed batches over all operators. Under
-	// ExecuteParallel, which omits per-operator statistics, it instead
-	// counts the batches merged at the top level — do not compare the
-	// two directly.
-	TotalBatches int
+	TotalBatches    int            // summed batches over all operators
 	// BlocksDecoded and BytesDecoded count the compressed-storage decode
 	// work of this evaluation (zero over uncompressed storage): on-disk
 	// blocks decompressed and compressed bytes consumed. They are deltas
@@ -399,48 +402,31 @@ func (p *Prepared) Execute() (*Result, error) {
 // tree stops within about one batch per level and ExecuteContext
 // returns ctx's error. Partial results are never returned as an answer.
 func (p *Prepared) ExecuteContext(ctx context.Context) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	unpin, err := p.engine.pin()
-	if err != nil {
-		return nil, err
-	}
-	defer unpin()
-	dec, hasDec := p.engine.ix.(decodeStatsProvider)
-	var blocks0, bytes0 int64
-	if hasDec {
-		blocks0, bytes0 = dec.DecodeStats()
-	}
-	t0 := time.Now()
-	op, err := exec.Build(p.plan, p.engine.ix, exec.BuildOptions{
-		PerJoinDedup: !p.engine.opts.NoIntermediateDedup,
-		Ctx:          ctx,
+	return p.ExecuteParallelContext(ctx, 0)
+}
+
+// ExecuteParallel is Execute with the disjuncts drained concurrently by
+// up to workers goroutines: the operator tree puts the disjunct trees
+// under one exec.Gather below the root union, which deduplicates their
+// merged stream once. A plan of one disjunct, or workers < 2, runs as
+// Execute does — over sharded storage its co-partitioned merge joins
+// still run per shard under their own Gather. Results equal Execute's up
+// to order, and so do the statistics, per-operator rows included, plus
+// the gather's own rows.
+func (p *Prepared) ExecuteParallel(workers int) (*Result, error) {
+	return p.ExecuteParallelContext(context.Background(), workers)
+}
+
+// ExecuteParallelContext is ExecuteParallel under a cancellation scope,
+// with ExecuteContext's contract.
+func (p *Prepared) ExecuteParallelContext(ctx context.Context, workers int) (*Result, error) {
+	var pairs []pathindex.Pair
+	st, err := p.run(ctx, workers, func(batch []pathindex.Pair) error {
+		pairs = append(pairs, batch...)
+		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("core: building operators: %w", err)
-	}
-	// Registered after the unpin defer, so it runs first: per-shard
-	// gather goroutines are stopped and awaited before the storage pin is
-	// released, and before CollectStats reads their operators' counters.
-	defer exec.Quiesce(op)
-	pairs, runErr := exec.RunContext(ctx, op)
-	if runErr != nil {
-		return nil, runErr
-	}
-	st := p.stats
-	st.ExecTime = time.Since(t0)
-	st.ResultPairs = len(pairs)
-	exec.Quiesce(op)
-	es := exec.CollectStats(op)
-	st.OperatorRows = es.RowsByOperator
-	st.OperatorBatches = es.BatchesByOperator
-	st.TotalIntermRows = es.TotalRows
-	st.TotalBatches = es.TotalBatches
-	if hasDec {
-		blocks1, bytes1 := dec.DecodeStats()
-		st.BlocksDecoded = blocks1 - blocks0
-		st.BytesDecoded = bytes1 - bytes0
+		return nil, err
 	}
 	return &Result{Pairs: pairs, Stats: st}, nil
 }
@@ -455,6 +441,15 @@ func (p *Prepared) ExecuteContext(ctx context.Context) (*Result, error) {
 // run up to that point (ResultPairs counts the pairs delivered), so
 // streaming front ends can report them even for aborted requests.
 func (p *Prepared) StreamContext(ctx context.Context, fn func(batch []pathindex.Pair) error) (Stats, error) {
+	return p.run(ctx, 0, fn)
+}
+
+// run is the one evaluation loop: it pins the storage, builds the
+// operator tree (fanning the disjuncts out over workers senders when
+// workers > 1), hands fn every result batch until the tree is exhausted,
+// ctx is done or fn fails, and fills the statistics of the run — exec
+// time, per-operator counters and decode work — up to that point.
+func (p *Prepared) run(ctx context.Context, workers int, fn func(batch []pathindex.Pair) error) (Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -472,13 +467,15 @@ func (p *Prepared) StreamContext(ctx context.Context, fn func(batch []pathindex.
 	t0 := time.Now()
 	op, err := exec.Build(p.plan, p.engine.ix, exec.BuildOptions{
 		PerJoinDedup: !p.engine.opts.NoIntermediateDedup,
+		Workers:      workers,
 		Ctx:          ctx,
 	})
 	if err != nil {
 		return st, fmt.Errorf("core: building operators: %w", err)
 	}
-	// See ExecuteContext: stops gather goroutines before unpin (LIFO) and
-	// before the stats read below.
+	// Registered after the unpin defer, so it runs first even if fn
+	// panics: gather senders are stopped and awaited before the storage
+	// pin is released.
 	defer exec.Quiesce(op)
 	buf := make([]pathindex.Pair, exec.DefaultBatchSize)
 	total := 0
@@ -501,6 +498,8 @@ func (p *Prepared) StreamContext(ctx context.Context, fn func(batch []pathindex.
 	}
 	st.ExecTime = time.Since(t0)
 	st.ResultPairs = total
+	// A tree abandoned mid-stream still has senders running; their
+	// operators' counters are stable only once they are stopped.
 	exec.Quiesce(op)
 	es := exec.CollectStats(op)
 	st.OperatorRows = es.RowsByOperator

@@ -11,7 +11,6 @@ package exec
 
 import (
 	"cmp"
-	"context"
 	"slices"
 
 	"repro/internal/graph"
@@ -160,6 +159,7 @@ func condense(body adjacency, roots []graph.NodeID) *condensation {
 // (components partition the nodes, sources are distinct groups) and
 // grouped by ascending source.
 type StreamClosure struct {
+	opBase
 	input Operator
 	body  []Operator
 
@@ -175,13 +175,7 @@ type StreamClosure struct {
 	qi    int     // next component of queue to expand and emit
 	mi    int     // next member of the component being emitted
 	mend  int     // end of that component's members
-
-	ctx     context.Context
-	rows    int
-	batches int
 }
-
-func (c *StreamClosure) setContext(ctx context.Context) { c.ctx = ctx }
 
 // NewStreamClosure returns the closure of the union of body applied to
 // input.
@@ -285,18 +279,8 @@ func (c *StreamClosure) NextBatch(buf []Pair) int {
 			break
 		}
 	}
-	c.rows += n
-	if n > 0 {
-		c.batches++
-	}
-	return n
+	return c.emit(n)
 }
-
-// Rows implements Operator.
-func (c *StreamClosure) Rows() int { return c.rows }
-
-// Batches implements Operator.
-func (c *StreamClosure) Batches() int { return c.batches }
 
 // Name implements Operator.
 func (c *StreamClosure) Name() string { return "closure" }

@@ -63,7 +63,8 @@ func twoRouteGraph() *graph.Graph {
 // TestDedupPlacement builds the plan shapes Build treats differently —
 // one scan, one join, several disjuncts, a closure and a nested one — under
 // every strategy, over unsharded storage and 1/2/4/7 shards, with and
-// without per-join dedup, and
+// without per-join dedup, sequential and with the disjuncts fanned out
+// over 2 or 3 workers, and
 // checks three things: the result equals the automaton oracle, it holds
 // no pair twice, and no pair went through more than one root-level
 // deduplicating operator (so those operators emitted, in total, exactly
@@ -131,38 +132,47 @@ func TestDedupPlacement(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", tc.name, err)
 				}
-				for _, perJoin := range []bool{true, false} {
-					where := fmt.Sprintf("%s %v shards=%d perJoin=%v", tc.name, strat, shards, perJoin)
-					op, err := Build(p, storage, BuildOptions{PerJoinDedup: perJoin})
-					if err != nil {
-						t.Fatalf("%s: %v", where, err)
-					}
-					got := Run(op)
-					if len(got) != len(want) || !setsEqual(asSet(got), want) {
-						t.Errorf("%s: %d pairs (%d distinct), oracle %d", where, len(got), len(asSet(got)), len(want))
-						continue
-					}
-					rootRows := 0
-					rootDedups(op, 0, func(d Operator, depth int) {
-						rootRows += d.Rows()
-						if depth > 1 {
-							t.Errorf("%s: %s stacked %d deep at the root", where, d.Name(), depth)
+				for _, workers := range []int{0, 2, 3} {
+					for _, perJoin := range []bool{true, false} {
+						where := fmt.Sprintf("%s %v shards=%d perJoin=%v workers=%d", tc.name, strat, shards, perJoin, workers)
+						op, err := Build(p, storage, BuildOptions{PerJoinDedup: perJoin, Workers: workers})
+						if err != nil {
+							t.Fatalf("%s: %v", where, err)
 						}
-					})
-					st := CollectStats(op)
-					// The noUnion shapes are those of k=2 segmentations; naive
-					// plans single labels, so its a/b is already a join.
-					wantUnion := len(got)
-					if tc.noUnion == "always" || tc.noUnion == "perJoin" && perJoin && shards <= 1 {
-						wantUnion = 0
-					}
-					if strat != plan.Naive && st.RowsByOperator["union-distinct"] != wantUnion {
-						t.Errorf("%s: union-distinct emitted %d rows, want %d; rows by operator %v",
-							where, st.RowsByOperator["union-distinct"], wantUnion, st.RowsByOperator)
-					}
-					if rootRows != len(got) && !(rootRows == 0 && duplicateFree(op)) {
-						t.Errorf("%s: root-level dedups emitted %d rows for %d result pairs; rows by operator %v",
-							where, rootRows, len(got), st.RowsByOperator)
+						got := Run(op)
+						if len(got) != len(want) || !setsEqual(asSet(got), want) {
+							t.Errorf("%s: %d pairs (%d distinct), oracle %d", where, len(got), len(asSet(got)), len(want))
+							continue
+						}
+						fanned := false
+						if u, ok := op.(*UnionDistinct); ok && len(u.kids) == 1 {
+							_, fanned = u.kids[0].(*Gather)
+						}
+						if len(p.Disjuncts) > 1 && fanned != (workers > 1) {
+							t.Errorf("%s: disjuncts under one Gather = %v", where, fanned)
+						}
+						rootRows := 0
+						rootDedups(op, 0, func(d Operator, depth int) {
+							rootRows += d.Rows()
+							if depth > 1 {
+								t.Errorf("%s: %s stacked %d deep at the root", where, d.Name(), depth)
+							}
+						})
+						st := CollectStats(op)
+						// The noUnion shapes are those of k=2 segmentations; naive
+						// plans single labels, so its a/b is already a join.
+						wantUnion := len(got)
+						if tc.noUnion == "always" || tc.noUnion == "perJoin" && perJoin && shards <= 1 {
+							wantUnion = 0
+						}
+						if strat != plan.Naive && st.RowsByOperator["union-distinct"] != wantUnion {
+							t.Errorf("%s: union-distinct emitted %d rows, want %d; rows by operator %v",
+								where, st.RowsByOperator["union-distinct"], wantUnion, st.RowsByOperator)
+						}
+						if rootRows != len(got) && !(rootRows == 0 && duplicateFree(op)) {
+							t.Errorf("%s: root-level dedups emitted %d rows for %d result pairs; rows by operator %v",
+								where, rootRows, len(got), st.RowsByOperator)
+						}
 					}
 				}
 			}

@@ -44,6 +44,32 @@ type Operator interface {
 	Name() string
 }
 
+// opBase is the state every operator embeds: the context it polls at
+// batch boundaries and its output counters, with the Rows, Batches and
+// setContext methods over them.
+type opBase struct {
+	ctx     context.Context
+	rows    int
+	batches int
+}
+
+func (b *opBase) setContext(ctx context.Context) { b.ctx = ctx }
+
+// Rows implements Operator.
+func (b *opBase) Rows() int { return b.rows }
+
+// Batches implements Operator.
+func (b *opBase) Batches() int { return b.batches }
+
+// emit counts a batch of n pairs (none when n is 0) and returns n.
+func (b *opBase) emit(n int) int {
+	b.rows += n
+	if n > 0 {
+		b.batches++
+	}
+	return n
+}
+
 // Stats aggregates runtime counters over an operator tree.
 type Stats struct {
 	RowsByOperator    map[string]int
@@ -84,12 +110,16 @@ type BuildOptions struct {
 	// from their children; 0 uses DefaultBatchSize. Exposed for the
 	// batch-size micro-benchmarks.
 	BatchSize int
+	// Workers, when > 1 and the plan has several disjuncts, drains the
+	// disjunct trees (and the ε scan) concurrently: they go under one
+	// Gather with that many senders, below the root union.
+	Workers int
 	// Ctx, when non-nil, is checked by every operator at batch
 	// boundaries: once it is done, operators stop producing and return 0,
 	// so the whole tree winds down within one batch per level. A
 	// cancelled stream terminates early rather than at exhaustion —
-	// drain with RunContext (or check ctx after the drain) so partial
-	// results are never mistaken for the answer.
+	// check ctx after the drain so partial results are never mistaken
+	// for the answer.
 	Ctx context.Context
 }
 
@@ -132,7 +162,8 @@ func WithContext(op Operator, ctx context.Context) Operator {
 }
 
 // Build translates a physical plan into an operator tree over ix. The
-// identity (ε) disjunct enumerates all graph nodes.
+// identity (ε) disjunct enumerates all graph nodes. With opts.Workers > 1
+// a plan of several disjuncts fans them out under a Gather.
 func Build(p *plan.Plan, ix pathindex.Storage, opts BuildOptions) (Operator, error) {
 	var ops []Operator
 	if p.HasEpsilon {
@@ -156,6 +187,9 @@ func Build(p *plan.Plan, ix pathindex.Storage, opts BuildOptions) (Operator, err
 	for i, op := range ops {
 		ops[i] = stripRootDistinct(op)
 	}
+	if opts.Workers > 1 && len(p.Disjuncts) > 1 {
+		ops = []Operator{NewGather(ops, opts.Workers, opts.batchSize(), opts.Ctx)}
+	}
 	return WithContext(NewUnionDistinctSized(ops, opts.batchSize()), opts.Ctx), nil
 }
 
@@ -166,8 +200,8 @@ func Build(p *plan.Plan, ix pathindex.Storage, opts BuildOptions) (Operator, err
 // reads disjoint shard runs), Distinct keeps a seen-set and a closure
 // enumerates each source's reach set once. A Gather is a union too: its
 // per-shard joins meet the same (src,dst) through join nodes of
-// different shards, so it is never duplicate-free, not even over
-// per-shard Distincts.
+// different shards, and its disjuncts overlap, so it is never
+// duplicate-free, not even over Distincts.
 func duplicateFree(op Operator) bool {
 	switch op.(type) {
 	case *IndexScan, *MergeUnionScan, *ConcatScan, *IdentityScan,
@@ -270,28 +304,6 @@ func RunSized(op Operator, batchSize int) []Pair {
 	}
 }
 
-// RunContext drains an operator like Run, but returns ctx's error as
-// soon as the context is done. Cancelled operators stop by returning 0,
-// which is indistinguishable from exhaustion inside the tree — the
-// final ctx check here is what keeps a cancelled drain from passing off
-// its partial pairs as the full answer. The pairs collected before
-// cancellation are returned alongside the error for callers that stream
-// them; callers that materialize must discard them on error.
-func RunContext(ctx context.Context, op Operator) ([]Pair, error) {
-	buf := make([]Pair, DefaultBatchSize)
-	var out []Pair
-	for {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		n := op.NextBatch(buf)
-		if n == 0 {
-			return out, ctx.Err()
-		}
-		out = append(out, buf[:n]...)
-	}
-}
-
 // IndexScan streams one segment's relation from the index by decoding its
 // sorted packed blocks into the batch buffer — no per-pair calls and no
 // intermediate allocation. With swap=true it physically scans the
@@ -299,16 +311,12 @@ func RunContext(ctx context.Context, op Operator) ([]Pair, error) {
 // original segment arrive ordered by target — the inverted scans of the
 // paper's merge-join plans.
 type IndexScan struct {
-	blocks  *pathindex.BlockIterator
-	block   []pathindex.Packed
-	off     int
-	swap    bool
-	ctx     context.Context
-	rows    int
-	batches int
+	opBase
+	blocks *pathindex.BlockIterator
+	block  []pathindex.Packed
+	off    int
+	swap   bool
 }
-
-func (s *IndexScan) setContext(ctx context.Context) { s.ctx = ctx }
 
 // runBlocksProvider is the optional storage interface of the update
 // overlay (pathindex.Levels): a relation split into a base-run block
@@ -404,18 +412,8 @@ func (s *IndexScan) NextBatch(buf []Pair) int {
 		n += m
 		s.off += m
 	}
-	s.rows += n
-	if n > 0 {
-		s.batches++
-	}
-	return n
+	return s.emit(n)
 }
-
-// Rows implements Operator.
-func (s *IndexScan) Rows() int { return s.rows }
-
-// Batches implements Operator.
-func (s *IndexScan) Batches() int { return s.batches }
 
 // Name implements Operator.
 func (s *IndexScan) Name() string { return "index-scan" }
@@ -428,16 +426,12 @@ func (s *IndexScan) Name() string { return "index-scan" }
 // produce: sorted by (src,dst) packed order, or by target order under
 // swap, preserving the orderings the merge joins rely on.
 type MergeUnionScan struct {
+	opBase
 	base, delta []pathindex.Packed
 	i, j        int
 	blocks      *pathindex.BlockIterator // non-nil: base arrives block-wise
 	swap        bool
-	ctx         context.Context
-	rows        int
-	batches     int
 }
-
-func (s *MergeUnionScan) setContext(ctx context.Context) { s.ctx = ctx }
 
 // NewMergeUnionBlockScan returns a merge-union scan over two sorted
 // disjoint runs. The base run is pulled from a block iterator — over
@@ -479,11 +473,7 @@ func (s *MergeUnionScan) NextBatch(buf []Pair) int {
 			pr = s.delta[s.j]
 			s.j++
 		default:
-			s.rows += n
-			if n > 0 {
-				s.batches++
-			}
-			return n
+			return s.emit(n)
 		}
 		if s.swap {
 			buf[n] = Pair{Src: pr.Dst(), Dst: pr.Src()}
@@ -492,18 +482,8 @@ func (s *MergeUnionScan) NextBatch(buf []Pair) int {
 		}
 		n++
 	}
-	s.rows += n
-	if n > 0 {
-		s.batches++
-	}
-	return n
+	return s.emit(n)
 }
-
-// Rows implements Operator.
-func (s *MergeUnionScan) Rows() int { return s.rows }
-
-// Batches implements Operator.
-func (s *MergeUnionScan) Batches() int { return s.batches }
 
 // Name implements Operator.
 func (s *MergeUnionScan) Name() string { return "merge-union-scan" }
@@ -511,13 +491,9 @@ func (s *MergeUnionScan) Name() string { return "merge-union-scan" }
 // IdentityScan emits (n, n) for every node of the graph, realizing the ε
 // disjunct.
 type IdentityScan struct {
+	opBase
 	n, total int
-	ctx      context.Context
-	rows     int
-	batches  int
 }
-
-func (s *IdentityScan) setContext(ctx context.Context) { s.ctx = ctx }
 
 // NewIdentityScan returns an identity scan over g's nodes.
 func NewIdentityScan(g *graph.Graph) *IdentityScan {
@@ -536,18 +512,8 @@ func (s *IdentityScan) NextBatch(buf []Pair) int {
 		s.n++
 		n++
 	}
-	s.rows += n
-	if n > 0 {
-		s.batches++
-	}
-	return n
+	return s.emit(n)
 }
-
-// Rows implements Operator.
-func (s *IdentityScan) Rows() int { return s.rows }
-
-// Batches implements Operator.
-func (s *IdentityScan) Batches() int { return s.batches }
 
 // Name implements Operator.
 func (s *IdentityScan) Name() string { return "identity-scan" }
@@ -648,17 +614,13 @@ func gallopBySrc(w []Pair, target graph.NodeID) int {
 // side's key trails the other, the cursor skips ahead by exponential
 // search instead of stepping pair by pair.
 type MergeJoin struct {
+	opBase
 	left, right input
 
 	groupSrcs []graph.NodeID // left sources for the current key
 	groupDsts []graph.NodeID // right targets for the current key
 	gi, gj    int
-	ctx       context.Context
-	rows      int
-	batches   int
 }
-
-func (m *MergeJoin) setContext(ctx context.Context) { m.ctx = ctx }
 
 // NewMergeJoin returns a merge join of left and right with default batch
 // buffers.
@@ -741,9 +703,7 @@ func (m *MergeJoin) NextBatch(buf []Pair) int {
 		// Emit from the current group cross product.
 		for m.gi < len(m.groupSrcs) {
 			if n == len(buf) {
-				m.rows += n
-				m.batches++
-				return n
+				return m.emit(n)
 			}
 			buf[n] = Pair{Src: m.groupSrcs[m.gi], Dst: m.groupDsts[m.gj]}
 			n++
@@ -754,11 +714,7 @@ func (m *MergeJoin) NextBatch(buf []Pair) int {
 			}
 		}
 		if !m.left.fill() || !m.right.fill() {
-			m.rows += n
-			if n > 0 {
-				m.batches++
-			}
-			return n
+			return m.emit(n)
 		}
 		lkey := m.left.buf[m.left.pos].Dst
 		rkey := m.right.buf[m.right.pos].Src
@@ -777,12 +733,6 @@ func (m *MergeJoin) NextBatch(buf []Pair) int {
 	}
 }
 
-// Rows implements Operator.
-func (m *MergeJoin) Rows() int { return m.rows }
-
-// Batches implements Operator.
-func (m *MergeJoin) Batches() int { return m.batches }
-
 // Name implements Operator.
 func (m *MergeJoin) Name() string { return "merge-join" }
 
@@ -790,6 +740,7 @@ func (m *MergeJoin) Name() string { return "merge-join" }
 // hash table from whole batches of one side and probing with batches of
 // the other.
 type HashJoin struct {
+	opBase
 	left, right Operator
 	buildRight  bool
 	batchSize   int
@@ -801,12 +752,7 @@ type HashJoin struct {
 	cur     Pair // current probe row
 	matches []graph.NodeID
 	mi      int
-	ctx     context.Context
-	rows    int
-	batches int
 }
-
-func (h *HashJoin) setContext(ctx context.Context) { h.ctx = ctx }
 
 // NewHashJoin returns a hash join; buildRight selects the hashed side.
 func NewHashJoin(left, right Operator, buildRight bool) *HashJoin {
@@ -868,9 +814,7 @@ func (h *HashJoin) NextBatch(buf []Pair) int {
 		// Emit pending matches of the current probe row.
 		for h.mi < len(h.matches) {
 			if n == len(buf) {
-				h.rows += n
-				h.batches++
-				return n
+				return h.emit(n)
 			}
 			if h.buildRight {
 				// probe row is a left row (a,b); matches are right dsts.
@@ -883,11 +827,7 @@ func (h *HashJoin) NextBatch(buf []Pair) int {
 			n++
 		}
 		if !h.probe.fill() {
-			h.rows += n
-			if n > 0 {
-				h.batches++
-			}
-			return n
+			return h.emit(n)
 		}
 		h.cur = h.probe.buf[h.probe.pos]
 		h.probe.pos++
@@ -899,12 +839,6 @@ func (h *HashJoin) NextBatch(buf []Pair) int {
 		h.mi = 0
 	}
 }
-
-// Rows implements Operator.
-func (h *HashJoin) Rows() int { return h.rows }
-
-// Batches implements Operator.
-func (h *HashJoin) Batches() int { return h.batches }
 
 // Name implements Operator.
 func (h *HashJoin) Name() string { return "hash-join" }
@@ -949,16 +883,12 @@ func (d *dedup) refill(op Operator, batchSize int) bool {
 // UnionDistinct concatenates child streams and removes duplicate pairs —
 // the top-level union over disjuncts with the paper's set semantics.
 type UnionDistinct struct {
+	opBase
 	kids      []Operator
 	i         int
 	d         dedup
 	batchSize int
-	ctx       context.Context
-	rows      int
-	batches   int
 }
-
-func (u *UnionDistinct) setContext(ctx context.Context) { u.ctx = ctx }
 
 // NewUnionDistinct returns a deduplicating union of the children with
 // default-size child batches.
@@ -995,18 +925,8 @@ func (u *UnionDistinct) NextBatch(buf []Pair) int {
 			u.i++
 		}
 	}
-	u.rows += n
-	if n > 0 {
-		u.batches++
-	}
-	return n
+	return u.emit(n)
 }
-
-// Rows implements Operator.
-func (u *UnionDistinct) Rows() int { return u.rows }
-
-// Batches implements Operator.
-func (u *UnionDistinct) Batches() int { return u.batches }
 
 // Name implements Operator.
 func (u *UnionDistinct) Name() string { return "union-distinct" }
@@ -1014,16 +934,12 @@ func (u *UnionDistinct) Name() string { return "union-distinct" }
 // Distinct deduplicates a single child stream. It is inserted above every
 // join when the engine's per-join deduplication ablation is enabled.
 type Distinct struct {
+	opBase
 	child     Operator
 	done      bool
 	d         dedup
 	batchSize int
-	ctx       context.Context
-	rows      int
-	batches   int
 }
-
-func (d *Distinct) setContext(ctx context.Context) { d.ctx = ctx }
 
 // NewDistinct returns a deduplicating wrapper around child with
 // default-size child batches.
@@ -1060,18 +976,8 @@ func (d *Distinct) NextBatch(buf []Pair) int {
 			d.done = true
 		}
 	}
-	d.rows += n
-	if n > 0 {
-		d.batches++
-	}
-	return n
+	return d.emit(n)
 }
-
-// Rows implements Operator.
-func (d *Distinct) Rows() int { return d.rows }
-
-// Batches implements Operator.
-func (d *Distinct) Batches() int { return d.batches }
 
 // Name implements Operator.
 func (d *Distinct) Name() string { return "distinct" }

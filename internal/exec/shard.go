@@ -1,22 +1,26 @@
-// This file implements execution over source-partitioned (sharded)
-// storage. Two shapes cover it:
+// This file implements the fan-out of execution. Sharded storage takes
+// two shapes:
 //
 //   - a plan.Scatter — a merge join whose inverted left run and forward
 //     right run are both partitioned on the join node — builds the
 //     ordinary operator tree once per shard over that shard's storage,
-//     and a Gather fans the per-shard streams in: one goroutine per shard
-//     drains its tree and hands whole batches to the consumer, unordered;
+//     and a Gather fans the per-shard streams in, one sender per shard;
 //   - everything else runs once, over the shards' concatenated runs: a
 //     segment scan over sharded storage is a ConcatScan of the per-shard
 //     sub-scans, which hash joins, closures and the union consume as any
 //     other relation. Only merge joins need sorted input, and they run
 //     per shard.
+//
+// Disjuncts fan out the same way: with BuildOptions.Workers > 1, Build
+// puts the disjunct trees under one Gather with that many senders,
+// below the root union that deduplicates them.
 
 package exec
 
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/pathindex"
 	"repro/internal/plan"
@@ -27,14 +31,10 @@ import (
 // source-disjoint (target-disjoint for inverted scans), so the stream is
 // a set, sorted within each shard but not across shards.
 type ConcatScan struct {
-	kids    []Operator
-	i       int
-	ctx     context.Context
-	rows    int
-	batches int
+	opBase
+	kids []Operator
+	i    int
 }
-
-func (c *ConcatScan) setContext(ctx context.Context) { c.ctx = ctx }
 
 func (c *ConcatScan) children() []Operator { return c.kids }
 
@@ -42,73 +42,71 @@ func (c *ConcatScan) children() []Operator { return c.kids }
 func (c *ConcatScan) NextBatch(buf []Pair) int {
 	for c.i < len(c.kids) && !cancelled(c.ctx) {
 		if n := c.kids[c.i].NextBatch(buf); n > 0 {
-			c.rows += n
-			c.batches++
-			return n
+			return c.emit(n)
 		}
 		c.i++
 	}
 	return 0
 }
 
-// Rows implements Operator.
-func (c *ConcatScan) Rows() int { return c.rows }
-
-// Batches implements Operator.
-func (c *ConcatScan) Batches() int { return c.batches }
-
 // Name implements Operator.
 func (c *ConcatScan) Name() string { return "concat-scan" }
 
-// shardBatch is one filled sender buffer, tagged with the shard whose
+// senderBatch is one filled sender buffer, tagged with the sender whose
 // free list it returns to.
-type shardBatch struct {
-	shard int
-	pairs []Pair
+type senderBatch struct {
+	sender int
+	pairs  []Pair
 }
 
-// Gather fans in per-shard operator streams concurrently and unordered:
-// one goroutine per shard drains its tree into whole batches on one
-// shared channel. Each sender owns two buffers that cycle through its
-// free channel, so a started Gather allocates nothing per batch; the
-// consumer copies each batch out and hands its buffer back. Per-shard
-// join outputs overlap once the join node is projected away, so a Gather
-// passes duplicates through (see duplicateFree).
+// Gather fans in operator streams concurrently and unordered: the
+// per-shard trees of a plan.Scatter, or the disjunct trees of a plan run
+// with BuildOptions.Workers. Each of its senders — goroutines, at most
+// one per child — claims the next unclaimed child, drains it into whole
+// batches on one shared channel, and claims the next, until none is
+// left. Each sender owns two buffers that cycle through its free
+// channel, so a started Gather allocates nothing per batch; the consumer
+// copies each batch out and hands its buffer back. A Gather is a union:
+// per-shard join outputs overlap once the join node is projected away,
+// and disjuncts overlap anyway, so it passes duplicates through (see
+// duplicateFree).
 //
 // Cancellation: senders stop at batch boundaries once ctx is done or the
 // gather is quiesced. A Gather that returned 0 has no goroutines left;
-// abandoning one mid-stream requires Quiesce (exec.Run*/core call it),
+// abandoning one mid-stream requires Quiesce (core's Prepared.run calls it),
 // which stops the senders and waits for them, making the children safe
 // to inspect for stats.
 type Gather struct {
+	opBase
 	kids      []Operator
-	ctx       context.Context
+	senders   int
 	batchSize int
 
 	started  bool
-	out      chan shardBatch
+	next     atomic.Int64 // index of the next unclaimed child
+	out      chan senderBatch
 	free     []chan []Pair
-	cur      shardBatch
+	cur      senderBatch
 	pos      int
 	live     int // senders that have not yet sent their end marker
 	quit     chan struct{}
 	quitOnce sync.Once
 	wg       sync.WaitGroup
-
-	rows    int
-	batches int
 }
 
-// NewGather returns a gather over per-shard children. Senders honor ctx;
-// batchSize bounds each transfer (minimum 1, DefaultBatchSize when 0).
-func NewGather(kids []Operator, batchSize int, ctx context.Context) *Gather {
+// NewGather returns a gather over children drained by up to senders
+// goroutines (one per child when senders is 0 or exceeds the children).
+// Senders honor ctx; batchSize bounds each transfer (minimum 1,
+// DefaultBatchSize when 0).
+func NewGather(kids []Operator, senders, batchSize int, ctx context.Context) *Gather {
+	if senders < 1 || senders > len(kids) {
+		senders = len(kids)
+	}
 	if batchSize < 1 {
 		batchSize = DefaultBatchSize
 	}
-	return &Gather{kids: kids, batchSize: batchSize, ctx: ctx, quit: make(chan struct{})}
+	return &Gather{opBase: opBase{ctx: ctx}, kids: kids, senders: senders, batchSize: batchSize, quit: make(chan struct{})}
 }
-
-func (g *Gather) setContext(ctx context.Context) { g.ctx = ctx }
 
 func (g *Gather) children() []Operator { return g.kids }
 
@@ -118,39 +116,56 @@ func (g *Gather) start() {
 	// so out has room for every batch in flight and neither a sender's
 	// send nor the consumer's return of a buffer to free ever waits on
 	// the other side.
-	g.out = make(chan shardBatch, 2*len(g.kids))
-	g.free = make([]chan []Pair, len(g.kids))
-	g.live = len(g.kids)
-	for i := range g.kids {
-		g.free[i] = make(chan []Pair, 2)
-		g.free[i] <- make([]Pair, g.batchSize)
-		g.free[i] <- make([]Pair, g.batchSize)
+	g.out = make(chan senderBatch, 2*g.senders)
+	g.free = make([]chan []Pair, g.senders)
+	g.live = g.senders
+	for s := range g.free {
+		g.free[s] = make(chan []Pair, 2)
+		g.free[s] <- make([]Pair, g.batchSize)
+		g.free[s] <- make([]Pair, g.batchSize)
 		g.wg.Add(1)
-		go g.drain(i)
+		go g.drain(s)
 	}
 }
 
-// drain is shard i's sender: it fills a free buffer from the shard's
-// tree and ships it, until the tree is exhausted — announced by one
-// empty batch, the end marker — or the gather is quiesced or ctx is done.
-func (g *Gather) drain(i int) {
+// claim hands out the next unclaimed child, nil once all are taken.
+func (g *Gather) claim() Operator {
+	if i := int(g.next.Add(1)) - 1; i < len(g.kids) {
+		return g.kids[i]
+	}
+	return nil
+}
+
+// drain is sender s: it fills a free buffer from its current child and
+// ships it, moving on to the next unclaimed child whenever one is
+// exhausted. When no child is left it ships one empty batch, the end
+// marker, and exits; it exits early once the gather is quiesced or ctx
+// is done.
+func (g *Gather) drain(s int) {
 	defer g.wg.Done()
 	var done <-chan struct{}
 	if g.ctx != nil {
 		done = g.ctx.Done()
 	}
+	kid := g.claim()
 	for {
 		var buf []Pair
 		select {
-		case buf = <-g.free[i]:
+		case buf = <-g.free[s]:
 		case <-g.quit:
 			return
 		case <-done:
 			return
 		}
-		n := g.kids[i].NextBatch(buf)
+		n := 0
+		for kid != nil {
+			if n = kid.NextBatch(buf); n > 0 {
+				break
+			}
+			kid = g.claim()
+		}
 		select {
-		case g.out <- shardBatch{shard: i, pairs: buf[:n]}:
+		case g.out <- senderBatch{sender: s, pairs: buf[:n]}:
 		case <-g.quit:
 			return
 		case <-done:
@@ -184,13 +199,13 @@ func (g *Gather) NextBatch(buf []Pair) int {
 			continue
 		}
 		if g.cur.pairs != nil {
-			g.free[g.cur.shard] <- g.cur.pairs[:cap(g.cur.pairs)]
+			g.free[g.cur.sender] <- g.cur.pairs[:cap(g.cur.pairs)]
 			g.cur.pairs = nil
 		}
 		if g.live == 0 {
 			break
 		}
-		var b shardBatch
+		var b senderBatch
 		if n > 0 {
 			// Holding pairs: return them rather than wait for more.
 			select {
@@ -219,16 +234,10 @@ func (g *Gather) NextBatch(buf []Pair) int {
 	return g.emit(n)
 }
 
-func (g *Gather) emit(n int) int {
-	g.rows += n
-	g.batches++
-	return n
-}
-
-// Quiesce stops the per-shard senders and waits for them to exit. Safe
-// to call any number of times, before or after exhaustion; afterwards
-// the children's counters are stable for CollectStats and NextBatch
-// returns 0.
+// Quiesce stops the senders and waits for them to exit. Safe to call
+// any number of times, before or after exhaustion; afterwards the
+// children's counters are stable for CollectStats and NextBatch returns
+// 0.
 func (g *Gather) Quiesce() {
 	if !g.started {
 		return
@@ -237,12 +246,6 @@ func (g *Gather) Quiesce() {
 	g.wg.Wait()
 	g.live, g.cur.pairs = 0, nil
 }
-
-// Rows implements Operator.
-func (g *Gather) Rows() int { return g.rows }
-
-// Batches implements Operator.
-func (g *Gather) Batches() int { return g.batches }
 
 // Name implements Operator.
 func (g *Gather) Name() string { return "gather" }
@@ -286,5 +289,5 @@ func buildScatter(v *plan.Scatter, ix pathindex.Storage, opts BuildOptions) (Ope
 	if len(kids) == 1 {
 		return kids[0], nil
 	}
-	return NewGather(kids, opts.batchSize(), opts.Ctx), nil
+	return NewGather(kids, len(kids), opts.batchSize(), opts.Ctx), nil
 }

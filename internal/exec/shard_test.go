@@ -89,7 +89,9 @@ func TestShardedSegmentScan(t *testing.T) {
 }
 
 // TestGatherUnionPassesDuplicates: a Gather emits the multiset union of
-// its children, in no particular order, duplicates included.
+// its children, in no particular order, duplicates included — with one
+// sender per child, and with fewer senders, each draining child after
+// child, the empty one included.
 func TestGatherUnionPassesDuplicates(t *testing.T) {
 	mk := func(prs ...Pair) Operator { return &sliceOp{pairs: prs} }
 	kids := [][]Pair{
@@ -97,49 +99,54 @@ func TestGatherUnionPassesDuplicates(t *testing.T) {
 		{pp(2, 7), pp(4, 2), pp(9, 0), pp(4, 2)},
 		{},
 	}
-	var ops []Operator
-	var want []Pair
-	for _, k := range kids {
-		ops = append(ops, mk(k...))
-		want = append(want, k...)
-	}
-	g := NewGather(ops, 2, nil)
-	got := Run(g)
-	if !multisetsEqual(multiset(got), multiset(want)) {
-		t.Fatalf("got %v, want the multiset %v", got, want)
-	}
-	if g.Rows() != len(want) {
-		t.Fatalf("Rows = %d, want %d", g.Rows(), len(want))
-	}
-	// Exhausted gathers have quiesced themselves; extra calls are no-ops.
-	g.Quiesce()
-	if n := g.NextBatch(make([]Pair, 4)); n != 0 {
-		t.Fatalf("NextBatch after exhaustion = %d", n)
+	for _, senders := range []int{0, 1, 2} {
+		var ops []Operator
+		var want []Pair
+		for _, k := range kids {
+			ops = append(ops, mk(k...))
+			want = append(want, k...)
+		}
+		g := NewGather(ops, senders, 2, nil)
+		got := Run(g)
+		if !multisetsEqual(multiset(got), multiset(want)) {
+			t.Fatalf("senders=%d: got %v, want the multiset %v", senders, got, want)
+		}
+		if g.Rows() != len(want) {
+			t.Fatalf("senders=%d: Rows = %d, want %d", senders, g.Rows(), len(want))
+		}
+		// Exhausted gathers have quiesced themselves; extra calls are no-ops.
+		g.Quiesce()
+		if n := g.NextBatch(make([]Pair, 4)); n != 0 {
+			t.Fatalf("senders=%d: NextBatch after exhaustion = %d", senders, n)
+		}
 	}
 }
 
 func TestGatherCancellation(t *testing.T) {
-	// A large synthetic stream per shard; cancel after the first batch
-	// and verify Quiesce returns (senders exit) rather than deadlocking.
+	// A large synthetic stream per child (and one empty child); cancel
+	// after the first batch and verify Quiesce returns (senders exit)
+	// rather than deadlocking, with a sender per child or one for all.
 	big := make([]Pair, 10000)
 	for i := range big {
 		big[i] = Pair{Src: graph.NodeID(i), Dst: graph.NodeID(i % 7)}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	g := NewGather([]Operator{&sliceOp{pairs: big}, &sliceOp{pairs: big}}, 64, ctx)
-	buf := make([]Pair, 32)
-	if n := g.NextBatch(buf); n == 0 {
-		t.Fatal("no pairs before cancellation")
-	}
-	cancel()
-	for i := 0; i < 1000; i++ {
-		if g.NextBatch(buf) == 0 {
-			break
+	for _, senders := range []int{0, 1} {
+		ctx, cancel := context.WithCancel(context.Background())
+		g := NewGather([]Operator{&sliceOp{pairs: big}, &sliceOp{}, &sliceOp{pairs: big}}, senders, 64, ctx)
+		buf := make([]Pair, 32)
+		if n := g.NextBatch(buf); n == 0 {
+			t.Fatalf("senders=%d: no pairs before cancellation", senders)
 		}
-	}
-	g.Quiesce() // must not hang
-	if n := g.NextBatch(buf); n != 0 {
-		t.Fatalf("NextBatch after cancel+quiesce = %d", n)
+		cancel()
+		for i := 0; i < 1000; i++ {
+			if g.NextBatch(buf) == 0 {
+				break
+			}
+		}
+		g.Quiesce() // must not hang
+		if n := g.NextBatch(buf); n != 0 {
+			t.Fatalf("senders=%d: NextBatch after cancel+quiesce = %d", senders, n)
+		}
 	}
 }
 
@@ -151,7 +158,7 @@ func TestGatherAbandonedQuiesce(t *testing.T) {
 	for i := range big {
 		big[i] = Pair{Src: graph.NodeID(i), Dst: 1}
 	}
-	g := NewGather([]Operator{&sliceOp{pairs: big}}, 64, nil)
+	g := NewGather([]Operator{&sliceOp{pairs: big}}, 0, 64, nil)
 	if n := g.NextBatch(make([]Pair, 8)); n == 0 {
 		t.Fatal("no pairs")
 	}
@@ -184,7 +191,7 @@ func (e *endless) Name() string { return "endless" }
 // its senders to the consumer through recycled buffers — no allocation
 // per batch on either side.
 func TestGatherZeroAllocsPerBatch(t *testing.T) {
-	g := NewGather([]Operator{&endless{}, &endless{}, &endless{}}, 64, nil)
+	g := NewGather([]Operator{&endless{}, &endless{}, &endless{}}, 0, 64, nil)
 	defer g.Quiesce()
 	buf := make([]Pair, 64)
 	if g.NextBatch(buf) == 0 {

@@ -303,15 +303,16 @@ func (db *DB) QueryFromContext(ctx context.Context, query, source string) ([]str
 }
 
 // QueryParallel evaluates an RPQ with the disjuncts of its expansion
-// executed concurrently by up to `workers` goroutines. Results equal
-// QueryWith's up to order.
+// drained concurrently by up to `workers` goroutines, which feed one
+// gather below the deduplicating union. Results equal QueryWith's up to
+// order, and so do the statistics, plus the gather's own rows.
 func (db *DB) QueryParallel(query string, strategy Strategy, workers int) (*Result, error) {
 	return db.QueryParallelContext(context.Background(), query, strategy, workers)
 }
 
 // QueryParallelContext is QueryParallel under a cancellation scope:
-// every worker's operator tree checks ctx at batch boundaries, so
-// cancellation winds down all workers within about one batch each.
+// every operator checks ctx at batch boundaries, so cancellation winds
+// down all workers within about one batch each.
 func (db *DB) QueryParallelContext(ctx context.Context, query string, strategy Strategy, workers int) (*Result, error) {
 	expr, err := rpq.Parse(query)
 	if err != nil {
