@@ -15,10 +15,9 @@
 //
 // The serve experiment (also selected implicitly by passing any of
 // -clients, -servedur, or -serveout with -experiment all) drives N
-// concurrent clients of Zipf-skewed traffic through the plan-cached
-// serving layer, measuring client counts 1, 2, 4, ... up to -clients
-// plus an uncached single-client baseline, and writes the JSON report
-// to -serveout.
+// concurrent clients of Zipf-skewed traffic through the serving layer,
+// measuring client counts 1, 2, 4, ... up to -clients, and writes the
+// JSON report to -serveout.
 //
 // The update experiment (also selected implicitly by passing -updateout
 // with -experiment all) measures live graph updates — ApplyBatch's

@@ -35,7 +35,7 @@
 //
 // With -http the same database is served over HTTP instead (see
 // internal/httpserve: POST /query streams NDJSON result pairs,
-// /prepare + /execute are PREPARE/EXECUTE over the plan cache,
+// /prepare + /execute are PREPARE/EXECUTE, each call compiling anew,
 // GET /explain prints plans, GET /stats reports counters). SIGINT and
 // SIGTERM trigger a graceful shutdown that drains in-flight queries
 // before the index is released.

@@ -260,7 +260,7 @@ func openDurable(opts Options, d DurabilityOptions, base func(Options) (*core.En
 	}
 	if maxEpoch > e.Epoch() {
 		// Resume the epoch lineage the log records, not the replay's own
-		// count: cached plans and clients compare epochs monotonically.
+		// count: clients compare epochs monotonically.
 		e = e.AtEpoch(maxEpoch)
 	}
 

@@ -1,8 +1,8 @@
-// Package epochkey defines an analyzer guarding the plan cache's
-// invalidation scheme: cache entry types carry an epoch field that is
-// compared against the engine's current epoch on every hit, so an entry
-// constructed without it would validate forever against epoch 0 and
-// serve stale plans across engine swaps.
+// Package epochkey defines an analyzer guarding the epoch lineage of
+// update snapshots: the engine and the WAL records carry an epoch field
+// that numbers the snapshot they belong to, and recovery resumes the
+// lineage from the records. A value constructed without its epoch
+// would silently claim epoch 0 and break that numbering.
 //
 // The analyzer flags keyed, non-empty composite literals of any struct
 // type that declares a direct field named epoch (or Epoch) but whose
@@ -22,9 +22,9 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "epochkey",
 	Doc: "check that epoch-carrying struct literals set their epoch field\n\n" +
-		"Cache entries are invalidated by comparing a stored epoch with the\n" +
-		"engine's current one; a keyed literal that fills other fields but\n" +
-		"omits the epoch silently pins the entry to epoch 0.",
+		"Engines and WAL records are numbered by epoch; a keyed literal that\n" +
+		"fills other fields but omits the epoch silently pins the value to\n" +
+		"epoch 0.",
 	Run: run,
 }
 
@@ -58,7 +58,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 				}
 			}
 			pass.Reportf(lit.Pos(),
-				"%s literal omits the %s field: the entry will validate against epoch 0 and survive engine swaps; set %s explicitly",
+				"%s literal omits the %s field: the value will claim epoch 0; set %s explicitly",
 				typeName(tv.Type), field, field)
 			return true
 		})

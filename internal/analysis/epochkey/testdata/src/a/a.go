@@ -2,7 +2,7 @@
 // structs must set the epoch field.
 package a
 
-type cachedPlan struct {
+type record struct {
 	plan  string
 	cost  int
 	epoch uint64
@@ -17,16 +17,16 @@ type plain struct {
 	a, b int
 }
 
-func goodKeyed(e uint64) cachedPlan {
-	return cachedPlan{plan: "p", epoch: e}
+func goodKeyed(e uint64) record {
+	return record{plan: "p", epoch: e}
 }
 
-func goodZero() cachedPlan {
-	return cachedPlan{}
+func goodZero() record {
+	return record{}
 }
 
-func goodPositional() cachedPlan {
-	return cachedPlan{"p", 3, 1}
+func goodPositional() record {
+	return record{"p", 3, 1}
 }
 
 func goodExported(e uint64) *Entry {
@@ -37,17 +37,17 @@ func goodPlain() plain {
 	return plain{a: 1}
 }
 
-func badKeyed() *cachedPlan {
-	return &cachedPlan{plan: "p", cost: 2} // want "cachedPlan literal omits the epoch field"
+func badKeyed() *record {
+	return &record{plan: "p", cost: 2} // want "record literal omits the epoch field"
 }
 
 func badExported() Entry {
 	return Entry{Val: "v"} // want "Entry literal omits the Epoch field"
 }
 
-func badInSlice() []cachedPlan {
-	return []cachedPlan{
+func badInSlice() []record {
+	return []record{
 		{plan: "a", epoch: 1},
-		{plan: "b"}, // want "cachedPlan literal omits the epoch field"
+		{plan: "b"}, // want "record literal omits the epoch field"
 	}
 }

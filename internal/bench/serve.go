@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/plan"
-	"repro/internal/plancache"
 	"repro/internal/workload"
 )
 
@@ -22,19 +21,14 @@ type ServeConfig struct {
 	// Clients lists the client-goroutine counts to measure, e.g.
 	// [1, 2, 4, 8]. Empty uses DefaultServeClients.
 	Clients []int
-	// Duration is the measured window per client count (after cache
-	// warmup). 0 uses 2s.
+	// Duration is the measured window per client count (after one
+	// warmup pass over the mix). 0 uses 2s.
 	Duration time.Duration
-	// CacheCapacity and CacheShards configure the server's plan cache
-	// (0 = library defaults).
-	CacheCapacity int
-	CacheShards   int
 	// ZipfExponent skews the query popularity distribution (> 1;
 	// 0 uses workload.DefaultZipfExponent).
 	ZipfExponent float64
 	// RandomQueries appends this many random queries to the Advogato
-	// eight, so the Zipf tail is long enough to exercise the cache.
-	// 0 uses 24.
+	// eight, so the Zipf distribution has a long tail. 0 uses 24.
 	RandomQueries int
 	// MaxQueryTime drops queries whose single-shot evaluation exceeds
 	// this budget from the mix — a throughput harness needs bounded
@@ -49,34 +43,31 @@ var DefaultServeClients = []int{1, 2, 4, 8}
 
 // ServePoint is one measured configuration of the throughput harness.
 type ServePoint struct {
-	Clients int  `json:"clients"`
-	Cached  bool `json:"cached"`
+	Clients int `json:"clients"`
 	// Ops counts successful requests; failures are tallied in Errors
 	// and excluded from QPS and the latency percentiles.
-	Ops          int64   `json:"ops"`
-	Errors       int64   `json:"errors"`
-	Seconds      float64 `json:"seconds"`
-	QPS          float64 `json:"qps"`
-	P50Millis    float64 `json:"p50_ms"`
-	P95Millis    float64 `json:"p95_ms"`
-	P99Millis    float64 `json:"p99_ms"`
-	CacheHitRate float64 `json:"cache_hit_rate"` // request-level, measured window only
-	// Speedup is QPS relative to the cached single-client point.
+	Ops       int64   `json:"ops"`
+	Errors    int64   `json:"errors"`
+	Seconds   float64 `json:"seconds"`
+	QPS       float64 `json:"qps"`
+	P50Millis float64 `json:"p50_ms"`
+	P95Millis float64 `json:"p95_ms"`
+	P99Millis float64 `json:"p99_ms"`
+	// Speedup is QPS relative to the single-client point.
 	Speedup float64 `json:"speedup_vs_1_client"`
 }
 
 // ServeReport is the full result of the throughput experiment,
 // serialized to BENCH_serve.json by cmd/bench.
 type ServeReport struct {
-	Nodes         int     `json:"nodes"`
-	Edges         int     `json:"edges"`
-	K             int     `json:"k"`
-	CPUs          int     `json:"cpus"`
-	GoMaxProcs    int     `json:"gomaxprocs"`
-	Queries       int     `json:"queries"`
-	ZipfExponent  float64 `json:"zipf_exponent"`
-	CacheCapacity int     `json:"cache_capacity"`
-	Strategy      string  `json:"strategy"`
+	Nodes        int     `json:"nodes"`
+	Edges        int     `json:"edges"`
+	K            int     `json:"k"`
+	CPUs         int     `json:"cpus"`
+	GoMaxProcs   int     `json:"gomaxprocs"`
+	Queries      int     `json:"queries"`
+	ZipfExponent float64 `json:"zipf_exponent"`
+	Strategy     string  `json:"strategy"`
 	// DroppedUnservable lists mix candidates the engine rejected
 	// outright (expansion limits); DroppedOverBudget lists candidates
 	// that compiled but exceeded the per-query time budget.
@@ -88,11 +79,8 @@ type ServeReport struct {
 	// full NDJSON stream read back. The gap to the in-process points is
 	// the cost of serving over HTTP.
 	HTTP []HTTPPoint `json:"http,omitempty"`
-	// CacheSpeedup is cached QPS over uncached QPS at one client: the
-	// throughput bought by memoizing the rewrite+plan pipeline alone.
-	CacheSpeedup float64 `json:"cache_speedup_1_client"`
-	// MaxSpeedup is the best cached multi-client QPS over the cached
-	// single-client QPS. Concurrency can only raise aggregate QPS when
+	// MaxSpeedup is the best multi-client QPS over the single-client
+	// QPS. Concurrency can only raise aggregate QPS when
 	// GoMaxProcs > 1; on a single-CPU host this hovers near 1.0.
 	MaxSpeedup float64  `json:"max_speedup_vs_1_client"`
 	Notes      []string `json:"notes"`
@@ -112,8 +100,8 @@ func (c ServeConfig) normalizeServe() ServeConfig {
 	if c.RandomQueries == 0 {
 		c.RandomQueries = 24
 	}
-	// The speedup baseline is the cached 1-client point; make sure it
-	// is measured even when the caller asks only for larger counts.
+	// The speedup baseline is the 1-client point; make sure it is
+	// measured even when the caller asks only for larger counts.
 	has1 := false
 	for _, n := range c.Clients {
 		if n == 1 {
@@ -167,21 +155,16 @@ func serveQueries(c ServeConfig, e *core.Engine) (kept []workload.Query, unserva
 
 // measureServe drives `clients` goroutines of Zipf-skewed traffic
 // against a fresh server for the configured duration and reports the
-// aggregate throughput, latency percentiles, and warm-cache hit rate.
-func measureServe(c ServeConfig, e *core.Engine, qs []workload.Query, clients int, cached bool) (ServePoint, error) {
-	capacity := c.CacheCapacity
-	if !cached {
-		capacity = -1
-	}
-	srv := e.Serve(core.ServeOptions{CacheCapacity: capacity, CacheShards: c.CacheShards})
+// aggregate throughput and latency percentiles.
+func measureServe(c ServeConfig, e *core.Engine, qs []workload.Query, clients int) (ServePoint, error) {
+	srv := e.Serve(core.ServeOptions{})
 
-	// Warm the cache (and touch every query once) before the window.
+	// Touch every query once before the window.
 	for _, q := range qs {
 		if _, err := srv.Query(q.Text, plan.MinSupport); err != nil {
 			return ServePoint{}, fmt.Errorf("bench: warmup %s: %w", q.Name, err)
 		}
 	}
-	warm := srv.Stats()
 
 	type clientResult struct {
 		lats []time.Duration
@@ -219,7 +202,7 @@ func measureServe(c ServeConfig, e *core.Engine, qs []workload.Query, clients in
 	elapsed := time.Since(start)
 
 	var lats []time.Duration
-	pt := ServePoint{Clients: clients, Cached: cached, Seconds: elapsed.Seconds()}
+	pt := ServePoint{Clients: clients, Seconds: elapsed.Seconds()}
 	for _, r := range results {
 		pt.Ops += r.ops
 		pt.Errors += r.errs
@@ -230,14 +213,6 @@ func measureServe(c ServeConfig, e *core.Engine, qs []workload.Query, clients in
 	pt.P50Millis = millisAt(lats, 0.50)
 	pt.P95Millis = millisAt(lats, 0.95)
 	pt.P99Millis = millisAt(lats, 0.99)
-
-	st := srv.Stats()
-	window := core.ServeStats{
-		Requests:   st.Requests - warm.Requests,
-		PlanBuilds: st.PlanBuilds - warm.PlanBuilds,
-		Errors:     st.Errors - warm.Errors,
-	}
-	pt.CacheHitRate = window.HitRate()
 	return pt, nil
 }
 
@@ -249,9 +224,9 @@ func millisAt(sorted []time.Duration, q float64) float64 {
 	return float64(sorted[i].Microseconds()) / 1000.0
 }
 
-// Serve runs the concurrent-serving throughput experiment: an uncached
-// single-client baseline, then Zipf-skewed traffic at each configured
-// client count against the plan-cached server.
+// Serve runs the concurrent-serving throughput experiment: Zipf-skewed
+// traffic at each configured client count, every request parsing and
+// planning its own query.
 func Serve(c ServeConfig) (*ServeReport, *Table, error) {
 	c = c.normalizeServe()
 	g := c.advogato()
@@ -264,11 +239,6 @@ func Serve(c ServeConfig) (*ServeReport, *Table, error) {
 	if len(qs) == 0 {
 		return nil, nil, fmt.Errorf("bench: no servable queries in the mix")
 	}
-	effectiveCapacity := c.CacheCapacity
-	if effectiveCapacity == 0 {
-		effectiveCapacity = plancache.DefaultCapacity
-	}
-
 	rep := &ServeReport{
 		Nodes:             g.NumNodes(),
 		Edges:             g.NumEdges(),
@@ -277,45 +247,34 @@ func Serve(c ServeConfig) (*ServeReport, *Table, error) {
 		GoMaxProcs:        runtime.GOMAXPROCS(0),
 		Queries:           len(qs),
 		ZipfExponent:      c.ZipfExponent,
-		CacheCapacity:     effectiveCapacity,
 		Strategy:          plan.MinSupport.String(),
 		DroppedUnservable: unservable,
 		DroppedOverBudget: overBudget,
 	}
 
-	uncached, err := measureServe(c, e, qs, 1, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep.Points = append(rep.Points, uncached)
-
-	cachedStart := len(rep.Points)
 	for _, n := range c.Clients {
-		pt, err := measureServe(c, e, qs, n, true)
+		pt, err := measureServe(c, e, qs, n)
 		if err != nil {
 			return nil, nil, err
 		}
 		rep.Points = append(rep.Points, pt)
 	}
-	// The speedup baseline is the cached 1-client point (normalizeServe
+	// The speedup baseline is the 1-client point (normalizeServe
 	// guarantees it was measured), not whichever count came first.
 	var base float64
-	for _, pt := range rep.Points[cachedStart:] {
+	for _, pt := range rep.Points {
 		if pt.Clients == 1 {
 			base = pt.QPS
 			break
 		}
 	}
 	if base > 0 {
-		for i := cachedStart; i < len(rep.Points); i++ {
+		for i := range rep.Points {
 			pt := &rep.Points[i]
 			pt.Speedup = pt.QPS / base
 			if pt.Speedup > rep.MaxSpeedup {
 				rep.MaxSpeedup = pt.Speedup
 			}
-		}
-		if uncached.QPS > 0 {
-			rep.CacheSpeedup = base / uncached.QPS
 		}
 	}
 	rep.HTTP, err = serveHTTPPoints(c, g, k, qs)
@@ -323,8 +282,8 @@ func Serve(c ServeConfig) (*ServeReport, *Table, error) {
 		return nil, nil, err
 	}
 	rep.Notes = append(rep.Notes,
-		"hit rate is request-level over the measured window (cache pre-warmed with one pass over the query mix)",
-		"aggregate QPS scales with clients only when gomaxprocs > 1; cache_speedup isolates the plan-cache gain at 1 client",
+		"every request parses and plans its own query; one pass over the mix runs before each measured window",
+		"aggregate QPS scales with clients only when gomaxprocs > 1",
 		"http points measure the same Zipf mix through POST /query on a live listener, NDJSON streams read to completion",
 	)
 	if len(unservable) > 0 {
@@ -343,31 +302,26 @@ func serveTable(rep *ServeReport) *Table {
 	t := &Table{
 		Title: fmt.Sprintf("Serve: Zipf(s=%.2f) over %d queries, %d nodes / %d edges (k=%d, %d CPU)",
 			rep.ZipfExponent, rep.Queries, rep.Nodes, rep.Edges, rep.K, rep.GoMaxProcs),
-		Header: []string{"clients", "cache", "ops", "errors", "QPS", "p50 ms", "p95 ms", "p99 ms", "hit rate", "speedup"},
+		Header: []string{"clients", "ops", "errors", "QPS", "p50 ms", "p95 ms", "p99 ms", "speedup"},
 	}
 	for _, p := range rep.Points {
-		cache := "on"
-		if !p.Cached {
-			cache = "off"
-		}
 		speedup := "-"
 		if p.Speedup > 0 {
 			speedup = fmt.Sprintf("%.2fx", p.Speedup)
 		}
 		t.AddRow(
-			fmt.Sprintf("%d", p.Clients), cache,
+			fmt.Sprintf("%d", p.Clients),
 			fmt.Sprintf("%d", p.Ops),
 			fmt.Sprintf("%d", p.Errors),
 			fmt.Sprintf("%.0f", p.QPS),
 			fmt.Sprintf("%.3f", p.P50Millis),
 			fmt.Sprintf("%.3f", p.P95Millis),
 			fmt.Sprintf("%.3f", p.P99Millis),
-			fmt.Sprintf("%.1f%%", 100*p.CacheHitRate),
 			speedup,
 		)
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("plan cache alone: %.2fx QPS at 1 client; best concurrency scaling: %.2fx", rep.CacheSpeedup, rep.MaxSpeedup))
+		fmt.Sprintf("best concurrency scaling: %.2fx", rep.MaxSpeedup))
 	return t
 }
 

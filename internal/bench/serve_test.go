@@ -19,24 +19,14 @@ func TestServeSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if table == nil || len(table.Rows) != 3 { // uncached baseline + two cached points
-		t.Fatalf("table rows = %v, want 3", table)
+	if table == nil || len(table.Rows) != 2 { // one row per client count
+		t.Fatalf("table rows = %v, want 2", table)
 	}
 	if rep.Queries < 8 {
 		t.Errorf("query mix has %d entries; want at least the Advogato eight", rep.Queries)
 	}
-	if len(rep.Points) != 3 {
-		t.Fatalf("points = %d, want 3", len(rep.Points))
-	}
-	if rep.CacheCapacity != 1024 {
-		t.Errorf("CacheCapacity = %d, want the effective default 1024, not the raw 0", rep.CacheCapacity)
-	}
-	base := rep.Points[0]
-	if base.Cached || base.Clients != 1 {
-		t.Errorf("first point should be the uncached 1-client baseline, got %+v", base)
-	}
-	if base.CacheHitRate != 0 {
-		t.Errorf("uncached hit rate = %v, want 0", base.CacheHitRate)
+	if len(rep.Points) != 2 {
+		t.Fatalf("points = %d, want 2", len(rep.Points))
 	}
 	for _, p := range rep.Points {
 		if p.Ops == 0 || p.QPS <= 0 {
@@ -47,14 +37,6 @@ func TestServeSmoke(t *testing.T) {
 		}
 		if p.P50Millis > p.P99Millis {
 			t.Errorf("point %+v has p50 > p99", p)
-		}
-	}
-	for _, p := range rep.Points[1:] {
-		if !p.Cached {
-			t.Errorf("point %+v should be cached", p)
-		}
-		if p.CacheHitRate < 0.9 {
-			t.Errorf("warm-cache hit rate = %.3f, want >= 0.9", p.CacheHitRate)
 		}
 	}
 
@@ -76,7 +58,7 @@ func TestServeSmoke(t *testing.T) {
 }
 
 func TestServeBaselineIsOneClient(t *testing.T) {
-	// Asking only for 2 clients must still measure the 1-client cached
+	// Asking only for 2 clients must still measure the 1-client
 	// baseline, so the speedup fields mean what their names say.
 	rep, _, err := Serve(ServeConfig{
 		Config:        Config{Scale: 0.03, Seed: 1, Runs: 1, Ks: []int{2}, HistogramBuckets: 16},
@@ -90,15 +72,15 @@ func TestServeBaselineIsOneClient(t *testing.T) {
 	var one, two *ServePoint
 	for i := range rep.Points {
 		p := &rep.Points[i]
-		if p.Cached && p.Clients == 1 {
+		if p.Clients == 1 {
 			one = p
 		}
-		if p.Cached && p.Clients == 2 {
+		if p.Clients == 2 {
 			two = p
 		}
 	}
 	if one == nil || two == nil {
-		t.Fatalf("points missing 1- or 2-client cached measurement: %+v", rep.Points)
+		t.Fatalf("points missing 1- or 2-client measurement: %+v", rep.Points)
 	}
 	if one.Speedup != 1.0 {
 		t.Errorf("1-client speedup = %v, want 1.0", one.Speedup)

@@ -41,7 +41,6 @@ type HTTPPoint struct {
 // per-client admission control does not throttle the harness.
 func measureServeHTTP(c ServeConfig, db *pathdb.DB, qs []workload.Query, clients int) (HTTPPoint, error) {
 	hsrv, err := httpserve.New(db, httpserve.Options{
-		Serve:         pathdb.ServeOptions{CacheCapacity: c.CacheCapacity, CacheShards: c.CacheShards},
 		MaxConcurrent: -1,
 	})
 	if err != nil {
@@ -59,8 +58,8 @@ func measureServeHTTP(c ServeConfig, db *pathdb.DB, qs []workload.Query, clients
 	}()
 	url := "http://" + l.Addr().String() + "/query"
 
-	// One query over the wire per mix entry warms the plan cache and the
-	// HTTP client's connection pool before the window.
+	// One query over the wire per mix entry warms the HTTP client's
+	// connection pool before the window.
 	warm := &http.Client{}
 	for _, q := range qs {
 		if _, _, err := httpQuery(warm, url, "warmup", q.Text); err != nil {
@@ -207,7 +206,7 @@ func HTTPServeTable(rep *ServeReport) *Table {
 	if len(rep.Points) > 0 && len(rep.HTTP) > 0 {
 		var inproc, http1 float64
 		for _, p := range rep.Points {
-			if p.Cached && p.Clients == 1 {
+			if p.Clients == 1 {
 				inproc = p.QPS
 				break
 			}
@@ -220,7 +219,7 @@ func HTTPServeTable(rep *ServeReport) *Table {
 		}
 		if inproc > 0 && http1 > 0 {
 			t.Notes = append(t.Notes, fmt.Sprintf(
-				"HTTP front end serves %.0f%% of the in-process cached QPS at 1 client (streaming encode + transport)",
+				"HTTP front end serves %.0f%% of the in-process QPS at 1 client (streaming encode + transport)",
 				100*http1/inproc))
 		}
 	}

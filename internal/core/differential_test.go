@@ -17,14 +17,12 @@ import (
 
 // TestDifferentialRandomQueries is the property-based differential test
 // of the serving layer: random RPQs must produce identical sorted result
-// sets with the plan cache on and off, under all four strategies. The
-// cached server is queried twice per (query, strategy) so both the miss
-// path and the hit path are compared.
+// sets through the server (query text, parsed again per request) and
+// through the engine (the generated AST), under all four strategies.
 func TestDifferentialRandomQueries(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(21)), 40, 120, []string{"a", "b", "c"})
 	e := newTestEngine(t, g, 2)
-	cached := e.Serve(ServeOptions{CacheCapacity: 64})
-	uncached := e.Serve(ServeOptions{CacheCapacity: -1})
+	srv := e.Serve(ServeOptions{})
 
 	r := rand.New(rand.NewSource(22))
 	genOpts := rpq.DefaultGenOptions([]string{"a", "b", "c"})
@@ -43,7 +41,7 @@ func TestDifferentialRandomQueries(t *testing.T) {
 					ok = false // too large to expand; skip this expression
 					break
 				}
-				t.Fatalf("cache-off eval of %q: %v", text, err)
+				t.Fatalf("engine eval of %q: %v", text, err)
 			}
 			offSorted := sortedPairs(off.Pairs)
 			if want == nil {
@@ -51,21 +49,12 @@ func TestDifferentialRandomQueries(t *testing.T) {
 			} else if !slices.Equal(offSorted, want) {
 				t.Fatalf("strategy %v disagrees with baseline on %q", strat, text)
 			}
-			for round := 0; round < 2; round++ { // miss, then hit
-				on, err := cached.Query(text, strat)
-				if err != nil {
-					t.Fatalf("cached eval of %q: %v", text, err)
-				}
-				if !slices.Equal(sortedPairs(on.Pairs), want) {
-					t.Fatalf("cache-on (round %d) disagrees with cache-off on %q under %v", round, text, strat)
-				}
-			}
-			un, err := uncached.Query(text, strat)
+			served, err := srv.Query(text, strat)
 			if err != nil {
-				t.Fatalf("uncached server eval of %q: %v", text, err)
+				t.Fatalf("served eval of %q: %v", text, err)
 			}
-			if !slices.Equal(sortedPairs(un.Pairs), want) {
-				t.Fatalf("cache-disabled server disagrees with engine on %q under %v", text, strat)
+			if !slices.Equal(sortedPairs(served.Pairs), want) {
+				t.Fatalf("server disagrees with engine on %q under %v", text, strat)
 			}
 		}
 		if ok {
@@ -74,9 +63,6 @@ func TestDifferentialRandomQueries(t *testing.T) {
 	}
 	if checked < iterations/2 {
 		t.Fatalf("only %d/%d random queries were checkable; generator or limits changed?", checked, iterations)
-	}
-	if hr := cached.Stats().HitRate(); hr < 0.5 {
-		t.Errorf("cached server hit rate = %.2f; the hit path was barely exercised", hr)
 	}
 }
 
@@ -152,13 +138,13 @@ func TestDifferentialHeapVsMapped(t *testing.T) {
 	}
 }
 
-// TestDifferentialReachability compares the engine (plan cache on and
-// off, all strategies) against the reachability-index baseline on the
+// TestDifferentialReachability compares the engine (direct and through a
+// server, all strategies) against the reachability-index baseline on the
 // (l1|...|lm)* query shapes that baseline supports.
 func TestDifferentialReachability(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(23)), 8, 12, []string{"a", "b"})
 	e := newTestEngine(t, g, 2)
-	srv := e.Serve(ServeOptions{CacheCapacity: 32})
+	srv := e.Serve(ServeOptions{})
 
 	for _, text := range []string{"a*", "b*", "(a|b)*", "(a|b^-)*"} {
 		expr := rpq.MustParse(text)
@@ -173,16 +159,14 @@ func TestDifferentialReachability(t *testing.T) {
 				t.Fatalf("engine eval of %q under %v: %v", text, strat, err)
 			}
 			if !slices.Equal(sortedPairs(off.Pairs), wantSorted) {
-				t.Errorf("engine (cache off) disagrees with reachability on %q under %v", text, strat)
+				t.Errorf("engine disagrees with reachability on %q under %v", text, strat)
 			}
-			for round := 0; round < 2; round++ {
-				on, err := srv.Query(text, strat)
-				if err != nil {
-					t.Fatalf("served eval of %q under %v: %v", text, strat, err)
-				}
-				if !slices.Equal(sortedPairs(on.Pairs), wantSorted) {
-					t.Errorf("engine (cache on, round %d) disagrees with reachability on %q under %v", round, text, strat)
-				}
+			served, err := srv.Query(text, strat)
+			if err != nil {
+				t.Fatalf("served eval of %q under %v: %v", text, strat, err)
+			}
+			if !slices.Equal(sortedPairs(served.Pairs), wantSorted) {
+				t.Errorf("server disagrees with reachability on %q under %v", text, strat)
 			}
 		}
 	}

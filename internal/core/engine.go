@@ -24,8 +24,7 @@
 // batch buffers, dedup sets, statistics — per call. All of them are safe
 // for concurrent use by any number of goroutines over one Engine, as is
 // sharing a single Prepared across goroutines (each Execute call gets a
-// fresh operator tree). Engine.Serve adds a plan cache on top for
-// serving repeated queries cheaply.
+// fresh operator tree). Engine.Serve adds request counting on top.
 //
 // Within one evaluation, exec.Gather is the only source of concurrency:
 // over sharded storage each co-partitioned merge join runs per shard
@@ -110,9 +109,9 @@ type Engine struct {
 	opts Options
 
 	// epoch numbers the engine within a lineage of update snapshots:
-	// ApplyBatch and Compact return successors with epoch+1, and the
-	// serving layer uses the number to lazily invalidate cached plans
-	// compiled against older snapshots. A standalone engine is epoch 0.
+	// ApplyBatch and Compact return successors with epoch+1, the WAL
+	// stamps its records with it, and recovery resumes the lineage from
+	// them. A standalone engine is epoch 0.
 	epoch uint64
 }
 
@@ -232,13 +231,6 @@ type Stats struct {
 	// attribution to one query is approximate; totals are exact.
 	BlocksDecoded int64
 	BytesDecoded  int64
-	// CacheHit reports that the query's plan was served from a Server's
-	// plan cache; PlanTime is then zero (planning was not repeated) and
-	// RewriteTime covers only rewrite work this request actually did —
-	// zero for exact-text hits, the measured normalization time for
-	// canonical-form hits. PlanCost, PlanCard, and the disjunct counts
-	// describe the cached compilation.
-	CacheHit bool
 }
 
 // Result is a query answer: the set R(G) sorted in stream order
@@ -310,15 +302,6 @@ func (e *Engine) Compile(expr rpq.Expr, strategy plan.Strategy) (*Prepared, erro
 		return nil, fmt.Errorf("core: rewriting query: %w", err)
 	}
 	st.RewriteTime = time.Since(t0)
-	return e.compileNormal(norm, strategy, st)
-}
-
-// compileNormal performs label resolution and planning for an
-// already-normalized query, continuing the statistics started by the
-// caller (which holds at least the rewrite time). It is the shared tail
-// of Compile and the Server's cache-miss path.
-func (e *Engine) compileNormal(norm rewrite.Normal, strategy plan.Strategy, st Stats) (*Prepared, error) {
-	st.HasEpsilon = norm.HasEpsilon
 
 	// Resolve disjuncts against the graph vocabulary; paths mentioning
 	// unknown labels have empty relations and are dropped. A closure

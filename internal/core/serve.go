@@ -1,14 +1,9 @@
 package core
 
 import (
-	"context"
-	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/plan"
-	"repro/internal/plancache"
-	"repro/internal/rewrite"
 	"repro/internal/rpq"
 )
 
@@ -30,108 +25,27 @@ type EngineSourceFunc func() *Engine
 // CurrentEngine implements EngineSource.
 func (f EngineSourceFunc) CurrentEngine() *Engine { return f() }
 
-// ServeOptions configures Engine.Serve / NewServer.
-type ServeOptions struct {
-	// CacheCapacity is the approximate number of compiled plans the
-	// server retains across all shards. 0 uses
-	// plancache.DefaultCapacity; a negative value disables caching
-	// entirely (every request pays the full rewrite+plan pipeline).
-	CacheCapacity int
-	// CacheShards is the lock-sharding factor of the plan cache,
-	// rounded up to a power of two. 0 uses plancache.DefaultShards.
-	CacheShards int
-	// NegativeCacheCapacity caps the side table of memoized compile
-	// failures. Negative entries deliberately do not share capacity with
-	// compiled plans: a stream of distinct failing queries (a scanner, a
-	// broken client) would otherwise evict every hot good plan. 0 sizes
-	// the side table at CacheCapacity/8 (minimum 16); a negative value
-	// disables negative caching while leaving plan caching on.
-	NegativeCacheCapacity int
-}
-
-// negativeCapacity resolves the side-table size.
-func (o ServeOptions) negativeCapacity(planCapacity int) int {
-	if o.NegativeCacheCapacity != 0 {
-		return o.NegativeCacheCapacity
-	}
-	c := planCapacity / 8
-	if c < 16 {
-		c = 16
-	}
-	return c
-}
-
-// cachedPlan is the unit the serving layer memoizes: the physical plan
-// plus the compile-time statistics that describe it. The plan is
-// immutable once planned (execution builds fresh operator trees from
-// it), so one cachedPlan may back any number of concurrent executions.
-// canonKey remembers the canonical-tier key so text-tier hits can
-// refresh the shared entry's recency. epoch records the engine snapshot
-// the plan was compiled against: entries from older epochs are treated
-// as misses and overwritten — the lazy invalidation that makes an
-// ApplyBatch swap O(1) instead of a cache sweep.
-type cachedPlan struct {
-	plan     *plan.Plan
-	stats    Stats
-	canonKey string
-	epoch    uint64
-}
-
-// negEntry is a memoized compile failure (parse error, expansion-limit
-// blowout), kept in the separate negative cache so a hot failing query
-// pays the full pipeline once per epoch instead of on every request.
-type negEntry struct {
-	err   error
-	epoch uint64
-}
-
-// prepared wraps the cached compilation for one request, with the
-// per-request statistics adjusted: CacheHit is set and the times are
-// zeroed (callers that did re-run the rewrite restore RewriteTime).
-func (cp *cachedPlan) prepared(e *Engine, strategy plan.Strategy) *Prepared {
-	st := cp.stats
-	st.CacheHit = true
-	st.RewriteTime, st.PlanTime = 0, 0
-	return &Prepared{engine: e, plan: cp.plan, stats: st, strategy: strategy}
-}
+// ServeOptions configures Engine.Serve / NewServer. It has no fields;
+// it stays so that existing ServeOptions{} literals keep compiling.
+type ServeOptions struct{}
 
 // Server is the engine's concurrent query-serving front end: a
-// thread-safe facade over an EngineSource plus a sharded LRU cache that
-// memoizes the rewrite+plan pipeline per (query, strategy). All methods
-// are safe for concurrent use by any number of client goroutines.
-//
-// The cache has two key tiers. Exact query text hits skip the whole
-// pipeline (parse, rewrite, plan). On a text miss, the query is
-// normalized and looked up under its canonical union-normal form
-// (rewrite.Normal.CanonicalKey), so syntactically different but
-// semantically equal queries — "a/b|c" and "c|a/b" — share one compiled
-// plan; the exact text is then aliased to the shared entry for next
-// time. Both tiers are keyed per strategy, since the plan depends on it.
-//
-// Every request resolves the engine once from the source and sticks
-// with that snapshot; cached entries record the epoch they were
-// compiled at and are recompiled lazily when the source has moved on
-// (plans resolve labels against a specific graph, so replaying an old
-// plan against a newer snapshot could silently drop disjuncts over
-// labels the update introduced).
-//
-// Compile failures are memoized in a separate, small negative cache
-// (see ServeOptions.NegativeCacheCapacity), so failure floods age out
-// other failures — never hot compiled plans.
+// thread-safe facade over an EngineSource that counts requests and
+// errors. Every request runs parse → prepare → execute on its own: it
+// resolves the engine once from the source and parses and compiles
+// against that snapshot. Nothing is kept between requests, so a plan
+// never outlives the snapshot it was compiled for, and a request after
+// an update sees every label the update introduced. All methods are
+// safe for concurrent use.
 type Server struct {
-	src      EngineSource
-	cache    *plancache.Cache[*cachedPlan] // nil when caching is disabled
-	negCache *plancache.Cache[*negEntry]   // nil when caching or negative caching is disabled
+	src EngineSource
 
-	requests   atomic.Int64 // all Prepare/Query entries
-	planBuilds atomic.Int64 // full misses that ran the planner
-	errors     atomic.Int64 // requests that failed (parse/rewrite/plan)
-	negHits    atomic.Int64 // failed requests answered from a negative cache entry
+	requests atomic.Int64 // all Prepare/Query entries
+	errors   atomic.Int64 // requests that failed to parse, rewrite or plan
 }
 
 // Serve returns a concurrent serving front end over this engine as a
-// static source. Multiple servers over one engine are independent (each
-// has its own cache).
+// static source.
 func (e *Engine) Serve(opts ServeOptions) *Server {
 	return NewServer(e, opts)
 }
@@ -139,174 +53,30 @@ func (e *Engine) Serve(opts ServeOptions) *Server {
 // NewServer returns a serving front end over an engine source. Sources
 // that swap engines (pathdb.DB under ApplyBatch/Compact) make every new
 // request observe the latest snapshot.
-func NewServer(src EngineSource, opts ServeOptions) *Server {
-	s := &Server{src: src}
-	if opts.CacheCapacity >= 0 {
-		capacity := opts.CacheCapacity
-		if capacity == 0 {
-			capacity = plancache.DefaultCapacity
-		}
-		s.cache = plancache.New[*cachedPlan](capacity, opts.CacheShards)
-		if negCap := opts.negativeCapacity(capacity); negCap > 0 {
-			s.negCache = plancache.New[*negEntry](negCap, opts.CacheShards)
-		}
-	}
-	return s
+func NewServer(src EngineSource, _ ServeOptions) *Server {
+	return &Server{src: src}
 }
 
 // Engine returns the source's current engine snapshot.
 func (s *Server) Engine() *Engine { return s.src.CurrentEngine() }
 
-// key builds a cache key scoped by strategy; the NUL separator cannot
-// occur in query syntax, so strategies never alias.
-func key(text string, strategy plan.Strategy) string {
-	return strategy.String() + "\x00" + text
-}
-
-// getPlan returns a live cached plan for k at the given epoch. Entries
-// from other epochs are stale: they stay resident until overwritten or
-// aged out, but never serve.
-func (s *Server) getPlan(k string, epoch uint64) (*cachedPlan, bool) {
-	if s.cache == nil {
-		return nil, false
-	}
-	cp, ok := s.cache.Get(k)
-	if !ok || cp.epoch != epoch {
-		return nil, false
-	}
-	return cp, true
-}
-
-// getNegative is getPlan for the negative side table.
-func (s *Server) getNegative(k string, epoch uint64) (*negEntry, bool) {
-	if s.negCache == nil || k == "" {
-		return nil, false
-	}
-	ne, ok := s.negCache.Get(k)
-	if !ok || ne.epoch != epoch {
-		return nil, false
-	}
-	return ne, true
-}
-
-// cacheNegative memoizes a compile failure under k so repeats of the
-// failing query are answered from the side table.
-func (s *Server) cacheNegative(k string, epoch uint64, err error) {
-	if s.negCache == nil || k == "" {
-		return
-	}
-	s.negCache.Put(k, &negEntry{err: err, epoch: epoch})
-}
-
-// Prepare returns a compiled query, served from the plan cache when
-// possible. The returned Prepared may be executed concurrently; it is
-// bound to the engine snapshot current at this call.
+// Prepare parses query and compiles it against the snapshot current at
+// this call. The returned Prepared may be executed concurrently; it is
+// bound to that snapshot.
 func (s *Server) Prepare(query string, strategy plan.Strategy) (*Prepared, error) {
 	s.requests.Add(1)
-	e := s.src.CurrentEngine()
-	epoch := e.Epoch()
-	textKey := key(query, strategy)
-	if cp, ok := s.getPlan(textKey, epoch); ok {
-		if cp.canonKey != textKey {
-			// Keep the shared canonical entry hot too: otherwise
-			// steady traffic through one text alias would let the
-			// canonical entry drift to the LRU tail and evict,
-			// forcing a replan for the next new spelling. If it
-			// was already evicted (or went stale), reinstate it.
-			if _, live := s.getPlan(cp.canonKey, epoch); !live {
-				s.cache.Put(cp.canonKey, cp)
-			}
-		}
-		return cp.prepared(e, strategy), nil
-	}
-	if ne, ok := s.getNegative(textKey, epoch); ok {
-		// Negative hit: the query is known to fail compilation at this
-		// epoch; return the memoized error without re-paying the
-		// pipeline (rewrite blowouts cost hundreds of ms).
-		s.negHits.Add(1)
-		s.errors.Add(1)
-		return nil, ne.err
-	}
 	expr, err := rpq.Parse(query)
-	if err != nil {
-		s.errors.Add(1)
-		s.cacheNegative(textKey, epoch, err)
-		return nil, err
-	}
-	prep, err := s.prepareExpr(e, expr, textKey, strategy)
-	if err != nil {
-		s.errors.Add(1)
-		return nil, err
-	}
-	return prep, nil
-}
-
-// PrepareExpr is Prepare for an already-parsed expression. Only the
-// canonical-form cache tier applies (there is no query text to alias).
-func (s *Server) PrepareExpr(expr rpq.Expr, strategy plan.Strategy) (*Prepared, error) {
-	s.requests.Add(1)
-	prep, err := s.prepareExpr(s.src.CurrentEngine(), expr, "", strategy)
-	if err != nil {
-		s.errors.Add(1)
-		return nil, err
-	}
-	return prep, nil
-}
-
-func (s *Server) prepareExpr(e *Engine, expr rpq.Expr, textKey string, strategy plan.Strategy) (*Prepared, error) {
-	epoch := e.Epoch()
-	var st Stats
-	t0 := time.Now()
-	norm, err := rewrite.Normalize(expr, e.rewriteOptions())
-	if err != nil {
-		err = fmt.Errorf("core: rewriting query: %w", err)
-		// Rewrite failures happen before a canonical key exists, so the
-		// negative entry can only hang off the exact query text.
-		s.cacheNegative(textKey, epoch, err)
-		return nil, err
-	}
-	st.RewriteTime = time.Since(t0)
-	canonKey := key(norm.CanonicalKey(), strategy)
-	if cp, ok := s.getPlan(canonKey, epoch); ok {
-		if textKey != "" && textKey != canonKey {
-			s.cache.Put(textKey, cp)
-		}
-		prep := cp.prepared(e, strategy)
-		// Unlike a text-tier hit, this request did run the
-		// rewrite (to compute the canonical key); keep the time
-		// actually spent so telemetry stays truthful.
-		prep.stats.RewriteTime = st.RewriteTime
-		return prep, nil
-	}
-	if ne, ok := s.getNegative(canonKey, epoch); ok {
-		// Canonical-tier negative hit: planning is known to fail for
-		// this normal form at this epoch. Alias the text so the next
-		// repeat skips the rewrite too.
-		s.negHits.Add(1)
-		s.cacheNegative(textKey, epoch, ne.err)
-		return nil, ne.err
-	}
-	prep, err := e.compileNormal(norm, strategy, st)
-	if err != nil {
-		s.cacheNegative(textKey, epoch, err)
-		s.cacheNegative(canonKey, epoch, err)
-		return nil, err
-	}
-	s.planBuilds.Add(1)
-	if s.cache != nil {
-		// Two goroutines racing on the same fresh query may both plan
-		// and insert; the entries are equivalent, so last-write-wins is
-		// harmless (both show up in PlanBuilds).
-		cp := &cachedPlan{plan: prep.plan, stats: prep.stats, canonKey: canonKey, epoch: epoch}
-		s.cache.Put(canonKey, cp)
-		if textKey != "" && textKey != canonKey {
-			s.cache.Put(textKey, cp)
+	if err == nil {
+		var prep *Prepared
+		if prep, err = s.src.CurrentEngine().Compile(expr, strategy); err == nil {
+			return prep, nil
 		}
 	}
-	return prep, nil
+	s.errors.Add(1)
+	return nil, err
 }
 
-// Query prepares (via the cache) and executes a textual query.
+// Query prepares and executes a textual query.
 func (s *Server) Query(query string, strategy plan.Strategy) (*Result, error) {
 	prep, err := s.Prepare(query, strategy)
 	if err != nil {
@@ -315,102 +85,22 @@ func (s *Server) Query(query string, strategy plan.Strategy) (*Result, error) {
 	return prep.Execute()
 }
 
-// QueryContext is Query under a cancellation scope: once ctx is done
-// the execution's operators stop at their next batch boundary and the
-// ctx error is returned. Preparation (parse/rewrite/plan) is not
-// interrupted — it is bounded by the engine's expansion limits, not by
-// data size.
-func (s *Server) QueryContext(ctx context.Context, query string, strategy plan.Strategy) (*Result, error) {
-	prep, err := s.Prepare(query, strategy)
-	if err != nil {
-		return nil, err
-	}
-	return prep.ExecuteContext(ctx)
-}
-
-// Eval prepares (via the cache) and executes a parsed expression.
-func (s *Server) Eval(expr rpq.Expr, strategy plan.Strategy) (*Result, error) {
-	prep, err := s.PrepareExpr(expr, strategy)
-	if err != nil {
-		return nil, err
-	}
-	return prep.Execute()
-}
-
-// ServeStats describes a server's request traffic and cache behavior.
+// ServeStats describes a server's request traffic.
 type ServeStats struct {
-	// Requests counts Prepare/PrepareExpr/Query/Eval entries.
+	// Requests counts Prepare/Query entries.
 	Requests int64
-	// PlanBuilds counts requests that ran the full rewrite+plan
-	// pipeline (cache misses, or all requests when caching is off).
-	PlanBuilds int64
 	// Errors counts requests that failed before execution.
 	Errors int64
-	// NegativeHits counts the subset of Errors answered from a negative
-	// cache entry — the memoized compile failure was returned without
-	// re-running the pipeline.
-	NegativeHits int64
-	// NegativeEvictions counts negative entries aged out of the side
-	// table by capacity pressure. A high rate signals a flood of
-	// distinct failing queries — which, because the table is separate,
-	// cannot evict compiled plans.
-	NegativeEvictions int64
-	// Cache holds the plan cache's own counters. Note that one request
-	// may perform several lookups (text tier, canonical tier, and a
-	// recency refresh of the canonical entry on text-tier hits), so
-	// Cache.Hits+Cache.Misses exceeds Requests; use HitRate for the
-	// request-level rate.
-	Cache plancache.Stats
-	// NegativeCache holds the negative side table's counters.
-	NegativeCache plancache.Stats
 }
 
-// HitRate returns the fraction of requests whose *successful* answer
-// was served from the plan cache: (Requests - PlanBuilds - Errors) /
-// Requests, clamped to [0, 1] (a snapshot taken during traffic can be
-// slightly skewed). Memoized failures are deliberately not folded in —
-// they are reported separately by NegativeHitRate, so a failure flood
-// can no longer masquerade as a healthy hit rate. Zero before any
-// request.
-func (st ServeStats) HitRate() float64 {
-	if st.Requests == 0 {
-		return 0
-	}
-	hits := st.Requests - st.PlanBuilds - st.Errors
-	if hits < 0 {
-		hits = 0
-	}
-	return float64(hits) / float64(st.Requests)
-}
+// HitRate is the share of requests served from a plan cache. The server
+// keeps none, so it is always 0.
+func (ServeStats) HitRate() float64 { return 0 }
 
-// NegativeHitRate returns the fraction of requests answered from the
-// negative cache (memoized compile failures): NegativeHits / Requests.
-// Zero before any request.
-func (st ServeStats) NegativeHitRate() float64 {
-	if st.Requests == 0 {
-		return 0
-	}
-	return float64(st.NegativeHits) / float64(st.Requests)
-}
-
-// Stats returns a snapshot of the server's counters. The counters are
-// read without a common lock: a snapshot taken while requests are in
-// flight is internally consistent only up to those in-flight requests.
-// PlanBuilds and Errors are loaded before Requests so a concurrent
-// request cannot make them exceed Requests in the snapshot.
+// Stats returns a snapshot of the server's counters. Errors is loaded
+// before Requests so a concurrent request cannot make it exceed
+// Requests in the snapshot.
 func (s *Server) Stats() ServeStats {
-	st := ServeStats{
-		PlanBuilds:   s.planBuilds.Load(),
-		NegativeHits: s.negHits.Load(),
-		Errors:       s.errors.Load(),
-	}
-	st.Requests = s.requests.Load()
-	if s.cache != nil {
-		st.Cache = s.cache.Stats()
-	}
-	if s.negCache != nil {
-		st.NegativeCache = s.negCache.Stats()
-		st.NegativeEvictions = st.NegativeCache.Evictions
-	}
-	return st
+	errs := s.errors.Load()
+	return ServeStats{Requests: s.requests.Load(), Errors: errs}
 }

@@ -7,145 +7,93 @@ import (
 	"repro/internal/plan"
 )
 
-func TestServeCacheHit(t *testing.T) {
-	g := randomGraph(rand.New(rand.NewSource(1)), 50, 150, []string{"a", "b"})
-	e := newTestEngine(t, g, 2)
-	s := e.Serve(ServeOptions{CacheCapacity: 16})
-
-	r1, err := s.Query("a/b|a", plan.MinSupport)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Stats.CacheHit {
-		t.Error("first request reported CacheHit")
-	}
-	r2, err := s.Query("a/b|a", plan.MinSupport)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r2.Stats.CacheHit {
-		t.Error("repeat of identical text missed the cache")
-	}
-	if r2.Stats.RewriteTime != 0 || r2.Stats.PlanTime != 0 {
-		t.Error("cache hit should report zero rewrite/plan time")
-	}
-	// Semantically equal, syntactically different: canonical tier hit.
-	r3, err := s.Query("a|a/b", plan.MinSupport)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r3.Stats.CacheHit {
-		t.Error("semantically equal query missed the canonical cache tier")
-	}
-	if r3.Stats.RewriteTime == 0 {
-		t.Error("canonical-tier hit should keep the rewrite time it actually spent")
-	}
-	if r3.Stats.PlanTime != 0 {
-		t.Error("canonical-tier hit should report zero plan time")
-	}
-	if !pairsEqualAsSets(r1, r3) {
-		t.Error("cached plan produced different answers")
-	}
-	// The exact text was aliased: the next identical request hits the
-	// text tier without rewriting.
-	before := s.Stats()
-	if _, err := s.Query("a|a/b", plan.MinSupport); err != nil {
-		t.Fatal(err)
-	}
-	after := s.Stats()
-	if after.PlanBuilds != before.PlanBuilds {
-		t.Error("aliased text triggered a replan")
-	}
-
-	st := s.Stats()
-	if st.Requests != 4 || st.PlanBuilds != 1 || st.Errors != 0 {
-		t.Errorf("ServeStats = %+v, want requests=4 planBuilds=1 errors=0", st)
-	}
-	if hr := st.HitRate(); hr != 0.75 {
-		t.Errorf("HitRate = %v, want 0.75", hr)
-	}
-}
-
 func TestServeStrategiesDoNotAlias(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(2)), 40, 120, []string{"a", "b"})
 	e := newTestEngine(t, g, 2)
-	s := e.Serve(ServeOptions{CacheCapacity: 16})
-	if _, err := s.Query("a/b/a", plan.Naive); err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Query("a/b/a", plan.MinSupport)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.CacheHit {
-		t.Error("different strategy hit the other strategy's plan")
-	}
-	prep, err := s.Prepare("a/b/a", plan.MinSupport)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := prep.Plan().Strategy; got != plan.MinSupport {
-		t.Errorf("cached plan strategy = %v, want minSupport", got)
+	s := e.Serve(ServeOptions{})
+	for _, strat := range []plan.Strategy{plan.Naive, plan.MinSupport} {
+		prep, err := s.Prepare("a/b/a", strat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := prep.Plan().Strategy; got != strat {
+			t.Errorf("plan prepared under %v has strategy %v", strat, got)
+		}
 	}
 }
 
+// TestServeCacheDisabled: the server keeps no plans, so every repeat of
+// a query pays rewrite and planning again and nothing counts as a hit.
 func TestServeCacheDisabled(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(3)), 30, 80, []string{"a"})
 	e := newTestEngine(t, g, 1)
-	s := e.Serve(ServeOptions{CacheCapacity: -1})
+	s := e.Serve(ServeOptions{})
 	for i := 0; i < 3; i++ {
 		res, err := s.Query("a/a", plan.SemiNaive)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Stats.CacheHit {
-			t.Error("disabled cache reported a hit")
+		if res.Stats.RewriteTime == 0 || res.Stats.PlanTime == 0 {
+			t.Errorf("request %d: rewrite %v, plan %v; want both measured", i, res.Stats.RewriteTime, res.Stats.PlanTime)
 		}
 	}
 	st := s.Stats()
-	if st.Requests != 3 || st.PlanBuilds != 3 {
-		t.Errorf("ServeStats = %+v, want requests=3 planBuilds=3", st)
+	if st.Requests != 3 || st.Errors != 0 {
+		t.Errorf("ServeStats = %+v, want requests=3 errors=0", st)
 	}
 	if st.HitRate() != 0 {
 		t.Errorf("HitRate = %v, want 0", st.HitRate())
 	}
 }
 
+// TestServeErrorsCounted: every failing request is counted, and a
+// repeated failure pays the full pipeline again and fails the same way.
 func TestServeErrorsCounted(t *testing.T) {
-	g := randomGraph(rand.New(rand.NewSource(4)), 20, 40, []string{"a"})
-	e := newTestEngine(t, g, 1)
+	g := randomGraph(rand.New(rand.NewSource(4)), 20, 40, []string{"a", "b"})
+	e, err := NewEngine(g, Options{K: 2, MaxDisjuncts: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := e.Serve(ServeOptions{})
-	if _, err := s.Query("a{", plan.Naive); err == nil {
-		t.Fatal("parse error expected")
+	// A parse error and a rewrite-limit blowout, each asked twice.
+	for _, bad := range []string{"a{", "(a|b){12}"} {
+		_, err1 := s.Query(bad, plan.Naive)
+		if err1 == nil {
+			t.Fatalf("%q: error expected", bad)
+		}
+		if _, err2 := s.Query(bad, plan.Naive); err2 == nil || err2.Error() != err1.Error() {
+			t.Errorf("%q repeated: got %v, want %v", bad, err2, err1)
+		}
+	}
+	if _, err := s.Query("a/b", plan.Naive); err != nil {
+		t.Fatal(err)
 	}
 	st := s.Stats()
-	if st.Errors != 1 || st.PlanBuilds != 0 {
-		t.Errorf("ServeStats = %+v, want errors=1 planBuilds=0", st)
+	if st.Requests != 5 || st.Errors != 4 {
+		t.Errorf("ServeStats = %+v, want requests=5 errors=4", st)
 	}
 	if st.HitRate() != 0 {
-		t.Errorf("HitRate = %v, want 0 (errors are not hits)", st.HitRate())
+		t.Errorf("HitRate = %v, want 0", st.HitRate())
 	}
 }
 
 func TestServeMatchesEngine(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(5)), 60, 200, []string{"a", "b", "c"})
 	e := newTestEngine(t, g, 2)
-	s := e.Serve(ServeOptions{CacheCapacity: 8})
+	s := e.Serve(ServeOptions{})
 	queries := []string{"a/b", "a|b/c", "(a|b){1,2}", "c^-/a", "a?"}
-	for round := 0; round < 2; round++ { // second round comes from cache
-		for _, q := range queries {
-			for _, strat := range plan.Strategies() {
-				want, err := e.EvalQuery(q, strat)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := s.Query(q, strat)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !pairsEqualAsSets(want, got) {
-					t.Errorf("round %d: %s under %v: served answer differs from engine", round, q, strat)
-				}
+	for _, q := range queries {
+		for _, strat := range plan.Strategies() {
+			want, err := e.EvalQuery(q, strat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Query(q, strat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !pairsEqualAsSets(want, got) {
+				t.Errorf("%s under %v: served answer differs from engine", q, strat)
 			}
 		}
 	}
@@ -162,110 +110,4 @@ func pairsEqualAsSets(a, b *Result) bool {
 		}
 	}
 	return true
-}
-
-func TestServeCanonicalReinstatedAfterEviction(t *testing.T) {
-	g := randomGraph(rand.New(rand.NewSource(6)), 30, 80, []string{"a", "b", "c"})
-	e := newTestEngine(t, g, 2)
-	// One shard of capacity 2: "c|a/b" occupies both slots (canonical
-	// entry + text alias).
-	s := e.Serve(ServeOptions{CacheCapacity: 2, CacheShards: 1})
-	if _, err := s.Query("c|a/b", plan.MinSupport); err != nil {
-		t.Fatal(err)
-	}
-	// "b" is its own canonical form (one entry); inserting it evicts
-	// the LRU slot — the first query's canonical entry.
-	if _, err := s.Query("b", plan.MinSupport); err != nil {
-		t.Fatal(err)
-	}
-	// Text-tier hit must reinstate the evicted canonical entry...
-	res, err := s.Query("c|a/b", plan.MinSupport)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stats.CacheHit {
-		t.Fatal("text alias missed unexpectedly")
-	}
-	// ...so a new spelling of the same query still avoids a replan.
-	before := s.Stats().PlanBuilds
-	res, err = s.Query("a/b|c", plan.MinSupport)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stats.CacheHit {
-		t.Error("new spelling missed: canonical entry was not reinstated")
-	}
-	if got := s.Stats().PlanBuilds; got != before {
-		t.Errorf("PlanBuilds rose from %d to %d; want no replan", before, got)
-	}
-}
-
-// TestServeNegativeCaching: a hot failing query must pay the full
-// compile pipeline once; repeats are answered from the negative cache
-// entry with the same error.
-func TestServeNegativeCaching(t *testing.T) {
-	g := randomGraph(rand.New(rand.NewSource(3)), 20, 40, []string{"a", "b"})
-	e, err := NewEngine(g, Options{K: 2, MaxDisjuncts: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := e.Serve(ServeOptions{CacheCapacity: 16})
-
-	// A rewrite-limit failure (the hot-failing-query scenario).
-	const bad = "(a|b){12}"
-	_, err1 := s.Query(bad, plan.MinSupport)
-	if err1 == nil {
-		t.Fatal("expected a rewrite limit error")
-	}
-	st := s.Stats()
-	if st.Errors != 1 || st.NegativeHits != 0 {
-		t.Fatalf("after first failure: errors=%d negHits=%d, want 1/0", st.Errors, st.NegativeHits)
-	}
-	for i := 0; i < 3; i++ {
-		_, err2 := s.Query(bad, plan.MinSupport)
-		if err2 == nil || err2.Error() != err1.Error() {
-			t.Fatalf("negative hit returned %v, want the memoized %v", err2, err1)
-		}
-	}
-	st = s.Stats()
-	if st.Errors != 4 || st.NegativeHits != 3 {
-		t.Errorf("after repeats: errors=%d negHits=%d, want 4/3", st.Errors, st.NegativeHits)
-	}
-	// Negative hits are reported as their own component, not folded
-	// into the (positive) hit rate: all 4 requests failed, so no
-	// compiled plan was ever served from the cache.
-	if hr := st.HitRate(); hr != 0 {
-		t.Errorf("HitRate = %v, want 0 (failures are not plan hits)", hr)
-	}
-	if nhr := st.NegativeHitRate(); nhr != 0.75 {
-		t.Errorf("NegativeHitRate = %v, want 0.75 (3 negative hits of 4 requests)", nhr)
-	}
-
-	// Parse errors are negative-cached too.
-	_, perr := s.Query("a//b", plan.MinSupport)
-	if perr == nil {
-		t.Fatal("expected a parse error")
-	}
-	if _, perr2 := s.Query("a//b", plan.MinSupport); perr2 == nil {
-		t.Fatal("repeat parse failure should return the cached error")
-	}
-	if st = s.Stats(); st.NegativeHits != 4 {
-		t.Errorf("parse repeat not served negatively: negHits=%d, want 4", st.NegativeHits)
-	}
-
-	// Successful queries still work and are unaffected.
-	if _, err := s.Query("a/b", plan.MinSupport); err != nil {
-		t.Fatal(err)
-	}
-
-	// With caching disabled, failures are recomputed and never negative.
-	off := e.Serve(ServeOptions{CacheCapacity: -1})
-	for i := 0; i < 2; i++ {
-		if _, err := off.Query(bad, plan.MinSupport); err == nil {
-			t.Fatal("expected failure")
-		}
-	}
-	if st := off.Stats(); st.NegativeHits != 0 || st.Errors != 2 {
-		t.Errorf("cache-off server: errors=%d negHits=%d, want 2/0", st.Errors, st.NegativeHits)
-	}
 }

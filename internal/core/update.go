@@ -101,9 +101,8 @@ func (e *Engine) MergeTiersStep() (*Engine, bool, error) {
 		return nil, false, err
 	}
 	// A tier merge changes no relation and answers no differently; it
-	// reshapes bookkeeping. Successor bumped the epoch anyway (cached
-	// plans hold engine pointers, so reuse across storage instances
-	// must be invalidated).
+	// reshapes bookkeeping. Successor bumps the epoch anyway, so every
+	// new snapshot has a number of its own.
 	return ne, true, nil
 }
 

@@ -17,12 +17,11 @@
 //	POST /execute  {"name": "s1", "timeout_ms": N}
 //	               → NDJSON stream, exactly like /query. Statements
 //	               store query text, not compiled plans: each execute
-//	               re-prepares through the plan cache, so an engine
-//	               epoch bump (live update) transparently recompiles
-//	               and a hot statement still hits the cache.
+//	               parses and plans again on the snapshot current at
+//	               that call, so a statement sees every live update.
 //	GET  /explain?q=...&strategy=...
 //	               → text/plain physical plan.
-//	GET  /stats    → JSON: serving counters, plan-cache behavior,
+//	GET  /stats    → JSON: request and error counters,
 //	               index statistics, update/tier state, durability
 //	               state (WAL size, checkpoint seq, spilled tiers —
 //	               all zero for non-durable DBs), HTTP-level counters.
@@ -31,9 +30,12 @@
 // defaulted from Options.DefaultTimeout) and client disconnects cancel
 // the in-flight operators through the request context — a runaway
 // closure stops within about one batch boundary of the deadline.
-// Admission control bounds concurrent executions globally and per
-// client (the X-Client-ID header, falling back to the remote address);
-// rejected requests get 429 without touching the engine.
+// Every request parses and plans its query on its own — nothing is
+// cached between requests — so admission control gates every endpoint
+// that compiles (/query, /execute, /prepare, /explain): it bounds
+// concurrent requests globally and per client (the X-Client-ID header,
+// falling back to the remote address), and rejected requests get 429
+// without touching the engine.
 package httpserve
 
 import (
@@ -53,9 +55,6 @@ import (
 
 // Options configures New.
 type Options struct {
-	// Serve configures the underlying plan-caching serving layer
-	// (cache capacity, shards, negative-cache size).
-	Serve pathdb.ServeOptions
 	// Strategy names the default evaluation strategy for requests that
 	// do not carry one ("naive", "semiNaive", "minSupport", "minJoin");
 	// empty uses the DB's default strategy. A string rather than a
@@ -67,12 +66,12 @@ type Options struct {
 	DefaultTimeout time.Duration
 	// MaxTimeout clamps request-supplied timeout_ms; 0 means no clamp.
 	MaxTimeout time.Duration
-	// MaxConcurrent bounds in-flight executions across all clients
-	// (admission control); 0 uses 64, negative disables the global
-	// bound.
+	// MaxConcurrent bounds in-flight compiling requests across all
+	// clients (admission control); 0 uses 64, negative disables the
+	// global bound.
 	MaxConcurrent int
-	// MaxPerClient bounds in-flight executions per client; 0 uses 4,
-	// negative disables the per-client bound.
+	// MaxPerClient bounds in-flight compiling requests per client; 0
+	// uses 4, negative disables the per-client bound.
 	MaxPerClient int
 }
 
@@ -87,7 +86,7 @@ type Server struct {
 	defaultStrategy pathdb.Strategy
 	mux             *http.ServeMux
 
-	admit admission
+	gate admission
 
 	hsMu sync.Mutex
 	hs   *http.Server
@@ -97,22 +96,21 @@ type Server struct {
 	nextStmt int
 
 	requests atomic.Int64 // all endpoint hits
-	rejected atomic.Int64 // executions turned away by admission control
+	rejected atomic.Int64 // requests turned away by admission control
 	inFlight atomic.Int64 // executions currently running
 	pairsOut atomic.Int64 // result pairs streamed to clients
 }
 
 // statement is one registered PREPARE: the query text and strategy,
-// deliberately not a compiled plan — execution re-prepares through the
-// plan cache, which keeps statements correct across engine epochs.
+// deliberately not a compiled plan — each execution plans again on the
+// current snapshot, which keeps statements correct across engine epochs.
 type statement struct {
 	query    string
 	strategy pathdb.Strategy
 }
 
-// New returns an HTTP front end over db. The serving layer (plan cache
-// included) is created here via db.Serve. It fails only on an invalid
-// Options.Strategy name.
+// New returns an HTTP front end over db. The serving layer is created
+// here via db.Serve. It fails only on an invalid Options.Strategy name.
 func New(db *pathdb.DB, opts Options) (*Server, error) {
 	defaultStrategy := db.DefaultStrategy()
 	if opts.Strategy != "" {
@@ -124,7 +122,7 @@ func New(db *pathdb.DB, opts Options) (*Server, error) {
 	}
 	s := &Server{
 		db:              db,
-		srv:             db.Serve(opts.Serve),
+		srv:             db.Serve(pathdb.ServeOptions{}),
 		opts:            opts,
 		defaultStrategy: defaultStrategy,
 		mux:             http.NewServeMux(),
@@ -138,7 +136,7 @@ func New(db *pathdb.DB, opts Options) (*Server, error) {
 	if maxPer == 0 {
 		maxPer = 4
 	}
-	s.admit = admission{maxGlobal: maxGlobal, maxPerClient: maxPer, perClient: map[string]int{}}
+	s.gate = admission{maxGlobal: maxGlobal, maxPerClient: maxPer, perClient: map[string]int{}}
 	s.mux.HandleFunc("POST /query", s.handleQuery)
 	s.mux.HandleFunc("POST /prepare", s.handlePrepare)
 	s.mux.HandleFunc("POST /execute", s.handleExecute)
@@ -192,9 +190,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // admission is the concurrency gate: a global in-flight bound plus a
-// per-client bound, both checked before an execution starts. It is a
-// plain counter table, not a queue — over-limit requests are rejected
-// immediately with 429 so clients back off instead of piling up.
+// per-client bound, both checked before a request compiles anything. It
+// is a plain counter table, not a queue — over-limit requests are
+// rejected immediately with 429 so clients back off instead of piling
+// up.
 type admission struct {
 	mu           sync.Mutex
 	maxGlobal    int
@@ -228,6 +227,19 @@ func (a *admission) release(client string) {
 	}
 }
 
+// admit takes an admission slot for r's client and returns the release
+// to defer, or answers 429 with Retry-After and returns false.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) (release func(), ok bool) {
+	client := clientKey(r)
+	if !s.gate.acquire(client) {
+		s.rejected.Add(1)
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusTooManyRequests, errorLine{Error: "too many concurrent queries for this client"})
+		return nil, false
+	}
+	return func() { s.gate.release(client) }, true
+}
+
 // clientKey identifies the client for per-client admission: the
 // X-Client-ID header when present, else the remote host.
 func clientKey(r *http.Request) string {
@@ -257,11 +269,10 @@ type pairLine struct {
 
 // doneLine terminates a successful stream.
 type doneLine struct {
-	Done     bool    `json:"done"`
-	Pairs    int     `json:"pairs"`
-	CacheHit bool    `json:"cache_hit"`
-	ExecMS   float64 `json:"exec_ms"`
-	Epoch    uint64  `json:"epoch"`
+	Done   bool    `json:"done"`
+	Pairs  int     `json:"pairs"`
+	ExecMS float64 `json:"exec_ms"`
+	Epoch  uint64  `json:"epoch"`
 }
 
 // errorLine terminates a failed stream (or is the whole body of a
@@ -356,12 +367,17 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorLine{Error: err.Error()})
 		return
 	}
-	// Compile now (through the plan cache) so a statement over a bad
-	// query fails at PREPARE time, as a client would expect. The
-	// statement itself stores only text: if a later update bumps the
-	// engine epoch, EXECUTE recompiles lazily instead of replaying a
-	// stale plan.
-	if _, err := s.srv.ExplainWith(req.Query, strategy); err != nil {
+	// Compile now so a statement over a bad query fails at PREPARE
+	// time, as a client would expect. The statement itself stores only
+	// text: EXECUTE plans again on the snapshot current at its call
+	// instead of replaying a plan from an older epoch.
+	release, ok := s.admit(w, r)
+	if !ok {
+		return
+	}
+	_, err = s.srv.ExplainWith(req.Query, strategy)
+	release()
+	if err != nil {
 		writeJSON(w, errorStatus(err), errorLine{Error: err.Error()})
 		return
 	}
@@ -403,14 +419,11 @@ func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
 // began (the status line is already on the wire by then). Admission
 // control and the per-request deadline wrap the whole evaluation.
 func (s *Server) stream(w http.ResponseWriter, r *http.Request, query string, strategy pathdb.Strategy, timeout time.Duration) {
-	client := clientKey(r)
-	if !s.admit.acquire(client) {
-		s.rejected.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests, errorLine{Error: "too many concurrent queries for this client"})
+	release, ok := s.admit(w, r)
+	if !ok {
 		return
 	}
-	defer s.admit.release(client)
+	defer release()
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
 
@@ -469,11 +482,10 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, query string, st
 		w.WriteHeader(http.StatusOK)
 	}
 	_ = enc.Encode(doneLine{
-		Done:     true,
-		Pairs:    st.ResultPairs,
-		CacheHit: st.CacheHit,
-		ExecMS:   float64(st.ExecTime.Microseconds()) / 1000.0,
-		Epoch:    s.srv.Epoch(),
+		Done:   true,
+		Pairs:  st.ResultPairs,
+		ExecMS: float64(st.ExecTime.Microseconds()) / 1000.0,
+		Epoch:  s.srv.Epoch(),
 	})
 	if flusher != nil {
 		flusher.Flush()
@@ -491,7 +503,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorLine{Error: err.Error()})
 		return
 	}
+	release, ok := s.admit(w, r)
+	if !ok {
+		return
+	}
 	text, err := s.srv.ExplainWith(q, strategy)
+	release()
 	if err != nil {
 		writeJSON(w, errorStatus(err), errorLine{Error: err.Error()})
 		return

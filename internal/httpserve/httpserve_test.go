@@ -330,6 +330,10 @@ func TestExplain(t *testing.T) {
 // TestAdmissionControl: with MaxPerClient=1, a second concurrent query
 // from the same client is rejected with 429 + Retry-After while the
 // first still streams; a different client is unaffected.
+// TestAdmissionControl: while one client's query streams, a second
+// request from that client is turned away with 429 on every endpoint
+// that compiles — /query, /prepare and /explain — and other clients are
+// still served.
 func TestAdmissionControl(t *testing.T) {
 	s, ts := newServer(t, hugeDB(t), Options{MaxPerClient: 1})
 
@@ -344,8 +348,24 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatalf("first query never streamed: %v", err)
 	}
 
-	second := func(client string) int {
-		req, _ := http.NewRequest("POST", ts.URL+"/query", strings.NewReader(`{"query": "a/a"}`))
+	second := []struct {
+		name string
+		req  func() *http.Request
+	}{
+		{"query", func() *http.Request {
+			r, _ := http.NewRequest("POST", ts.URL+"/query", strings.NewReader(`{"query": "a/a"}`))
+			return r
+		}},
+		{"prepare", func() *http.Request {
+			r, _ := http.NewRequest("POST", ts.URL+"/prepare", strings.NewReader(`{"query": "a/a"}`))
+			return r
+		}},
+		{"explain", func() *http.Request {
+			r, _ := http.NewRequest("GET", ts.URL+"/explain?q=a/a", nil)
+			return r
+		}},
+	}
+	status := func(req *http.Request, client string) int {
 		req.Header.Set("X-Client-ID", client)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
@@ -358,14 +378,16 @@ func TestAdmissionControl(t *testing.T) {
 		io.Copy(io.Discard, resp.Body)
 		return resp.StatusCode
 	}
-	if got := second("c1"); got != http.StatusTooManyRequests {
-		t.Fatalf("same-client concurrent query: status %d, want 429", got)
+	for _, tc := range second {
+		if got := status(tc.req(), "c1"); got != http.StatusTooManyRequests {
+			t.Errorf("same-client concurrent %s: status %d, want 429", tc.name, got)
+		}
+		if got := status(tc.req(), "c2"); got != http.StatusOK {
+			t.Errorf("other-client %s: status %d, want 200", tc.name, got)
+		}
 	}
-	if got := second("c2"); got != http.StatusOK {
-		t.Fatalf("other-client query: status %d, want 200", got)
-	}
-	if s.rejected.Load() != 1 {
-		t.Errorf("rejected counter %d, want 1", s.rejected.Load())
+	if got, want := s.rejected.Load(), int64(len(second)); got != want {
+		t.Errorf("rejected counter %d, want %d", got, want)
 	}
 }
 

@@ -10,6 +10,7 @@ package pathindex
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -23,6 +24,11 @@ const ShardManifestName = "SHARDS.json"
 
 // shardManifestVersion guards manifest decoding.
 const shardManifestVersion = 1
+
+// errBadManifest is wrapped by every error OpenSharded returns for a
+// manifest that does not describe a layout SaveSharded could have
+// written.
+var errBadManifest = errors.New("pathindex: shard manifest")
 
 // shardManifest is the JSON layout descriptor of a sharded index
 // directory.
@@ -55,11 +61,11 @@ func manifestPartitioner(m *shardManifest) (Partitioner, error) {
 		return NewHashPartitioner(m.Shards), nil
 	case "range":
 		if m.RangeSpan < 1 {
-			return nil, fmt.Errorf("pathindex: range manifest has span %d", m.RangeSpan)
+			return nil, fmt.Errorf("%w has range span %d", errBadManifest, m.RangeSpan)
 		}
 		return RangePartitioner{n: m.Shards, span: m.RangeSpan}, nil
 	default:
-		return nil, fmt.Errorf("pathindex: unknown partitioner %q in manifest", m.Partitioner)
+		return nil, fmt.Errorf("%w has unknown partitioner %q", errBadManifest, m.Partitioner)
 	}
 }
 
@@ -180,7 +186,9 @@ func Open(path string, g *graph.Graph) (Storage, error) {
 // OpenSharded opens a sharded index directory written by SaveSharded.
 // Each shard file opens through OpenStorage (so shards decode blocks
 // lazily and pin/close individually); the partitioner and the global
-// |paths_k| come from the manifest.
+// |paths_k| come from the manifest, which is checked against what
+// SaveSharded writes: shard i in the file shardFileName(i), k equal to
+// the shards' k, and a non-negative |paths_k|.
 func OpenSharded(dir string, g *graph.Graph) (*ShardedStorage, error) {
 	data, err := os.ReadFile(filepath.Join(dir, ShardManifestName))
 	if err != nil {
@@ -188,13 +196,22 @@ func OpenSharded(dir string, g *graph.Graph) (*ShardedStorage, error) {
 	}
 	var m shardManifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("pathindex: shard manifest: %w", err)
+		return nil, fmt.Errorf("%w: %w", errBadManifest, err)
 	}
 	if m.Version != shardManifestVersion {
-		return nil, fmt.Errorf("pathindex: shard manifest version %d not supported", m.Version)
+		return nil, fmt.Errorf("%w version %d not supported", errBadManifest, m.Version)
 	}
 	if m.Shards != len(m.Files) || m.Shards < 1 {
-		return nil, fmt.Errorf("pathindex: shard manifest lists %d files for %d shards", len(m.Files), m.Shards)
+		return nil, fmt.Errorf("%w lists %d files for %d shards", errBadManifest, len(m.Files), m.Shards)
+	}
+	// Any other name could reach outside dir or load one shard twice.
+	for i, name := range m.Files {
+		if name != shardFileName(i) {
+			return nil, fmt.Errorf("%w names shard %d %q, want %q", errBadManifest, i, name, shardFileName(i))
+		}
+	}
+	if m.PathsKCount < 0 {
+		return nil, fmt.Errorf("%w has paths_k_count %d", errBadManifest, m.PathsKCount)
 	}
 	part, err := manifestPartitioner(&m)
 	if err != nil {
@@ -217,6 +234,9 @@ func OpenSharded(dir string, g *graph.Graph) (*ShardedStorage, error) {
 		parts = append(parts, p)
 	}
 	s, err := NewSharded(parts, part)
+	if err == nil && s.K() != m.K {
+		err = fmt.Errorf("%w has k=%d, its shards k=%d", errBadManifest, m.K, s.K())
+	}
 	if err != nil {
 		closeAll()
 		return nil, err

@@ -2,6 +2,8 @@ package pathindex
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -331,6 +333,116 @@ func TestLevelsOverShardedBase(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOpenShardedUntrustedManifest: a manifest naming files SaveSharded
+// never writes — a path outside the directory, one shard twice — or
+// disagreeing with its shards' k, or carrying a negative |paths_k|, is
+// refused with an error wrapping errBadManifest, even though every file
+// it names opens.
+func TestOpenShardedUntrustedManifest(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	_, g, _ := extendRandom(r, 30, 90, []string{"a", "b"}, 0)
+	s, err := BuildSharded(g, 2, BuildOptions{}, NewHashPartitioner(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		damage func(m *shardManifest)
+	}{
+		{"file outside the directory", func(m *shardManifest) { m.Files[1] = "../" + shardFileName(1) }},
+		{"one file for two shards", func(m *shardManifest) { m.Files[1] = m.Files[0] }},
+		{"k disagrees with the shards", func(m *shardManifest) { m.K = 3 }},
+		{"negative paths_k_count", func(m *shardManifest) { m.PathsKCount = -1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			dir := filepath.Join(root, "ix.shards")
+			if err := s.SaveSharded(dir); err != nil {
+				t.Fatal(err)
+			}
+			// A copy of shard 1 beside the directory, so the escaping
+			// name resolves to a valid shard file.
+			shard, err := os.ReadFile(filepath.Join(dir, shardFileName(1)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(root, shardFileName(1)), shard, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, ShardManifestName)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m shardManifest
+			if err := json.Unmarshal(data, &m); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(&m)
+			if data, err = json.Marshal(&m); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, err := OpenSharded(dir, g)
+			if err == nil {
+				got.Close()
+				t.Fatal("untrusted manifest opened")
+			}
+			if !errors.Is(err, errBadManifest) {
+				t.Fatalf("error %q does not wrap errBadManifest", err)
+			}
+		})
+	}
+}
+
+// FuzzShardsManifest feeds arbitrary manifests to OpenSharded over a
+// directory of real shard files, seeded with the manifests SaveSharded
+// writes for a hash and a range partitioner. Whatever the manifest,
+// OpenSharded never panics; when it opens, the storage reports the
+// manifest's k and shard count, and Close succeeds.
+func FuzzShardsManifest(f *testing.F) {
+	r := rand.New(rand.NewSource(29))
+	_, g, _ := extendRandom(r, 20, 60, []string{"a", "b"}, 0)
+	dir := filepath.Join(f.TempDir(), "ix.shards")
+	path := filepath.Join(dir, ShardManifestName)
+	for _, part := range testPartitioners(3, g.NumNodes()) {
+		s, err := BuildSharded(g, 2, BuildOptions{}, part)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := s.SaveSharded(dir); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenSharded(dir, g)
+		if err != nil {
+			return
+		}
+		var m shardManifest
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatalf("manifest opened but does not decode: %v", err)
+		}
+		if s.K() != m.K || s.NumShards() != m.Shards {
+			t.Errorf("opened k=%d with %d shards, manifest says k=%d with %d", s.K(), s.NumShards(), m.K, m.Shards)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestOpenShardedCorruptLayouts: a sharded directory that is incomplete,

@@ -202,16 +202,6 @@ type Normal struct {
 	HasEpsilon bool
 }
 
-// CanonicalKey returns a canonical textual key for the normal form:
-// semantically equal queries — queries whose star-factored normal forms
-// contain the same disjunct set and the same ε flag — map to identical
-// keys, regardless of how the original expressions were written.
-// Normalize already deduplicates disjuncts and sorts them, so "a/b|c"
-// and "c|a/b" share a key, as do "a*" and "(a)*". The key doubles as the
-// plan-cache lookup key and is itself parseable query syntax whose
-// normal form is the same normal form it was derived from.
-func (n Normal) CanonicalKey() string { return n.String() }
-
 // TotalSteps returns the summed length of all disjuncts (closure bodies
 // counted once), a measure of the expanded query size.
 func (n Normal) TotalSteps() int {
@@ -225,6 +215,13 @@ func (n Normal) TotalSteps() int {
 	return total
 }
 
+// String renders the normal form canonically: semantically equal
+// queries — queries whose star-factored normal forms contain the same
+// disjunct set and the same ε flag — render identically, regardless of
+// how the original expressions were written. Normalize already
+// deduplicates disjuncts and sorts them, so "a/b|c" and "c|a/b" share a
+// rendering, as do "a*" and "(a)*". The text is itself parseable query
+// syntax whose normal form is the same normal form it was derived from.
 func (n Normal) String() string {
 	parts := make([]string, 0, len(n.Paths)+len(n.Closures)+1)
 	if n.HasEpsilon {

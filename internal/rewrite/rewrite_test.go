@@ -196,7 +196,7 @@ func TestStarFactoring(t *testing.T) {
 	}
 }
 
-func TestStarCanonicalKeys(t *testing.T) {
+func TestStarCanonicalStrings(t *testing.T) {
 	equal := [][2]string{
 		{"a*", "(a)*"},
 		{"a*", "(a*)*"},
@@ -206,10 +206,10 @@ func TestStarCanonicalKeys(t *testing.T) {
 		{"a+", "a/a*"},
 	}
 	for _, pair := range equal {
-		k0 := norm(t, pair[0], Options{}).CanonicalKey()
-		k1 := norm(t, pair[1], Options{}).CanonicalKey()
+		k0 := norm(t, pair[0], Options{}).String()
+		k1 := norm(t, pair[1], Options{}).String()
 		if k0 != k1 {
-			t.Errorf("CanonicalKey(%q) = %q, CanonicalKey(%q) = %q; want equal",
+			t.Errorf("String(%q) = %q, String(%q) = %q; want equal",
 				pair[0], k0, pair[1], k1)
 		}
 	}
@@ -220,19 +220,19 @@ func TestStarCanonicalKeys(t *testing.T) {
 		{"(a/b)*", "(a|b)*"},
 	}
 	for _, pair := range distinct {
-		k0 := norm(t, pair[0], Options{}).CanonicalKey()
-		k1 := norm(t, pair[1], Options{}).CanonicalKey()
+		k0 := norm(t, pair[0], Options{}).String()
+		k1 := norm(t, pair[1], Options{}).String()
 		if k0 == k1 {
-			t.Errorf("CanonicalKey(%q) == CanonicalKey(%q) == %q; want distinct",
+			t.Errorf("String(%q) == String(%q) == %q; want distinct",
 				pair[0], pair[1], k0)
 		}
 	}
-	// Star keys are themselves query syntax with the same normal form.
+	// Star renderings are themselves query syntax with the same normal form.
 	for _, q := range []string{"a*", "(a|b^-)*", "a/(b|c)*/d", "(a/b*)*", "c|a*"} {
-		key := norm(t, q, Options{}).CanonicalKey()
-		again := norm(t, key, Options{}).CanonicalKey()
+		key := norm(t, q, Options{}).String()
+		again := norm(t, key, Options{}).String()
 		if key != again {
-			t.Errorf("CanonicalKey not a fixed point: %q -> %q -> %q", q, key, again)
+			t.Errorf("String not a fixed point: %q -> %q -> %q", q, key, again)
 		}
 	}
 }
@@ -459,7 +459,7 @@ func TestNormalString(t *testing.T) {
 	}
 }
 
-func TestCanonicalKey(t *testing.T) {
+func TestCanonicalString(t *testing.T) {
 	equal := [][2]string{
 		{"a/b|c", "c|a/b"},
 		{"a|b|a", "b|a"},
@@ -468,10 +468,10 @@ func TestCanonicalKey(t *testing.T) {
 		{"a/b | c", "c|a/b"}, // whitespace is insignificant
 	}
 	for _, pair := range equal {
-		k0 := norm(t, pair[0], Options{}).CanonicalKey()
-		k1 := norm(t, pair[1], Options{}).CanonicalKey()
+		k0 := norm(t, pair[0], Options{}).String()
+		k1 := norm(t, pair[1], Options{}).String()
 		if k0 != k1 {
-			t.Errorf("CanonicalKey(%q) = %q, CanonicalKey(%q) = %q; want equal",
+			t.Errorf("String(%q) = %q, String(%q) = %q; want equal",
 				pair[0], k0, pair[1], k1)
 		}
 	}
@@ -482,23 +482,23 @@ func TestCanonicalKey(t *testing.T) {
 		{"a^-", "a"},
 	}
 	for _, pair := range distinct {
-		k0 := norm(t, pair[0], Options{}).CanonicalKey()
-		k1 := norm(t, pair[1], Options{}).CanonicalKey()
+		k0 := norm(t, pair[0], Options{}).String()
+		k1 := norm(t, pair[1], Options{}).String()
 		if k0 == k1 {
-			t.Errorf("CanonicalKey(%q) == CanonicalKey(%q) == %q; want distinct",
+			t.Errorf("String(%q) == String(%q) == %q; want distinct",
 				pair[0], pair[1], k0)
 		}
 	}
 }
 
-func TestCanonicalKeyReparses(t *testing.T) {
-	// The key is itself query syntax and is a fixed point: normalizing
-	// the key yields the key again.
+func TestCanonicalStringReparses(t *testing.T) {
+	// The canonical rendering is itself query syntax and a fixed point:
+	// normalizing it yields it again.
 	for _, q := range []string{"a/b|c", "a{0,2}/b", "(a|b^-)/c?", "a?"} {
-		key := norm(t, q, Options{}).CanonicalKey()
-		again := norm(t, key, Options{}).CanonicalKey()
+		key := norm(t, q, Options{}).String()
+		again := norm(t, key, Options{}).String()
 		if key != again {
-			t.Errorf("CanonicalKey not a fixed point: %q -> %q -> %q", q, key, again)
+			t.Errorf("String not a fixed point: %q -> %q -> %q", q, key, again)
 		}
 	}
 }

@@ -48,7 +48,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/pathindex"
 	"repro/internal/plan"
-	"repro/internal/plancache"
 	"repro/internal/rpq"
 	"repro/internal/wal"
 )
@@ -146,8 +145,8 @@ const DefaultCompactRatio = 0.25
 // A DB is safe for concurrent use: Query, QueryWith, QueryFrom,
 // QueryParallel, Explain, and the read accessors may be called from any
 // number of goroutines, SetDefaultStrategy is atomic, and ApplyBatch /
-// Compact serialize among themselves without blocking readers. For
-// serving heavy repeated traffic, Serve adds a plan cache on top.
+// Compact serialize among themselves without blocking readers. Serve
+// adds request counting and streaming on top.
 type DB struct {
 	engine          atomic.Pointer[core.Engine]
 	defaultStrategy atomic.Int32
@@ -778,37 +777,19 @@ func (db *DB) Selectivity(labelPath string) (float64, error) {
 	return e.Histogram().Selectivity(p), nil
 }
 
-// ServeOptions configures DB.Serve.
-type ServeOptions struct {
-	// CacheCapacity is the approximate number of compiled plans kept
-	// across all cache shards; 0 uses a default of 1024 and a negative
-	// value disables the cache (every request replans).
-	CacheCapacity int
-	// CacheShards is the plan cache's lock-sharding factor (rounded up
-	// to a power of two); 0 uses a default of 8. More shards reduce
-	// lock contention between concurrent clients.
-	CacheShards int
-	// NegativeCacheCapacity caps the separate side table of memoized
-	// compile failures, so a stream of distinct failing queries can
-	// never evict hot compiled plans; 0 uses CacheCapacity/8 (minimum
-	// 16) and a negative value disables negative caching.
-	NegativeCacheCapacity int
-}
+// ServeOptions configures DB.Serve. It has no fields; it stays so that
+// existing ServeOptions{} literals keep compiling.
+type ServeOptions struct{}
 
-// CacheStats are the plan cache's counters.
-type CacheStats = plancache.Stats
-
-// ServeStats describe a Server's request traffic: total requests, full
-// plan builds (cache misses), errors, and the underlying cache counters.
+// ServeStats describe a Server's request traffic: total requests and
+// errors.
 type ServeStats = core.ServeStats
 
 // Server is a thread-safe query-serving front end over a DB: any number
-// of client goroutines may call Query and QueryWith concurrently. It
-// memoizes the rewrite+plan pipeline per (query, strategy) in a sharded
-// LRU cache, keyed both by exact query text and by the canonical
-// union-normal form, so semantically equal queries like "a/b|c" and
-// "c|a/b" share one compiled plan. Execution state is always per call;
-// only the immutable compiled plan is shared.
+// of client goroutines may call Query and QueryWith concurrently. Each
+// request parses and plans its query on the DB snapshot current at the
+// call, then executes over that snapshot; nothing but the request and
+// error counters is shared between requests.
 type Server struct {
 	db       *DB
 	srv      *core.Server
@@ -816,31 +797,23 @@ type Server struct {
 }
 
 // Serve returns a serving front end using the DB's default strategy (as
-// read at this moment) for Query. Multiple servers over one DB are
-// independent, each with its own cache. Servers track the DB's current
+// read at this moment) for Query. Servers track the DB's current
 // snapshot: after ApplyBatch or Compact, new requests run over the new
-// epoch and cached plans compiled against older epochs are recompiled
-// lazily on their next use.
-func (db *DB) Serve(opts ServeOptions) *Server {
+// epoch.
+func (db *DB) Serve(_ ServeOptions) *Server {
 	return &Server{
-		db: db,
-		srv: core.NewServer(core.EngineSourceFunc(db.eng), core.ServeOptions{
-			CacheCapacity:         opts.CacheCapacity,
-			CacheShards:           opts.CacheShards,
-			NegativeCacheCapacity: opts.NegativeCacheCapacity,
-		}),
+		db:       db,
+		srv:      core.NewServer(core.EngineSourceFunc(db.eng), core.ServeOptions{}),
 		strategy: db.DefaultStrategy(),
 	}
 }
 
-// Query evaluates an RPQ under the server's strategy, using the plan
-// cache. Result.Stats.CacheHit reports whether planning was skipped.
+// Query evaluates an RPQ under the server's strategy.
 func (s *Server) Query(query string) (*Result, error) {
 	return s.QueryWith(query, s.strategy)
 }
 
-// QueryWith evaluates an RPQ under an explicit strategy, using the plan
-// cache.
+// QueryWith evaluates an RPQ under an explicit strategy.
 func (s *Server) QueryWith(query string, strategy Strategy) (*Result, error) {
 	return s.QueryWithContext(context.Background(), query, strategy)
 }
@@ -879,8 +852,7 @@ type Stats = core.Stats
 // evaluation and is returned; once ctx is done the operators stop and
 // ctx's error is returned. The returned Stats describe the run up to
 // that point (ResultPairs counts pairs actually delivered), so callers
-// can report them for aborted requests too. Preparation rides the plan
-// cache exactly like QueryWith.
+// can report them for aborted requests too.
 func (s *Server) StreamPairs(ctx context.Context, query string, strategy Strategy, fn func(pairs []Pair, g *Graph) error) (Stats, error) {
 	prep, err := s.srv.Prepare(query, strategy)
 	if err != nil {
@@ -915,8 +887,7 @@ func (s *Server) StreamWith(ctx context.Context, query string, strategy Strategy
 }
 
 // ExplainWith returns the physical plan text for query under strategy,
-// riding the plan cache like QueryWith (an explain of a hot query costs
-// a cache hit, not a replan).
+// planned on the current snapshot like QueryWith.
 func (s *Server) ExplainWith(query string, strategy Strategy) (string, error) {
 	prep, err := s.srv.Prepare(query, strategy)
 	if err != nil {
@@ -932,7 +903,7 @@ func (s *Server) Strategy() Strategy { return s.strategy }
 // against right now.
 func (s *Server) Epoch() uint64 { return s.srv.Engine().Epoch() }
 
-// Stats returns a snapshot of the server's request and cache counters.
+// Stats returns a snapshot of the server's request counters.
 func (s *Server) Stats() ServeStats { return s.srv.Stats() }
 
 // DB returns the served database.

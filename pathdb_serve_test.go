@@ -26,7 +26,7 @@ func serveTestDB(t *testing.T) *pathdb.DB {
 
 func TestServeMatchesQuery(t *testing.T) {
 	db := serveTestDB(t)
-	srv := db.Serve(pathdb.ServeOptions{CacheCapacity: 16})
+	srv := db.Serve(pathdb.ServeOptions{})
 	queries := []string{"knows/worksFor", "knows|worksFor", "(knows){1,2}", "worksFor^-/knows"}
 	for round := 0; round < 2; round++ {
 		for _, q := range queries {
@@ -41,9 +41,6 @@ func TestServeMatchesQuery(t *testing.T) {
 			if len(got.Pairs) != len(want.Pairs) || len(got.Names) != len(want.Names) {
 				t.Fatalf("round %d: served %q returned %d pairs, want %d", round, q, len(got.Pairs), len(want.Pairs))
 			}
-			if round == 1 && !got.Stats.CacheHit {
-				t.Errorf("round 1: %q missed the warm cache", q)
-			}
 		}
 	}
 	st := srv.Stats()
@@ -52,32 +49,14 @@ func TestServeMatchesQuery(t *testing.T) {
 	if st.Requests != int64(2*len(queries)) {
 		t.Errorf("Requests = %d, want %d", st.Requests, 2*len(queries))
 	}
-	if st.PlanBuilds != int64(len(queries)) {
-		t.Errorf("PlanBuilds = %d, want %d (one per distinct query)", st.PlanBuilds, len(queries))
-	}
-	if hr := st.HitRate(); hr != 0.5 {
-		t.Errorf("HitRate = %v, want 0.5 (second round all hits)", hr)
-	}
-}
-
-func TestServeCanonicalSharing(t *testing.T) {
-	db := serveTestDB(t)
-	srv := db.Serve(pathdb.ServeOptions{CacheCapacity: 16})
-	if _, err := srv.Query("knows/worksFor|knows"); err != nil {
-		t.Fatal(err)
-	}
-	res, err := srv.Query("knows|knows/worksFor")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stats.CacheHit {
-		t.Error("semantically equal query text missed the canonical cache tier")
+	if st.Errors != 0 {
+		t.Errorf("Errors = %d, want 0", st.Errors)
 	}
 }
 
 func TestServeConcurrentClients(t *testing.T) {
 	db := serveTestDB(t)
-	srv := db.Serve(pathdb.ServeOptions{CacheCapacity: 8, CacheShards: 2})
+	srv := db.Serve(pathdb.ServeOptions{})
 	queries := []string{"knows/worksFor", "knows|worksFor", "knows{1,2}"}
 	want := make(map[string]int)
 	for _, q := range queries {
@@ -135,8 +114,8 @@ func TestSetDefaultStrategyConcurrent(t *testing.T) {
 // TestStreamWithReusesNamesBuffer is the allocation guard of the named
 // streaming path: the names slice handed to fn is one buffer per call,
 // not one per batch, so a stream of many batches allocates no more than
-// a stream of one (operator set-up and plan-cache lookup are the same
-// query shape both times: a single index scan).
+// a stream of one (operator set-up, parse and plan are the same query
+// shape both times: a single index scan).
 func TestStreamWithReusesNamesBuffer(t *testing.T) {
 	build := func(edges int) *pathdb.Server {
 		g := pathdb.NewGraph()

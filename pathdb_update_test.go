@@ -137,20 +137,13 @@ func TestApplyBatchNewVocabulary(t *testing.T) {
 }
 
 // TestServerSeesUpdates: a Server created before an update must serve
-// the new snapshot afterwards, recompiling its cached plan lazily.
+// the new snapshot afterwards.
 func TestServerSeesUpdates(t *testing.T) {
 	db, oracle, batch := buildUpdateFixture(t, 12, 0.1)
-	srv := db.Serve(pathdb.ServeOptions{CacheCapacity: 32})
+	srv := db.Serve(pathdb.ServeOptions{})
 	const q = "knows/worksFor"
 	if _, err := srv.Query(q); err != nil {
 		t.Fatal(err)
-	}
-	warm, err := srv.Query(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !warm.Stats.CacheHit {
-		t.Fatal("warm query missed the cache")
 	}
 	if err := db.ApplyBatch(batch); err != nil {
 		t.Fatal(err)
@@ -158,9 +151,6 @@ func TestServerSeesUpdates(t *testing.T) {
 	res, err := srv.Query(q)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Stats.CacheHit {
-		t.Error("stale plan served after ApplyBatch")
 	}
 	if got, want := sortedNames(res.Names), queryNames(t, oracle, q); !slices.Equal(got, want) {
 		t.Errorf("served answer after update: %d pairs, rebuild %d", len(got), len(want))
