@@ -35,7 +35,8 @@ func main() {
 		fmt.Printf("  %s   (length %d)\n", p, len(p))
 	}
 	// Unbounded stars are not expanded: they would appear here as
-	// closure disjuncts like a/(b|c)*/d, evaluated by fixpoint.
+	// closure disjuncts like a/(b|c)*/d, evaluated over the SCC
+	// condensation of their body.
 	for _, s := range norm.Closures {
 		fmt.Printf("  %s   (closure, %d fixed steps)\n", s, s.FixedSteps())
 	}

@@ -189,9 +189,10 @@ func TestStreamContextAbortsOnCallbackError(t *testing.T) {
 }
 
 func TestEvalFromContextCancelMidFlight(t *testing.T) {
-	// A 400k-node chain makes the single-source closure walk 400k BFS
-	// rounds (~0.4s uncancelled without -race), each round a
-	// cancellation point.
+	// On a 400k-node chain the single-source closure drains a 400k-pair
+	// body scan (a cancellation point every batch), condenses the chain
+	// and emits 400k targets: ~60ms uncancelled without -race on a
+	// 2-core x86-64 host, so the cancel lands mid-flight.
 	g := graph.New()
 	for i := 0; i < 400000; i++ {
 		g.AddEdge(fmt.Sprintf("n%d", i), "a", fmt.Sprintf("n%d", i+1))

@@ -15,11 +15,18 @@
 // the executor condenses the closure body into strongly connected
 // components and walks the component DAG from every source.
 //
+// A single-source query (EvalFrom, EvalQueryFrom) is the same pipeline
+// with the source as a plan input: CompileFrom plans each disjunct as a
+// chain whose first scan reads only the source's ⟨path, source⟩ prefix
+// run and whose later segments are probe joins, a leading star closes
+// the bound identity {(src, src)}, and the plan runs through the same
+// operators as any other.
+//
 // # Concurrency
 //
 // An Engine is immutable after construction: the graph, index, and
 // histogram are never written again, and every evaluation entry point
-// (Compile, Eval, EvalQuery, EvalFrom, Prepared.Execute,
+// (Compile, CompileFrom, Eval, EvalQuery, EvalFrom, Prepared.Execute,
 // Prepared.ExecuteParallel) builds its executor state — operator trees,
 // batch buffers, dedup sets, statistics — per call. All of them are safe
 // for concurrent use by any number of goroutines over one Engine, as is
@@ -45,6 +52,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/exec"
@@ -139,14 +147,6 @@ func NewEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: building path index: %w", err)
 	}
-	return NewEngineFromIndex(ix, opts)
-}
-
-// NewEngineFromIndex wraps an existing heap-backed index (for example
-// one deserialized with pathindex.Load) in an engine. It is
-// NewEngineFromStorage narrowed to the concrete index type, kept for
-// convenience.
-func NewEngineFromIndex(ix *pathindex.Index, opts Options) (*Engine, error) {
 	return NewEngineFromStorage(ix, opts)
 }
 
@@ -295,6 +295,23 @@ func (e *Engine) resolveSeq(s rewrite.Seq) (plan.Seq, bool) {
 // Compile parses nothing (the expression is already an AST) but performs
 // rewriting, label resolution, and planning under the given strategy.
 func (e *Engine) Compile(expr rpq.Expr, strategy plan.Strategy) (*Prepared, error) {
+	return e.compile(expr, strategy, nil)
+}
+
+// CompileFrom is Compile of the single-source restriction of expr,
+// {(src, t) | (src, t) ∈ R(G)}: the source is bound into the plan (see
+// plan.PlanQueryFrom), so its scans read only src's prefix runs and its
+// joins probe the index per reached node.
+func (e *Engine) CompileFrom(expr rpq.Expr, src graph.NodeID) (*Prepared, error) {
+	if int(src) >= e.g.NumNodes() {
+		return nil, fmt.Errorf("core: source node %d out of range", src)
+	}
+	return e.compile(expr, plan.SemiNaive, &src)
+}
+
+// compile is Compile and CompileFrom: src, when non-nil, binds the
+// source (strategy is then semiNaive).
+func (e *Engine) compile(expr rpq.Expr, strategy plan.Strategy, src *graph.NodeID) (*Prepared, error) {
 	var st Stats
 	t0 := time.Now()
 	norm, err := rewrite.Normalize(expr, e.rewriteOptions())
@@ -342,7 +359,12 @@ func (e *Engine) Compile(expr rpq.Expr, strategy plan.Strategy) (*Prepared, erro
 		HashOnly: e.opts.HashOnly,
 		Shards:   e.numShards(),
 	}
-	pln, err := planner.PlanQuery(disjuncts, closures, hasEpsilon, strategy)
+	var pln *plan.Plan
+	if src != nil {
+		pln, err = planner.PlanQueryFrom(*src, disjuncts, closures, hasEpsilon)
+	} else {
+		pln, err = planner.PlanQuery(disjuncts, closures, hasEpsilon, strategy)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("core: planning query: %w", err)
 	}
@@ -515,11 +537,7 @@ func (e *Engine) Eval(expr rpq.Expr, strategy plan.Strategy) (*Result, error) {
 
 // EvalQuery parses, compiles, and executes a textual query.
 func (e *Engine) EvalQuery(query string, strategy plan.Strategy) (*Result, error) {
-	expr, err := rpq.Parse(query)
-	if err != nil {
-		return nil, err
-	}
-	return e.Eval(expr, strategy)
+	return e.EvalQueryContext(context.Background(), query, strategy)
 }
 
 // EvalQueryContext is EvalQuery under a cancellation scope (see
@@ -547,6 +565,71 @@ func (e *Engine) Explain(query string, strategy plan.Strategy) (string, error) {
 		return "", err
 	}
 	return prep.Explain(), nil
+}
+
+// EvalFrom computes the single-source answer {t | (src, t) ∈ R(G)}
+// without materializing the full pair relation: it runs the bound plan
+// of CompileFrom, whose scans are the index's ⟨path, source⟩ prefix
+// lookups (the I_{G,k}(⟨p, a⟩) operation of the paper's Example 3.1) and
+// whose closures walk only what the bound chain reaches.
+//
+// Targets are returned sorted ascending.
+func (e *Engine) EvalFrom(expr rpq.Expr, src graph.NodeID) ([]graph.NodeID, error) {
+	return e.EvalFromContext(context.Background(), expr, src)
+}
+
+// EvalFromContext is EvalFrom under a cancellation scope, with
+// Prepared.ExecuteContext's contract: once ctx is done the operators
+// stop at their next batch boundary and EvalFromContext returns ctx's
+// error.
+func (e *Engine) EvalFromContext(ctx context.Context, expr rpq.Expr, src graph.NodeID) ([]graph.NodeID, error) {
+	prep, err := e.CompileFrom(expr, src)
+	if err != nil {
+		return nil, err
+	}
+	var out []graph.NodeID
+	if _, err := prep.run(ctx, 0, func(batch []pathindex.Pair) error {
+		for _, p := range batch {
+			out = append(out, p.Dst)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	slices.Sort(out)
+	return out, nil
+}
+
+// EvalQueryFrom parses query and computes its single-source answer from
+// the named node.
+func (e *Engine) EvalQueryFrom(query, srcName string) ([]string, error) {
+	return e.EvalQueryFromContext(context.Background(), query, srcName)
+}
+
+// EvalQueryFromContext is EvalQueryFrom under a cancellation scope (see
+// EvalFromContext).
+func (e *Engine) EvalQueryFromContext(ctx context.Context, query, srcName string) ([]string, error) {
+	expr, err := rpq.Parse(query)
+	if err != nil {
+		return nil, err
+	}
+	src, ok := e.g.LookupNode(srcName)
+	if !ok {
+		return nil, fmt.Errorf("core: unknown node %q", srcName)
+	}
+	targets, err := e.EvalFromContext(ctx, expr, src)
+	if err != nil {
+		return nil, err
+	}
+	table := e.g.NodeNames()
+	names := make([]string, len(targets))
+	for i, t := range targets {
+		if int(t) >= len(table) {
+			return nil, fmt.Errorf("core: naming node %d: %w", t, pathindex.ErrGraphMismatch)
+		}
+		names[i] = table[t]
+	}
+	return names, nil
 }
 
 // NamedPairs converts result pairs to node-name tuples, for display. A

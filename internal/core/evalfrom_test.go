@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -58,6 +59,40 @@ func TestEvalFromEpsilonAndErrors(t *testing.T) {
 	}
 	if _, err := e.EvalFrom(rpq.MustParse("knows"), graph.NodeID(10_000)); err == nil {
 		t.Error("out-of-range source should fail")
+	}
+}
+
+// TestCompileFromExplain: a single-source query compiles to an ordinary
+// plan with its source bound into the leaf scan, so it explains and
+// reports per-operator statistics like any other.
+func TestCompileFromExplain(t *testing.T) {
+	g := graph.ExampleGraph()
+	e := newTestEngine(t, g, 2)
+	jan, _ := g.LookupNode("jan")
+	prep, err := e.CompileFrom(rpq.MustParse("knows/knows/worksFor|knows*"), jan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := prep.Explain()
+	for _, want := range []string{"scan knows/knows from jan", "probe-join", "closure (", "input: identity (ε) from jan"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("Explain lacks %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "merge-join") {
+		t.Errorf("bound plan has a merge join:\n%s", out)
+	}
+	res, err := prep.Execute()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.OperatorRows["probe-join"] == 0 || res.Stats.OperatorRows["closure"] == 0 {
+		t.Errorf("operator rows %v lack the probe join or the closure", res.Stats.OperatorRows)
+	}
+	for _, p := range res.Pairs {
+		if p.Src != jan {
+			t.Fatalf("bound plan emitted %v, not from jan", p)
+		}
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package exec provides the physical operators that evaluate the plans of
-// internal/plan against a k-path index: index scans (forward and
-// inverted), merge joins on the index sort order, hash joins, identity
-// scans for ε, and the top-level deduplicating union that realizes the
-// paper's set semantics for query answers.
+// internal/plan against a k-path index: index scans (forward, inverted
+// and source-bound), merge joins on the index sort order, hash joins,
+// probe joins over prefix lookups, identity scans for ε, and the
+// top-level deduplicating union that realizes the paper's set semantics
+// for query answers.
 //
 // Operators are vectorized: NextBatch fills a caller-supplied buffer with
 // up to len(buf) (source, target) pairs per call, so the per-tuple
@@ -233,7 +234,15 @@ func buildNode(n plan.Node, ix pathindex.Storage, opts BuildOptions) (Operator, 
 		if len(v.Segment) > ix.K() {
 			return nil, fmt.Errorf("exec: segment %v longer than index k=%d", v.Segment, ix.K())
 		}
+		if v.Bound {
+			// The ⟨segment, src⟩ run is one sorted slice: the scan's
+			// already-loaded block, with an empty iterator behind it.
+			scan := &IndexScan{blocks: new(pathindex.BlockIterator), block: ix.SrcRange(v.Segment, v.Src)}
+			return WithContext(scan, opts.Ctx), nil
+		}
 		return WithContext(newSegmentScan(ix, v.Segment, v.Inverted), opts.Ctx), nil
+	case *plan.Identity:
+		return WithContext(&IdentityScan{n: int(v.Src), total: int(v.Src) + 1}, opts.Ctx), nil
 	case *plan.Join:
 		// Over several shards the global runs are concatenations, not
 		// sorted on the join node: a merge join must run per shard.
@@ -244,15 +253,20 @@ func buildNode(n plan.Node, ix pathindex.Storage, opts BuildOptions) (Operator, 
 		if err != nil {
 			return nil, err
 		}
-		right, err := buildNode(v.Right, ix, opts)
-		if err != nil {
-			return nil, err
-		}
 		var join Operator
-		if v.Algo == plan.Merge {
-			join = NewMergeJoinSized(left, right, opts.batchSize())
+		if v.Algo == plan.Probe {
+			// The right scan names the probed segment; it is never read whole.
+			join = NewProbeJoin(left, ix, v.Right.(*plan.Scan).Segment, opts.batchSize())
 		} else {
-			join = NewHashJoinSized(left, right, v.BuildRight, opts.batchSize())
+			right, err := buildNode(v.Right, ix, opts)
+			if err != nil {
+				return nil, err
+			}
+			if v.Algo == plan.Merge {
+				join = NewMergeJoinSized(left, right, opts.batchSize())
+			} else {
+				join = NewHashJoinSized(left, right, v.BuildRight, opts.batchSize())
+			}
 		}
 		join = WithContext(join, opts.Ctx)
 		if opts.PerJoinDedup {
@@ -357,7 +371,7 @@ func newSegmentScan(ix pathindex.Storage, segment pathindex.Path, inverted bool)
 		if len(delta) > 0 {
 			return NewMergeUnionBlockScan(base, delta, inverted)
 		}
-		return NewIndexScanBlocks(base, inverted)
+		return &IndexScan{blocks: base, swap: inverted}
 	}
 	return NewIndexScan(ix, segment, inverted)
 }
@@ -369,13 +383,6 @@ func NewIndexScan(ix pathindex.Storage, segment pathindex.Path, inverted bool) *
 		p = segment.Inverse()
 	}
 	return &IndexScan{blocks: ix.Blocks(p), swap: inverted}
-}
-
-// NewIndexScanBlocks returns a scan over an explicit block iterator
-// (already positioned on the physical — possibly inverse — path); swap
-// selects target order.
-func NewIndexScanBlocks(blocks *pathindex.BlockIterator, swap bool) *IndexScan {
-	return &IndexScan{blocks: blocks, swap: swap}
 }
 
 // NextBatch implements Operator.
@@ -842,6 +849,59 @@ func (h *HashJoin) NextBatch(buf []Pair) int {
 
 // Name implements Operator.
 func (h *HashJoin) Name() string { return "hash-join" }
+
+// ProbeJoin composes left with one segment's relation by point lookups:
+// for each left pair (s, m) it reads the ⟨segment, m⟩ run of the index —
+// the paper's I_{G,k}(⟨p, a⟩) prefix lookup, routed to the owning shard
+// and merged over update tiers by the storage — and emits (s, t) for
+// every t in it. It is the join of bound plans, whose left inputs are one
+// source's reach, far smaller than the right relation a scan would read.
+type ProbeJoin struct {
+	opBase
+	left input
+	ix   pathindex.Storage
+	seg  pathindex.Path
+
+	src graph.NodeID       // source of the left pair being expanded
+	run []pathindex.Packed // its unemitted ⟨seg, m⟩ pairs
+}
+
+// NewProbeJoin returns a probe join of left with seg's relation in ix,
+// pulling batchSize left pairs per child call.
+func NewProbeJoin(left Operator, ix pathindex.Storage, seg pathindex.Path, batchSize int) *ProbeJoin {
+	return &ProbeJoin{left: newInput(left, max(batchSize, 1)), ix: ix, seg: seg}
+}
+
+func (p *ProbeJoin) children() []Operator { return []Operator{p.left.op} }
+
+// NextBatch implements Operator.
+func (p *ProbeJoin) NextBatch(buf []Pair) int {
+	if cancelled(p.ctx) {
+		return 0
+	}
+	n := 0
+	for n < len(buf) {
+		if len(p.run) > 0 {
+			k := min(len(p.run), len(buf)-n)
+			for _, pr := range p.run[:k] {
+				buf[n] = Pair{Src: p.src, Dst: pr.Dst()}
+				n++
+			}
+			p.run = p.run[k:]
+			continue
+		}
+		if !p.left.fill() {
+			break
+		}
+		l := p.left.buf[p.left.pos]
+		p.left.pos++
+		p.src, p.run = l.Src, p.ix.SrcRange(p.seg, l.Dst)
+	}
+	return p.emit(n)
+}
+
+// Name implements Operator.
+func (p *ProbeJoin) Name() string { return "probe-join" }
 
 // dedup filters batches through a seen-set, retaining the first
 // occurrence of each pair. It is the shared core of UnionDistinct and

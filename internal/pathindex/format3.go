@@ -400,10 +400,9 @@ type CompressedIndex struct {
 	_   [64]byte
 	dec decodeCounters
 
-	data   []byte
-	unmap  func([]byte) error
-	mapped bool
-	gate   pinGate
+	data  []byte
+	unmap func([]byte) error
+	gate  pinGate
 }
 
 // OpenCompressed opens a format-v3 index file over g, decoding block
@@ -411,7 +410,7 @@ type CompressedIndex struct {
 // from an index built on an identical graph; the label vocabulary is
 // verified, as in Load.
 func OpenCompressed(path string, g *graph.Graph) (*CompressedIndex, error) {
-	data, unmap, mapped, err := mapFile(path)
+	data, unmap, err := mapFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -424,7 +423,6 @@ func OpenCompressed(path string, g *graph.Graph) (*CompressedIndex, error) {
 	}
 	c.data = data
 	c.unmap = unmap
-	c.mapped = mapped
 	return c, nil
 }
 
@@ -803,9 +801,6 @@ func (c *CompressedIndex) Close() error {
 	}
 	return nil
 }
-
-// Mapped reports whether the index is backed by a true memory mapping.
-func (c *CompressedIndex) Mapped() bool { return c.mapped }
 
 // FileBytes returns the size of the underlying file image (0 after
 // Close).

@@ -6,10 +6,7 @@ import "os"
 
 // mapFile on platforms without a usable mmap reads the whole file into
 // memory, so the open cost includes one sequential read of the file.
-func mapFile(path string) ([]byte, func([]byte) error, bool, error) {
+func mapFile(path string) ([]byte, func([]byte) error, error) {
 	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	return data, nil, false, nil
+	return data, nil, err
 }

@@ -8,34 +8,33 @@ import (
 	"syscall"
 )
 
-// mapFile maps path read-only and returns the file image, an unmap
-// function (nil when the image is an ordinary heap buffer), and whether
-// a true mapping was established. Filesystems that refuse mmap fall back
-// to reading the file into memory.
-func mapFile(path string) ([]byte, func([]byte) error, bool, error) {
+// mapFile maps path read-only and returns the file image and an unmap
+// function (nil when the image is an ordinary heap buffer). Filesystems
+// that refuse mmap fall back to reading the file into memory.
+func mapFile(path string) ([]byte, func([]byte) error, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	size := st.Size()
 	if size == 0 {
-		return nil, nil, false, fmt.Errorf("pathindex: %s is empty", path)
+		return nil, nil, fmt.Errorf("pathindex: %s is empty", path)
 	}
 	if int64(int(size)) != size {
-		return nil, nil, false, fmt.Errorf("pathindex: %s does not fit the address space (%d bytes)", path, size)
+		return nil, nil, fmt.Errorf("pathindex: %s does not fit the address space (%d bytes)", path, size)
 	}
 	data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_PRIVATE)
 	if err != nil {
 		data, rerr := os.ReadFile(path)
 		if rerr != nil {
-			return nil, nil, false, fmt.Errorf("pathindex: mmap %s failed (%v) and so did the read fallback: %w", path, err, rerr)
+			return nil, nil, fmt.Errorf("pathindex: mmap %s failed (%v) and so did the read fallback: %w", path, err, rerr)
 		}
-		return data, nil, false, nil
+		return data, nil, nil
 	}
-	return data, syscall.Munmap, true, nil
+	return data, syscall.Munmap, nil
 }

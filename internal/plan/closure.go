@@ -7,6 +7,7 @@ package plan
 import (
 	"fmt"
 
+	"repro/internal/graph"
 	"repro/internal/pathindex"
 )
 
@@ -35,7 +36,8 @@ type Seq struct {
 // useful order, so joins above a Closure are hash joins.
 type Closure struct {
 	// Input is the relation being closed; nil means the identity
-	// relation over all graph nodes (a pure star disjunct).
+	// relation over all graph nodes (a pure star disjunct), an Identity
+	// the bound identity of a single-source plan.
 	Input Node
 	// Body is the union of body-sequence subplans.
 	Body []Node
@@ -89,22 +91,34 @@ func (pl *Planner) closure(input Node, body []Node) *Closure {
 // adding the identity disjunct. Over sharded storage (Shards > 1) the
 // finished join trees get their scatters last.
 func (pl *Planner) PlanQuery(disjuncts []pathindex.Path, closures []Seq, hasEpsilon bool, strategy Strategy) (*Plan, error) {
+	return pl.planQuery(nil, disjuncts, closures, hasEpsilon, strategy)
+}
+
+// planQuery is PlanQuery with an optional bound source: when src is
+// non-nil every disjunct is planned as a bound chain from it (see
+// bound.go) and ε becomes the bound identity.
+func (pl *Planner) planQuery(src *graph.NodeID, disjuncts []pathindex.Path, closures []Seq, hasEpsilon bool, strategy Strategy) (*Plan, error) {
 	if pl.Hist == nil {
 		return nil, fmt.Errorf("plan: planner requires a histogram")
 	}
 	if pl.K < 1 {
 		return nil, fmt.Errorf("plan: k must be >= 1, got %d", pl.K)
 	}
-	p := &Plan{Strategy: strategy, K: pl.K, HasEpsilon: hasEpsilon}
-	for _, d := range disjuncts {
-		node, err := pl.planPath(d, strategy)
-		if err != nil {
-			return nil, err
-		}
-		p.Disjuncts = append(p.Disjuncts, node)
+	p := &Plan{Strategy: strategy, K: pl.K, HasEpsilon: hasEpsilon && src == nil}
+	if hasEpsilon && src != nil {
+		p.Disjuncts = append(p.Disjuncts, &Identity{Src: *src})
 	}
-	for _, s := range closures {
-		node, err := pl.planSeq(s, strategy)
+	// A label path plans as the one-segment sequence.
+	seqs := make([]Seq, 0, len(disjuncts)+len(closures))
+	for _, d := range disjuncts {
+		seqs = append(seqs, Seq{Elems: []SeqElem{{Seg: d}}})
+	}
+	for _, s := range append(seqs, closures...) {
+		var input Node
+		if src != nil {
+			input = &Identity{Src: *src}
+		}
+		node, err := pl.planSeq(input, s, strategy)
 		if err != nil {
 			return nil, err
 		}
@@ -118,17 +132,23 @@ func (pl *Planner) PlanQuery(disjuncts []pathindex.Path, closures []Seq, hasEpsi
 	return p, nil
 }
 
-// planSeq plans one closure-sequence disjunct: segments are planned by
-// the strategy like plain disjuncts, closure factors become Closure
-// nodes over the relation planned so far (joins above closures are hash
-// joins, chosen by join() since a Closure is not a Scan).
-func (pl *Planner) planSeq(s Seq, strategy Strategy) (Node, error) {
+// planSeq plans one closure-sequence disjunct applied to input (nil for
+// none). Unbound, segments are planned by the strategy like plain
+// disjuncts; over a bound input they extend the bound chain. Closure
+// factors become Closure nodes over the relation planned so far (joins
+// above closures are hash or probe joins, never merge joins, since a
+// Closure is not a Scan); their bodies are always planned unbound.
+func (pl *Planner) planSeq(input Node, s Seq, strategy Strategy) (Node, error) {
 	if len(s.Elems) == 0 {
 		return nil, fmt.Errorf("plan: empty closure sequence (represent ε via hasEpsilon)")
 	}
-	var node Node
+	node, bound := input, input != nil
 	for _, e := range s.Elems {
 		if !e.IsStar() {
+			if bound {
+				node = pl.bind(node, e.Seg)
+				continue
+			}
 			seg, err := pl.planPath(e.Seg, strategy)
 			if err != nil {
 				return nil, err
@@ -142,7 +162,7 @@ func (pl *Planner) planSeq(s Seq, strategy Strategy) (Node, error) {
 		}
 		body := make([]Node, len(e.Star))
 		for i, b := range e.Star {
-			sub, err := pl.planSeq(b, strategy)
+			sub, err := pl.planSeq(nil, b, strategy)
 			if err != nil {
 				return nil, err
 			}

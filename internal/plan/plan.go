@@ -12,6 +12,10 @@
 // (ordered by source) — the convention of the paper's worked example
 // I(w⁻k⁻k⁻) ⋈ I(kww). Join outputs carry no useful order, so joins above
 // scans use hash joins.
+//
+// A single-source query binds its source into the plan instead (see
+// bound.go): the first scan reads only the source's prefix run and every
+// later segment is joined by probing the index per intermediate node.
 package plan
 
 import (
@@ -78,13 +82,13 @@ type JoinAlgo int
 const (
 	Merge JoinAlgo = iota
 	Hash
+	// Probe joins a bound left input to its right scan's segment by one
+	// ⟨segment, node⟩ prefix lookup per left pair; only bound plans use it.
+	Probe
 )
 
 func (a JoinAlgo) String() string {
-	if a == Merge {
-		return "merge"
-	}
-	return "hash"
+	return [...]string{Merge: "merge", Hash: "hash", Probe: "probe"}[a]
 }
 
 // Node is a physical plan operator.
@@ -97,10 +101,14 @@ type Node interface {
 
 // Scan reads one segment's relation from the index. If Inverted, the
 // physical scan uses the indexed inverse path and swaps components, so
-// pairs arrive ordered by target instead of source.
+// pairs arrive ordered by target instead of source. If Bound, it reads
+// only the pairs whose source is Src: the paper's ⟨path, source⟩ prefix
+// lookup.
 type Scan struct {
 	Segment  pathindex.Path
 	Inverted bool
+	Bound    bool
+	Src      graph.NodeID
 	card     float64
 }
 
@@ -257,14 +265,20 @@ func (pl *Planner) joinCard(cl, cr float64) float64 {
 // segLen and joins them left to right: the semiNaive shape (and, with
 // segLen 1, the naive shape).
 func (pl *Planner) chain(d pathindex.Path, segLen int) Node {
+	return pl.leftDeep(greedy(d, segLen))
+}
+
+// greedy cuts d left to right into pieces of length at most segLen.
+func greedy(d pathindex.Path, segLen int) []pathindex.Path {
 	var segs []pathindex.Path
 	for start := 0; start < len(d); start += segLen {
-		end := start + segLen
-		if end > len(d) {
-			end = len(d)
-		}
-		segs = append(segs, d[start:end])
+		segs = append(segs, d[start:min(start+segLen, len(d))])
 	}
+	return segs
+}
+
+// leftDeep joins the scans of segs left to right.
+func (pl *Planner) leftDeep(segs []pathindex.Path) Node {
 	node := Node(pl.scan(segs[0]))
 	for _, seg := range segs[1:] {
 		node = pl.join(node, pl.scan(seg))
@@ -408,11 +422,7 @@ func segmentsOf(d pathindex.Path, lengths []int) []pathindex.Path {
 // left-to-right chain, keeping the DP cubic cost bounded.
 func (pl *Planner) optimalTree(segs []pathindex.Path) Node {
 	if len(segs) > maxDPSegments {
-		node := Node(pl.scan(segs[0]))
-		for _, seg := range segs[1:] {
-			node = pl.join(node, pl.scan(seg))
-		}
-		return node
+		return pl.leftDeep(segs)
 	}
 	n := len(segs)
 	dp := make([][]Node, n)
@@ -492,7 +502,12 @@ func formatNode(b *strings.Builder, n Node, g *graph.Graph, prefix, indent strin
 		if v.Inverted {
 			dir = fmt.Sprintf(" [scan %s, swap]", v.Segment.Inverse().Format(g))
 		}
+		if v.Bound {
+			dir = " from " + g.NodeName(v.Src)
+		}
 		fmt.Fprintf(b, "%sscan %s%s (est %.1f)\n", prefix, v.Segment.Format(g), dir, v.Card())
+	case *Identity:
+		fmt.Fprintf(b, "%sidentity (ε) from %s\n", prefix, g.NodeName(v.Src))
 	case *Join:
 		side := ""
 		if v.Algo == Hash {

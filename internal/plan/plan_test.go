@@ -442,3 +442,45 @@ func segLengths(ls []*Scan) []int {
 	}
 	return out
 }
+
+// TestBoundPlanFormat: a bound plan names its source on the leaf scan,
+// joins every later segment by probing, and has no merge join or scatter
+// — on one shard and on four — and a leading star closes the bound
+// identity.
+func TestBoundPlanFormat(t *testing.T) {
+	g, k, w := gexLabels()
+	jan, _ := g.LookupNode("jan")
+	star := Seq{Elems: []SeqElem{{Star: []Seq{{Elems: []SeqElem{{Seg: path(k)}}}}}}}
+	for _, shards := range []int{1, 4} {
+		pl := newPlanner(2, fakeEstimator{def: 10})
+		pl.Shards = shards
+		p, err := pl.PlanQueryFrom(jan, []pathindex.Path{path(k, k, w, k, w)}, []Seq{star}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := p.Format(g)
+		for _, want := range []string{
+			"scan knows/knows from jan (est 0.1)",
+			"probe-join",
+			"identity (ε) from jan",
+			"closure (",
+			"input: identity (ε) from jan",
+			"body: scan knows (est 10.0)",
+		} {
+			if !strings.Contains(out, want) {
+				t.Errorf("shards=%d: bound plan lacks %q:\n%s", shards, want, out)
+			}
+		}
+		for _, gone := range []string{"merge-join", "hash-join", "scatter", "swap"} {
+			if strings.Contains(out, gone) {
+				t.Errorf("shards=%d: bound plan has %q:\n%s", shards, gone, out)
+			}
+		}
+		if p.HasEpsilon {
+			t.Errorf("shards=%d: bound ε must be the bound identity, not the all-nodes one", shards)
+		}
+		if got := len(joins(p.Disjuncts[1])); got != 2 {
+			t.Errorf("shards=%d: 3-segment chain has %d probe joins, want 2:\n%s", shards, got, out)
+		}
+	}
+}

@@ -294,9 +294,8 @@ func (db *DB) QueryFrom(query, source string) ([]string, error) {
 	return db.eng().EvalQueryFrom(query, source)
 }
 
-// QueryFromContext is QueryFrom under a cancellation scope: the
-// sideways frontier expansion and its closure fixpoint check ctx
-// between segments and BFS rounds.
+// QueryFromContext is QueryFrom under a cancellation scope: its
+// operators check ctx at batch boundaries, as Query's do.
 func (db *DB) QueryFromContext(ctx context.Context, query, source string) ([]string, error) {
 	return db.eng().EvalQueryFromContext(ctx, query, source)
 }
@@ -688,7 +687,7 @@ func BuildWithIndex(g *Graph, indexPath string, opts Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine, err := core.NewEngineFromIndex(ix, core.Options{
+	engine, err := core.NewEngineFromStorage(ix, core.Options{
 		K:                ix.K(),
 		HistogramBuckets: opts.HistogramBuckets,
 		MaxDisjuncts:     opts.MaxDisjuncts,
