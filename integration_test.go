@@ -10,9 +10,9 @@ import (
 )
 
 // TestWorkloadSoak runs the full Figure-2 workload on a small Advogato
-// instance under every strategy and k, verifying every answer against
-// the automaton oracle — the end-to-end binding of datasets, workload,
-// engine, and baselines.
+// instance under every strategy and k, unsharded and over 4 shards,
+// verifying every answer against the automaton oracle — the end-to-end
+// binding of datasets, workload, engine, and baselines.
 func TestWorkloadSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
@@ -26,20 +26,25 @@ func TestWorkloadSoak(t *testing.T) {
 		}
 		oracle[q.Name] = len(pairs)
 	}
-	for k := 1; k <= 3; k++ {
-		db, err := Build(g, Options{K: k, HistogramBuckets: 16})
-		if err != nil {
-			t.Fatalf("k=%d: %v", k, err)
-		}
-		for _, q := range workload.Advogato() {
-			for _, s := range Strategies() {
-				res, err := db.QueryWith(q.Text, s)
-				if err != nil {
-					t.Fatalf("k=%d %s %v: %v", k, q.Name, s, err)
-				}
-				if len(res.Pairs) != oracle[q.Name] {
-					t.Errorf("k=%d %s %v: %d pairs, oracle %d",
-						k, q.Name, s, len(res.Pairs), oracle[q.Name])
+	for _, shards := range []int{0, 4} {
+		for k := 1; k <= 3; k++ {
+			db, err := Build(g, Options{K: k, HistogramBuckets: 16, Shards: shards})
+			if err != nil {
+				t.Fatalf("shards=%d k=%d: %v", shards, k, err)
+			}
+			if got := db.ShardStats().Shards; got != shards {
+				t.Fatalf("shards=%d k=%d: built %d shards", shards, k, got)
+			}
+			for _, q := range workload.Advogato() {
+				for _, s := range Strategies() {
+					res, err := db.QueryWith(q.Text, s)
+					if err != nil {
+						t.Fatalf("shards=%d k=%d %s %v: %v", shards, k, q.Name, s, err)
+					}
+					if len(res.Pairs) != oracle[q.Name] {
+						t.Errorf("shards=%d k=%d %s %v: %d pairs, oracle %d",
+							shards, k, q.Name, s, len(res.Pairs), oracle[q.Name])
+					}
 				}
 			}
 		}

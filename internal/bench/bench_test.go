@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -179,8 +180,18 @@ func TestExecProfileSmoke(t *testing.T) {
 }
 
 func TestConfigNormalize(t *testing.T) {
-	c := Config{}.normalize()
-	if c.Scale != 1.0 || c.Runs != 1 || len(c.Ks) != 3 {
-		t.Errorf("normalize: %+v", c)
+	c, err := Config{}.normalize()
+	if err != nil || c.Scale != 1.0 || c.Runs != 1 || len(c.Ks) != 3 {
+		t.Errorf("normalize: %+v, %v", c, err)
+	}
+	for _, scale := range []float64{-0.5, 1.5, 2, math.NaN()} {
+		if _, err := (Config{Scale: scale}).normalize(); err == nil || !strings.Contains(err.Error(), "(0,1]") {
+			t.Errorf("scale %v: err = %v, want out-of-range error", scale, err)
+		}
+	}
+	// A runner reports the range error instead of panicking in the
+	// generator.
+	if _, err := IndexCost(Config{Scale: 2}); err == nil {
+		t.Error("IndexCost accepted scale 2")
 	}
 }

@@ -36,14 +36,14 @@ type Config struct {
 	HistogramBuckets int
 }
 
-// DefaultConfig returns the full-scale configuration used by cmd/bench.
-func DefaultConfig() Config {
-	return Config{Scale: 1.0, Seed: 1, Runs: 3, Ks: []int{1, 2, 3}, HistogramBuckets: 64}
-}
-
-func (c Config) normalize() Config {
+// normalize fills defaults (Scale 0 means 1.0) and rejects a scale
+// outside (0,1], which the scaled generators cannot honour.
+func (c Config) normalize() (Config, error) {
 	if c.Scale == 0 {
 		c.Scale = 1.0
+	}
+	if !(c.Scale > 0 && c.Scale <= 1) {
+		return c, fmt.Errorf("scale %v out of range (0,1]", c.Scale)
 	}
 	if c.Runs < 1 {
 		c.Runs = 1
@@ -51,7 +51,7 @@ func (c Config) normalize() Config {
 	if len(c.Ks) == 0 {
 		c.Ks = []int{1, 2, 3}
 	}
-	return c
+	return c, nil
 }
 
 func (c Config) advogato() *graph.Graph {
@@ -105,7 +105,10 @@ func (c Config) evalTime(e *core.Engine, q workload.Query, s plan.Strategy) (tim
 // Advogato queries under the four strategies. The naive strategy
 // ignores k by construction, mirroring the paper ("k fixed at 1").
 func Fig2(c Config) ([]*Table, error) {
-	c = c.normalize()
+	c, err := c.normalize()
+	if err != nil {
+		return nil, err
+	}
 	g := c.advogato()
 	qs := workload.Advogato()
 	var tables []*Table
@@ -152,7 +155,10 @@ func Fig2(c Config) ([]*Table, error) {
 // evaluation (minSupport, largest k) versus Datalog-based evaluation on
 // the Advogato workload, with per-query and average speedups.
 func DatalogComparison(c Config) (*Table, error) {
-	c = c.normalize()
+	c, err := c.normalize()
+	if err != nil {
+		return nil, err
+	}
 	g := c.advogato()
 	k := c.Ks[len(c.Ks)-1]
 	e, err := c.engine(g, k, nil)
@@ -227,7 +233,10 @@ func DatalogComparison(c Config) (*Table, error) {
 // IndexCost regenerates the Ext-1 experiment: index size and build time
 // as k grows, on every dataset family.
 func IndexCost(c Config) (*Table, error) {
-	c = c.normalize()
+	c, err := c.normalize()
+	if err != nil {
+		return nil, err
+	}
 	type ds struct {
 		name string
 		g    *graph.Graph
@@ -275,7 +284,10 @@ func IndexCost(c Config) (*Table, error) {
 // evaluates four datasets). Each family uses the Advogato vocabulary so
 // the workload carries over.
 func Datasets(c Config) ([]*Table, error) {
-	c = c.normalize()
+	c, err := c.normalize()
+	if err != nil {
+		return nil, err
+	}
 	k := c.Ks[len(c.Ks)-1]
 	families := []struct {
 		name string
@@ -332,7 +344,10 @@ func Datasets(c Config) ([]*Table, error) {
 // merge-join availability, and per-join deduplication, all under
 // minSupport on the Advogato workload.
 func Ablation(c Config) ([]*Table, error) {
-	c = c.normalize()
+	c, err := c.normalize()
+	if err != nil {
+		return nil, err
+	}
 	g := c.advogato()
 	k := c.Ks[len(c.Ks)-1]
 
@@ -393,9 +408,12 @@ func Ablation(c Config) ([]*Table, error) {
 // engines, demonstrating both its speed on its niche and its
 // restriction.
 func Reach(c Config) (*Table, error) {
-	c = c.normalize()
+	c, err := c.normalize()
+	if err != nil {
+		return nil, err
+	}
 	// A small instance: closure answers are quadratic in component size.
-	small := datasets.AdvogatoScaled(c.Seed, minF(c.Scale, 0.05))
+	small := datasets.AdvogatoScaled(c.Seed, min(c.Scale, 0.05))
 	t := &Table{
 		Title: fmt.Sprintf("Ext-4: (l|...)* evaluation, %d nodes / %d edges (ms; n/a = approach cannot run it)",
 			small.NumNodes(), small.NumEdges()),
@@ -463,10 +481,13 @@ func Reach(c Config) (*Table, error) {
 // (blocks and bytes decoded, read from core.Stats). Batch=1 numbers
 // equal what the pre-vectorization tuple-at-a-time executor paid one
 // interface call apiece for, so this table is the before/after ledger
-// of the batching refactor (the exec micro-benchmarks in
-// BENCH_exec.json hold the isolated operator throughputs).
+// of the batching refactor (the exec micro-benchmarks, go test -bench
+// ./internal/exec, hold the isolated operator throughputs).
 func ExecProfile(c Config) (*Table, error) {
-	c = c.normalize()
+	c, err := c.normalize()
+	if err != nil {
+		return nil, err
+	}
 	g := c.advogato()
 	k := c.Ks[len(c.Ks)-1]
 	// Serve from compressed v3 storage so the decode counters are live:
@@ -537,11 +558,4 @@ func ExecProfile(c Config) (*Table, error) {
 		t.Notes = append(t.Notes, closureSkipNote(skipped))
 	}
 	return t, nil
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,7 +1,8 @@
 // Package bench contains the experiment harness that regenerates every
-// table and figure of the paper's evaluation (and this reproduction's
-// extension experiments). cmd/bench exposes it as a CLI; the module-root
-// benchmarks drive the same runners under testing.B.
+// table of the paper's evaluation (Figure 2, the Section 6 Datalog
+// comparison) and this reproduction's Ext-1..Ext-4 experiments. cmd/bench
+// exposes it as a CLI; serving, update and shard load is measured by the
+// separate benchmark/ module.
 package bench
 
 import (
@@ -68,10 +69,6 @@ func (t *Table) String() string {
 func ms(d time.Duration) string {
 	return fmt.Sprintf("%.2f", float64(d.Microseconds())/1000.0)
 }
-
-// ms2 is a duration in milliseconds at microsecond resolution, for JSON
-// reports.
-func ms2(d time.Duration) float64 { return float64(d.Microseconds()) / 1000.0 }
 
 // median returns the median of a non-empty duration sample.
 func median(ds []time.Duration) time.Duration {

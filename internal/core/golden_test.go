@@ -109,14 +109,10 @@ func refEvalNode(e *Engine, n plan.Node) map[pathindex.Pair]bool {
 		// An inverted scan changes only the delivery order, never the
 		// set, so the reference always scans the segment forward.
 		set := map[pathindex.Pair]bool{}
-		it := pathindex.Scan(e.ix, v.Segment)
-		for {
-			pr, ok := it.Next()
-			if !ok {
-				return set
-			}
-			set[pr] = true
+		for _, pr := range e.ix.Relation(v.Segment) {
+			set[pr.Pair()] = true
 		}
+		return set
 	case *plan.Join:
 		left := refEvalNode(e, v.Left)
 		right := refEvalNode(e, v.Right)

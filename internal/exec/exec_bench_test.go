@@ -1,11 +1,8 @@
 package exec
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
-	"os"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -27,9 +24,7 @@ var benchIx = struct {
 // graph — large enough that scans and joins stream tens of thousands of
 // pairs per operator invocation.
 func benchIndex(tb testing.TB) *pathindex.Index {
-	if tb != nil {
-		tb.Helper()
-	}
+	tb.Helper()
 	benchIx.Do(func() {
 		r := rand.New(rand.NewSource(1))
 		g := graph.New()
@@ -147,72 +142,4 @@ func BenchmarkDedup(b *testing.B) {
 		}
 		report(b)
 	})
-}
-
-// execBenchRecord is one row of BENCH_exec.json.
-type execBenchRecord struct {
-	Operator     string  `json:"operator"`
-	BatchSize    int     `json:"batch_size"`
-	NsPerOp      float64 `json:"ns_per_op"`
-	PairsPerOp   int     `json:"pairs_per_op"`
-	MPairsPerSec float64 `json:"mpairs_per_sec"`
-}
-
-type execBenchFile struct {
-	Description string             `json:"description"`
-	CPUs        int                `json:"cpus"`
-	GoMaxProcs  int                `json:"gomaxprocs"`
-	Benchmarks  []execBenchRecord  `json:"benchmarks"`
-	Speedup     map[string]float64 `json:"speedup_batch1024_vs_batch1"`
-}
-
-// TestRecordBenchExec measures scan/merge-join/hash-join throughput at
-// each batch size and writes BENCH_exec.json at the repository root. It
-// only runs when RECORD_BENCH is set:
-//
-//	RECORD_BENCH=1 go test ./internal/exec -run TestRecordBenchExec
-func TestRecordBenchExec(t *testing.T) {
-	if os.Getenv("RECORD_BENCH") == "" {
-		t.Skip("set RECORD_BENCH=1 to record BENCH_exec.json")
-	}
-	ix := benchIndex(t)
-	out := execBenchFile{
-		Description: "exec operator micro-benchmarks: pairs drained per second at each batch size " +
-			"(batch=1 emulates the pre-vectorization tuple-at-a-time interface); " +
-			"2000-node 3-label random graph, k=2 index, see internal/exec/exec_bench_test.go",
-		CPUs:       runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Speedup:    map[string]float64{},
-	}
-	for _, name := range []string{"index-scan", "merge-join", "hash-join"} {
-		perBatch := map[int]float64{}
-		for _, bs := range benchBatchSizes {
-			bs := bs
-			var pairs int
-			res := testing.Benchmark(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					pairs = drain(benchOp(name, ix, bs), bs)
-				}
-			})
-			nsPerOp := float64(res.T.Nanoseconds()) / float64(res.N)
-			mpairs := float64(pairs) / nsPerOp * 1e3
-			perBatch[bs] = mpairs
-			out.Benchmarks = append(out.Benchmarks, execBenchRecord{
-				Operator:     name,
-				BatchSize:    bs,
-				NsPerOp:      nsPerOp,
-				PairsPerOp:   pairs,
-				MPairsPerSec: mpairs,
-			})
-			t.Logf("%s batch=%d: %.0f ns/op, %d pairs, %.1f Mpairs/s", name, bs, nsPerOp, pairs, mpairs)
-		}
-		out.Speedup[name] = perBatch[1024] / perBatch[1]
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_exec.json", append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
 }

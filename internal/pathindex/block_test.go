@@ -89,7 +89,7 @@ func TestBlocksSizeLargerThanRelation(t *testing.T) {
 	}
 	a, _ := g.LookupLabel("a")
 	p := Path{graph.Fwd(a), graph.Inv(a)}
-	want := collect(Scan(ix, p))
+	want := collect(ix.Relation(p))
 	if len(want) == 0 {
 		t.Fatal("test relation is empty")
 	}
@@ -112,7 +112,7 @@ func TestBlocksChunkingAndZeroCopy(t *testing.T) {
 	a, _ := g.LookupLabel("a")
 	b, _ := g.LookupLabel("b")
 	for _, p := range []Path{{graph.Fwd(a)}, {graph.Fwd(a), graph.Fwd(b)}, {graph.Inv(b), graph.Fwd(a)}} {
-		want := collect(Scan(ix, p))
+		want := collect(ix.Relation(p))
 		for _, size := range []int{1, 3, 7, 64, 0 /* clamps to 1 */} {
 			got := collectBlocks(ix.Blocks(p).Sized(size))
 			if !pairsEqual(got, want) {
@@ -132,7 +132,7 @@ func TestBlocksChunkingAndZeroCopy(t *testing.T) {
 	}
 }
 
-func TestSrcRangeMatchesScanFrom(t *testing.T) {
+func TestSrcRangeMatchesRelation(t *testing.T) {
 	g := blockGraph(4, 25, 100)
 	ix, err := Build(g, 2, BuildOptions{})
 	if err != nil {
@@ -141,17 +141,13 @@ func TestSrcRangeMatchesScanFrom(t *testing.T) {
 	a, _ := g.LookupLabel("a")
 	b, _ := g.LookupLabel("b")
 	for _, p := range []Path{{graph.Fwd(a)}, {graph.Fwd(b), graph.Inv(a)}} {
+		bySrc := map[graph.NodeID][]Pair{}
+		for _, pr := range collect(ix.Relation(p)) {
+			bySrc[pr.Src] = append(bySrc[pr.Src], pr)
+		}
 		for src := 0; src < g.NumNodes(); src++ {
-			want := collect(ScanFrom(ix, p, graph.NodeID(src)))
-			rng := ix.SrcRange(p, graph.NodeID(src))
-			got := make([]Pair, len(rng))
-			for i, pr := range rng {
-				got[i] = pr.Pair()
-				if pr.Src() != graph.NodeID(src) {
-					t.Fatalf("SrcRange(%s, %d) contains pair with src %d", p.Format(g), src, pr.Src())
-				}
-			}
-			if !pairsEqual(got, want) {
+			got := collect(ix.SrcRange(p, graph.NodeID(src)))
+			if want := bySrc[graph.NodeID(src)]; !pairsEqual(got, want) {
 				t.Errorf("SrcRange(%s, %d) = %v, want %v", p.Format(g), src, got, want)
 			}
 		}

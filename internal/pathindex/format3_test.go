@@ -44,8 +44,8 @@ func assertSameIndex(t *testing.T, g *graph.Graph, a, b dirStorage) {
 			}
 		}
 		for src := 0; src < g.NumNodes(); src += 7 {
-			if !pairsEqual(collect(ScanFrom(a, p, graph.NodeID(src))), collect(ScanFrom(b, p, graph.NodeID(src)))) {
-				t.Errorf("path %s: ScanFrom(%d) differs", p.Format(g), src)
+			if !pairsEqual(collect(a.SrcRange(p, graph.NodeID(src))), collect(b.SrcRange(p, graph.NodeID(src)))) {
+				t.Errorf("path %s: SrcRange(%d) differs", p.Format(g), src)
 			}
 		}
 		bi := b.Blocks(p).Sized(16)
@@ -213,7 +213,7 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	knows, _ := g.LookupLabel("knows")
 	p := Path{graph.Fwd(knows), graph.Fwd(knows)}
-	if !pairsEqual(collect(Scan(loaded, p)), collect(Scan(orig, p))) {
+	if !pairsEqual(collect(loaded.Relation(p)), collect(orig.Relation(p))) {
 		t.Error("knows/knows differs after file round trip")
 	}
 	if _, err := Load(filepath.Join(t.TempDir(), "missing.pidx"), g); err == nil {
@@ -222,7 +222,7 @@ func TestSaveLoadFile(t *testing.T) {
 }
 
 func TestSerializedQueriesAfterLoad(t *testing.T) {
-	// A loaded index must serve ScanFrom exactly like the original for
+	// A loaded index must serve SrcRange exactly like the original for
 	// every source, not just the sample assertSameIndex probes.
 	r := rand.New(rand.NewSource(31))
 	g := randomGraph(r, 20, 50, 2)
@@ -236,10 +236,10 @@ func TestSerializedQueriesAfterLoad(t *testing.T) {
 	}
 	orig.AllPaths(func(id uint32, p Path, count int) {
 		for src := 0; src < g.NumNodes(); src++ {
-			a := collect(ScanFrom(orig, p, graph.NodeID(src)))
-			b := collect(ScanFrom(loaded, p, graph.NodeID(src)))
+			a := collect(orig.SrcRange(p, graph.NodeID(src)))
+			b := collect(loaded.SrcRange(p, graph.NodeID(src)))
 			if !pairsEqual(a, b) {
-				t.Errorf("ScanFrom(%s, %d) differs", p.Format(g), src)
+				t.Errorf("SrcRange(%s, %d) differs", p.Format(g), src)
 			}
 		}
 	})

@@ -321,36 +321,6 @@ func (ix *Index) SrcRange(p Path, src graph.NodeID) []Packed {
 	return srcRangeOf(ix.Relation(p), src)
 }
 
-// PairIterator streams the pairs of one label path in (src,dst) order.
-// It remains as the tuple-at-a-time view over the same sorted runs the
-// block API exposes; the batched executor uses Blocks instead.
-type PairIterator struct {
-	rel []Packed
-	i   int
-}
-
-// Next returns the next pair, with ok=false at exhaustion.
-func (pi *PairIterator) Next() (Pair, bool) {
-	if pi.i >= len(pi.rel) {
-		return Pair{}, false
-	}
-	pr := pi.rel[pi.i]
-	pi.i++
-	return pr.Pair(), true
-}
-
-// Scan returns an iterator over p(G) in (src,dst) order. Scanning an
-// unindexed path yields an empty iterator.
-func Scan(s Storage, p Path) *PairIterator {
-	return &PairIterator{rel: s.Relation(p)}
-}
-
-// ScanFrom returns an iterator over the pairs of p with Src == src, in
-// dst order.
-func ScanFrom(s Storage, p Path, src graph.NodeID) *PairIterator {
-	return &PairIterator{rel: s.SrcRange(p, src)}
-}
-
 // Contains reports whether (src,dst) ∈ p(G): the paper's full-key
 // I_{G,k}(⟨p, a, b⟩) lookup, a binary search on the sorted run.
 func (ix *Index) Contains(p Path, src, dst graph.NodeID) bool {

@@ -41,15 +41,13 @@ func bruteRelation(g *graph.Graph, p Path) []Pair {
 	return out
 }
 
-func collect(it *PairIterator) []Pair {
+// collect unpacks a run for comparison.
+func collect(rel []Packed) []Pair {
 	var out []Pair
-	for {
-		pr, ok := it.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, pr)
+	for _, pr := range rel {
+		out = append(out, pr.Pair())
 	}
+	return out
 }
 
 func pairsEqual(a, b []Pair) bool {
@@ -104,19 +102,19 @@ func TestBuildTinyGraph(t *testing.T) {
 	y, _ := g.LookupNode("y")
 	z, _ := g.LookupNode("z")
 
-	got := collect(Scan(ix, Path{graph.Fwd(l)}))
+	got := collect(ix.Relation(Path{graph.Fwd(l)}))
 	want := []Pair{{x, y}, {y, z}}
 	sort.Slice(want, func(i, j int) bool { return want[i].Src < want[j].Src })
 	if !pairsEqual(got, want) {
 		t.Errorf("l relation = %v, want %v", got, want)
 	}
 
-	got = collect(Scan(ix, Path{graph.Fwd(l), graph.Fwd(l)}))
+	got = collect(ix.Relation(Path{graph.Fwd(l), graph.Fwd(l)}))
 	if !pairsEqual(got, []Pair{{x, z}}) {
 		t.Errorf("l/l relation = %v, want [(x,z)]", got)
 	}
 
-	got = collect(Scan(ix, Path{graph.Fwd(l), graph.Inv(l)}))
+	got = collect(ix.Relation(Path{graph.Fwd(l), graph.Inv(l)}))
 	// x -l-> y <-l- x and y -l-> z <-l- y: {(x,x),(y,y)}.
 	if !pairsEqual(got, []Pair{{x, x}, {y, y}}) {
 		t.Errorf("l/l^- relation = %v", got)
@@ -140,7 +138,7 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 	checked := 0
 	ix.AllPaths(func(id uint32, p Path, count int) {
 		want := bruteRelation(g, p)
-		got := collect(Scan(ix, p))
+		got := collect(ix.Relation(p))
 		if !pairsEqual(got, want) {
 			t.Errorf("path %s: index %d pairs, brute %d pairs", p.Format(g), len(got), len(want))
 		}
@@ -157,7 +155,7 @@ func TestIndexMatchesBruteForce(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		p := Path{dirs[r.Intn(len(dirs))], dirs[r.Intn(len(dirs))], dirs[r.Intn(len(dirs))]}
 		want := bruteRelation(g, p)
-		got := collect(Scan(ix, p))
+		got := collect(ix.Relation(p))
 		if !pairsEqual(got, want) {
 			t.Errorf("sampled path %s: got %d pairs, want %d", p.Format(g), len(got), len(want))
 		}
@@ -185,13 +183,13 @@ func TestDerivedInversesMatchRecomputed(t *testing.T) {
 		t.Error("NoDerivedInverses still derived relations")
 	}
 	fast.AllPaths(func(id uint32, p Path, count int) {
-		if got := collect(Scan(slow, p)); !pairsEqual(got, collect(Scan(fast, p))) {
+		if got := collect(slow.Relation(p)); !pairsEqual(got, collect(fast.Relation(p))) {
 			t.Errorf("path %s differs between build modes", p.Format(g))
 		}
 	})
 }
 
-func TestScanFromAndContains(t *testing.T) {
+func TestSrcRangeAndContains(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	g := randomGraph(r, 20, 40, 2)
 	ix, err := Build(g, 2, BuildOptions{})
@@ -199,21 +197,21 @@ func TestScanFromAndContains(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix.AllPaths(func(id uint32, p Path, count int) {
-		all := collect(Scan(ix, p))
+		all := collect(ix.Relation(p))
 		bySrc := map[graph.NodeID][]Pair{}
 		for _, pr := range all {
 			bySrc[pr.Src] = append(bySrc[pr.Src], pr)
 		}
 		for src, want := range bySrc {
-			got := collect(ScanFrom(ix, p, src))
+			got := collect(ix.SrcRange(p, src))
 			if !pairsEqual(got, want) {
-				t.Errorf("ScanFrom(%s,%d) = %v, want %v", p.Format(g), src, got, want)
+				t.Errorf("SrcRange(%s,%d) = %v, want %v", p.Format(g), src, got, want)
 			}
 		}
 		// A source with no pairs yields empty.
 		if len(bySrc[graph.NodeID(19)]) == 0 {
-			if got := collect(ScanFrom(ix, p, 19)); len(got) != 0 {
-				t.Errorf("ScanFrom empty source returned %v", got)
+			if got := collect(ix.SrcRange(p, 19)); len(got) != 0 {
+				t.Errorf("SrcRange of an empty source returned %v", got)
 			}
 		}
 		for _, pr := range all[:min(3, len(all))] {
@@ -222,13 +220,13 @@ func TestScanFromAndContains(t *testing.T) {
 			}
 		}
 	})
-	// Unknown path scans are empty.
+	// Unknown paths are empty.
 	bogus := Path{graph.DirLabel(9999)}
-	if got := collect(Scan(ix, bogus)); len(got) != 0 {
-		t.Errorf("unknown path scan returned %v", got)
+	if got := collect(ix.Relation(bogus)); len(got) != 0 {
+		t.Errorf("unknown path Relation returned %v", got)
 	}
-	if got := collect(ScanFrom(ix, bogus, 0)); len(got) != 0 {
-		t.Errorf("unknown path ScanFrom returned %v", got)
+	if got := collect(ix.SrcRange(bogus, 0)); len(got) != 0 {
+		t.Errorf("unknown path SrcRange returned %v", got)
 	}
 	if ix.Contains(bogus, 0, 0) {
 		t.Error("unknown path Contains = true")
@@ -352,7 +350,7 @@ func TestExample31PrefixLookups(t *testing.T) {
 	kim, _ := g.LookupNode("kim")
 
 	// I(kkw, jan) = ⟨ada, jan, kim⟩ in target order.
-	got := collect(ScanFrom(ix, kkw, jan))
+	got := collect(ix.SrcRange(kkw, jan))
 	wantDsts := []graph.NodeID{ada, jan, kim}
 	sort.Slice(wantDsts, func(i, j int) bool { return wantDsts[i] < wantDsts[j] })
 	if len(got) != 3 {
@@ -382,7 +380,7 @@ func TestSection22FirstExample(t *testing.T) {
 	sup, _ := g.LookupLabel("supervisor")
 	wf, _ := g.LookupLabel("worksFor")
 	p := Path{graph.Fwd(sup), graph.Inv(wf)}
-	got := collect(Scan(ix, p))
+	got := collect(ix.Relation(p))
 	kim, _ := g.LookupNode("kim")
 	sue, _ := g.LookupNode("sue")
 	if !pairsEqual(got, []Pair{{kim, sue}}) {
@@ -489,25 +487,6 @@ func BenchmarkBuildK2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Build(g, 2, BuildOptions{SkipPathsKCount: true}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkScan(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	g := randomGraph(r, 500, 2000, 3)
-	ix, err := Build(g, 2, BuildOptions{SkipPathsKCount: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := ix.PathByID(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it := Scan(ix, p)
-		for {
-			if _, ok := it.Next(); !ok {
-				break
-			}
 		}
 	}
 }

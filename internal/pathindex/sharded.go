@@ -7,12 +7,12 @@
 // The invariant that makes this work is the same one behind SrcRange:
 // relations are sorted by (src, dst), so restricting a run to a set of
 // sources yields a sub-run that is still sorted and still disjoint from
-// every other shard's sub-run. Per-source lookups (SrcRange, ScanFrom,
-// Contains, and so the bound scans and probe joins of single-source
-// plans) route to the single owning shard; whole-relation reads
-// (Relation, Blocks) merge the per-shard runs back together. The
-// executor needs no global order and avoids that: it concatenates the
-// per-shard scans, and runs each merge join per shard.
+// every other shard's sub-run. Per-source lookups (SrcRange, Contains,
+// and so the bound scans and probe joins of single-source plans) route
+// to the single owning shard; whole-relation reads (Relation, Blocks)
+// merge the per-shard runs back together. The executor needs no global
+// order and avoids that: it concatenates the per-shard scans, and runs
+// each merge join per shard.
 //
 // Sharding is an execution-layout choice, not a semantic one: a
 // ShardedStorage answers every Storage query identically to the

@@ -149,8 +149,7 @@ func TestStreamWithReusesNamesBuffer(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		run() // warm the plan cache
-		return testing.AllocsPerRun(20, run), batches
+		return testing.AllocsPerRun(20, run), batches // runs once to warm up first
 	}
 	one, oneBatches := allocs(build(1000))
 	many, manyBatches := allocs(build(40000))
