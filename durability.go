@@ -334,7 +334,7 @@ func replayWAL(e *core.Engine, dir string, recs []wal.Record, after uint64) (_ *
 			if lerr != nil {
 				continue // corrupt or missing spill: try a narrower one, then replay
 			}
-			tier := pathindex.NewSpilledTier(ix, g2, sr.FromSeq, sr.ToSeq, sr.File)
+			tier := pathindex.NewSpilledTier(ix, sr.FromSeq, sr.ToSeq, sr.File)
 			ne, perr := e.PushRecoveredTier(tier, g2)
 			if perr != nil {
 				continue

@@ -8,8 +8,8 @@ import (
 )
 
 // This file is the engine side of live graph updates. An Engine is
-// immutable, so updates are functional: ApplyBatch computes a
-// pathindex.Delta for the new edges off-line — the serving engine keeps
+// immutable, so updates are functional: ApplyBatch computes the index
+// delta of the new edges off-line — the serving engine keeps
 // answering over the old snapshot throughout — and returns a successor
 // engine (epoch+1) whose storage is a pathindex.Levels stack: the same
 // immutable base index plus the accumulated update tiers, with the

@@ -205,7 +205,7 @@ func Build(p *plan.Plan, ix pathindex.Storage, opts BuildOptions) (Operator, err
 // duplicate-free, not even over Distincts.
 func duplicateFree(op Operator) bool {
 	switch op.(type) {
-	case *IndexScan, *MergeUnionScan, *ConcatScan, *IdentityScan,
+	case *IndexScan, *ConcatScan, *IdentityScan,
 		*StreamClosure, *Distinct, *UnionDistinct:
 		return true
 	}
@@ -332,26 +332,13 @@ type IndexScan struct {
 	swap   bool
 }
 
-// runBlocksProvider is the optional storage interface of the update
-// overlay (pathindex.Levels): a relation split into a base-run block
-// iterator and a disjoint sorted delta run. Scans over such storage
-// merge the two at scan time instead of materializing the union, and
-// because the base arrives block-wise, a block-compressed base decodes
-// on scan instead of eagerly.
-type runBlocksProvider interface {
-	RunBlocks(p pathindex.Path) (base *pathindex.BlockIterator, delta []pathindex.Packed)
-}
-
-// newSegmentScan builds the scan operator for one segment: a plain
-// IndexScan over single-run storage (which decodes block-by-block over
-// compressed storage, via Storage.Blocks), or a merge-union scan when
-// the storage carries a non-empty delta run for the (possibly inverted)
-// physical path.
+// newSegmentScan builds the scan operator for one segment: over
+// sharded storage, the concatenation of the per-shard scans; otherwise
+// an IndexScan over the storage's blocks (Storage.Blocks decodes a
+// compressed run block by block and merges a tier stack's runs).
 func newSegmentScan(ix pathindex.Storage, segment pathindex.Path, inverted bool) Operator {
 	if sh, ok := pathindex.AsSharded(ix); ok {
-		// A global scan over sharded storage concatenates the per-shard
-		// scans — each recurses here and so keeps its own base+delta merge
-		// and block decoding. One shard's scan is the whole, sorted run.
+		// One shard's scan is the whole, sorted run.
 		n := sh.Partitioner().NumShards()
 		if n == 1 {
 			return newSegmentScan(sh.Shard(0), segment, inverted)
@@ -361,17 +348,6 @@ func newSegmentScan(ix pathindex.Storage, segment pathindex.Path, inverted bool)
 			kids[i] = newSegmentScan(sh.Shard(i), segment, inverted)
 		}
 		return &ConcatScan{kids: kids}
-	}
-	p := segment
-	if inverted {
-		p = segment.Inverse()
-	}
-	if rb, ok := ix.(runBlocksProvider); ok {
-		base, delta := rb.RunBlocks(p)
-		if len(delta) > 0 {
-			return NewMergeUnionBlockScan(base, delta, inverted)
-		}
-		return &IndexScan{blocks: base, swap: inverted}
 	}
 	return NewIndexScan(ix, segment, inverted)
 }
@@ -424,76 +400,6 @@ func (s *IndexScan) NextBatch(buf []Pair) int {
 
 // Name implements Operator.
 func (s *IndexScan) Name() string { return "index-scan" }
-
-// MergeUnionScan streams the merge-union of a base run and a delta run —
-// the two sorted, disjoint halves of one relation under a delta overlay
-// (incremental updates layered over an immutable base index). The merge
-// happens directly into the batch buffer, so downstream operators see
-// exactly the stream a single-run scan of the materialized union would
-// produce: sorted by (src,dst) packed order, or by target order under
-// swap, preserving the orderings the merge joins rely on.
-type MergeUnionScan struct {
-	opBase
-	base, delta []pathindex.Packed
-	i, j        int
-	blocks      *pathindex.BlockIterator // non-nil: base arrives block-wise
-	swap        bool
-}
-
-// NewMergeUnionBlockScan returns a merge-union scan over two sorted
-// disjoint runs. The base run is pulled from a block iterator — over
-// compressed storage each base block is decoded only as the merge
-// reaches it — and the delta run is a sorted slice. With swap=true the
-// caller passes the runs of the inverse path and pairs are emitted with
-// components exchanged (the inverted scan of merge-join plans).
-func NewMergeUnionBlockScan(blocks *pathindex.BlockIterator, delta []pathindex.Packed, swap bool) *MergeUnionScan {
-	return &MergeUnionScan{blocks: blocks, delta: delta, swap: swap}
-}
-
-// fillBase ensures the base cursor points at base pairs if any remain,
-// pulling the next block in block mode. (Decoded blocks are valid until
-// the next pull, and the merge fully consumes one before advancing.)
-func (s *MergeUnionScan) fillBase() {
-	for s.i == len(s.base) && s.blocks != nil {
-		s.base = s.blocks.Next()
-		s.i = 0
-		if len(s.base) == 0 {
-			s.blocks = nil
-		}
-	}
-}
-
-// NextBatch implements Operator.
-func (s *MergeUnionScan) NextBatch(buf []Pair) int {
-	if cancelled(s.ctx) {
-		return 0
-	}
-	n := 0
-	for n < len(buf) {
-		s.fillBase()
-		var pr pathindex.Packed
-		switch {
-		case s.i < len(s.base) && (s.j >= len(s.delta) || s.base[s.i] < s.delta[s.j]):
-			pr = s.base[s.i]
-			s.i++
-		case s.j < len(s.delta):
-			pr = s.delta[s.j]
-			s.j++
-		default:
-			return s.emit(n)
-		}
-		if s.swap {
-			buf[n] = Pair{Src: pr.Dst(), Dst: pr.Src()}
-		} else {
-			buf[n] = Pair{Src: pr.Src(), Dst: pr.Dst()}
-		}
-		n++
-	}
-	return s.emit(n)
-}
-
-// Name implements Operator.
-func (s *MergeUnionScan) Name() string { return "merge-union-scan" }
 
 // IdentityScan emits (n, n) for every node of the graph, realizing the ε
 // disjunct.

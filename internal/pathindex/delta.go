@@ -1,8 +1,9 @@
 // This file implements incremental index maintenance (the package
-// comment lives in path.go): a Delta holds, for every label path of
-// length at most k, the sorted run of pairs that a batch of new edges
-// adds to the path's relation, and a Levels stack serves base + deltas as
-// one consistent Storage without rebuilding the base.
+// comment lives in path.go): BuildDelta computes, for every label path
+// of length at most k, the sorted run of pairs that a batch of new edges
+// adds to the path's relation — an ordinary *Index of those runs — and a
+// Levels stack serves base + deltas as one consistent Storage without
+// rebuilding the base.
 //
 // The delta is computed level-wise by the standard delta-join
 // decomposition. Writing p' = p ∪ Δp for relations over the successor
@@ -29,61 +30,6 @@ import (
 
 	"repro/internal/graph"
 )
-
-// DeltaStats records delta construction metrics.
-type DeltaStats struct {
-	NewEdges     int           // distinct new (label, src, dst) edges in the batch
-	Entries      int           // total new ⟨path,src,dst⟩ entries across all runs
-	DeltaPaths   int           // label paths with non-empty delta runs
-	DerivedPaths int           // delta runs derived from their inverse by swapping
-	Duration     time.Duration // wall-clock delta build time
-}
-
-// Delta is the per-path increment of one update batch over a base index:
-// for each label path p of length ≤ k, the sorted packed run of pairs in
-// p(G') but not in p(G). Runs are disjoint from the base relations by
-// construction, so merging a base run with its delta run needs no
-// deduplication. A Delta is immutable once built.
-type Delta struct {
-	g     *graph.Graph // the successor graph G'
-	k     int
-	rels  [][]Packed        // delta path id -> sorted new-pair run (non-empty)
-	paths []Path            // delta path id -> path
-	ids   map[string]uint32 // Path.Key() -> delta path id
-	stats DeltaStats
-}
-
-// Graph returns the successor graph the delta was computed against.
-func (d *Delta) Graph() *graph.Graph { return d.g }
-
-// K returns the locality parameter (matches the base index).
-func (d *Delta) K() int { return d.k }
-
-// Stats returns delta construction metrics.
-func (d *Delta) Stats() DeltaStats { return d.stats }
-
-// NumEntries returns the total number of new index entries.
-func (d *Delta) NumEntries() int { return d.stats.Entries }
-
-// Run returns the delta run of p (nil when the batch adds nothing to p).
-func (d *Delta) Run(p Path) []Packed {
-	if id, ok := d.ids[p.Key()]; ok {
-		return d.rels[id]
-	}
-	return nil
-}
-
-func (d *Delta) add(p Path, rel []Packed) {
-	if len(rel) == 0 {
-		return
-	}
-	id := uint32(len(d.paths))
-	d.paths = append(d.paths, p)
-	d.ids[p.Key()] = id
-	d.rels = append(d.rels, rel)
-	d.stats.Entries += len(rel)
-	d.stats.DeltaPaths++
-}
 
 // srcRangeOf returns the contiguous sub-run of rel with Src == src, by
 // binary search (SrcRange for a bare run instead of an indexed path).
@@ -118,7 +64,15 @@ func diffSorted(a, b []Packed) []Packed {
 // produced by G.ExtendFrozen (node and label identifiers of G must be
 // preserved). The new edges themselves are recovered by diffing the two
 // graphs' edge relations, so callers only hand over the graphs.
-func BuildDelta(base Storage, g2 *graph.Graph) (*Delta, error) {
+//
+// The increment is a heap *Index over g2 holding, for each label path p
+// of length ≤ k, the sorted run of pairs in p(G') but not in p(G); paths
+// the batch adds nothing to are absent. The runs are disjoint from the
+// base relations by construction, so merging a base run with its delta
+// run needs no deduplication. The index's PathsKCount is the number of
+// distinct non-identity pairs its runs relate — the increment's share
+// of the stack's |paths_k| (see NewTier) — counted here, once.
+func BuildDelta(base Storage, g2 *graph.Graph) (*Index, error) {
 	g := base.Graph()
 	if !g2.Frozen() {
 		return nil, fmt.Errorf("pathindex: BuildDelta requires a frozen successor graph")
@@ -133,7 +87,7 @@ func BuildDelta(base Storage, g2 *graph.Graph) (*Delta, error) {
 	}
 	start := time.Now()
 	k := base.K()
-	d := &Delta{g: g2, k: k, ids: map[string]uint32{}}
+	d := newIndex(g2, k)
 
 	dirs := g2.DirLabels()
 
@@ -161,10 +115,9 @@ func BuildDelta(base Storage, g2 *graph.Graph) (*Delta, error) {
 		edgeDelta[dl] = diffSorted(newRel, baseRel)
 	}
 	for _, dl := range dirs {
-		if !dl.IsInverse() {
-			d.stats.NewEdges += len(edgeDelta[dl])
+		if len(edgeDelta[dl]) > 0 {
+			d.addRun(Path{dl}, edgeDelta[dl])
 		}
-		d.add(Path{dl}, edgeDelta[dl])
 	}
 
 	// basePathsByLen[n] lists the base paths of length n+1, so each level
@@ -180,7 +133,7 @@ func BuildDelta(base Storage, g2 *graph.Graph) (*Delta, error) {
 	prev := levelPaths(d, basePathsByLen[0], 1)
 	for level := 2; level <= k; level++ {
 		for _, p := range prev {
-			dp := d.Run(p)
+			dp := d.Relation(p)
 			pinv := p.Inverse()
 			for _, dl := range dirs {
 				ed := edgeDelta[dl]
@@ -194,7 +147,7 @@ func BuildDelta(base Storage, g2 *graph.Graph) (*Delta, error) {
 				// Derive from the inverse delta when it is already
 				// computed, as the base builder does for full relations.
 				if invID, ok := d.ids[q.Inverse().Key()]; ok {
-					d.add(q, swapRelation(d.rels[invID]))
+					d.addRun(q, swapRelation(d.relations[invID]))
 					d.stats.DerivedPaths++
 					continue
 				}
@@ -232,13 +185,16 @@ func BuildDelta(base Storage, g2 *graph.Graph) (*Delta, error) {
 				if len(rel)*2 < cap(rel) {
 					rel = slices.Clone(rel)
 				}
-				d.add(q, rel)
+				if len(rel) > 0 {
+					d.addRun(q, rel)
+				}
 			}
 		}
 		if level < k {
 			prev = levelPaths(d, basePathsByLen[level-1], level)
 		}
 	}
+	d.stats.PathsKCount = countDistinctPairs(d.relations, 0)
 	d.stats.Duration = time.Since(start)
 	return d, nil
 }
@@ -258,14 +214,14 @@ func packEdges(es []graph.Edge) []Packed {
 // levelPaths returns the distinct paths of the given length that are
 // present in the base (basePaths) or have delta runs: the frontier the
 // next composition level extends.
-func levelPaths(d *Delta, basePaths []Path, length int) []Path {
+func levelPaths(d *Index, basePaths []Path, length int) []Path {
 	out := slices.Clone(basePaths)
 	seen := make(map[string]bool, len(out))
 	for _, p := range out {
 		seen[p.Key()] = true
 	}
-	for id, p := range d.paths {
-		if len(p) == length && len(d.rels[id]) > 0 && !seen[p.Key()] {
+	for _, p := range d.paths {
+		if len(p) == length && !seen[p.Key()] {
 			seen[p.Key()] = true
 			out = append(out, p)
 		}

@@ -1,10 +1,13 @@
 package pathindex
 
 import (
+	"io"
 	"math/rand"
+	"path/filepath"
 	"slices"
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/graph"
 )
 
@@ -87,13 +90,17 @@ func checkStorageEqual(t *testing.T, got dirStorage, oracle *Index) {
 		if rel := got.Relation(p); !slices.Equal(rel, want) {
 			t.Fatalf("Relation(%v) differs: got %d pairs, oracle %d", p, len(rel), len(want))
 		}
-		var viaBlocks []Packed
-		bi := got.Blocks(p).Sized(7)
-		for blk := bi.Next(); blk != nil; blk = bi.Next() {
-			viaBlocks = append(viaBlocks, blk...)
-		}
-		if !slices.Equal(viaBlocks, want) {
-			t.Fatalf("Blocks(%v) differs from oracle relation", p)
+		// Odd and unit block sizes put block boundaries inside every
+		// stretch a merged scan copies.
+		for _, size := range []int{1, 7, DefaultBlockSize} {
+			var viaBlocks []Packed
+			bi := got.Blocks(p).Sized(size)
+			for blk := bi.Next(); blk != nil; blk = bi.Next() {
+				viaBlocks = append(viaBlocks, blk...)
+			}
+			if !slices.Equal(viaBlocks, want) {
+				t.Fatalf("Blocks(%v).Sized(%d) differs from oracle relation", p, size)
+			}
 		}
 		for src := 0; src < oracle.Graph().NumNodes(); src += 3 {
 			a := got.SrcRange(p, graph.NodeID(src))
@@ -123,15 +130,7 @@ func TestDeltaTierMatchesRebuild(t *testing.T) {
 		for _, k := range []int{1, 2, 3} {
 			ls, oracle := applyTier(t, base, batch, full, k)
 			checkStorageEqual(t, ls, oracle)
-			// Delta runs must be disjoint from base runs.
-			oracle.AllPaths(func(id uint32, p Path, count int) {
-				baseRun, deltaRun := ls.RunPair(p)
-				for _, pr := range deltaRun {
-					if _, found := slices.BinarySearch(baseRun, pr); found {
-						t.Fatalf("k=%d: delta run of %v repeats base pair %v", k, p, pr)
-					}
-				}
-			})
+			checkTiersDisjoint(t, ls)
 			// The fold must also equal the rebuild; its |paths_k| is the
 			// stack's upper bound carried over, never below the exact count.
 			folded := ls.Compacted().(*Index)
@@ -141,6 +140,58 @@ func TestDeltaTierMatchesRebuild(t *testing.T) {
 			}
 		}
 	}
+}
+
+// checkTiersDisjoint asserts the contract Levels' merges rely on: no
+// path's merged tier run repeats a pair of its base run.
+func checkTiersDisjoint(t *testing.T, ls *Levels) {
+	t.Helper()
+	ls.AllPaths(func(id uint32, p Path, _ int) {
+		if id >= uint32(ls.numBase) {
+			return
+		}
+		base := ls.base.Relation(p)
+		for _, pr := range ls.mergedRun(id) {
+			if _, found := slices.BinarySearch(base, pr); found {
+				t.Fatalf("tier run of %v repeats base pair %v", p, pr)
+			}
+		}
+	})
+}
+
+// TestLevelsOverV3Base stacks tiers over a saved and reopened v3 base,
+// whose blocks are decoded into one reused buffer while Levels.Blocks
+// merges the tier runs into them; some runs span several on-disk
+// blocks, so the merge crosses decode boundaries.
+func TestLevelsOverV3Base(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	base, full, batch := extendRandom(r, 150, 600, []string{"a", "b"}, 0.05)
+	const k = 3
+	ix, err := Build(base, k, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi := false
+	ix.AllPaths(func(_ uint32, _ Path, count int) { multi = multi || count > v3BlockPairs })
+	if !multi {
+		t.Fatalf("no base run spans more than one %d-pair block", v3BlockPairs)
+	}
+	path := filepath.Join(t.TempDir(), "base.pix")
+	if err := ix.SaveV3(path); err != nil {
+		t.Fatal(err)
+	}
+	v3, err := OpenStorage(path, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer v3.(io.Closer).Close()
+	oracle, err := Build(full, k, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ls := pushChunks(t, v3, batch, 3)
+	checkStorageEqual(t, ls, oracle)
+	checkTiersDisjoint(t, ls)
 }
 
 func TestDeltaNewNodesAndLabels(t *testing.T) {
@@ -209,8 +260,8 @@ func TestDeltaEmptyBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	ls := pushChunks(t, ix, nil, 1)
-	if d := ls.Tiers()[0].delta; d.NumEntries() != 0 || d.Stats().NewEdges != 0 {
-		t.Errorf("empty batch produced %d entries / %d new edges", d.NumEntries(), d.Stats().NewEdges)
+	if d := ls.Tiers()[0].ix; d.NumEntries() != 0 || d.NumLabelPaths() != 0 || d.PathsKCount() != 0 {
+		t.Errorf("empty batch produced %d entries over %d paths, %d pairs", d.NumEntries(), d.NumLabelPaths(), d.PathsKCount())
 	}
 	if ls.DeltaEntries() != 0 || ls.DeltaRatio() != 0 {
 		t.Errorf("empty tier reports delta entries %d ratio %v", ls.DeltaEntries(), ls.DeltaRatio())
@@ -236,5 +287,59 @@ func TestDeltaRejectsMismatchedGraphs(t *testing.T) {
 	unfrozen.AddEdge("x", "a", "y")
 	if _, err := BuildDelta(ix, unfrozen); err == nil {
 		t.Error("BuildDelta accepted an unfrozen successor")
+	}
+}
+
+// BenchmarkBuildDelta times one BuildDelta of a 16-edge batch over a
+// k=3 index of the Advogato stand-in at scale 0.1, for three bases: the
+// heap index, the same index saved and reopened as a v3 file, and a
+// four-tier Levels stack over the heap index. Over the v3 base every
+// membership test of the delta's subtraction step decodes a whole
+// on-disk block, which is what separates its time from the heap's.
+func BenchmarkBuildDelta(b *testing.B) {
+	const batchEdges = 16
+	g := datasets.AdvogatoScaled(1, 0.1)
+	ix, err := Build(g, 3, BuildOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "base.pix")
+	if err := ix.SaveV3(path); err != nil {
+		b.Fatal(err)
+	}
+	v3, err := OpenStorage(path, g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer v3.(io.Closer).Close()
+	r := rand.New(rand.NewSource(1))
+	randomBatch := func(n int) []graph.LabeledEdge {
+		batch := make([]graph.LabeledEdge, n)
+		for i := range batch {
+			batch[i] = graph.LabeledEdge{
+				Src:   g.NodeName(graph.NodeID(r.Intn(g.NumNodes()))),
+				Label: g.LabelName(graph.LabelID(r.Intn(g.NumLabels()))),
+				Dst:   g.NodeName(graph.NodeID(r.Intn(g.NumNodes()))),
+			}
+		}
+		return batch
+	}
+	stack := pushChunks(b, ix, randomBatch(4*batchEdges), 4)
+	batch := randomBatch(batchEdges)
+	for _, base := range []struct {
+		name string
+		s    Storage
+	}{{"heap", ix}, {"v3", v3}, {"levels", stack}} {
+		b.Run(base.name, func(b *testing.B) {
+			g2, err := base.s.Graph().ExtendFrozen(batch)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for b.Loop() {
+				if _, err := BuildDelta(base.s, g2); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -12,34 +12,32 @@ import (
 	"repro/internal/graph"
 )
 
-// Tier is one frozen update increment in a Levels stack: the Delta of
-// one batch (or of several adjacent batches folded together by tier
-// merging), tagged with the inclusive WAL sequence range it covers and,
-// once persisted, the name of its spill file. The delta payload and its
-// pair count are immutable; the spill marker is set at most once, after
-// the v3 run file is durable, and is metadata only — serving never reads
-// it.
+// Tier is one frozen update increment in a Levels stack: the delta
+// index of one batch (BuildDelta), or of several adjacent batches folded
+// together by tier merging, tagged with the inclusive WAL sequence range
+// it covers and, once persisted, the name of its spill file. The runs
+// and the pair count (the index's PathsKCount) are immutable; the spill
+// marker is set at most once, after the v3 run file is durable, and is
+// metadata only — serving never reads it.
 type Tier struct {
-	delta  *Delta
-	pairs  int // the tier's share of |paths_k|: see NewTier
+	ix     *Index
 	seqLo  uint64
 	seqHi  uint64
 	spill  atomic.Pointer[string]
 	shards atomic.Pointer[[]*Tier] // shardTiers' cache
 }
 
-// NewTier wraps a freshly built delta as a tier covering the given
-// inclusive sequence range (lo == hi for a single batch; 0,0 for
-// non-durable stacks that do not track sequence numbers). It counts the
-// delta's distinct non-identity pairs once, at O(|Δ| log |Δ|): the
-// tier's share of the stack's |paths_k|, which no later push, merge or
-// recovery step recounts.
-func NewTier(d *Delta, seqLo, seqHi uint64) *Tier {
-	return &Tier{delta: d, pairs: countDistinctPairs(d.rels, 0), seqLo: seqLo, seqHi: seqHi}
+// NewTier wraps a delta index as a tier covering the given inclusive
+// sequence range (lo == hi for a single batch; 0,0 for non-durable
+// stacks that do not track sequence numbers). The index's PathsKCount,
+// counted once by BuildDelta, is the tier's share of the stack's
+// |paths_k|, which no later push, merge or recovery step recounts.
+func NewTier(ix *Index, seqLo, seqHi uint64) *Tier {
+	return &Tier{ix: ix, seqLo: seqLo, seqHi: seqHi}
 }
 
 // Entries returns the tier's total entry count.
-func (t *Tier) Entries() int { return t.delta.NumEntries() }
+func (t *Tier) Entries() int { return t.ix.NumEntries() }
 
 // SeqLo returns the first WAL sequence number the tier covers.
 func (t *Tier) SeqLo() uint64 { return t.seqLo }
@@ -58,70 +56,46 @@ func (t *Tier) Spill() string {
 // SetSpill records that the tier's runs are durable in the named file.
 func (t *Tier) SetSpill(file string) { t.spill.Store(&file) }
 
-// SpillIndex returns the tier's delta as a standalone heap Index over
-// the tier's (successor) graph — the value WriteSpill persists. The
-// index shares the delta's immutable runs, and its |paths_k| field holds
-// the tier's pair count, so recovery adopts the count instead of
-// recounting the runs.
-func (t *Tier) SpillIndex() *Index {
-	d := t.delta
-	ix := &Index{directory: directory{g: d.g, k: d.k, paths: d.paths, ids: d.ids}, relations: d.rels}
-	ix.counts = make([]int, len(d.rels))
-	for i, rel := range d.rels {
-		ix.counts[i] = len(rel)
-	}
-	ix.stats = BuildStats{Entries: d.stats.Entries, LabelPaths: len(d.paths), PathsKCount: t.pairs}
-	return ix
-}
-
-// WriteSpill persists the tier's runs as a format-v3 index file
-// (SaveV3Atomic). The caller records the spill in the WAL (and calls
-// SetSpill) only after WriteSpill returns.
-func (t *Tier) WriteSpill(path string) error { return t.SpillIndex().SaveV3Atomic(path) }
+// WriteSpill persists the tier's index as a format-v3 file
+// (SaveV3Atomic), its pair count in the |paths_k| field. The caller
+// records the spill in the WAL (and calls SetSpill) only after
+// WriteSpill returns.
+func (t *Tier) WriteSpill(path string) error { return t.ix.SaveV3Atomic(path) }
 
 // NewSpilledTier reconstructs a tier from a heap-loaded spill index
 // (recovery's shortcut past BuildDelta). The index must have been
 // produced by WriteSpill for the same sequence range and loaded against
-// the graph as of seqHi; g is that graph (the index's own attachment
-// graph), passed explicitly so the call site states the invariant.
+// the graph as of seqHi.
 //
 // The tier adopts the pair count WriteSpill stored in the file's
 // |paths_k| field. A zero there marks a file written before spills
 // carried the count; only then are the runs recounted, which yields the
 // same value for a one-batch tier and at most the stored sum for a
 // merged one.
-func NewSpilledTier(ix *Index, g *graph.Graph, seqLo, seqHi uint64, file string) *Tier {
-	d := &Delta{g: g, k: ix.k, rels: ix.relations, paths: ix.paths, ids: ix.ids}
-	d.stats.Entries = ix.stats.Entries
-	d.stats.DeltaPaths = len(ix.paths)
-	pairs := ix.stats.PathsKCount
-	if pairs == 0 {
-		pairs = countDistinctPairs(d.rels, 0)
+func NewSpilledTier(ix *Index, seqLo, seqHi uint64, file string) *Tier {
+	if ix.stats.PathsKCount == 0 {
+		ix.stats.PathsKCount = countDistinctPairs(ix.relations, 0)
 	}
-	t := &Tier{delta: d, pairs: pairs, seqLo: seqLo, seqHi: seqHi}
+	t := NewTier(ix, seqLo, seqHi)
 	t.SetSpill(file)
 	return t
 }
 
 // shardTiers returns the tier restricted to each shard's sources under
-// part — the per-shard tiers of a stack over a sharded base. The split
-// is computed on first use and cached: a tier lives in one lineage,
-// whose partitioning never changes. Concurrent first calls may both
-// compute, which is benign (identical results, last store wins). Shard
-// tiers carry no pair count: only the global stack reports |paths_k|.
+// part — the per-shard tiers of a stack over a sharded base, split as
+// ShardIndex splits a base. The split is computed on first use and
+// cached: a tier lives in one lineage, whose partitioning never changes.
+// Concurrent first calls may both compute, which is benign (identical
+// results, last store wins). Shard tiers carry no pair count: only the
+// global stack reports |paths_k|.
 func (t *Tier) shardTiers(part Partitioner) []*Tier {
 	if p := t.shards.Load(); p != nil {
 		return *p
 	}
-	d := t.delta
-	tiers := make([]*Tier, part.NumShards())
-	for i := range tiers {
-		tiers[i] = &Tier{delta: &Delta{g: d.g, k: d.k, ids: map[string]uint32{}}, seqLo: t.seqLo, seqHi: t.seqHi}
-	}
-	for id, p := range d.paths {
-		for i, sub := range splitRun(d.rels[id], part) {
-			tiers[i].delta.add(p, sub)
-		}
+	parts := splitIndex(t.ix, part)
+	tiers := make([]*Tier, len(parts))
+	for i, ix := range parts {
+		tiers[i] = NewTier(ix, t.seqLo, t.seqHi)
 	}
 	t.shards.Store(&tiers)
 	return tiers
@@ -137,10 +111,10 @@ func (t *Tier) shardTiers(part Partitioner) []*Tier {
 // Each tier's runs are disjoint from the base and from every older tier
 // (BuildDelta subtracts against the storage it extends), so per-path
 // counts are sums and cross-tier merges need no deduplication. Reads
-// see at most base + one merged delta run per path: the union of a
-// path's tier runs is computed lazily on first access and cached, so
-// the executor's two-run merge-union scan (RunBlocks) works unchanged
-// over any number of tiers.
+// see at most base + one merged tier run per path: the union of a
+// path's tier runs is computed lazily on first access and cached, and
+// Blocks merges it into the base's blocks as it scans, so any number of
+// tiers costs a scan one extra run.
 //
 // The base may be sharded. The stack stays global — one tier list, one
 // merge / spill / fold / checkpoint lifecycle — and offers the shard
@@ -185,8 +159,8 @@ func NewLevels(base Storage, tiers []*Tier) (*Levels, error) {
 			return nil, err
 		}
 		pk = pathsKAfter(pk, base, g, t)
-		dur += t.delta.Stats().Duration
-		g = t.delta.Graph()
+		dur += t.ix.Stats().Duration
+		g = t.ix.Graph()
 	}
 	ls := newLevels(base, tiers, g)
 	ls.stats.PathsKCount = pk
@@ -197,10 +171,10 @@ func NewLevels(base Storage, tiers []*Tier) (*Levels, error) {
 // checkTier validates the i-th tier of a stack over a k-index against
 // the graph of the layers below it.
 func checkTier(i, k int, below *graph.Graph, t *Tier) error {
-	if t.delta.K() != k {
-		return fmt.Errorf("pathindex: tier %d has k=%d, base has k=%d", i, t.delta.K(), k)
+	if t.ix.K() != k {
+		return fmt.Errorf("pathindex: tier %d has k=%d, base has k=%d", i, t.ix.K(), k)
 	}
-	if t.delta.Graph().NumNodes() < below.NumNodes() {
+	if t.ix.Graph().NumNodes() < below.NumNodes() {
 		return fmt.Errorf("pathindex: tier %d graph is smaller than its predecessor", i)
 	}
 	return nil
@@ -217,7 +191,7 @@ func pathsKAfter(pk int, base Storage, below *graph.Graph, t *Tier) int {
 	if pk == 0 && base.NumEntries() > 0 {
 		return 0
 	}
-	return pk + t.pairs + t.delta.Graph().NumNodes() - below.NumNodes()
+	return pk + t.ix.PathsKCount() + t.ix.Graph().NumNodes() - below.NumNodes()
 }
 
 // newLevels builds the merged directory and the per-path tier runs of a
@@ -246,17 +220,20 @@ func newLevels(base Storage, tiers []*Tier, g *graph.Graph) *Levels {
 	return ls
 }
 
-// addRuns files a tier's runs under the directory, adding the paths the
-// stack has not seen. Only constructors call it, on a stack no reader
-// holds yet.
+// addRuns files a tier's non-empty runs under the directory, adding the
+// paths the stack has not seen. Only constructors call it, on a stack no
+// reader holds yet.
 func (ls *Levels) addRuns(t *Tier) {
-	for i, p := range t.delta.paths {
+	for i, run := range t.ix.relations {
+		if len(run) == 0 {
+			continue // a shard tier's share of a path it does not own
+		}
+		p := t.ix.paths[i]
 		id, ok := ls.ids[p.Key()]
 		if !ok {
 			id = ls.add(p, 0)
 			ls.tierRuns = append(ls.tierRuns, nil)
 		}
-		run := t.delta.rels[i]
 		ls.tierRuns[id] = append(ls.tierRuns[id], run)
 		ls.counts[id] += len(run)
 		ls.stats.Entries += len(run)
@@ -273,7 +250,7 @@ func (ls *Levels) push(t *Tier) (*Levels, error) {
 	}
 	out := &Levels{
 		directory: directory{
-			g: t.delta.Graph(), k: ls.k, stats: ls.stats,
+			g: t.ix.Graph(), k: ls.k, stats: ls.stats,
 			// Clipped, so an append copies instead of writing into
 			// the receiver's backing array.
 			paths:  slices.Clip(ls.paths),
@@ -298,27 +275,29 @@ func (ls *Levels) push(t *Tier) (*Levels, error) {
 	}
 	out.stats.LabelPaths = len(out.paths)
 	out.stats.PathsKCount = pathsKAfter(ls.stats.PathsKCount, ls.base, ls.g, t)
-	out.stats.Duration += t.delta.Stats().Duration
+	out.stats.Duration += t.ix.Stats().Duration
 	return out, nil
 }
 
-// foldDeltas merges two successive deltas into one over the second's
-// graph. d2 was built over base∪d1, so its runs are disjoint from d1's;
-// the merge is a plain sorted union per path.
-func foldDeltas(d1, d2 *Delta) *Delta {
-	out := &Delta{g: d2.g, k: d2.k, ids: map[string]uint32{}}
-	out.stats.NewEdges = d1.stats.NewEdges + d2.stats.NewEdges
-	out.stats.Duration = d1.stats.Duration + d2.stats.Duration
-	out.stats.DerivedPaths = d1.stats.DerivedPaths + d2.stats.DerivedPaths
+// foldTiers merges two successive tiers into one over the newer one's
+// graph. newer was built over base∪older, so its runs are disjoint from
+// older's: the merge is a plain sorted union per path, and the pair
+// counts add — a merge changes no relation, so nothing is recounted.
+func foldTiers(older, newer *Tier) *Tier {
+	d1, d2 := older.ix, newer.ix
+	out := newIndex(d2.g, d2.k)
 	for id, p := range d1.paths {
-		out.add(p, mergeRuns(d1.rels[id], d2.Run(p)))
+		out.addRun(p, mergeRuns(d1.relations[id], d2.Relation(p)))
 	}
 	for id, p := range d2.paths {
 		if _, dup := out.ids[p.Key()]; !dup {
-			out.add(p, d2.rels[id])
+			out.addRun(p, d2.relations[id])
 		}
 	}
-	return out
+	out.stats.PathsKCount = d1.stats.PathsKCount + d2.stats.PathsKCount
+	out.stats.Duration = d1.stats.Duration + d2.stats.Duration
+	out.stats.DerivedPaths = d1.stats.DerivedPaths + d2.stats.DerivedPaths
+	return NewTier(out, older.seqLo, newer.seqHi)
 }
 
 // mergeRuns returns the sorted union of two sorted disjoint runs. One
@@ -349,7 +328,7 @@ func mergeRuns(a, b []Packed) []Packed {
 // the new stack shares its base, its tiers and its directory (see push):
 // a push costs the new tier and the directory, not the accumulated
 // delta. Any other Storage becomes the base of a fresh one-tier stack.
-// The tier's delta must have been built by BuildDelta against prev (or
+// The tier's index must have been built by BuildDelta against prev (or
 // reloaded from the spill of one that was).
 func PushTier(prev Storage, tier *Tier) (*Levels, error) {
 	if ls, ok := prev.(*Levels); ok {
@@ -433,16 +412,9 @@ func (ls *Levels) MergeOnce() (*Levels, bool) {
 		if newer.Entries()*2 < older.Entries() {
 			continue
 		}
-		// A merge changes no relation, so the pair counts add and
-		// nothing is recounted.
-		folded := &Tier{
-			delta: foldDeltas(older.delta, newer.delta),
-			pairs: older.pairs + newer.pairs,
-			seqLo: older.seqLo, seqHi: newer.seqHi,
-		}
 		tiers := make([]*Tier, 0, len(ls.tiers)-1)
 		tiers = append(tiers, ls.tiers[:i-1]...)
-		tiers = append(tiers, folded)
+		tiers = append(tiers, foldTiers(older, newer))
 		tiers = append(tiers, ls.tiers[i+1:]...)
 		out, err := NewLevels(ls.base, tiers)
 		if err != nil {
@@ -471,54 +443,40 @@ func (ls *Levels) mergedRun(id uint32) []Packed {
 	return m
 }
 
-// RunPair returns the base run and the merged tier run whose disjoint
-// union is p(G'). Either may be empty; both alias the storage and must
-// not be mutated.
-func (ls *Levels) RunPair(p Path) (base, delta []Packed) {
+// Relation implements Storage. When both the base and tier runs are
+// non-empty the merged run is freshly allocated; prefer Blocks or
+// SrcRange on hot paths.
+func (ls *Levels) Relation(p Path) []Packed {
 	id, ok := ls.ids[p.Key()]
 	if !ok {
-		return nil, nil
+		return nil
 	}
+	var base []Packed
 	if id < uint32(ls.numBase) {
 		base = ls.base.Relation(p)
 	}
-	return base, ls.mergedRun(id)
+	return mergeRuns(base, ls.mergedRun(id))
 }
 
-// RunBlocks returns the base run as a block iterator plus the merged
-// tier run, never forcing a compressed base run to decode eagerly: over
-// a *CompressedIndex base the iterator decodes block by block. The
-// executor's merge-union scan consumes this directly — N tiers still
-// cost the scan only one extra run.
-func (ls *Levels) RunBlocks(p Path) (base *BlockIterator, delta []Packed) {
+// Blocks implements Storage: the base's blocks merged with the path's
+// merged tier run as the scan advances, so a compressed base still
+// decodes one block at a time. A path no tier touched is the base's own
+// iterator, and a path the base does not hold is its tier run,
+// zero-copy.
+func (ls *Levels) Blocks(p Path) *BlockIterator {
 	id, ok := ls.ids[p.Key()]
 	if !ok {
-		return &BlockIterator{size: DefaultBlockSize}, nil
+		return &BlockIterator{size: DefaultBlockSize}
 	}
-	if id < uint32(ls.numBase) {
-		base = ls.base.Blocks(p)
-	} else {
-		base = &BlockIterator{size: DefaultBlockSize}
+	tier := ls.mergedRun(id)
+	if id >= uint32(ls.numBase) {
+		return &BlockIterator{rel: tier, size: DefaultBlockSize}
 	}
-	return base, ls.mergedRun(id)
-}
-
-// Relation implements Storage. When both the base and tier runs are
-// non-empty the merged run is freshly allocated; prefer RunBlocks (or
-// Blocks/SrcRange) on hot paths.
-func (ls *Levels) Relation(p Path) []Packed {
-	base, delta := ls.RunPair(p)
-	return mergeRuns(base, delta)
-}
-
-// Blocks implements Storage. Paths no tier touched delegate to the base
-// iterator (keeping a compressed base's decode-on-scan behaviour); paths
-// with tier pairs materialize the merged run.
-func (ls *Levels) Blocks(p Path) *BlockIterator {
-	if id, ok := ls.ids[p.Key()]; ok && id < uint32(ls.numBase) && len(ls.tierRuns[id]) == 0 {
-		return ls.base.Blocks(p)
+	base := ls.base.Blocks(p)
+	if len(tier) == 0 {
+		return base
 	}
-	return &BlockIterator{rel: ls.Relation(p), size: DefaultBlockSize}
+	return &BlockIterator{size: DefaultBlockSize, base: base, tier: tier}
 }
 
 // SrcRange implements Storage: the base ⟨p, src⟩ range merged with each

@@ -63,15 +63,8 @@ func TestLevelsMatchesRebuild(t *testing.T) {
 				// Tier runs must stay disjoint from the base and from
 				// each other: counts would double otherwise, and
 				// checkStorageEqual already compared them. Spot-check
-				// RunPair's disjointness contract directly.
-				oracle.AllPaths(func(id uint32, p Path, count int) {
-					b, d := ls.RunPair(p)
-					for _, pr := range d {
-						if _, found := slices.BinarySearch(b, pr); found {
-							t.Fatalf("k=%d path %v: delta pair %v also in base run", k, p, pr)
-						}
-					}
-				})
+				// the base side of the contract directly.
+				checkTiersDisjoint(t, ls)
 			}
 		}
 	}
@@ -188,7 +181,7 @@ func TestTierSpillRoundTrip(t *testing.T) {
 	if loaded.NumEntries() != tier.Entries() {
 		t.Fatalf("spill holds %d entries, tier has %d", loaded.NumEntries(), tier.Entries())
 	}
-	rt := NewSpilledTier(loaded, g2, 1, 1, "spill-1-1.pix")
+	rt := NewSpilledTier(loaded, 1, 1, "spill-1-1.pix")
 	if rt.SeqLo() != 1 || rt.SeqHi() != 1 || rt.Spill() != "spill-1-1.pix" {
 		t.Fatalf("recovered tier metadata: [%d,%d] %q", rt.SeqLo(), rt.SeqHi(), rt.Spill())
 	}
@@ -199,15 +192,15 @@ func TestTierSpillRoundTrip(t *testing.T) {
 	checkStorageEqual(t, ls2, oracle)
 	// The file carries the tier's pair count, so the stack's |paths_k|
 	// survives the round trip.
-	if rt.pairs != tier.pairs || ls2.PathsKCount() != ls.PathsKCount() {
+	if rt.ix.PathsKCount() != tier.ix.PathsKCount() || ls2.PathsKCount() != ls.PathsKCount() {
 		t.Fatalf("reloaded tier counts %d pairs (stack %d), spilled tier %d (stack %d)",
-			rt.pairs, ls2.PathsKCount(), tier.pairs, ls.PathsKCount())
+			rt.ix.PathsKCount(), ls2.PathsKCount(), tier.ix.PathsKCount(), ls.PathsKCount())
 	}
 	// A spill written before the count was stored holds 0 there: the
 	// tier is recounted from its runs, which for one batch is the same.
 	loaded.stats.PathsKCount = 0
-	if old := NewSpilledTier(loaded, g2, 1, 1, "spill-1-1.pix"); old.pairs != tier.pairs {
-		t.Fatalf("recounted tier has %d pairs, spilled tier %d", old.pairs, tier.pairs)
+	if old := NewSpilledTier(loaded, 1, 1, "spill-1-1.pix"); old.ix.PathsKCount() != tier.ix.PathsKCount() {
+		t.Fatalf("recounted tier has %d pairs, spilled tier %d", old.ix.PathsKCount(), tier.ix.PathsKCount())
 	}
 }
 
@@ -312,7 +305,7 @@ func TestPathsKAdditive(t *testing.T) {
 				t.Fatal(err)
 			}
 			pairs := map[Packed]bool{}
-			for _, rel := range d.rels {
+			for _, rel := range d.relations {
 				for _, pr := range rel {
 					if pr.Src() != pr.Dst() {
 						pairs[pr] = true
@@ -360,12 +353,12 @@ func TestPathsKAdditive(t *testing.T) {
 				if err := tier.WriteSpill(path); err != nil {
 					t.Fatal(err)
 				}
-				loaded, err := Load(path, tier.delta.Graph())
+				loaded, err := Load(path, tier.ix.Graph())
 				if err != nil {
 					t.Fatal(err)
 				}
 				tiers := slices.Clone(ls.Tiers())
-				tiers[i] = NewSpilledTier(loaded, tier.delta.Graph(), tier.SeqLo(), tier.SeqHi(), path)
+				tiers[i] = NewSpilledTier(loaded, tier.SeqLo(), tier.SeqHi(), path)
 				if cur, err = NewLevels(ls.Base(), tiers); err != nil {
 					t.Fatal(err)
 				}

@@ -66,42 +66,6 @@ func (h HashPartitioner) ShardOf(src graph.NodeID) int {
 	return int(uint64(src) * 2654435761 % uint64(h.n))
 }
 
-// RangePartitioner assigns sources by contiguous id range: shard i owns
-// ids [i*span, (i+1)*span). Per-shard runs stay contiguous slices of the
-// unsharded runs, so range-sharded scans touch shards one after another
-// instead of interleaving. Ids at or beyond n*span — nodes added by
-// updates after the build — clamp to the last shard.
-type RangePartitioner struct{ n, span int }
-
-// NewRangePartitioner returns a range partitioner splitting numNodes ids
-// evenly over n shards.
-func NewRangePartitioner(n, numNodes int) RangePartitioner {
-	if n < 1 {
-		n = 1
-	}
-	span := (numNodes + n - 1) / n
-	if span < 1 {
-		span = 1
-	}
-	return RangePartitioner{n: n, span: span}
-}
-
-// NumShards returns the shard count.
-func (r RangePartitioner) NumShards() int { return r.n }
-
-// Span returns the per-shard id range width (for the on-disk manifest).
-func (r RangePartitioner) Span() int { return r.span }
-
-// ShardOf returns src's range shard, clamping post-build ids to the
-// last shard.
-func (r RangePartitioner) ShardOf(src graph.NodeID) int {
-	s := int(src) / r.span
-	if s >= r.n {
-		s = r.n - 1
-	}
-	return s
-}
-
 // ShardedStorage serves N per-shard Storage values as one Storage. The
 // directory is aggregated over the parts; per-path counts sum exactly
 // because shard runs are disjoint by construction.
@@ -146,12 +110,27 @@ func ShardIndex(full *Index, part Partitioner) (*ShardedStorage, error) {
 		return nil, fmt.Errorf("pathindex: shard count must be >= 1, got %d", n)
 	}
 	start := time.Now()
-	shards := make([]*Index, n)
 	parts := make([]Storage, n)
+	for i, ix := range splitIndex(full, part) {
+		parts[i] = ix
+	}
+	s := newSharded(parts, part)
+	// The split is exact, so the full build's global statistics carry
+	// over; only the wall clock grows by the split itself.
+	s.stats.PathsKCount = full.stats.PathsKCount
+	s.stats.DerivedPaths = full.stats.DerivedPaths
+	s.stats.ComposedPairs = full.stats.ComposedPairs
+	s.stats.Duration = full.stats.Duration + time.Since(start)
+	return s, nil
+}
+
+// splitIndex partitions every run of full by source shard into one heap
+// index per shard. The shards share full's (immutable) path table, so a
+// shard holds an empty run for each path whose sources it does not own.
+func splitIndex(full *Index, part Partitioner) []*Index {
+	shards := make([]*Index, part.NumShards())
 	for i := range shards {
-		// The path table is shared: it is immutable after build.
 		shards[i] = &Index{directory: directory{g: full.g, k: full.k, paths: full.paths, ids: full.ids}}
-		parts[i] = shards[i]
 	}
 	for _, rel := range full.relations {
 		for i, sub := range splitRun(rel, part) {
@@ -164,14 +143,7 @@ func ShardIndex(full *Index, part Partitioner) (*ShardedStorage, error) {
 			}
 		}
 	}
-	s := newSharded(parts, part)
-	// The split is exact, so the full build's global statistics carry
-	// over; only the wall clock grows by the split itself.
-	s.stats.PathsKCount = full.stats.PathsKCount
-	s.stats.DerivedPaths = full.stats.DerivedPaths
-	s.stats.ComposedPairs = full.stats.ComposedPairs
-	s.stats.Duration = full.stats.Duration + time.Since(start)
-	return s, nil
+	return shards
 }
 
 // NewSharded assembles a ShardedStorage from already-opened per-shard

@@ -36,37 +36,18 @@ type shardManifest struct {
 	Version     int      `json:"version"`
 	K           int      `json:"k"`
 	Shards      int      `json:"shards"`
-	Partitioner string   `json:"partitioner"` // "hash" or "range"
-	RangeSpan   int      `json:"range_span,omitempty"`
+	Partitioner string   `json:"partitioner"` // "hash"
 	PathsKCount int      `json:"paths_k_count"`
 	Files       []string `json:"files"`
 }
 
-// partitionerManifest encodes part into manifest fields.
-func partitionerManifest(part Partitioner) (kind string, span int, err error) {
-	switch p := part.(type) {
-	case HashPartitioner:
-		return "hash", 0, nil
-	case RangePartitioner:
-		return "range", p.Span(), nil
-	default:
-		return "", 0, fmt.Errorf("pathindex: partitioner %T has no on-disk encoding", part)
-	}
-}
-
-// manifestPartitioner decodes a manifest's partitioner fields.
+// manifestPartitioner decodes a manifest's partitioner field: "hash",
+// the one partitioner with an on-disk encoding.
 func manifestPartitioner(m *shardManifest) (Partitioner, error) {
-	switch m.Partitioner {
-	case "hash":
-		return NewHashPartitioner(m.Shards), nil
-	case "range":
-		if m.RangeSpan < 1 {
-			return nil, fmt.Errorf("%w has range span %d", errBadManifest, m.RangeSpan)
-		}
-		return RangePartitioner{n: m.Shards, span: m.RangeSpan}, nil
-	default:
+	if m.Partitioner != "hash" {
 		return nil, fmt.Errorf("%w has unknown partitioner %q", errBadManifest, m.Partitioner)
 	}
+	return NewHashPartitioner(m.Shards), nil
 }
 
 // IsShardedPath reports whether path is a sharded index directory (a
@@ -90,16 +71,14 @@ func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.pix", i) }
 // (a crash between the two renames leaves no dir, never a torn one). The
 // in-memory storage is unchanged.
 func (s *ShardedStorage) SaveSharded(dir string) error {
-	kind, span, err := partitionerManifest(s.part)
-	if err != nil {
-		return err
+	if _, ok := s.part.(HashPartitioner); !ok {
+		return fmt.Errorf("pathindex: partitioner %T has no on-disk encoding", s.part)
 	}
 	m := shardManifest{
 		Version:     shardManifestVersion,
 		K:           s.k,
 		Shards:      len(s.parts),
-		Partitioner: kind,
-		RangeSpan:   span,
+		Partitioner: "hash",
 		PathsKCount: s.stats.PathsKCount,
 	}
 	tmp, old := dir+".tmp", dir+".old"

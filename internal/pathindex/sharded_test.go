@@ -14,38 +14,28 @@ import (
 	"repro/internal/graph"
 )
 
-func testPartitioners(n, numNodes int) []Partitioner {
-	return []Partitioner{NewHashPartitioner(n), NewRangePartitioner(n, numNodes)}
-}
-
 func TestPartitionerContract(t *testing.T) {
 	for _, n := range []int{1, 2, 4, 7} {
-		for _, part := range testPartitioners(n, 100) {
-			if part.NumShards() != n {
-				t.Fatalf("%T: NumShards = %d, want %d", part, part.NumShards(), n)
+		part := NewHashPartitioner(n)
+		if part.NumShards() != n {
+			t.Fatalf("NumShards = %d, want %d", part.NumShards(), n)
+		}
+		hit := make([]bool, n)
+		for src := graph.NodeID(0); src < 500; src++ {
+			s := part.ShardOf(src)
+			if s < 0 || s >= n {
+				t.Fatalf("ShardOf(%d) = %d out of [0,%d)", src, s, n)
 			}
-			hit := make([]bool, n)
-			for src := graph.NodeID(0); src < 500; src++ {
-				s := part.ShardOf(src)
-				if s < 0 || s >= n {
-					t.Fatalf("%T: ShardOf(%d) = %d out of [0,%d)", part, src, s, n)
-				}
-				if s != part.ShardOf(src) {
-					t.Fatalf("%T: ShardOf(%d) not deterministic", part, src)
-				}
-				hit[s] = true
+			if s != part.ShardOf(src) {
+				t.Fatalf("ShardOf(%d) not deterministic", src)
 			}
-			for s, ok := range hit {
-				if !ok && n <= 7 {
-					t.Errorf("%T n=%d: shard %d owns no source in [0,500)", part, n, s)
-				}
+			hit[s] = true
+		}
+		for s, ok := range hit {
+			if !ok {
+				t.Errorf("n=%d: shard %d owns no source in [0,500)", n, s)
 			}
 		}
-	}
-	// Range partitioner clamps post-build ids to the last shard.
-	rp := NewRangePartitioner(4, 100)
-	if got := rp.ShardOf(10_000); got != 3 {
-		t.Fatalf("range ShardOf(10000) = %d, want clamp to 3", got)
 	}
 }
 
@@ -109,20 +99,19 @@ func TestBuildShardedMatchesFull(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range []int{1, 2, 4, 7} {
-			for _, part := range testPartitioners(n, full.NumNodes()) {
-				s, err := BuildSharded(full, k, BuildOptions{}, part)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkStorageEqual(t, s, oracle)
-				if s.PathsKCount() != oracle.PathsKCount() {
-					t.Errorf("k=%d n=%d %T: PathsKCount = %d, oracle %d", k, n, part, s.PathsKCount(), oracle.PathsKCount())
-				}
-				if s.NumShards() != n {
-					t.Fatalf("NumShards = %d, want %d", s.NumShards(), n)
-				}
-				checkShardViews(t, s, oracle)
+			part := NewHashPartitioner(n)
+			s, err := BuildSharded(full, k, BuildOptions{}, part)
+			if err != nil {
+				t.Fatal(err)
 			}
+			checkStorageEqual(t, s, oracle)
+			if s.PathsKCount() != oracle.PathsKCount() {
+				t.Errorf("k=%d n=%d: PathsKCount = %d, oracle %d", k, n, s.PathsKCount(), oracle.PathsKCount())
+			}
+			if s.NumShards() != n {
+				t.Fatalf("NumShards = %d, want %d", s.NumShards(), n)
+			}
+			checkShardViews(t, s, oracle)
 		}
 	}
 }
@@ -134,44 +123,40 @@ func TestShardedSaveOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, part := range testPartitioners(3, full.NumNodes()) {
-		s, err := BuildSharded(full, 2, BuildOptions{}, part)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dir := filepath.Join(t.TempDir(), "sharded.pixd")
-		if err := s.SaveSharded(dir); err != nil {
-			t.Fatal(err)
-		}
-		if !IsShardedPath(dir) {
-			t.Fatalf("IsShardedPath(%s) = false after SaveSharded", dir)
-		}
-		if IsShardedPath(filepath.Dir(dir)) {
-			t.Fatal("IsShardedPath true for a directory without a manifest")
-		}
-		got, err := OpenSharded(dir, full)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkStorageEqual(t, got, oracle)
-		if got.PathsKCount() != oracle.PathsKCount() {
-			t.Errorf("PathsKCount = %d, oracle %d", got.PathsKCount(), oracle.PathsKCount())
-		}
-		if got.NumShards() != 3 {
-			t.Fatalf("NumShards = %d after reopen", got.NumShards())
-		}
-		if got.FileBytes() == 0 {
-			t.Error("FileBytes = 0 for file-backed shards")
-		}
-		// Same partitioner kind round-trips.
-		if _, ok := part.(RangePartitioner); ok {
-			if _, ok := got.Partitioner().(RangePartitioner); !ok {
-				t.Fatalf("partitioner came back as %T", got.Partitioner())
-			}
-		}
-		if err := got.Close(); err != nil {
-			t.Fatal(err)
-		}
+	part := NewHashPartitioner(3)
+	s, err := BuildSharded(full, 2, BuildOptions{}, part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "sharded.pixd")
+	if err := s.SaveSharded(dir); err != nil {
+		t.Fatal(err)
+	}
+	if !IsShardedPath(dir) {
+		t.Fatalf("IsShardedPath(%s) = false after SaveSharded", dir)
+	}
+	if IsShardedPath(filepath.Dir(dir)) {
+		t.Fatal("IsShardedPath true for a directory without a manifest")
+	}
+	got, err := OpenSharded(dir, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStorageEqual(t, got, oracle)
+	if got.PathsKCount() != oracle.PathsKCount() {
+		t.Errorf("PathsKCount = %d, oracle %d", got.PathsKCount(), oracle.PathsKCount())
+	}
+	if got.NumShards() != 3 {
+		t.Fatalf("NumShards = %d after reopen", got.NumShards())
+	}
+	if got.FileBytes() == 0 {
+		t.Error("FileBytes = 0 for file-backed shards")
+	}
+	if got.Partitioner() != part {
+		t.Fatalf("partitioner came back as %v, saved %v", got.Partitioner(), part)
+	}
+	if err := got.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -256,81 +241,80 @@ func TestLevelsOverShardedBase(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, n := range []int{1, 2, 4} {
-			for _, part := range testPartitioners(n, base.NumNodes()) {
-				s, err := BuildSharded(base, 2, BuildOptions{}, part)
-				if err != nil {
-					t.Fatal(err)
-				}
-				const chunks = 3
-				ls := pushChunks(t, s, batch, chunks)
-				check := func(stage string, ls *Levels) {
-					t.Helper()
-					if ls.Partitioner() != part {
-						t.Fatalf("%s: stack is partitioned by %v, its base by %v", stage, ls.Partitioner(), part)
-					}
-					checkStorageEqual(t, ls, oracle)
-					checkShardViews(t, ls, oracle)
-					// One global stack: every shard view is exactly as deep.
-					for i := 0; i < n; i++ {
-						if got := len(ls.Shard(i).(*Levels).Tiers()); got != len(ls.Tiers()) {
-							t.Fatalf("%s: shard %d view has %d tiers, the stack %d", stage, i, got, len(ls.Tiers()))
-						}
-					}
-				}
-				// A push never folds: three batches are three tiers, over
-				// the original sharded base.
-				if len(ls.Tiers()) != chunks || ls.Base() != Storage(s) {
-					t.Fatalf("n=%d: %d tiers after %d pushes", n, len(ls.Tiers()), chunks)
-				}
-				check("pushed", ls)
-				entries := 0
-				for _, tier := range ls.Tiers() {
-					entries += tier.Entries()
-				}
-				if ls.DeltaEntries() != entries || ls.BaseEntries() != s.NumEntries() {
-					t.Errorf("DeltaEntries/BaseEntries = %d/%d, tiers hold %d over a base of %d", ls.DeltaEntries(), ls.BaseEntries(), entries, s.NumEntries())
-				}
-
-				for merged, ok := ls.MergeOnce(); ok; merged, ok = ls.MergeOnce() {
-					ls = merged
-					check("merged", ls)
-				}
-				if len(ls.Tiers()) != 1 {
-					t.Fatalf("merging stopped at %d tiers", len(ls.Tiers()))
-				}
-
-				// Spill the merged tier, reload it, and restack it.
-				path := filepath.Join(t.TempDir(), "spill.pix")
-				if err := ls.Tiers()[0].WriteSpill(path); err != nil {
-					t.Fatal(err)
-				}
-				loaded, err := Load(path, ls.Graph())
-				if err != nil {
-					t.Fatal(err)
-				}
-				reloaded, err := NewLevels(s, []*Tier{NewSpilledTier(loaded, ls.Graph(), 1, chunks, "spill.pix")})
-				if err != nil {
-					t.Fatal(err)
-				}
-				check("spill reloaded", reloaded)
-
-				// The fold re-partitions: a sharded base comes back sharded.
-				folded, ok := reloaded.Compacted().(*ShardedStorage)
-				if !ok {
-					t.Fatalf("fold of a stack over a sharded base returned %T", reloaded.Compacted())
-				}
-				if folded.NumShards() != n || folded.Partitioner() != part || folded.Graph() != ls.Graph() {
-					t.Fatalf("fold changed the layout: %d shards under %v", folded.NumShards(), folded.Partitioner())
-				}
-				checkStorageEqual(t, folded, oracle)
-				checkShardViews(t, folded, oracle)
-				// And any of them merges back into one unsharded index.
-				mat, err := Materialize(reloaded)
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkStorageEqual(t, mat, oracle)
+			part := NewHashPartitioner(n)
+			s, err := BuildSharded(base, 2, BuildOptions{}, part)
+			if err != nil {
+				t.Fatal(err)
 			}
+			const chunks = 3
+			ls := pushChunks(t, s, batch, chunks)
+			check := func(stage string, ls *Levels) {
+				t.Helper()
+				if ls.Partitioner() != part {
+					t.Fatalf("%s: stack is partitioned by %v, its base by %v", stage, ls.Partitioner(), part)
+				}
+				checkStorageEqual(t, ls, oracle)
+				checkShardViews(t, ls, oracle)
+				// One global stack: every shard view is exactly as deep.
+				for i := 0; i < n; i++ {
+					if got := len(ls.Shard(i).(*Levels).Tiers()); got != len(ls.Tiers()) {
+						t.Fatalf("%s: shard %d view has %d tiers, the stack %d", stage, i, got, len(ls.Tiers()))
+					}
+				}
+			}
+			// A push never folds: three batches are three tiers, over
+			// the original sharded base.
+			if len(ls.Tiers()) != chunks || ls.Base() != Storage(s) {
+				t.Fatalf("n=%d: %d tiers after %d pushes", n, len(ls.Tiers()), chunks)
+			}
+			check("pushed", ls)
+			entries := 0
+			for _, tier := range ls.Tiers() {
+				entries += tier.Entries()
+			}
+			if ls.DeltaEntries() != entries || ls.BaseEntries() != s.NumEntries() {
+				t.Errorf("DeltaEntries/BaseEntries = %d/%d, tiers hold %d over a base of %d", ls.DeltaEntries(), ls.BaseEntries(), entries, s.NumEntries())
+			}
+
+			for merged, ok := ls.MergeOnce(); ok; merged, ok = ls.MergeOnce() {
+				ls = merged
+				check("merged", ls)
+			}
+			if len(ls.Tiers()) != 1 {
+				t.Fatalf("merging stopped at %d tiers", len(ls.Tiers()))
+			}
+
+			// Spill the merged tier, reload it, and restack it.
+			path := filepath.Join(t.TempDir(), "spill.pix")
+			if err := ls.Tiers()[0].WriteSpill(path); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := Load(path, ls.Graph())
+			if err != nil {
+				t.Fatal(err)
+			}
+			reloaded, err := NewLevels(s, []*Tier{NewSpilledTier(loaded, 1, chunks, "spill.pix")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("spill reloaded", reloaded)
+
+			// The fold re-partitions: a sharded base comes back sharded.
+			folded, ok := reloaded.Compacted().(*ShardedStorage)
+			if !ok {
+				t.Fatalf("fold of a stack over a sharded base returned %T", reloaded.Compacted())
+			}
+			if folded.NumShards() != n || folded.Partitioner() != part || folded.Graph() != ls.Graph() {
+				t.Fatalf("fold changed the layout: %d shards under %v", folded.NumShards(), folded.Partitioner())
+			}
+			checkStorageEqual(t, folded, oracle)
+			checkShardViews(t, folded, oracle)
+			// And any of them merges back into one unsharded index.
+			mat, err := Materialize(reloaded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkStorageEqual(t, mat, oracle)
 		}
 	}
 }
@@ -355,6 +339,7 @@ func TestOpenShardedUntrustedManifest(t *testing.T) {
 		{"one file for two shards", func(m *shardManifest) { m.Files[1] = m.Files[0] }},
 		{"k disagrees with the shards", func(m *shardManifest) { m.K = 3 }},
 		{"negative paths_k_count", func(m *shardManifest) { m.PathsKCount = -1 }},
+		{"range partitioner", func(m *shardManifest) { m.Partitioner = "range" }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -401,29 +386,29 @@ func TestOpenShardedUntrustedManifest(t *testing.T) {
 }
 
 // FuzzShardsManifest feeds arbitrary manifests to OpenSharded over a
-// directory of real shard files, seeded with the manifests SaveSharded
-// writes for a hash and a range partitioner. Whatever the manifest,
-// OpenSharded never panics; when it opens, the storage reports the
-// manifest's k and shard count, and Close succeeds.
+// directory of real shard files, seeded with the manifest SaveSharded
+// writes and the same manifest naming a "range" partitioner, a kind
+// OpenSharded refuses. Whatever the manifest, OpenSharded never panics;
+// when it opens, the storage reports the manifest's k and shard count,
+// and Close succeeds.
 func FuzzShardsManifest(f *testing.F) {
 	r := rand.New(rand.NewSource(29))
 	_, g, _ := extendRandom(r, 20, 60, []string{"a", "b"}, 0)
 	dir := filepath.Join(f.TempDir(), "ix.shards")
 	path := filepath.Join(dir, ShardManifestName)
-	for _, part := range testPartitioners(3, g.NumNodes()) {
-		s, err := BuildSharded(g, 2, BuildOptions{}, part)
-		if err != nil {
-			f.Fatal(err)
-		}
-		if err := s.SaveSharded(dir); err != nil {
-			f.Fatal(err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
+	s, err := BuildSharded(g, 2, BuildOptions{}, NewHashPartitioner(3))
+	if err != nil {
+		f.Fatal(err)
 	}
+	if err := s.SaveSharded(dir); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add(bytes.Replace(data, []byte(`"hash"`), []byte(`"range"`), 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)

@@ -87,7 +87,7 @@ func (g *pinGate) shutdown(release func()) {
 // queries and to maintain the index. Four representations exist:
 //
 //   - *Index — heap-backed packed runs, built in memory or decoded from
-//     a saved file by Load.
+//     a saved file by Load. An update tier's delta is one too.
 //   - *CompressedIndex — a format-v3 file of block-compressed runs,
 //     mmap-backed. Only the per-run block directories are decoded at
 //     open; relation payload is delta+varint decoded on scan, one block
@@ -96,11 +96,14 @@ func (g *pinGate) shutdown(release func()) {
 //     aliases of storage memory.
 //   - *ShardedStorage — N of the above, partitioned by source node.
 //   - *Levels — a read-only base (any of the above) under a stack of
-//     in-memory update tiers; the one update overlay.
+//     in-memory update tiers, each a delta *Index; the one update
+//     overlay. Its Blocks merge the tier runs into the base's blocks.
 //
 // All four embed one path directory, which supplies the path table and
 // every count (see directory), and add their own run access: Relation,
 // Blocks, SrcRange, and Contains, whose algorithms differ by layout.
+// Blocks is the one whole-run read the executor makes, whatever the
+// layout.
 // Relations are handed out as sorted []Packed runs that must not be
 // mutated; blocks of a file-backed run are decoded from the mapping, so
 // readers hold a pin across any access.
@@ -124,7 +127,8 @@ type Storage interface {
 	// Relation returns p(G) as one sorted (src,dst) run.
 	Relation(p Path) []Packed
 	// Blocks iterates p(G) as blocks of DefaultBlockSize (zero-copy for
-	// uncompressed storage, decode-on-scan for *CompressedIndex).
+	// uncompressed storage, decode-on-scan for *CompressedIndex,
+	// merge-on-scan for *Levels).
 	Blocks(p Path) *BlockIterator
 	// SrcRange returns the sub-run of p(G) with Src == src.
 	SrcRange(p Path, src graph.NodeID) []Packed

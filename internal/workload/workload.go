@@ -64,40 +64,6 @@ func Lookup(name string) (Query, error) {
 	return Query{}, fmt.Errorf("workload: unknown query %q", name)
 }
 
-// Zipf samples queries from a fixed list with a Zipf-skewed popularity
-// distribution: query i (in list order) is drawn with probability
-// proportional to 1/(i+1)^s, the standard model of serving traffic where
-// a few hot queries dominate and a long tail recurs rarely. A Zipf is
-// NOT safe for concurrent use; give each client goroutine its own
-// sampler (with a distinct seed for independent streams).
-type Zipf struct {
-	queries []Query
-	z       *rand.Zipf
-}
-
-// DefaultZipfExponent is the skew used when NewZipf is given an
-// out-of-range exponent; math/rand requires s > 1.
-const DefaultZipfExponent = 1.1
-
-// NewZipf returns a Zipf sampler over queries with exponent s (> 1;
-// larger is more skewed). queries must be non-empty.
-func NewZipf(queries []Query, s float64, seed int64) *Zipf {
-	if len(queries) == 0 {
-		panic("workload: NewZipf requires at least one query")
-	}
-	if s <= 1 {
-		s = DefaultZipfExponent
-	}
-	r := rand.New(rand.NewSource(seed))
-	return &Zipf{
-		queries: queries,
-		z:       rand.NewZipf(r, s, 1, uint64(len(queries)-1)),
-	}
-}
-
-// Next draws the next query.
-func (z *Zipf) Next() Query { return z.queries[z.z.Uint64()] }
-
 // Random generates n random queries over the given labels, for soak
 // testing and the extended dataset experiments.
 func Random(n int, labels []string, seed int64) []Query {

@@ -122,40 +122,3 @@ func TestRandomWorkload(t *testing.T) {
 		}
 	}
 }
-
-func TestZipfSkewAndDeterminism(t *testing.T) {
-	qs := Advogato()
-	z1 := NewZipf(qs, 1.1, 42)
-	z2 := NewZipf(qs, 1.1, 42)
-	counts := map[string]int{}
-	const draws = 10000
-	for i := 0; i < draws; i++ {
-		a, b := z1.Next(), z2.Next()
-		if a.Name != b.Name {
-			t.Fatal("same seed produced different streams")
-		}
-		counts[a.Name]++
-	}
-	// Zipf over list order: the first query must dominate, and every
-	// query should appear at least once in 10k draws.
-	if counts["Q1"] < draws/3 {
-		t.Errorf("Q1 drawn %d/%d times; want the head of the distribution to dominate", counts["Q1"], draws)
-	}
-	if counts["Q1"] <= counts["Q8"] {
-		t.Errorf("head Q1 (%d) not hotter than tail Q8 (%d)", counts["Q1"], counts["Q8"])
-	}
-	for _, q := range qs {
-		if counts[q.Name] == 0 {
-			t.Errorf("query %s never drawn; tail should still recur", q.Name)
-		}
-	}
-}
-
-func TestZipfExponentFallback(t *testing.T) {
-	// s <= 1 is invalid for math/rand's Zipf; the constructor must fall
-	// back instead of panicking.
-	z := NewZipf(Advogato(), 0, 1)
-	for i := 0; i < 100; i++ {
-		z.Next()
-	}
-}

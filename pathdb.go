@@ -643,7 +643,7 @@ func (db *DB) UpdateStats() UpdateStats {
 type ShardStats struct {
 	// Shards is the number of in-process index partitions.
 	Shards int `json:"shards"`
-	// Partitioner names the source→shard assignment ("hash" or "range").
+	// Partitioner names the source→shard assignment ("hash").
 	Partitioner string `json:"partitioner,omitempty"`
 	// EntriesPerShard is each shard's ⟨path, src, dst⟩ entry count, in
 	// shard order — the balance evidence for the partitioning function.
@@ -662,8 +662,6 @@ func (db *DB) ShardStats() ShardStats {
 	switch part.(type) {
 	case pathindex.HashPartitioner:
 		st.Partitioner = "hash"
-	case pathindex.RangePartitioner:
-		st.Partitioner = "range"
 	default:
 		st.Partitioner = fmt.Sprintf("%T", part)
 	}
