@@ -107,9 +107,9 @@ type Options struct {
 //
 // The index is held through the pathindex.Storage interface, so an
 // engine serves heap-built indexes and memory-mapped compressed index
-// files (pathindex.OpenCompressed) identically — the executor's scans,
-// range lookups, and membership probes run over whichever layout the
-// storage exposes.
+// files (pathindex.OpenCompressed) identically — the executor's scans
+// and prefix lookups run through the storage's cursors, whatever its
+// layout.
 type Engine struct {
 	g    *graph.Graph
 	ix   pathindex.Storage

@@ -15,8 +15,10 @@
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/pathindex"
@@ -235,9 +237,12 @@ func buildNode(n plan.Node, ix pathindex.Storage, opts BuildOptions) (Operator, 
 			return nil, fmt.Errorf("exec: segment %v longer than index k=%d", v.Segment, ix.K())
 		}
 		if v.Bound {
-			// The ⟨segment, src⟩ run is one sorted slice: the scan's
-			// already-loaded block, with an empty iterator behind it.
-			scan := &IndexScan{blocks: new(pathindex.BlockIterator), block: ix.SrcRange(v.Segment, v.Src)}
+			// The ⟨segment, src⟩ run — a seek to (src, 0) read up to
+			// (src+1, 0) — is the scan's already-loaded block, with an
+			// empty iterator behind it. Nothing reads the cursor again,
+			// so the run stays valid.
+			run := ix.Blocks(v.Segment).SrcRun(v.Src)
+			scan := &IndexScan{blocks: new(pathindex.BlockIterator), block: run}
 			return WithContext(scan, opts.Ctx), nil
 		}
 		return WithContext(newSegmentScan(ix, v.Segment, v.Inverted), opts.Ctx), nil
@@ -756,26 +761,36 @@ func (h *HashJoin) NextBatch(buf []Pair) int {
 // Name implements Operator.
 func (h *HashJoin) Name() string { return "hash-join" }
 
-// ProbeJoin composes left with one segment's relation by point lookups:
-// for each left pair (s, m) it reads the ⟨segment, m⟩ run of the index —
-// the paper's I_{G,k}(⟨p, a⟩) prefix lookup, routed to the owning shard
-// and merged over update tiers by the storage — and emits (s, t) for
-// every t in it. It is the join of bound plans, whose left inputs are one
-// source's reach, far smaller than the right relation a scan would read.
+// ProbeJoin composes left with one segment's relation by prefix
+// lookups: for each left pair (s, m) it reads the ⟨segment, m⟩ run of
+// the index — the paper's I_{G,k}(⟨p, a⟩) lookup — and emits (s, t) for
+// every t in it. It is the join of bound plans, whose left inputs are
+// one source's reach, far smaller than the right relation a scan would
+// read.
+//
+// The join keeps one cursor on the segment for its whole life and sorts
+// each left batch by (Dst, Src) before it probes, so the lookups of a
+// batch ascend: each distinct join node is read once, and over a
+// compressed run each block the batch touches is decoded once. The
+// storage's cursor routes a lookup to the owning shard and merges it
+// over update tiers.
 type ProbeJoin struct {
 	opBase
-	left input
-	ix   pathindex.Storage
-	seg  pathindex.Path
+	left input // its batch is sorted by (Dst, Src) once pulled
+	cur  *pathindex.BlockIterator
 
-	src graph.NodeID       // source of the left pair being expanded
-	run []pathindex.Packed // its unemitted ⟨seg, m⟩ pairs
+	// The group being expanded: left.buf[gi:gj] share the join node
+	// whose ⟨seg, m⟩ run is run; left.buf[gi]'s pairs are emitted up to
+	// ri.
+	gi, gj int
+	run    []pathindex.Packed
+	ri     int
 }
 
 // NewProbeJoin returns a probe join of left with seg's relation in ix,
 // pulling batchSize left pairs per child call.
 func NewProbeJoin(left Operator, ix pathindex.Storage, seg pathindex.Path, batchSize int) *ProbeJoin {
-	return &ProbeJoin{left: newInput(left, max(batchSize, 1)), ix: ix, seg: seg}
+	return &ProbeJoin{left: newInput(left, max(batchSize, 1)), cur: ix.Blocks(seg)}
 }
 
 func (p *ProbeJoin) children() []Operator { return []Operator{p.left.op} }
@@ -787,23 +802,56 @@ func (p *ProbeJoin) NextBatch(buf []Pair) int {
 	}
 	n := 0
 	for n < len(buf) {
-		if len(p.run) > 0 {
-			k := min(len(p.run), len(buf)-n)
-			for _, pr := range p.run[:k] {
-				buf[n] = Pair{Src: p.src, Dst: pr.Dst()}
+		if p.ri < len(p.run) {
+			s := p.left.buf[p.gi].Src
+			k := min(len(p.run)-p.ri, len(buf)-n)
+			for _, pr := range p.run[p.ri : p.ri+k] {
+				buf[n] = Pair{Src: s, Dst: pr.Dst()}
 				n++
 			}
-			p.run = p.run[k:]
+			p.ri += k
 			continue
 		}
-		if !p.left.fill() {
+		if p.gi+1 < p.gj && len(p.run) > 0 {
+			p.gi, p.ri = p.gi+1, 0
+			continue
+		}
+		if !p.nextGroup() {
 			break
 		}
-		l := p.left.buf[p.left.pos]
-		p.left.pos++
-		p.src, p.run = l.Src, p.ix.SrcRange(p.seg, l.Dst)
 	}
 	return p.emit(n)
+}
+
+// nextGroup reads the run of the next join node of the sorted left
+// batch, pulling and sorting a new batch when this one is spent. It
+// reports false once left is exhausted.
+func (p *ProbeJoin) nextGroup() bool {
+	in := &p.left
+	if p.gj == in.n {
+		p.gj, in.pos = 0, in.n
+		if !in.fill() {
+			return false
+		}
+		sortByDst(in.buf[:in.n])
+	}
+	p.gi = p.gj
+	m := in.buf[p.gi].Dst
+	for p.gj++; p.gj < in.n && in.buf[p.gj].Dst == m; p.gj++ {
+	}
+	p.run, p.ri = p.cur.SrcRun(m), 0
+	return true
+}
+
+// sortByDst sorts pairs by (Dst, Src), leaving a sorted batch as it is.
+func sortByDst(w []Pair) {
+	key := func(pr Pair) uint64 { return uint64(pr.Dst)<<32 | uint64(pr.Src) }
+	for i := 1; i < len(w); i++ {
+		if key(w[i]) < key(w[i-1]) {
+			slices.SortFunc(w, func(a, b Pair) int { return cmp.Compare(key(a), key(b)) })
+			return
+		}
+	}
 }
 
 // Name implements Operator.

@@ -31,32 +31,51 @@ import (
 	"repro/internal/graph"
 )
 
-// srcRangeOf returns the contiguous sub-run of rel with Src == src, by
-// binary search (SrcRange for a bare run instead of an indexed path).
-func srcRangeOf(rel []Packed, src graph.NodeID) []Packed {
-	lo, _ := slices.BinarySearch(rel, Pack(src, 0))
-	hi := len(rel)
-	if src < ^graph.NodeID(0) {
-		hi, _ = slices.BinarySearch(rel, Pack(src+1, 0))
-	}
-	return rel[lo:hi:hi]
-}
-
-// diffSorted returns the elements of a not present in b; both runs must
-// be sorted ascending. The result is freshly allocated (nil when empty).
-func diffSorted(a, b []Packed) []Packed {
-	var out []Packed
-	j := 0
-	for _, x := range a {
-		for j < len(b) && b[j] < x {
-			j++
+// subtract removes from the sorted run raw, in place, every pair the
+// cursor's run holds: one SrcRun per distinct source of raw, ascending,
+// so the cursor only walks forward.
+func subtract(raw []Packed, it *BlockIterator) []Packed {
+	out := raw[:0]
+	for i := 0; i < len(raw); {
+		src := raw[i].Src()
+		j := i + srcEnd(raw[i:], src)
+		have := it.SrcRun(src)
+		for _, x := range raw[i:j] {
+			have = have[gallop(have, x):]
+			if len(have) == 0 || have[0] != x {
+				out = append(out, x)
+			}
 		}
-		if j < len(b) && b[j] == x {
-			continue
-		}
-		out = append(out, x)
+		i = j
 	}
 	return out
+}
+
+// prefixRuns holds the sub-runs of one relation for an ascending list of
+// sources, copied out of one ascending walk of its cursor.
+type prefixRuns struct {
+	srcs  []graph.NodeID
+	ends  []int // srcs[i]'s sub-run is pairs[ends[i-1]:ends[i]]
+	pairs []Packed
+}
+
+func readPrefixRuns(it *BlockIterator, srcs []graph.NodeID) *prefixRuns {
+	pr := &prefixRuns{srcs: srcs, ends: make([]int, len(srcs))}
+	for i, src := range srcs {
+		pr.pairs = append(pr.pairs, it.SrcRun(src)...)
+		pr.ends[i] = len(pr.pairs)
+	}
+	return pr
+}
+
+// run returns src's sub-run; src must be one of the listed sources.
+func (pr *prefixRuns) run(src graph.NodeID) []Packed {
+	i, _ := slices.BinarySearch(pr.srcs, src)
+	lo := 0
+	if i > 0 {
+		lo = pr.ends[i-1]
+	}
+	return pr.pairs[lo:pr.ends[i]]
 }
 
 // BuildDelta computes the index increment that takes base — an index (or
@@ -106,13 +125,9 @@ func BuildDelta(base Storage, g2 *graph.Graph) (*Index, error) {
 			}
 			continue
 		}
-		l := dl.Label()
-		newRel := packEdges(g2.Edges(l))
-		var baseRel []Packed
-		if int(l) < g.NumLabels() {
-			baseRel = base.Relation(Path{dl})
-		}
-		edgeDelta[dl] = diffSorted(newRel, baseRel)
+		// The delta is short beside the edge relation it is cut from, so
+		// it gets an array of its own.
+		edgeDelta[dl] = slices.Clone(subtract(packEdges(g2.Edges(dl.Label())), base.Blocks(Path{dl})))
 	}
 	for _, dl := range dirs {
 		if len(edgeDelta[dl]) > 0 {
@@ -130,11 +145,22 @@ func BuildDelta(base Storage, g2 *graph.Graph) (*Index, error) {
 
 	// Levels 2..k: extend every length-(L-1) path that exists in the base
 	// or gained delta pairs by every direction-qualified label.
+	// The sources of every edge delta, ascending: the b of the ⟨p⁻, b⟩
+	// lookups below.
+	var bs []graph.NodeID
+	for _, ed := range edgeDelta {
+		for _, pr := range ed {
+			bs = append(bs, pr.Src())
+		}
+	}
+	slices.Sort(bs)
+	bs = slices.Compact(bs)
+
 	prev := levelPaths(d, basePathsByLen[0], 1)
 	for level := 2; level <= k; level++ {
 		for _, p := range prev {
 			dp := d.Relation(p)
-			pinv := p.Inverse()
+			var lookups *prefixRuns // read on first use, for all labels
 			for _, dl := range dirs {
 				ed := edgeDelta[dl]
 				if len(dp) == 0 && len(ed) == 0 {
@@ -164,21 +190,21 @@ func BuildDelta(base Storage, g2 *graph.Graph) (*Index, error) {
 				// (a,c) ∈ (p∘d)(G'). Base paths always carry their
 				// inverses, so the lookup is exact; paths absent from the
 				// base (e.g. over a new label) have empty p(G).
+				if len(ed) > 0 && lookups == nil {
+					lookups = readPrefixRuns(base.Blocks(p.Inverse()), bs)
+				}
 				for _, pr := range ed {
-					b, c := pr.Src(), pr.Dst()
-					for _, ba := range base.SrcRange(pinv, b) {
+					c := pr.Dst()
+					for _, ba := range lookups.run(pr.Src()) {
 						raw = append(raw, Pack(ba.Dst(), c))
 					}
 				}
-				raw = sortDedup(raw)
+				if len(raw) == 0 {
+					continue
+				}
 				// Subtract pairs the base already relates: the delta run
 				// must be disjoint so merges at scan need no dedup.
-				rel := raw[:0]
-				for _, pr := range raw {
-					if !base.Contains(q, pr.Src(), pr.Dst()) {
-						rel = append(rel, pr)
-					}
-				}
+				rel := subtract(sortDedup(raw), base.Blocks(q))
 				// The run lives as long as its tier; when subtraction
 				// discarded most of the join output, free the oversized
 				// backing array instead of pinning it behind a short run.

@@ -7,8 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"os"
-	"sort"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -299,32 +298,143 @@ type compressedRun struct {
 	ctr     *decodeCounters
 }
 
-// decode appends block b's pairs to dst, bounds- and order-checking
-// every varint: a short or overlong varint, a zero delta (duplicate
-// pair), or a wrapping delta all return an error instead of bad data.
+// decode appends block b's pairs to dst, checked as blockReader checks
+// them.
 func (r *compressedRun) decode(b int, dst []Packed) ([]Packed, error) {
-	prev := r.firsts[b]
-	dst = append(dst, prev)
-	p := r.payload[r.offs[b]:r.offs[b+1]]
-	for i := 1; i < int(r.counts[b]); i++ {
-		d, n := binary.Uvarint(p)
-		if n <= 0 {
-			return nil, fmt.Errorf("pathindex: v3 block %d: bad varint at pair %d", b, i)
+	br := r.reader(b)
+	dst, err := br.read(append(slices.Grow(dst, int(r.counts[b])), br.prev), ^Packed(0))
+	if err != nil {
+		return nil, fmt.Errorf("pathindex: v3 block %d: %w", b, err)
+	}
+	return dst, nil
+}
+
+// reader counts a decode of block b and returns a reader positioned
+// after its first pair, which the block directory holds.
+func (r *compressedRun) reader(b int) blockReader {
+	r.ctr.blocks.Add(1)
+	r.ctr.bytes.Add(v3BlockDirEntry)
+	return blockReader{
+		ctr:  r.ctr,
+		rest: r.payload[r.offs[b]:r.offs[b+1]],
+		prev: r.firsts[b],
+		left: int(r.counts[b]) - 1,
+	}
+}
+
+// blockReader reads one block's varint deltas front to back: rest is
+// the unread payload, prev the pair read last and left the pairs still
+// to read. Every read is bounds- and order-checked: a short or overlong
+// varint, a zero delta (a duplicate pair), a wrapping delta, and payload
+// bytes left over after the block's last pair are errors, never bad
+// data.
+//
+// One-byte deltas are the common case inside a source's sub-run, so
+// eight of them in a row — a word with no continuation bit set and no
+// zero byte — are read at once.
+type blockReader struct {
+	ctr  *decodeCounters
+	rest []byte
+	prev Packed
+	left int
+}
+
+// eightDeltas returns the eight one-byte deltas at the front of p as
+// one word, when p has eight such bytes and the block eight pairs left.
+func eightDeltas(p []byte, left int) (uint64, bool) {
+	const high, low = 0x8080808080808080, 0x0101010101010101
+	if left < 8 || len(p) < 8 {
+		return 0, false
+	}
+	w := binary.LittleEndian.Uint64(p)
+	return w, w&high == 0 && (w-low)&high == 0
+}
+
+// nextDelta returns the delta at the front of p and its width, which is
+// not positive for a malformed varint.
+func nextDelta(p []byte) (uint64, int) {
+	if len(p) > 0 && p[0] < 0x80 {
+		return uint64(p[0]), 1
+	}
+	return binary.Uvarint(p)
+}
+
+// read appends pairs to dst until it has appended one ≥ stop (and at
+// most seven more) or the block is spent.
+func (br *blockReader) read(dst []Packed, stop Packed) ([]Packed, error) {
+	p, prev, left := br.rest, br.prev, br.left
+	for left > 0 && prev < stop {
+		if w, ok := eightDeltas(p, left); ok {
+			v0 := prev + Packed(w&0xff)
+			v1 := v0 + Packed(w>>8&0xff)
+			v2 := v1 + Packed(w>>16&0xff)
+			v3 := v2 + Packed(w>>24&0xff)
+			v4 := v3 + Packed(w>>32&0xff)
+			v5 := v4 + Packed(w>>40&0xff)
+			v6 := v5 + Packed(w>>48&0xff)
+			v7 := v6 + Packed(w>>56)
+			if v7 > prev {
+				dst = append(dst, v0, v1, v2, v3, v4, v5, v6, v7)
+				prev, p, left = v7, p[8:], left-8
+				continue
+			}
 		}
-		p = p[n:]
-		v := Packed(uint64(prev) + d)
-		if v <= prev {
-			return nil, fmt.Errorf("pathindex: v3 block %d: non-ascending delta at pair %d", b, i)
+		d, n := nextDelta(p)
+		v := prev + Packed(d)
+		if n <= 0 || v <= prev {
+			return nil, fmt.Errorf("bad or non-ascending delta with %d pairs left", left)
 		}
 		dst = append(dst, v)
-		prev = v
+		prev, p, left = v, p[n:], left-1
 	}
-	if len(p) != 0 {
-		return nil, fmt.Errorf("pathindex: v3 block %d: %d trailing payload bytes", b, len(p))
+	return dst, br.advance(p, prev, left)
+}
+
+// skip reads past every pair below key without keeping it, so the next
+// pair read is the block's first ≥ key.
+func (br *blockReader) skip(key Packed) error {
+	p, prev, left := br.rest, br.prev, br.left
+	for left > 0 {
+		if w, ok := eightDeltas(p, left); ok {
+			// The eight deltas summed in four 16-bit lanes, then across.
+			lanes := w&0x00ff00ff00ff00ff + w>>8&0x00ff00ff00ff00ff
+			if v := prev + Packed(lanes*0x0001000100010001>>48); v > prev && v < key {
+				prev, p, left = v, p[8:], left-8
+				continue
+			}
+		}
+		d, n := nextDelta(p)
+		v := prev + Packed(d)
+		if n <= 0 || v <= prev {
+			return fmt.Errorf("bad or non-ascending delta with %d pairs left", left)
+		}
+		if v >= key {
+			break
+		}
+		prev, p, left = v, p[n:], left-1
 	}
-	r.ctr.blocks.Add(1)
-	r.ctr.bytes.Add(int64(r.offs[b+1]-r.offs[b]) + v3BlockDirEntry)
-	return dst, nil
+	return br.advance(p, prev, left)
+}
+
+// advance moves the reader to where a read stopped, counting the
+// payload bytes read, and checks the block there (see check).
+func (br *blockReader) advance(p []byte, prev Packed, left int) error {
+	br.ctr.bytes.Add(int64(len(br.rest) - len(p)))
+	br.rest, br.prev, br.left = p, prev, left
+	return br.check()
+}
+
+// check reports a block that is inconsistent where a read stopped:
+// payload left after its last pair, or pairs left after the greatest
+// packed value, which no pair can follow.
+func (br *blockReader) check() error {
+	switch {
+	case br.left == 0 && len(br.rest) != 0:
+		return fmt.Errorf("%d trailing payload bytes", len(br.rest))
+	case br.left > 0 && br.prev == ^Packed(0):
+		return fmt.Errorf("%d pairs after the greatest pair", br.left)
+	}
+	return nil
 }
 
 // last returns the greatest pair of a non-empty run by summing the last
@@ -359,29 +469,17 @@ func (r *compressedRun) decodeAll(dst []Packed) ([]Packed, error) {
 	return dst, nil
 }
 
-// blockFor returns the index of the block that could contain key: the
-// last block whose first pair is ≤ key, or -1 when key precedes the run.
-func (r *compressedRun) blockFor(key Packed) int {
-	return sort.Search(len(r.firsts), func(i int) bool { return r.firsts[i] > key }) - 1
-}
-
-// blockBufPool recycles per-call decode buffers for the point lookups
-// (Contains, SrcRange) that have no operator state to keep one in.
-var blockBufPool = sync.Pool{
-	New: func() any {
-		s := make([]Packed, 0, v3BlockPairs)
-		return &s
-	},
-}
-
 // CompressedIndex is a read-only k-path index served directly from a
 // format-v3 file image: on unix hosts a read-only memory mapping,
 // elsewhere (or when mmap fails) an in-memory copy of the file. Opening
 // decodes only the header, label table, directory, and per-run block
 // directories — cost proportional to the block count, never to the
-// payload. Scans decode one block at a time into a reused buffer (see
-// BlockIterator), range and membership lookups decode only the touched
-// blocks, and Relation decodes the full run into a fresh slice.
+// payload. Every read goes through the one cursor of a run (see
+// BlockIterator): a scan decodes one block at a time into a reused
+// buffer, a seek or prefix lookup skips to the block holding its key by
+// the block directory and decodes that block only as far as it reads,
+// keeping it for the lookups after it, and Relation decodes the full
+// run into a fresh slice.
 //
 // A CompressedIndex satisfies Storage and is safe for any number of
 // concurrent readers. Its Pinner half guards the mapping: the engine
@@ -675,9 +773,9 @@ func (c *CompressedIndex) Materialize() (*Index, error) {
 }
 
 // Relation implements Storage by decoding the full run into a fresh
-// slice — an O(|p(G)|) allocation. Prefer Blocks (decode-on-scan) or
-// SrcRange (touched blocks only) on hot paths. A corrupt payload yields
-// the pairs decoded before the corruption.
+// slice — an O(|p(G)|) allocation. Prefer Blocks, the decode-on-read
+// cursor, on hot paths. A corrupt payload yields the pairs decoded
+// before the corruption.
 func (c *CompressedIndex) Relation(p Path) []Packed {
 	id, ok := c.ids[p.Key()]
 	if !ok {
@@ -687,91 +785,28 @@ func (c *CompressedIndex) Relation(p Path) []Packed {
 	return rel
 }
 
-// Blocks implements Storage: the iterator decodes one block at a time
+// Blocks implements Storage: the cursor decodes one block at a time
 // into a reused buffer (each returned block is valid until the next
-// Next call).
+// call on the iterator).
 func (c *CompressedIndex) Blocks(p Path) *BlockIterator {
 	bi := &BlockIterator{size: DefaultBlockSize}
-	if id, ok := c.ids[p.Key()]; ok {
+	if id, ok := c.ids[p.Key()]; ok && c.runs[id].n > 0 {
 		bi.cr = &c.runs[id]
 	}
 	return bi
 }
 
-// SrcRange implements Storage, decoding only the 1–2 blocks (typically)
-// that can hold pairs with the given source. The result is freshly
-// allocated, unlike the zero-copy sub-slices of the other storages.
+// SrcRange implements Storage through a fresh cursor, which decodes
+// only the blocks holding pairs with the given source. The result is
+// freshly decoded, unlike the zero-copy sub-slices of a heap run.
 func (c *CompressedIndex) SrcRange(p Path, src graph.NodeID) []Packed {
-	id, ok := c.ids[p.Key()]
-	if !ok {
-		return nil
-	}
-	r := &c.runs[id]
-	lo := Pack(src, 0)
-	unbounded := src == ^graph.NodeID(0) // src+1 would overflow the packed prefix
-	var hi Packed
-	if !unbounded {
-		hi = Pack(src+1, 0)
-	}
-	b := r.blockFor(lo)
-	if b < 0 {
-		b = 0
-	}
-	bufp := blockBufPool.Get().(*[]Packed)
-	defer blockBufPool.Put(bufp)
-	var out []Packed
-	for ; b < len(r.firsts); b++ {
-		if !unbounded && r.firsts[b] >= hi {
-			break
-		}
-		dec, err := r.decode(b, (*bufp)[:0])
-		if err != nil {
-			break
-		}
-		*bufp = dec[:0]
-		i := sort.Search(len(dec), func(x int) bool { return dec[x] >= lo })
-		j := len(dec)
-		if !unbounded {
-			j = sort.Search(len(dec), func(x int) bool { return dec[x] >= hi })
-		}
-		out = append(out, dec[i:j]...)
-		if j < len(dec) {
-			break
-		}
-	}
-	return out
-}
-
-// Contains implements Storage by decoding the single block that could
-// hold (src,dst) and binary-searching it.
-func (c *CompressedIndex) Contains(p Path, src, dst graph.NodeID) bool {
-	id, ok := c.ids[p.Key()]
-	if !ok {
-		return false
-	}
-	r := &c.runs[id]
-	key := Pack(src, dst)
-	b := r.blockFor(key)
-	if b < 0 {
-		return false
-	}
-	if r.firsts[b] == key {
-		return true
-	}
-	bufp := blockBufPool.Get().(*[]Packed)
-	defer blockBufPool.Put(bufp)
-	dec, err := r.decode(b, (*bufp)[:0])
-	if err != nil {
-		return false
-	}
-	*bufp = dec[:0]
-	i := sort.Search(len(dec), func(x int) bool { return dec[x] >= key })
-	return i < len(dec) && dec[i] == key
+	return c.Blocks(p).SrcRun(src)
 }
 
 // DecodeStats returns the storage-lifetime decompression counters:
-// blocks decoded and compressed bytes (payload + block-directory)
-// consumed by scans, range lookups, and membership probes.
+// blocks decoded, wholly or up to the pairs a lookup read, and
+// compressed bytes (payload + block-directory) consumed by the runs'
+// cursors.
 func (c *CompressedIndex) DecodeStats() (blocks, bytes int64) {
 	return c.dec.blocks.Load(), c.dec.bytes.Load()
 }

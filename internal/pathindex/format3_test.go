@@ -57,7 +57,7 @@ func assertSameIndex(t *testing.T, g *graph.Graph, a, b dirStorage) {
 			t.Errorf("path %s: block iteration yields %d pairs, want %d", p.Format(g), len(viaBlocks), len(ra))
 		}
 		for _, pr := range ra[:min(len(ra), 50)] {
-			if !b.Contains(p, pr.Src(), pr.Dst()) {
+			if !contains(b, p, pr.Src(), pr.Dst()) {
 				t.Errorf("path %s: Contains(%d,%d) = false for an indexed pair", p.Format(g), pr.Src(), pr.Dst())
 			}
 		}
@@ -635,7 +635,7 @@ func TestCorruptV3(t *testing.T) {
 				}
 				for src := 0; src < g.NumNodes(); src++ {
 					c.SrcRange(p, graph.NodeID(src))
-					c.Contains(p, graph.NodeID(src), graph.NodeID(src))
+					contains(c, p, graph.NodeID(src), graph.NodeID(src))
 				}
 			})
 			return nil

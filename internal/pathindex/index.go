@@ -60,8 +60,8 @@ type BuildStats struct {
 }
 
 // Index is the k-path index I_{G,k}. Each label path's relation is kept
-// as one sorted, deduplicated []Packed run; scans, prefix lookups, and
-// membership tests are slice walks and binary searches over those runs.
+// as one sorted, deduplicated []Packed run; scans and prefix lookups are
+// walks of a cursor (BlockIterator) that gallops over those runs.
 // (The earlier revisions bulk-loaded the runs into a B+tree dictionary;
 // the sorted arrays subsume every lookup the engine performs and expose
 // zero-copy blocks to the executor.)
@@ -245,151 +245,10 @@ func (ix *Index) Relation(p Path) []Packed {
 	return ix.relations[id]
 }
 
-// DefaultBlockSize is the block granularity handed out by Blocks: large
-// enough to amortize per-block bookkeeping, small enough that a block of
-// packed words stays cache-resident while the executor decodes it.
-const DefaultBlockSize = 4096
-
-// BlockIterator yields a sorted relation as consecutive []Packed blocks,
-// whatever the storage: it is the one way the executor reads a whole
-// run. Over uncompressed storage the blocks are zero-copy sub-slices of
-// the index runs; over a *CompressedIndex run each on-disk block is
-// varint decoded on demand into a buffer reused across Next calls; over
-// a *Levels stack the base's blocks are merged with the path's tier run
-// into a buffer reused likewise. A returned block must not be mutated,
-// and over compressed or merged runs it is only valid until the next
-// Next call — consumers (IndexScan) fully drain a block before
-// advancing.
-type BlockIterator struct {
-	rel  []Packed
-	off  int
-	size int
-
-	// Compressed source: when cr is non-nil, rel is the decode buffer
-	// and blk the next on-disk block to decode into it.
-	cr  *compressedRun
-	blk int
-	buf []Packed
-
-	// Merged source: when base is non-nil, the iterator yields the
-	// sorted union of base's blocks and the sorted run tier (disjoint
-	// from base), rel is the unconsumed rest of base's current block,
-	// and buf is the buffer the two are merged into.
-	base *BlockIterator
-	tier []Packed
-}
-
-// Next returns the next block, or nil at exhaustion. A decode error in a
-// compressed run terminates the iteration early (see the CompressedIndex
-// trust model) rather than panicking.
-func (bi *BlockIterator) Next() []Packed {
-	if bi.base != nil {
-		return bi.nextMerged()
-	}
-	for bi.off >= len(bi.rel) {
-		if bi.cr == nil || bi.blk >= len(bi.cr.counts) {
-			return nil
-		}
-		if bi.buf == nil {
-			bi.buf = make([]Packed, 0, v3BlockPairs)
-		}
-		dec, err := bi.cr.decode(bi.blk, bi.buf[:0])
-		bi.blk++
-		if err != nil {
-			bi.cr = nil
-			return nil
-		}
-		bi.buf = dec
-		bi.rel, bi.off = dec, 0
-	}
-	end := bi.off + bi.size
-	if end > len(bi.rel) {
-		end = len(bi.rel)
-	}
-	b := bi.rel[bi.off:end:end]
-	bi.off = end
-	return b
-}
-
-// nextMerged returns the next block of a merged source: up to size
-// pairs (at most DefaultBlockSize) of the two runs' union, merged into
-// the iterator's buffer. A base block wholly below the tier's next pair
-// is handed out as it came, and once the base is spent the iterator
-// serves the rest of the tier run zero-copy.
-func (bi *BlockIterator) nextMerged() []Packed {
-	if bi.buf == nil {
-		bi.buf = make([]Packed, min(bi.size, DefaultBlockSize))
-	}
-	out := bi.buf
-	n := 0
-	for n < len(out) {
-		if len(bi.rel) == 0 {
-			if bi.rel = bi.base.Next(); len(bi.rel) == 0 {
-				bi.base, bi.rel, bi.off = nil, bi.tier, 0
-				if n == 0 {
-					return bi.Next()
-				}
-				break
-			}
-		}
-		b, t := bi.rel, bi.tier
-		if n == 0 && (len(t) == 0 || b[len(b)-1] < t[0]) {
-			bi.rel = nil
-			return b
-		}
-		i, j := 0, 0
-		for n < len(out) && i < len(b) && j < len(t) {
-			if b[i] < t[j] {
-				out[n] = b[i]
-				i++
-			} else {
-				out[n] = t[j]
-				j++
-			}
-			n++
-		}
-		if j == len(t) {
-			m := copy(out[n:], b[i:])
-			i += m
-			n += m
-		}
-		bi.rel, bi.tier = b[i:], t[j:]
-	}
-	return out[:n]
-}
-
-// Sized sets the block size (minimum 1) and returns the iterator, for
-// consumers that want other than DefaultBlockSize blocks. Over a
-// compressed or merged run, blocks larger than the decode granularity
-// (DefaultBlockSize pairs) are served at that granularity.
-func (bi *BlockIterator) Sized(blockSize int) *BlockIterator {
-	bi.size = max(blockSize, 1)
-	if bi.base != nil {
-		bi.base.Sized(bi.size)
-	}
-	return bi
-}
-
-// Blocks returns a BlockIterator over p(G) with DefaultBlockSize blocks.
-// Scanning an unindexed path yields an empty iterator. This is the
-// paper's I_{G,k}(⟨p⟩) prefix lookup in bulk form.
-func (ix *Index) Blocks(p Path) *BlockIterator {
-	return &BlockIterator{rel: ix.Relation(p), size: DefaultBlockSize}
-}
-
-// SrcRange returns the contiguous sub-run of p(G) whose pairs have
-// Src == src, located by binary search: the paper's I_{G,k}(⟨p, a⟩)
-// prefix lookup as a zero-copy slice.
+// SrcRange returns the sub-run of p(G) whose pairs have Src == src: the
+// paper's I_{G,k}(⟨p, a⟩) prefix lookup as a zero-copy slice.
 func (ix *Index) SrcRange(p Path, src graph.NodeID) []Packed {
-	return srcRangeOf(ix.Relation(p), src)
-}
-
-// Contains reports whether (src,dst) ∈ p(G): the paper's full-key
-// I_{G,k}(⟨p, a, b⟩) lookup, a binary search on the sorted run.
-func (ix *Index) Contains(p Path, src, dst graph.NodeID) bool {
-	rel := ix.Relation(p)
-	_, found := slices.BinarySearch(rel, Pack(src, dst))
-	return found
+	return ix.Blocks(p).SrcRun(src)
 }
 
 // Pin implements Pinner: heap runs have no lifetime to guard.

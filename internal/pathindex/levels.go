@@ -309,7 +309,12 @@ func mergeRuns(a, b []Packed) []Packed {
 	if len(b) == 0 {
 		return a
 	}
-	out := make([]Packed, 0, len(a)+len(b))
+	return appendMerged(make([]Packed, 0, len(a)+len(b)), a, b)
+}
+
+// appendMerged appends the sorted union of two sorted disjoint runs to
+// out.
+func appendMerged(out, a, b []Packed) []Packed {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		if a[i] < b[j] {
@@ -444,8 +449,8 @@ func (ls *Levels) mergedRun(id uint32) []Packed {
 }
 
 // Relation implements Storage. When both the base and tier runs are
-// non-empty the merged run is freshly allocated; prefer Blocks or
-// SrcRange on hot paths.
+// non-empty the merged run is freshly allocated; prefer Blocks on hot
+// paths.
 func (ls *Levels) Relation(p Path) []Packed {
 	id, ok := ls.ids[p.Key()]
 	if !ok {
@@ -458,10 +463,10 @@ func (ls *Levels) Relation(p Path) []Packed {
 	return mergeRuns(base, ls.mergedRun(id))
 }
 
-// Blocks implements Storage: the base's blocks merged with the path's
-// merged tier run as the scan advances, so a compressed base still
-// decodes one block at a time. A path no tier touched is the base's own
-// iterator, and a path the base does not hold is its tier run,
+// Blocks implements Storage: the base's cursor merged with the path's
+// merged tier run as it reads, so a compressed base still decodes one
+// block at a time. A path no tier touched is the base's own cursor, and
+// a path the base does not hold is a cursor over its tier run,
 // zero-copy.
 func (ls *Levels) Blocks(p Path) *BlockIterator {
 	id, ok := ls.ids[p.Key()]
@@ -476,45 +481,114 @@ func (ls *Levels) Blocks(p Path) *BlockIterator {
 	if len(tier) == 0 {
 		return base
 	}
-	return &BlockIterator{size: DefaultBlockSize, base: base, tier: tier}
+	return &BlockIterator{size: DefaultBlockSize, comp: &tierMerge{base: base, tier: tier, size: DefaultBlockSize}}
 }
 
-// SrcRange implements Storage: the base ⟨p, src⟩ range merged with each
-// tier's. When the merged run is already cached its sub-range is sliced
-// directly; otherwise the small per-tier ranges are merged without
-// materializing the full union.
+// SrcRange implements Storage: the base's ⟨p, src⟩ sub-run merged with
+// the tiers'.
 func (ls *Levels) SrcRange(p Path, src graph.NodeID) []Packed {
-	id, ok := ls.ids[p.Key()]
-	if !ok {
-		return nil
-	}
-	var base []Packed
-	if id < uint32(ls.numBase) {
-		base = ls.base.SrcRange(p, src)
-	}
-	if m := ls.merged[id].Load(); m != nil {
-		return mergeRuns(base, srcRangeOf(*m, src))
-	}
-	out := base
-	for _, run := range ls.tierRuns[id] {
-		out = mergeRuns(out, srcRangeOf(run, src))
-	}
-	return out
+	return ls.Blocks(p).SrcRun(src)
 }
 
-// Contains implements Storage: membership in any tier run or the base.
-func (ls *Levels) Contains(p Path, src, dst graph.NodeID) bool {
-	id, ok := ls.ids[p.Key()]
-	if !ok {
-		return false
+// tierMerge is the cursor of a path that both a stack's base and its
+// tiers hold: the base's cursor and a cursor over the merged tier run,
+// which is disjoint from it, read as one sorted run.
+type tierMerge struct {
+	base  *BlockIterator
+	head  []Packed // unconsumed rest of the base's current block
+	spent bool     // the base has no block after head
+	tier  []Packed // the path's whole merged tier run
+	toff  int      // the tier cursor: next unconsumed tier pair
+	size  int
+	buf   []Packed // Next's merge buffer
+	run   []Packed // SrcRun's merge buffer
+}
+
+// next returns up to size pairs (at most DefaultBlockSize) of the two
+// runs' union. A base block wholly below the tier's next pair is handed
+// out as it came, and once the base is spent the rest of the tier run
+// is served zero-copy.
+func (m *tierMerge) next() []Packed {
+	if len(m.head) == 0 && !m.spent {
+		m.head = m.base.Next()
+		m.spent = len(m.head) == 0
 	}
-	key := Pack(src, dst)
-	for _, run := range ls.tierRuns[id] {
-		if _, found := slices.BinarySearch(run, key); found {
-			return true
+	t := m.tier[m.toff:]
+	if m.spent {
+		k := min(len(t), m.size)
+		if k == 0 {
+			return nil
 		}
+		m.toff += k
+		return t[:k:k]
 	}
-	return id < uint32(ls.numBase) && ls.base.Contains(p, src, dst)
+	if len(t) == 0 || m.head[len(m.head)-1] < t[0] {
+		b := m.head
+		m.head = nil
+		return b
+	}
+	if m.buf == nil {
+		m.buf = make([]Packed, min(m.size, DefaultBlockSize))
+	}
+	out := m.buf
+	n := 0
+	for n < len(out) {
+		if len(m.head) == 0 {
+			if m.head = m.base.Next(); len(m.head) == 0 {
+				m.spent = true
+				break
+			}
+		}
+		b, t := m.head, m.tier[m.toff:]
+		i, j := 0, 0
+		for n < len(out) && i < len(b) && j < len(t) {
+			if b[i] < t[j] {
+				out[n] = b[i]
+				i++
+			} else {
+				out[n] = t[j]
+				j++
+			}
+			n++
+		}
+		if j == len(t) {
+			c := copy(out[n:], b[i:])
+			i += c
+			n += c
+		}
+		m.head = b[i:]
+		m.toff += j
+	}
+	return out[:n]
+}
+
+func (m *tierMerge) seek(key Packed) {
+	m.base.Seek(key)
+	m.head, m.spent = nil, false
+	m.toff = seekRun(m.tier, m.toff, key)
+}
+
+// srcRun merges the base's sub-run of src with the tier run's, copying
+// only when both are non-empty.
+func (m *tierMerge) srcRun(src graph.NodeID) []Packed {
+	b := m.base.SrcRun(src)
+	m.head, m.spent = nil, false
+	lo := seekRun(m.tier, m.toff, Pack(src, 0))
+	m.toff = lo + srcEnd(m.tier[lo:], src)
+	t := m.tier[lo:m.toff:m.toff]
+	switch {
+	case len(t) == 0:
+		return b
+	case len(b) == 0:
+		return t
+	}
+	m.run = appendMerged(m.run[:0], b, t)
+	return slices.Clip(m.run)
+}
+
+func (m *tierMerge) sized(n int) {
+	m.size, m.buf = n, nil
+	m.base.Sized(n)
 }
 
 // Fold is an in-progress incremental compaction of a Levels stack: the

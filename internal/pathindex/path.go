@@ -10,10 +10,10 @@
 // Relations of inverse paths are derived by swapping pair components
 // rather than recomputed. The final sorted runs are the storage: where
 // the paper's prototype bulk-loads a PostgreSQL B+tree, this index keeps
-// each relation as one sorted packed array and serves prefix scans,
-// ⟨p, a⟩ range lookups, and membership tests by slicing and binary
-// search — which also lets the executor borrow whole blocks of a
-// relation without copying (see Index.Blocks).
+// each relation as one sorted packed array and serves prefix scans and
+// ⟨p, a⟩ range lookups through one seekable cursor per run (see
+// BlockIterator) — which also lets the executor borrow whole blocks of
+// a relation without copying.
 package pathindex
 
 import (

@@ -4,13 +4,14 @@
 // the sub-runs of every label-path relation whose packed src falls in
 // the shard — behind the ordinary Storage/Pinner interfaces.
 //
-// The invariant that makes this work is the same one behind SrcRange:
-// relations are sorted by (src, dst), so restricting a run to a set of
-// sources yields a sub-run that is still sorted and still disjoint from
-// every other shard's sub-run. Per-source lookups (SrcRange, Contains,
-// and so the bound scans and probe joins of single-source plans) route
-// to the single owning shard; whole-relation reads (Relation, Blocks)
-// merge the per-shard runs back together. The executor needs no global
+// The invariant that makes this work is the same one behind prefix
+// lookups: relations are sorted by (src, dst), so restricting a run to a
+// set of sources yields a sub-run that is still sorted and still
+// disjoint from every other shard's sub-run. Per-source lookups (a
+// cursor's Seek and SrcRun, and so the bound scans and probe joins of
+// single-source plans) route to the single owning shard; whole-relation
+// reads (Relation, and a cursor read past a source) merge the per-shard
+// runs back together. The executor needs no global
 // order and avoids that: it concatenates the per-shard scans, and runs
 // each merge join per shard.
 //
@@ -246,20 +247,126 @@ func kwayMergeRuns(runs [][]Packed) []Packed {
 	return out
 }
 
-// Blocks returns a block iterator over p's merged relation. The merge
-// materializes; the executor scans the shards one after another instead.
+// Blocks returns a cursor over p's relation in global order, built from
+// one cursor per shard (see shardCursor). The executor scans the shards
+// one after another instead.
 func (s *ShardedStorage) Blocks(p Path) *BlockIterator {
-	return &BlockIterator{rel: s.Relation(p), size: DefaultBlockSize}
+	c := &shardCursor{
+		part:  s.part,
+		parts: make([]*BlockIterator, len(s.parts)),
+		heads: make([][]Packed, len(s.parts)),
+		stale: make([]bool, len(s.parts)),
+		owner: -1,
+		size:  DefaultBlockSize,
+	}
+	for i, part := range s.parts {
+		c.parts[i] = part.Blocks(p)
+	}
+	return &BlockIterator{size: DefaultBlockSize, comp: c}
 }
 
-// SrcRange routes to the shard owning src.
+// SrcRange implements Storage: the sub-run of the shard owning src.
 func (s *ShardedStorage) SrcRange(p Path, src graph.NodeID) []Packed {
-	return s.parts[s.part.ShardOf(src)].SrcRange(p, src)
+	return s.Blocks(p).SrcRun(src)
 }
 
-// Contains routes to the shard owning src.
-func (s *ShardedStorage) Contains(p Path, src, dst graph.NodeID) bool {
-	return s.parts[s.part.ShardOf(src)].Contains(p, src, dst)
+// shardCursor is the cursor of a sharded path. A seek or SrcRun is
+// routed to the cursor of the shard owning its source, which alone holds
+// that source's pairs, so a bound lookup touches one shard. Only a read
+// that runs past that source needs the other shards: each is then sought
+// to the same key and the shards' heads are merged.
+type shardCursor struct {
+	part  Partitioner
+	parts []*BlockIterator
+	heads [][]Packed // per shard: unconsumed rest of its current block
+	stale []bool     // per shard: must be sought to key before its head is read
+	key   Packed     // the last seek's key
+	owner int        // the shard serving key's source, or -1 once merging
+	size  int
+	buf   []Packed
+}
+
+// head returns shard i's unconsumed pairs, nil when it is spent.
+func (c *shardCursor) head(i int) []Packed {
+	if c.stale[i] {
+		c.parts[i].Seek(c.key)
+		c.stale[i], c.heads[i] = false, nil
+	}
+	if len(c.heads[i]) == 0 {
+		c.heads[i] = c.parts[i].Next()
+	}
+	return c.heads[i]
+}
+
+// next serves the owner's pairs of the sought source while there are
+// any, then merges the shards' heads into blocks of up to size pairs
+// (at most DefaultBlockSize).
+func (c *shardCursor) next() []Packed {
+	if o := c.owner; o >= 0 {
+		src := c.key.Src()
+		if h := c.head(o); len(h) > 0 && h[0].Src() == src {
+			k := min(srcEnd(h, src), c.size)
+			c.heads[o] = h[k:]
+			return h[:k:k]
+		}
+		c.owner = -1
+	}
+	if c.buf == nil {
+		c.buf = make([]Packed, min(c.size, DefaultBlockSize))
+	}
+	n := 0
+	for n < len(c.buf) {
+		best, bound, bounded := -1, Packed(0), false
+		for i := range c.parts {
+			h := c.head(i)
+			switch {
+			case len(h) == 0:
+			case best < 0:
+				best = i
+			case h[0] < c.heads[best][0]:
+				bound, bounded = c.heads[best][0], true
+				best = i
+			case !bounded || h[0] < bound:
+				bound, bounded = h[0], true
+			}
+		}
+		if best < 0 {
+			break
+		}
+		h := c.heads[best]
+		k := len(h)
+		if bounded {
+			k = gallop(h, bound)
+		}
+		k = copy(c.buf[n:], h[:k])
+		c.heads[best] = h[k:]
+		n += k
+	}
+	if n == 0 {
+		return nil
+	}
+	return c.buf[:n]
+}
+
+func (c *shardCursor) seek(key Packed) {
+	c.key, c.owner = key, c.part.ShardOf(key.Src())
+	for i := range c.stale {
+		c.stale[i] = true
+	}
+}
+
+func (c *shardCursor) srcRun(src graph.NodeID) []Packed {
+	c.seek(Pack(src, 0))
+	o := c.owner
+	c.stale[o], c.heads[o] = false, nil
+	return c.parts[o].SrcRun(src)
+}
+
+func (c *shardCursor) sized(n int) {
+	c.size, c.buf = n, nil
+	for _, p := range c.parts {
+		p.Sized(n)
+	}
 }
 
 // Pin acquires a reader pin on every part. On failure the already-pinned

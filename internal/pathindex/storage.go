@@ -90,20 +90,23 @@ func (g *pinGate) shutdown(release func()) {
 //     a saved file by Load. An update tier's delta is one too.
 //   - *CompressedIndex — a format-v3 file of block-compressed runs,
 //     mmap-backed. Only the per-run block directories are decoded at
-//     open; relation payload is delta+varint decoded on scan, one block
-//     at a time, inside BlockIterator/SrcRange/Contains. Its Relation
-//     and SrcRange therefore return freshly decoded slices rather than
+//     open; relation payload is delta+varint decoded on read, inside
+//     the run's cursor, only in the blocks it reaches. Its Relation and
+//     SrcRange therefore return freshly decoded slices rather than
 //     aliases of storage memory.
 //   - *ShardedStorage — N of the above, partitioned by source node.
 //   - *Levels — a read-only base (any of the above) under a stack of
 //     in-memory update tiers, each a delta *Index; the one update
-//     overlay. Its Blocks merge the tier runs into the base's blocks.
+//     overlay. Its cursors merge the tier runs into the base's.
 //
 // All four embed one path directory, which supplies the path table and
-// every count (see directory), and add their own run access: Relation,
-// Blocks, SrcRange, and Contains, whose algorithms differ by layout.
-// Blocks is the one whole-run read the executor makes, whatever the
-// layout.
+// every count (see directory), and add their own run access: Relation
+// and Blocks. Blocks returns the run's cursor (BlockIterator), the one
+// way the executor and BuildDelta read a run, whatever the layout:
+// whole-run scans call Next, and the paper's ⟨p, a⟩ and ⟨p, a, b⟩
+// lookups are a SrcRun or a Seek on it, which a reader making many
+// lookups keeps for all of them. SrcRange is one SrcRun on a fresh
+// cursor.
 // Relations are handed out as sorted []Packed runs that must not be
 // mutated; blocks of a file-backed run are decoded from the mapping, so
 // readers hold a pin across any access.
@@ -126,14 +129,15 @@ type Storage interface {
 	AllPaths(fn func(id uint32, p Path, count int))
 	// Relation returns p(G) as one sorted (src,dst) run.
 	Relation(p Path) []Packed
-	// Blocks iterates p(G) as blocks of DefaultBlockSize (zero-copy for
-	// uncompressed storage, decode-on-scan for *CompressedIndex,
-	// merge-on-scan for *Levels).
+	// Blocks returns a cursor over p(G) that yields blocks of
+	// DefaultBlockSize (zero-copy for uncompressed storage,
+	// decode-on-read for *CompressedIndex, merge-on-read for *Levels)
+	// and seeks.
 	Blocks(p Path) *BlockIterator
-	// SrcRange returns the sub-run of p(G) with Src == src.
+	// SrcRange returns the sub-run of p(G) with Src == src: one SrcRun
+	// on a fresh cursor. Readers that look up many sources keep one
+	// cursor and call SrcRun on it instead.
 	SrcRange(p Path, src graph.NodeID) []Packed
-	// Contains reports whether (src,dst) ∈ p(G).
-	Contains(p Path, src, dst graph.NodeID) bool
 	Pinner
 }
 
