@@ -40,7 +40,7 @@ const DefaultBlockSize = 4096
 // only valid until the next call on the iterator; consumers (IndexScan,
 // ProbeJoin) finish with it before calling again.
 type BlockIterator struct {
-	rel  []Packed // heap source: the whole run; compressed: block blk-1, decoded
+	rel  []Packed // heap source: the whole run; compressed: a window onto block blk-1
 	off  int      // the cursor: next pair of rel to hand out
 	size int
 
