@@ -162,7 +162,7 @@ func ExampleDB_Explain() {
 	fmt.Print(plan)
 	// Output:
 	// plan strategy=semiNaive k=1 est_card=0.3 est_cost=4.3
-	// └─ merge-join (est card 0.3, cost 4.3)
-	//    ├─ scan a [scan a^-, swap] (est 1.0)
+	// └─ group-join (est card 0.3, cost 4.3)
+	//    ├─ scan a (est 1.0)
 	//    └─ scan b (est 1.0)
 }

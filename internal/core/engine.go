@@ -82,12 +82,16 @@ type Options struct {
 	// MaxIndexEntries aborts index construction beyond this size; 0
 	// means unlimited.
 	MaxIndexEntries int
-	// HashOnly disables merge joins (ablation).
+	// HashOnly disables merge and group joins (ablation): every
+	// unbound join is a hash join.
 	HashOnly bool
 	// NoIntermediateDedup disables the per-join Distinct operators
 	// (ablation). Answers are sets of pairs, so joins deduplicate by
 	// default: without it, duplicate witnesses multiply through hub
-	// nodes and intermediate streams grow combinatorially.
+	// nodes and intermediate streams grow combinatorially. It affects
+	// merge, hash and probe joins only: a group join — every unbound
+	// join over unsharded storage without HashOnly — dedups each
+	// source's targets itself.
 	NoIntermediateDedup bool
 	// NoDerivedInverses recomputes inverse path relations instead of
 	// deriving them (ablation).

@@ -237,9 +237,15 @@ func TestExplainOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"semiNaive", "merge-join", "hash-join", "scan"} {
+	for _, want := range []string{"semiNaive", "group-join", "scan"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Explain missing %q:\n%s", want, out)
+		}
+	}
+	// Unsharded, every unbound join is a group join.
+	for _, gone := range []string{"merge-join", "hash-join", "swap"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("Explain has %q:\n%s", gone, out)
 		}
 	}
 }

@@ -34,6 +34,11 @@ func TestRunSizedInvariance(t *testing.T) {
 				NewIndexScan(ix, left, false),
 				NewIndexScan(ix, right, false), true, bs)
 		},
+		"group-join": func(bs int) Operator {
+			return NewGroupJoin(
+				NewIndexScan(ix, left, false),
+				NewIndexScan(ix, right, false), bs)
+		},
 		"distinct-over-join": func(bs int) Operator {
 			return NewDistinct(NewMergeJoinSized(
 				NewIndexScan(ix, left, true),
@@ -42,6 +47,12 @@ func TestRunSizedInvariance(t *testing.T) {
 		"union": func(bs int) Operator {
 			return NewUnionDistinct([]Operator{
 				NewIndexScan(ix, left, false),
+				NewIndexScan(ix, right, false),
+			})
+		},
+		"union-hashed": func(bs int) Operator {
+			return NewUnionDistinct([]Operator{
+				NewIndexScan(ix, left, true),
 				NewIndexScan(ix, right, false),
 			})
 		},

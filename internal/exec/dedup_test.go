@@ -34,6 +34,26 @@ func rootDedups(op Operator, depth int, visit func(op Operator, depth int)) {
 	}
 }
 
+// hashDedups collects the operators of the tree that dedup through a
+// pairSet: every Distinct, and every UnionDistinct not merging by source.
+func hashDedups(op Operator) []Operator {
+	var out []Operator
+	switch v := op.(type) {
+	case *Distinct:
+		out = append(out, v)
+	case *UnionDistinct:
+		if !v.bySource {
+			out = append(out, v)
+		}
+	}
+	if hc, ok := op.(interface{ children() []Operator }); ok {
+		for _, c := range hc.children() {
+			out = append(out, hashDedups(c)...)
+		}
+	}
+	return out
+}
+
 // twoRouteGraph is a graph on which a/b/c reaches (s,d) along two
 // routes, s→x1→y1→d and s→x2→y2→d, whose middle nodes the 4-shard hash
 // partitioner assigns to different shards: whichever node a merge join
@@ -65,10 +85,14 @@ func twoRouteGraph() *graph.Graph {
 // every strategy, over unsharded storage and 1/2/4/7 shards, with and
 // without per-join dedup, sequential and with the disjuncts fanned out
 // over 2 or 3 workers, and
-// checks three things: the result equals the automaton oracle, it holds
-// no pair twice, and no pair went through more than one root-level
+// checks four things: the result equals the automaton oracle, it holds
+// no pair twice, no pair went through more than one root-level
 // deduplicating operator (so those operators emitted, in total, exactly
-// the result or — under a duplicate-free root — nothing at all).
+// the result or — under a duplicate-free root — nothing at all), and
+// only sharded or fanned-out trees hash: over unsharded storage with
+// the disjuncts drained in turn there is no Distinct and the root union
+// merges by source, while a root union over a Gather or shard streams
+// keeps its pairSet.
 func TestDedupPlacement(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	random := randomGraph(r, 40, 90, 3)
@@ -85,15 +109,15 @@ func TestDedupPlacement(t *testing.T) {
 		closures []plan.Seq
 		epsilon  bool
 		// noUnion says when Build must return the lone disjunct as is,
-		// its root emitting a set by itself: "always", "perJoin" (a join
-		// under its per-join Distinct, unsharded: a scattered join is
-		// gathered, and the Gather is a union) or never.
+		// its root emitting a set by itself: "always", "unsharded" (a
+		// group join; a scattered merge join is gathered, and the Gather
+		// is a union) or never.
 		noUnion string
 		g       *graph.Graph // nil: the random graph
 	}{
 		{name: "single-scan", query: "a/b", paths: []pathindex.Path{{a, b}}, noUnion: "always"},
-		{name: "single-join", query: "a/b/c", paths: []pathindex.Path{{a, b, c}}, noUnion: "perJoin"},
-		{name: "join-two-shard-routes", query: "a/b/c", paths: []pathindex.Path{{a, b, c}}, noUnion: "perJoin",
+		{name: "single-join", query: "a/b/c", paths: []pathindex.Path{{a, b, c}}, noUnion: "unsharded"},
+		{name: "join-two-shard-routes", query: "a/b/c", paths: []pathindex.Path{{a, b, c}}, noUnion: "unsharded",
 			g: twoRouteGraph()},
 		{name: "multi-disjunct", query: "a/b/c|b^-/a|c|()", epsilon: true,
 			paths: []pathindex.Path{{a, b, c}, {graph.Inv(1), a}, {c}}},
@@ -151,6 +175,13 @@ func TestDedupPlacement(t *testing.T) {
 						if len(p.Disjuncts) > 1 && fanned != (workers > 1) {
 							t.Errorf("%s: disjuncts under one Gather = %v", where, fanned)
 						}
+						hashed := hashDedups(op)
+						if shards <= 1 && !fanned && len(hashed) > 0 {
+							t.Errorf("%s: %d operators dedup through a hash set, the first %s", where, len(hashed), hashed[0].Name())
+						}
+						if u, ok := op.(*UnionDistinct); ok && u.bySource != (shards <= 1 && !fanned) {
+							t.Errorf("%s: root union by source = %v", where, u.bySource)
+						}
 						rootRows := 0
 						rootDedups(op, 0, func(d Operator, depth int) {
 							rootRows += d.Rows()
@@ -162,7 +193,7 @@ func TestDedupPlacement(t *testing.T) {
 						// The noUnion shapes are those of k=2 segmentations; naive
 						// plans single labels, so its a/b is already a join.
 						wantUnion := len(got)
-						if tc.noUnion == "always" || tc.noUnion == "perJoin" && perJoin && shards <= 1 {
+						if tc.noUnion == "always" || tc.noUnion == "unsharded" && shards <= 1 {
 							wantUnion = 0
 						}
 						if strat != plan.Naive && st.RowsByOperator["union-distinct"] != wantUnion {

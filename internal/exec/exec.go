@@ -1,9 +1,16 @@
 // Package exec provides the physical operators that evaluate the plans of
 // internal/plan against a k-path index: index scans (forward, inverted
-// and source-bound), merge joins on the index sort order, hash joins,
-// probe joins over prefix lookups, identity scans for ε, and the
-// top-level deduplicating union that realizes the paper's set semantics
-// for query answers.
+// and source-bound), group joins over source-ordered inputs, merge joins
+// on the index sort order, hash joins, probe joins over prefix lookups,
+// identity scans for ε, and the top-level deduplicating union that
+// realizes the paper's set semantics for query answers.
+//
+// Duplicates are removed by source where the stream allows it: a group
+// join and a closure emit each source's targets once, stamping a dense
+// array per source group, and a union whose children are all grouped by
+// ascending source merges them and dedups each group the same way. Only
+// streams with no source order — merge, hash and probe joins,
+// concatenated shard scans, gathers — pass through a hash set (pairSet).
 //
 // Operators are vectorized: NextBatch fills a caller-supplied buffer with
 // up to len(buf) (source, target) pairs per call, so the per-tuple
@@ -104,10 +111,11 @@ func CollectStats(op Operator) Stats {
 
 // BuildOptions configures operator-tree construction.
 type BuildOptions struct {
-	// PerJoinDedup wraps every join in a Distinct operator, trading
-	// hash-set maintenance for smaller intermediate results (ablation
-	// Ext-3c). The root of the tree is duplicate-free regardless (see
-	// duplicateFree), so results are identical either way.
+	// PerJoinDedup wraps every merge, hash and probe join in a Distinct
+	// operator, trading hash-set maintenance for smaller intermediate
+	// results (ablation Ext-3c). A group join emits a set already and is
+	// never wrapped. The root of the tree is duplicate-free regardless
+	// (see duplicateFree), so results are identical either way.
 	PerJoinDedup bool
 	// BatchSize sets the internal buffer size operators use when pulling
 	// from their children; 0 uses DefaultBatchSize. Exposed for the
@@ -197,18 +205,34 @@ func Build(p *plan.Plan, ix pathindex.Storage, opts BuildOptions) (Operator, err
 }
 
 // duplicateFree reports whether op emits no pair twice — the one rule
-// that places duplicate elimination. Duplicates arise only where a join
-// projects away its middle node and where a union concatenates streams;
-// every other operator emits a set: scans read a relation (a ConcatScan
-// reads disjoint shard runs), Distinct keeps a seen-set and a closure
-// enumerates each source's reach set once. A Gather is a union too: its
-// per-shard joins meet the same (src,dst) through join nodes of
-// different shards, and its disjuncts overlap, so it is never
-// duplicate-free, not even over Distincts.
+// that places duplicate elimination. Duplicates arise only where a merge,
+// hash or probe join projects away its middle node and where a union
+// concatenates streams; every other operator emits a set: scans read a
+// relation (a ConcatScan reads disjoint shard runs), Distinct keeps a
+// seen-set, and a closure and a group join emit each source's targets
+// once. A Gather is a union too: its per-shard joins meet the same
+// (src,dst) through join nodes of different shards, and its disjuncts
+// overlap, so it is never duplicate-free, not even over Distincts.
 func duplicateFree(op Operator) bool {
 	switch op.(type) {
 	case *IndexScan, *ConcatScan, *IdentityScan,
-		*StreamClosure, *Distinct, *UnionDistinct:
+		*StreamClosure, *GroupJoin, *Distinct, *UnionDistinct:
+		return true
+	}
+	return false
+}
+
+// sourceOrdered reports whether op emits its pairs grouped by ascending
+// source: a forward scan reads a run sorted by source, the identity scan
+// counts up, a closure walks its seeds by source and a group join its
+// left input. Inverted scans (ordered by target), concatenated shard
+// scans, merge, hash and probe joins, the Distincts over them, and
+// gathers are not.
+func sourceOrdered(op Operator) bool {
+	switch v := op.(type) {
+	case *IndexScan:
+		return !v.swap
+	case *IdentityScan, *StreamClosure, *GroupJoin:
 		return true
 	}
 	return false
@@ -258,6 +282,9 @@ func buildNode(n plan.Node, ix pathindex.Storage, opts BuildOptions) (Operator, 
 		if err != nil {
 			return nil, err
 		}
+		if v.Algo == plan.Group && !sourceOrdered(left) {
+			return nil, fmt.Errorf("exec: group join over a %s left input, which is not grouped by ascending source", left.Name())
+		}
 		var join Operator
 		if v.Algo == plan.Probe {
 			// The right scan names the probed segment; it is never read whole.
@@ -267,14 +294,17 @@ func buildNode(n plan.Node, ix pathindex.Storage, opts BuildOptions) (Operator, 
 			if err != nil {
 				return nil, err
 			}
-			if v.Algo == plan.Merge {
+			switch v.Algo {
+			case plan.Group:
+				join = NewGroupJoin(left, right, opts.batchSize())
+			case plan.Merge:
 				join = NewMergeJoinSized(left, right, opts.batchSize())
-			} else {
+			default:
 				join = NewHashJoinSized(left, right, v.BuildRight, opts.batchSize())
 			}
 		}
 		join = WithContext(join, opts.Ctx)
-		if opts.PerJoinDedup {
+		if opts.PerJoinDedup && v.Algo != plan.Group {
 			join = WithContext(NewDistinctSized(join, opts.batchSize()), opts.Ctx)
 		}
 		return join, nil
@@ -896,12 +926,30 @@ func (d *dedup) refill(op Operator, batchSize int) bool {
 
 // UnionDistinct concatenates child streams and removes duplicate pairs —
 // the top-level union over disjuncts with the paper's set semantics.
+//
+// When every child is grouped by ascending source (see sourceOrdered) the
+// union runs by source: it merges the children on their heads' sources
+// and dedups each source group through one array of targets, stamped per
+// group, so it hashes nothing and its output is grouped by ascending
+// source too. Otherwise it drains the children one after another through
+// a pairSet.
 type UnionDistinct struct {
 	opBase
 	kids      []Operator
 	i         int
 	d         dedup
 	batchSize int
+
+	// By source: heads buffers each child, seen maps a target to the
+	// stamp of the last source group that emitted it, src is the source
+	// of the group being merged and cur the child it is taking pairs
+	// from (len(heads) once the group is done).
+	bySource bool
+	heads    []input
+	seen     []uint32
+	stamp    uint32
+	src      graph.NodeID
+	cur      int
 }
 
 // NewUnionDistinct returns a deduplicating union of the children with
@@ -916,7 +964,11 @@ func NewUnionDistinctSized(children []Operator, batchSize int) *UnionDistinct {
 	if batchSize < 1 {
 		batchSize = 1
 	}
-	return &UnionDistinct{kids: children, batchSize: batchSize}
+	u := &UnionDistinct{kids: children, batchSize: batchSize, bySource: len(children) > 0}
+	for _, k := range children {
+		u.bySource = u.bySource && sourceOrdered(k)
+	}
+	return u
 }
 
 func (u *UnionDistinct) children() []Operator { return u.kids }
@@ -925,6 +977,9 @@ func (u *UnionDistinct) children() []Operator { return u.kids }
 func (u *UnionDistinct) NextBatch(buf []Pair) int {
 	if len(buf) == 0 || cancelled(u.ctx) {
 		return 0
+	}
+	if u.bySource {
+		return u.emit(u.mergeBySource(buf))
 	}
 	n := 0
 	for {
@@ -940,6 +995,75 @@ func (u *UnionDistinct) NextBatch(buf []Pair) int {
 		}
 	}
 	return u.emit(n)
+}
+
+// mergeBySource fills buf from the children's source-ordered streams.
+// A source group starts at the least head source; the group then takes,
+// child by child, every pair of that source, keeping each target the
+// first time the group reaches it.
+func (u *UnionDistinct) mergeBySource(buf []Pair) int {
+	if u.heads == nil {
+		u.heads = make([]input, len(u.kids))
+		for i, k := range u.kids {
+			u.heads[i] = newInput(k, min(u.batchSize, headMinBatch))
+		}
+		u.cur = len(u.heads)
+	}
+	seen, stamp := u.seen, u.stamp
+	n := 0
+	for n < len(buf) {
+		if u.cur == len(u.heads) {
+			var least *input
+			for i := range u.heads {
+				h := &u.heads[i]
+				if u.fillHead(h) && (least == nil || h.buf[h.pos].Src < least.buf[least.pos].Src) {
+					least = h
+				}
+			}
+			if least == nil {
+				break
+			}
+			u.src, u.cur = least.buf[least.pos].Src, 0
+			stamp++
+		}
+		h, src := &u.heads[u.cur], u.src
+		for n < len(buf) && u.fillHead(h) && h.buf[h.pos].Src == src {
+			w := h.buf[h.pos:h.n]
+			i := 0
+			for ; i < len(w) && n < len(buf) && w[i].Src == src; i++ {
+				t := w[i].Dst
+				if int(t) >= len(seen) {
+					seen = append(seen, make([]uint32, max(int(t)+1, 2*len(seen))-len(seen))...)
+				}
+				if seen[t] != stamp {
+					seen[t] = stamp
+					buf[n] = w[i]
+					n++
+				}
+			}
+			h.pos += i
+		}
+		if n < len(buf) {
+			u.cur++
+		}
+	}
+	u.seen, u.stamp = seen, stamp
+	return n
+}
+
+// headMinBatch is the size of a by-source union's first buffer per
+// child. A bound plan's union has many children of a few pairs each, and
+// a full batch per child would be most of its allocation.
+const headMinBatch = 64
+
+// fillHead is h.fill that first doubles h's buffer, up to the union's
+// batch size, when the last refill filled it: a child that streams many
+// pairs reaches full batches after a few refills.
+func (u *UnionDistinct) fillHead(h *input) bool {
+	if h.pos == h.n && h.n == len(h.buf) && len(h.buf) < u.batchSize {
+		h.buf = make([]Pair, min(2*len(h.buf), u.batchSize))
+	}
+	return h.fill()
 }
 
 // Name implements Operator.

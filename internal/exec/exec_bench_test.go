@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -76,6 +78,10 @@ func benchOp(name string, ix *pathindex.Index, batchSize int) Operator {
 		return NewHashJoinSized(
 			NewIndexScan(ix, benchLeftPath, false),
 			NewIndexScan(ix, benchRightPath, false), true, batchSize)
+	case "group-join":
+		return NewGroupJoin(
+			NewIndexScan(ix, benchLeftPath, false),
+			NewIndexScan(ix, benchRightPath, false), batchSize)
 	default:
 		panic("unknown bench operator " + name)
 	}
@@ -100,11 +106,14 @@ func benchOperator(b *testing.B, name string) {
 func BenchmarkIndexScan(b *testing.B) { benchOperator(b, "index-scan") }
 func BenchmarkMergeJoin(b *testing.B) { benchOperator(b, "merge-join") }
 func BenchmarkHashJoin(b *testing.B)  { benchOperator(b, "hash-join") }
+func BenchmarkGroupJoin(b *testing.B) { benchOperator(b, "group-join") }
 
 // BenchmarkDedup measures duplicate elimination over a join's output —
 // the stream Distinct and UnionDistinct see, duplicates included — with
-// the operators' flat pairSet and with the map[Pair]struct{} it
-// replaced, kept here as the yardstick.
+// the operators' flat pairSet, with the map[Pair]struct{} it replaced,
+// kept here as the yardstick, and by source: the same pairs grouped by
+// source through a UnionDistinct merging by source, whose stamped array
+// is what group joins and by-source unions pay instead of a hash set.
 func BenchmarkDedup(b *testing.B) {
 	in := Run(benchOp("merge-join", benchIndex(b), DefaultBatchSize))
 	out := make([]Pair, 0, len(in))
@@ -124,6 +133,22 @@ func BenchmarkDedup(b *testing.B) {
 				if seen.add(pr) {
 					out = append(out, pr)
 				}
+			}
+		}
+		report(b)
+	})
+	b.Run("by-source", func(b *testing.B) {
+		bySrc := slices.Clone(in)
+		slices.SortStableFunc(bySrc, func(x, y Pair) int { return cmp.Compare(x.Src, y.Src) })
+		buf := make([]Pair, DefaultBatchSize)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			u := NewUnionDistinct([]Operator{&sliceOp{pairs: bySrc}})
+			u.bySource = true // the slice is grouped by source
+			out = out[:0]
+			for n := u.NextBatch(buf); n > 0; n = u.NextBatch(buf) {
+				out = append(out, buf[:n]...)
 			}
 		}
 		report(b)

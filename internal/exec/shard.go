@@ -9,7 +9,8 @@
 //     segment scan over sharded storage is a ConcatScan of the per-shard
 //     sub-scans, which hash joins, closures and the union consume as any
 //     other relation. Only merge joins need sorted input, and they run
-//     per shard.
+//     per shard; group joins, which need their left input grouped by
+//     source, are planned over unsharded storage only.
 //
 // Disjuncts fan out the same way: with BuildOptions.Workers > 1, Build
 // puts the disjunct trees under one Gather with that many senders,

@@ -32,8 +32,10 @@ type Seq struct {
 // Closure evaluates the Kleene closure of Body applied to Input: the
 // executor condenses the body relation into strongly connected
 // components and walks the component DAG from each source of Input's
-// relation (the identity relation when Input is nil). Output carries no
-// useful order, so joins above a Closure are hash joins.
+// relation (the identity relation when Input is nil). Output is a set
+// grouped by ascending source, so over unsharded storage a Closure is
+// the left input of a group join like any scan; over sharded storage a
+// join above it is a hash join, since a merge join needs Scan operands.
 type Closure struct {
 	// Input is the relation being closed; nil means the identity
 	// relation over all graph nodes (a pure star disjunct), an Identity
@@ -136,8 +138,9 @@ func (pl *Planner) planQuery(src *graph.NodeID, disjuncts []pathindex.Path, clos
 // none). Unbound, segments are planned by the strategy like plain
 // disjuncts; over a bound input they extend the bound chain. Closure
 // factors become Closure nodes over the relation planned so far (joins
-// above closures are hash or probe joins, never merge joins, since a
-// Closure is not a Scan); their bodies are always planned unbound.
+// above closures are group, hash or probe joins, never merge joins,
+// since a Closure is not a Scan); their bodies are always planned
+// unbound.
 func (pl *Planner) planSeq(input Node, s Seq, strategy Strategy) (Node, error) {
 	if len(s.Elems) == 0 {
 		return nil, fmt.Errorf("plan: empty closure sequence (represent ε via hasEpsilon)")

@@ -10,8 +10,16 @@
 // the left operand is scanned inverted (via the indexed inverse path, so
 // its pairs arrive ordered by target) and the right operand forward
 // (ordered by source) — the convention of the paper's worked example
-// I(w⁻k⁻k⁻) ⋈ I(kww). Join outputs carry no useful order, so joins above
-// scans use hash joins.
+// I(w⁻k⁻k⁻) ⋈ I(kww). Merge join outputs carry no useful order, so joins
+// above them use hash joins.
+//
+// Over unsharded storage every unbound join is a group join instead: its
+// left operand streams grouped by ascending source (a forward scan, a
+// closure or another group join), its right operand is drained into
+// rows, and each source's targets are deduplicated as they are emitted,
+// so the output is a set grouped by ascending source. The cost model and
+// so every strategy's choice of tree are those of the merge/hash plan;
+// only the physical operator differs.
 //
 // A single-source query binds its source into the plan instead (see
 // bound.go): the first scan reads only the source's prefix run and every
@@ -85,10 +93,14 @@ const (
 	// Probe joins a bound left input to its right scan's segment by one
 	// ⟨segment, node⟩ prefix lookup per left pair; only bound plans use it.
 	Probe
+	// Group streams a left input grouped by ascending source against the
+	// right input laid out as rows, deduplicating per source; every
+	// unbound join over unsharded storage uses it.
+	Group
 )
 
 func (a JoinAlgo) String() string {
-	return [...]string{Merge: "merge", Hash: "hash", Probe: "probe"}[a]
+	return [...]string{Merge: "merge", Hash: "hash", Probe: "probe", Group: "group"}[a]
 }
 
 // Node is a physical plan operator.
@@ -175,11 +187,12 @@ type Planner struct {
 	// NumNodes is |nodes(G)|, used as the distinct-value estimate in the
 	// join cardinality formula.
 	NumNodes int
-	// HashOnly disables merge joins (ablation Ext-3b).
+	// HashOnly disables merge and group joins (ablation Ext-3b).
 	HashOnly bool
-	// Shards, when > 1, targets source-partitioned storage: every
-	// co-partitioned merge join is wrapped in a Scatter node for
-	// per-shard evaluation (see shard.go).
+	// Shards, when > 1, targets source-partitioned storage: joins are
+	// merge and hash joins, and every co-partitioned merge join is
+	// wrapped in a Scatter node for per-shard evaluation (see shard.go).
+	// At 0 or 1 every unbound join is a group join.
 	Shards int
 }
 
@@ -223,26 +236,33 @@ func (pl *Planner) scan(seg pathindex.Path) *Scan {
 // join combines two subplans, picking the join algorithm and build side.
 // A merge join is chosen when both operands are scans (the only operands
 // with exploitable order); the left scan is then marked inverted so its
-// pairs arrive ordered by target.
+// pairs arrive ordered by target. Over unsharded storage the join is a
+// group join whatever its operands, with the left scan kept forward; it
+// is costed as the merge or hash join it replaces, so strategies choose
+// the same trees either way.
 func (pl *Planner) join(left, right Node) *Join {
 	j := &Join{Left: left, Right: right}
 	ls, lok := left.(*Scan)
 	_, rok := right.(*Scan)
 	cl, cr := left.Card(), right.Card()
 	j.card = pl.joinCard(cl, cr)
+	group := pl.Shards <= 1 && !pl.HashOnly
 	if lok && rok && !pl.HashOnly {
 		j.Algo = Merge
-		ls.Inverted = true
+		ls.Inverted = !group
 		j.cost = left.Cost() + right.Cost() + cl + cr + j.card
-		return j
+	} else {
+		j.Algo = Hash
+		build, probe := cl, cr
+		if cr < cl {
+			j.BuildRight = true
+			build, probe = cr, cl
+		}
+		j.cost = left.Cost() + right.Cost() + hashBuildFactor*build + probe + j.card
 	}
-	j.Algo = Hash
-	build, probe := cl, cr
-	if cr < cl {
-		j.BuildRight = true
-		build, probe = cr, cl
+	if group {
+		j.Algo, j.BuildRight = Group, false
 	}
-	j.cost = left.Cost() + right.Cost() + hashBuildFactor*build + probe + j.card
 	return j
 }
 

@@ -47,17 +47,22 @@ func leaves(n Node) []*Scan {
 		return []*Scan{v}
 	case *Join:
 		return append(leaves(v.Left), leaves(v.Right)...)
+	case *Scatter:
+		return leaves(v.Child)
 	}
 	return nil
 }
 
-// joins returns all join nodes of a plan tree.
+// joins returns all join nodes of a plan tree in preorder, looking
+// through scatters.
 func joins(n Node) []*Join {
-	j, ok := n.(*Join)
-	if !ok {
-		return nil
+	switch v := n.(type) {
+	case *Join:
+		return append(append([]*Join{v}, joins(v.Left)...), joins(v.Right)...)
+	case *Scatter:
+		return joins(v.Child)
 	}
-	return append(append([]*Join{j}, joins(j.Left)...), joins(j.Right)...)
+	return nil
 }
 
 // segmentsCover checks that the concatenated leaf segments equal d.
@@ -133,59 +138,67 @@ func TestSingleSegmentDisjunct(t *testing.T) {
 }
 
 // TestWorkedExampleSemiNaive reproduces the Section 4 example plans for
-// R = k ◦ (k◦w)^{2,4} ◦ w at k=3: disjunct kkwkww becomes one merge join
-// of I((kkw)⁻ scanned, swapped) with I(kww); kkwkwkww adds a hash join;
-// kkwkwkwkww two hash joins.
+// R = k ◦ (k◦w)^{2,4} ◦ w at k=3. Over sharded storage disjunct kkwkww
+// becomes one merge join of I((kkw)⁻ scanned, swapped) with I(kww);
+// kkwkwkww adds a hash join; kkwkwkwkww two hash joins. Unsharded, the
+// same trees are group joins over forward scans.
 func TestWorkedExampleSemiNaive(t *testing.T) {
 	g, k, w := gexLabels()
-	pl := newPlanner(3, fakeEstimator{def: 50})
 	d1 := path(k, k, w, k, w, w)
 	d2 := path(k, k, w, k, w, k, w, w)
 	d3 := path(k, k, w, k, w, k, w, k, w, w)
-	p, err := pl.PlanPaths([]pathindex.Path{d1, d2, d3}, false, SemiNaive)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Disjunct 1: merge(scan kkw inverted, scan kww).
-	j1 := joins(p.Disjuncts[0])
-	if len(j1) != 1 || j1[0].Algo != Merge {
-		t.Fatalf("d1: want a single merge join, got %v", describeJoins(j1))
-	}
-	l := j1[0].Left.(*Scan)
-	if !l.Inverted {
-		t.Error("d1: left scan should be inverted (paper: I(w^-k^-k^-))")
-	}
-	if got := l.Segment.Inverse().Format(g); got != "worksFor^-/knows^-/knows^-" {
-		t.Errorf("d1: inverted scan of %s", got)
-	}
-	if got := j1[0].Right.(*Scan).Segment.Format(g); got != "knows/worksFor/worksFor" {
-		t.Errorf("d1: right scan = %s", got)
-	}
-	segmentsCover(t, p.Disjuncts[0], d1)
-
-	// Disjunct 2: merge then hash.
-	j2 := joins(p.Disjuncts[1])
-	if len(j2) != 2 || j2[0].Algo != Hash || j2[1].Algo != Merge {
-		t.Errorf("d2: want hash(merge(...),...), got %v", describeJoins(j2))
-	}
-	segmentsCover(t, p.Disjuncts[1], d2)
-
-	// Disjunct 3: merge then two hashes.
-	j3 := joins(p.Disjuncts[2])
-	if len(j3) != 3 {
-		t.Fatalf("d3: want 3 joins, got %d", len(j3))
-	}
-	merges := 0
-	for _, j := range j3 {
-		if j.Algo == Merge {
-			merges++
+	for _, shards := range []int{0, 2} {
+		pl := newPlanner(3, fakeEstimator{def: 50})
+		pl.Shards = shards
+		p, err := pl.PlanPaths([]pathindex.Path{d1, d2, d3}, false, SemiNaive)
+		if err != nil {
+			t.Fatal(err)
 		}
+		merge, hash := Merge, Hash
+		if shards == 0 {
+			merge, hash = Group, Group
+		}
+
+		// Disjunct 1: merge(scan kkw inverted, scan kww).
+		j1 := joins(p.Disjuncts[0])
+		if len(j1) != 1 || j1[0].Algo != merge {
+			t.Fatalf("shards=%d d1: want a single %v join, got %v", shards, merge, describeJoins(j1))
+		}
+		l := j1[0].Left.(*Scan)
+		if l.Inverted != (shards > 1) {
+			t.Errorf("shards=%d d1: left scan inverted = %v (paper: I(w^-k^-k^-) under a merge join)", shards, l.Inverted)
+		}
+		if got := l.Segment.Inverse().Format(g); got != "worksFor^-/knows^-/knows^-" {
+			t.Errorf("shards=%d d1: inverse of left scan %s", shards, got)
+		}
+		if got := j1[0].Right.(*Scan).Segment.Format(g); got != "knows/worksFor/worksFor" {
+			t.Errorf("shards=%d d1: right scan = %s", shards, got)
+		}
+		segmentsCover(t, p.Disjuncts[0], d1)
+
+		// Disjunct 2: merge then hash.
+		j2 := joins(p.Disjuncts[1])
+		if len(j2) != 2 || j2[0].Algo != hash || j2[1].Algo != merge {
+			t.Errorf("shards=%d d2: want %v(%v(...),...), got %v", shards, hash, merge, describeJoins(j2))
+		}
+		segmentsCover(t, p.Disjuncts[1], d2)
+
+		// Disjunct 3: merge then two hashes.
+		j3 := joins(p.Disjuncts[2])
+		if len(j3) != 3 {
+			t.Fatalf("shards=%d d3: want 3 joins, got %d", shards, len(j3))
+		}
+		merges := 0
+		for _, j := range j3 {
+			if j.Algo == Merge {
+				merges++
+			}
+		}
+		if want := map[bool]int{true: 1, false: 0}[shards > 1]; merges != want {
+			t.Errorf("shards=%d d3: want exactly %d merge join, got %d", shards, want, merges)
+		}
+		segmentsCover(t, p.Disjuncts[2], d3)
 	}
-	if merges != 1 {
-		t.Errorf("d3: want exactly 1 merge join, got %d", merges)
-	}
-	segmentsCover(t, p.Disjuncts[2], d3)
 }
 
 func TestMinSupportPicksMostSelectiveWindow(t *testing.T) {
@@ -222,16 +235,28 @@ func TestMinSupportPicksMostSelectiveWindow(t *testing.T) {
 		t.Errorf("minSupport did not isolate the most selective window kwk; leaves=%d", len(segs))
 	}
 	// With both flanks scans, the inner join with the center is a merge
-	// join and the outer join a hash join (paper's illustration).
+	// join and the outer join a hash join (paper's illustration) over
+	// sharded storage; unsharded, both are group joins.
 	js := joins(node)
 	if len(js) != 2 {
 		t.Fatalf("want 2 joins, got %d", len(js))
 	}
+	if js[0].Algo != Group || js[1].Algo != Group {
+		t.Errorf("unsharded joins should be group joins, got %v", describeJoins(js))
+	}
+	pl.Shards = 2
+	if p, err = pl.PlanPaths([]pathindex.Path{d}, false, MinSupport); err != nil {
+		t.Fatal(err)
+	}
+	js = joins(p.Disjuncts[0])
+	if len(js) != 2 {
+		t.Fatalf("shards=2: want 2 joins, got %d", len(js))
+	}
 	if js[0].Algo != Hash {
-		t.Errorf("outer join should be hash, got %v", js[0].Algo)
+		t.Errorf("shards=2: outer join should be hash, got %v", js[0].Algo)
 	}
 	if js[1].Algo != Merge {
-		t.Errorf("inner join should be merge, got %v", js[1].Algo)
+		t.Errorf("shards=2: inner join should be merge, got %v", js[1].Algo)
 	}
 }
 
@@ -309,8 +334,8 @@ func TestHashOnlyAblation(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, j := range joins(p.Disjuncts[0]) {
-			if j.Algo == Merge {
-				t.Errorf("%v: merge join under HashOnly", s)
+			if j.Algo != Hash {
+				t.Errorf("%v: %v join under HashOnly", s, j.Algo)
 			}
 		}
 	}
@@ -324,6 +349,7 @@ func TestHashJoinBuildSide(t *testing.T) {
 		path(k).Key(): 1, // the final 1-step segment is tiny
 	}}
 	pl := newPlanner(3, est)
+	pl.Shards = 2 // unsharded, the join is a group join and has no build side
 	p, err := pl.PlanPaths([]pathindex.Path{d}, false, SemiNaive)
 	if err != nil {
 		t.Fatal(err)
@@ -353,23 +379,38 @@ func TestPlanCardAndCost(t *testing.T) {
 
 func TestFormat(t *testing.T) {
 	g, k, w := gexLabels()
-	pl := newPlanner(3, fakeEstimator{def: 10})
-	p, err := pl.PlanPaths([]pathindex.Path{path(k, k, w, k, w, w)}, true, SemiNaive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := p.Format(g)
-	for _, want := range []string{"semiNaive", "merge-join", "knows/knows/worksFor", "swap", "identity"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("Format missing %q:\n%s", want, out)
+	for _, tc := range []struct {
+		shards     int
+		want, gone []string
+	}{
+		{0, []string{"semiNaive", "group-join", "knows/knows/worksFor", "identity"}, []string{"swap", "merge-join"}},
+		{2, []string{"semiNaive", "merge-join", "knows/knows/worksFor", "swap", "identity", "scatter ×2"}, []string{"group-join"}},
+	} {
+		pl := newPlanner(3, fakeEstimator{def: 10})
+		pl.Shards = tc.shards
+		p, err := pl.PlanPaths([]pathindex.Path{path(k, k, w, k, w, w)}, true, SemiNaive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := p.Format(g)
+		for _, want := range tc.want {
+			if !strings.Contains(out, want) {
+				t.Errorf("shards=%d: Format missing %q:\n%s", tc.shards, want, out)
+			}
+		}
+		for _, gone := range tc.gone {
+			if strings.Contains(out, gone) {
+				t.Errorf("shards=%d: Format has %q:\n%s", tc.shards, gone, out)
+			}
 		}
 	}
 }
 
 // TestQuickAllStrategiesCoverDisjunct: for random disjuncts, every
 // strategy yields a tree whose leaf segments concatenate to the disjunct,
-// with all segments within length k and at least one merge join whenever
-// there are at least two segments (unless HashOnly).
+// with all segments within length k. Unsharded, every join is a group
+// join and no scan is inverted; over shards, merge joins join two scans,
+// the left one inverted.
 func TestQuickAllStrategiesCoverDisjunct(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -385,37 +426,48 @@ func TestQuickAllStrategiesCoverDisjunct(t *testing.T) {
 			}
 		}
 		est := fakeEstimator{def: float64(1 + r.Intn(1000))}
-		pl := newPlanner(k, est)
-		for _, s := range Strategies() {
-			p, err := pl.PlanPaths([]pathindex.Path{d}, false, s)
-			if err != nil {
-				t.Logf("%v: %v", s, err)
-				return false
-			}
-			var cat pathindex.Path
-			maxSeg := k
-			if s == Naive {
-				maxSeg = 1
-			}
-			for _, leaf := range leaves(p.Disjuncts[0]) {
-				if len(leaf.Segment) > maxSeg {
-					t.Logf("%v: segment %v longer than %d", s, leaf.Segment, maxSeg)
+		for _, shards := range []int{0, 2} {
+			pl := newPlanner(k, est)
+			pl.Shards = shards
+			for _, s := range Strategies() {
+				p, err := pl.PlanPaths([]pathindex.Path{d}, false, s)
+				if err != nil {
+					t.Logf("%v: %v", s, err)
 					return false
 				}
-				cat = append(cat, leaf.Segment...)
-			}
-			if !cat.Equal(d) {
-				t.Logf("%v: segments do not cover disjunct", s)
-				return false
-			}
-			// Merge joins only between two scans, left inverted.
-			for _, j := range joins(p.Disjuncts[0]) {
-				if j.Algo == Merge {
-					ls, lok := j.Left.(*Scan)
-					_, rok := j.Right.(*Scan)
-					if !lok || !rok || !ls.Inverted {
-						t.Logf("%v: malformed merge join", s)
+				var cat pathindex.Path
+				maxSeg := k
+				if s == Naive {
+					maxSeg = 1
+				}
+				for _, leaf := range leaves(p.Disjuncts[0]) {
+					if len(leaf.Segment) > maxSeg {
+						t.Logf("%v: segment %v longer than %d", s, leaf.Segment, maxSeg)
 						return false
+					}
+					if shards == 0 && leaf.Inverted {
+						t.Logf("%v: inverted scan under a group join", s)
+						return false
+					}
+					cat = append(cat, leaf.Segment...)
+				}
+				if !cat.Equal(d) {
+					t.Logf("%v: segments do not cover disjunct", s)
+					return false
+				}
+				for _, j := range joins(p.Disjuncts[0]) {
+					if shards == 0 && j.Algo != Group {
+						t.Logf("%v: unsharded %v join", s, j.Algo)
+						return false
+					}
+					// Merge joins only between two scans, left inverted.
+					if j.Algo == Merge {
+						ls, lok := j.Left.(*Scan)
+						_, rok := j.Right.(*Scan)
+						if !lok || !rok || !ls.Inverted {
+							t.Logf("%v: malformed merge join", s)
+							return false
+						}
 					}
 				}
 			}

@@ -83,7 +83,7 @@ func TestExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "merge-join") {
+	if !strings.Contains(out, "group-join") {
 		t.Errorf("Explain output unexpected:\n%s", out)
 	}
 }
