@@ -19,8 +19,7 @@
 // the retired formats v1 or v2 is refused by name: rerun `build`.
 // With -shards N, `build` partitions the index by source node and
 // writes a directory of per-shard v3 files plus a manifest; `serve`
-// auto-detects that layout too and runs each query's merge joins per
-// shard.
+// auto-detects that layout too and runs the same plans over it.
 // A malformed query line is reported on stderr and serving continues;
 // non-zero exit is reserved for setup failures (bad flags, unreadable
 // graph or index) and input read errors.
@@ -217,7 +216,7 @@ func runServe(args []string) error {
 	fmt.Printf("opened %s in %.2f ms: k=%d, %d entries over %d label paths (no rebuild)\n",
 		*indexPath, float64(time.Since(t0).Microseconds())/1000.0, db.K(), st.Entries, st.LabelPaths)
 	if ss := db.ShardStats(); ss.Shards > 0 {
-		fmt.Printf("sharded: %d %s-partitioned shards; merge joins run per shard\n",
+		fmt.Printf("sharded: %d %s-partitioned shards; scans read them in turn\n",
 			ss.Shards, ss.Partitioner)
 	}
 	if *durableDir != "" {

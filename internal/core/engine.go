@@ -34,9 +34,9 @@
 // fresh operator tree). Engine.Serve adds request counting on top.
 //
 // Within one evaluation, exec.Gather is the only source of concurrency:
-// over sharded storage each co-partitioned merge join runs per shard
-// under one, and ExecuteParallel drains the disjuncts under one below the
-// root union. Every entry point runs through Prepared.run, which stops
+// ExecuteParallel drains the disjuncts under one below the root union.
+// A plan over sharded storage is the unsharded plan and runs on one
+// goroutine. Every entry point runs through Prepared.run, which stops
 // and awaits the gather senders before it reads statistics or releases
 // the storage pin.
 //
@@ -82,25 +82,24 @@ type Options struct {
 	// MaxIndexEntries aborts index construction beyond this size; 0
 	// means unlimited.
 	MaxIndexEntries int
-	// HashOnly disables merge and group joins (ablation): every
+	// HashOnly replaces group joins with hash joins (ablation): every
 	// unbound join is a hash join.
 	HashOnly bool
 	// NoIntermediateDedup disables the per-join Distinct operators
 	// (ablation). Answers are sets of pairs, so joins deduplicate by
 	// default: without it, duplicate witnesses multiply through hub
 	// nodes and intermediate streams grow combinatorially. It affects
-	// merge, hash and probe joins only: a group join — every unbound
-	// join over unsharded storage without HashOnly — dedups each
-	// source's targets itself.
+	// hash and probe joins only, so unbound plans only under HashOnly:
+	// a group join dedups each source's targets itself.
 	NoIntermediateDedup bool
 	// NoDerivedInverses recomputes inverse path relations instead of
 	// deriving them (ablation).
 	NoDerivedInverses bool
 	// Shards, when > 1, partitions the index by source node into that
 	// many in-process shards (hash partitioning): NewEngine builds a
-	// sharded index, plans run each merge join per shard (concurrently,
-	// under a gather) and every other operator once over the shards'
-	// concatenated runs. 0 or 1 keeps the single-index layout.
+	// sharded index, and plans, the same as over one index, read each
+	// segment's shard runs one after another. 0 or 1 keeps the
+	// single-index layout.
 	Shards int
 }
 
@@ -361,7 +360,6 @@ func (e *Engine) compile(expr rpq.Expr, strategy plan.Strategy, src *graph.NodeI
 		Hist:     e.hist,
 		NumNodes: e.g.NumNodes(),
 		HashOnly: e.opts.HashOnly,
-		Shards:   e.numShards(),
 	}
 	var pln *plan.Plan
 	if src != nil {
@@ -376,16 +374,6 @@ func (e *Engine) compile(expr rpq.Expr, strategy plan.Strategy, src *graph.NodeI
 	st.PlanCost = pln.Cost()
 	st.PlanCard = pln.Card()
 	return &Prepared{engine: e, plan: pln, stats: st, strategy: strategy}, nil
-}
-
-// numShards returns the engine storage's shard count, 0 for unsharded
-// storage. The planner's scatter wrapping keys off it, so plans always
-// match the storage they will execute over.
-func (e *Engine) numShards() int {
-	if sh, ok := pathindex.AsSharded(e.ix); ok {
-		return sh.Partitioner().NumShards()
-	}
-	return 0
 }
 
 // Plan returns the physical plan.
@@ -418,9 +406,7 @@ func (p *Prepared) ExecuteContext(ctx context.Context) (*Result, error) {
 // up to workers goroutines: the operator tree puts the disjunct trees
 // under one exec.Gather below the root union, which deduplicates their
 // merged stream once. A plan of one disjunct, or workers < 2, runs as
-// Execute does — over sharded storage its co-partitioned merge joins
-// still run per shard under their own Gather. Results equal Execute's up
-// to order, and so do the statistics, per-operator rows included, plus
+// Execute does. Results equal Execute's up to order, and so do the statistics, per-operator rows included, plus
 // the gather's own rows.
 func (p *Prepared) ExecuteParallel(workers int) (*Result, error) {
 	return p.ExecuteParallelContext(context.Background(), workers)

@@ -242,8 +242,8 @@ func TestExplainOutput(t *testing.T) {
 			t.Errorf("Explain missing %q:\n%s", want, out)
 		}
 	}
-	// Unsharded, every unbound join is a group join.
-	for _, gone := range []string{"merge-join", "hash-join", "swap"} {
+	// Every unbound join is a group join.
+	for _, gone := range []string{"hash-join"} {
 		if strings.Contains(out, gone) {
 			t.Errorf("Explain has %q:\n%s", gone, out)
 		}

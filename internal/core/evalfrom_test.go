@@ -79,8 +79,8 @@ func TestCompileFromExplain(t *testing.T) {
 			t.Errorf("Explain lacks %q:\n%s", want, out)
 		}
 	}
-	if strings.Contains(out, "merge-join") {
-		t.Errorf("bound plan has a merge join:\n%s", out)
+	if strings.Contains(out, "group-join") {
+		t.Errorf("bound plan has a group join:\n%s", out)
 	}
 	res, err := prep.Execute()
 	if err != nil {

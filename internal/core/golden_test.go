@@ -106,8 +106,6 @@ func TestGexKkwFullRelation(t *testing.T) {
 func refEvalNode(e *Engine, n plan.Node) map[pathindex.Pair]bool {
 	switch v := n.(type) {
 	case *plan.Scan:
-		// An inverted scan changes only the delivery order, never the
-		// set, so the reference always scans the segment forward.
 		set := map[pathindex.Pair]bool{}
 		for _, pr := range e.ix.Relation(v.Segment) {
 			set[pr.Pair()] = true

@@ -7,16 +7,27 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/datasets"
 	"repro/internal/graph"
 	"repro/internal/pathindex"
 	"repro/internal/plan"
 	"repro/internal/rewrite"
 	"repro/internal/rpq"
+	"repro/internal/workload"
 )
 
 // shardCounts are the differential fan-outs: 1 (the degenerate shard),
 // powers of two, and a prime that never divides the node count evenly.
 var shardCounts = []int{1, 2, 4, 7}
+
+// shardsOf returns the engine storage's shard count, 0 for unsharded
+// storage.
+func shardsOf(e *Engine) int {
+	if sh, ok := pathindex.AsSharded(e.Storage()); ok {
+		return sh.Partitioner().NumShards()
+	}
+	return 0
+}
 
 // newShardedDiskEngine round-trips e's sharded storage through the
 // on-disk layout (one v3 file per shard + manifest) and wraps the
@@ -65,11 +76,9 @@ func TestShardedEngineDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := e.numShards(); (n > 1 && got != n) || (n == 1 && got != 0) {
-			// Shards=1 builds the plain single index: nothing to scatter.
-			if n > 1 {
-				t.Fatalf("Shards=%d built %d-shard storage", n, got)
-			}
+		// Shards=1 builds the plain single index.
+		if got := shardsOf(e); n > 1 && got != n || n == 1 && got != 0 {
+			t.Fatalf("Shards=%d built %d-shard storage", n, got)
 		}
 		suts = append(suts, sut{name: "heap", e: e})
 		if n > 1 {
@@ -108,10 +117,10 @@ func TestShardedEngineDifferential(t *testing.T) {
 			for _, s := range suts {
 				got, err := s.e.Eval(expr, strat)
 				if err != nil {
-					t.Fatalf("%s shards=%d eval of %q: %v", s.name, s.e.numShards(), text, err)
+					t.Fatalf("%s shards=%d eval of %q: %v", s.name, shardsOf(s.e), text, err)
 				}
 				if !slices.Equal(sortedPairs(got.Pairs), wantSorted) {
-					t.Fatalf("%s shards=%d disagrees with oracle on %q under %v", s.name, s.e.numShards(), text, strat)
+					t.Fatalf("%s shards=%d disagrees with oracle on %q under %v", s.name, shardsOf(s.e), text, strat)
 				}
 				prep, err := s.e.Compile(expr, strat)
 				if err != nil {
@@ -122,14 +131,14 @@ func TestShardedEngineDifferential(t *testing.T) {
 					t.Fatalf("%s ExecuteParallel of %q: %v", s.name, text, err)
 				}
 				if !slices.Equal(sortedPairs(par.Pairs), wantSorted) {
-					t.Fatalf("%s shards=%d ExecuteParallel disagrees on %q under %v", s.name, s.e.numShards(), text, strat)
+					t.Fatalf("%s shards=%d ExecuteParallel disagrees on %q under %v", s.name, shardsOf(s.e), text, strat)
 				}
 				gotFrom, err := s.e.EvalFrom(expr, src)
 				if err != nil {
 					t.Fatalf("%s EvalFrom(%q, %d): %v", s.name, text, src, err)
 				}
 				if !slices.Equal(gotFrom, wantFrom) {
-					t.Fatalf("%s shards=%d EvalFrom disagrees on %q from %d", s.name, s.e.numShards(), text, src)
+					t.Fatalf("%s shards=%d EvalFrom disagrees on %q from %d", s.name, shardsOf(s.e), text, src)
 				}
 			}
 		}
@@ -166,8 +175,8 @@ func TestShardedApplyBatchCompact(t *testing.T) {
 		if e2.Epoch() != e.Epoch()+1 {
 			t.Fatalf("shards=%d: epoch %d after ApplyBatch, want %d", n, e2.Epoch(), e.Epoch()+1)
 		}
-		if e2.numShards() != n {
-			t.Fatalf("shards=%d: successor has %d shards", n, e2.numShards())
+		if shardsOf(e2) != n {
+			t.Fatalf("shards=%d: successor has %d shards", n, shardsOf(e2))
 		}
 		oracle := newTestEngine(t, e2.Graph(), 2)
 		check := func(stage string, se *Engine) {
@@ -216,53 +225,47 @@ func TestShardedApplyBatchCompact(t *testing.T) {
 	}
 }
 
-// TestShardedSingleDisjunctScatters: the ExecuteParallel single-disjunct
-// fallback must still fan out across shards — a merge-join disjunct
-// (a/b/a at k=2: a/b ⋈ a) carries a Scatter and the executed tree
-// reports gather work.
-func TestShardedSingleDisjunctScatters(t *testing.T) {
-	g := randomGraph(rand.New(rand.NewSource(61)), 25, 80, []string{"a", "b"})
-	e, err := NewEngine(g, Options{K: 2, Shards: 4})
+// TestShardedExplainMatchesUnsharded: the plan does not depend on the
+// storage layout. For Q1–Q10 of the Advogato workload under every
+// strategy, a 4-shard engine's EXPLAIN equals an unsharded engine's, and
+// the sharded engine answers like it, through Execute and through
+// ExecuteParallel.
+func TestShardedExplainMatchesUnsharded(t *testing.T) {
+	g := datasets.AdvogatoScaled(3, 0.01)
+	flat := newTestEngine(t, g, 3)
+	sharded, err := NewEngine(g, Options{K: 3, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const query = "a/b/a"
-	prep, err := e.Compile(rpq.MustParse(query), plan.SemiNaive)
-	if err != nil {
-		t.Fatal(err)
+	if got := shardsOf(sharded); got != 4 {
+		t.Fatalf("Shards=4 built %d-shard storage", got)
 	}
-	if len(prep.Plan().Disjuncts) != 1 {
-		t.Fatalf("expected a single disjunct, got %d", len(prep.Plan().Disjuncts))
-	}
-	if _, ok := prep.Plan().Disjuncts[0].(*plan.Scatter); !ok {
-		t.Fatalf("single disjunct is %T, want *plan.Scatter", prep.Plan().Disjuncts[0])
-	}
-	res, err := prep.ExecuteParallel(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.OperatorRows["gather"] == 0 {
-		t.Fatalf("no gather rows recorded; operator rows: %v", res.Stats.OperatorRows)
-	}
-	oracle := newTestEngine(t, g, 2)
-	want, err := oracle.EvalQuery(query, plan.SemiNaive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(sortedPairs(res.Pairs), sortedPairs(want.Pairs)) {
-		t.Fatal("scattered single-disjunct answer disagrees with oracle")
-	}
-	// EXPLAIN surfaces the scatter/gather shape.
-	if out := prep.Explain(); !containsScatter(out) {
-		t.Fatalf("EXPLAIN does not show the scatter shape:\n%s", out)
-	}
-}
-
-func containsScatter(s string) bool {
-	for i := 0; i+7 <= len(s); i++ {
-		if s[i:i+7] == "scatter" {
-			return true
+	for _, q := range workload.Advogato() {
+		for _, strat := range plan.Strategies() {
+			want, err := flat.Compile(q.Expr, strat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prep, err := sharded.Compile(q.Expr, strat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := prep.Explain(); got != want.Explain() {
+				t.Fatalf("%s %v: sharded EXPLAIN\n%s\nunsharded EXPLAIN\n%s", q.Name, strat, got, want.Explain())
+			}
+			wantRes, err := want.Execute()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{0, 4} {
+				res, err := prep.ExecuteParallel(workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(sortedPairs(res.Pairs), sortedPairs(wantRes.Pairs)) {
+					t.Fatalf("%s %v workers=%d: sharded answer differs from the unsharded one", q.Name, strat, workers)
+				}
+			}
 		}
 	}
-	return false
 }

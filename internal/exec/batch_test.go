@@ -20,40 +20,32 @@ func TestRunSizedInvariance(t *testing.T) {
 	right := pathindex.Path{graph.Fwd(1), graph.Fwd(0)}
 
 	trees := map[string]func(batchSize int) Operator{
-		"index-scan": func(int) Operator { return NewIndexScan(ix, left, false) },
-		"index-scan-inverted": func(int) Operator {
-			return NewIndexScan(ix, left, true)
-		},
-		"merge-join": func(bs int) Operator {
-			return NewMergeJoinSized(
-				NewIndexScan(ix, left, true),
-				NewIndexScan(ix, right, false), bs)
-		},
+		"index-scan": func(int) Operator { return NewIndexScan(ix, left) },
 		"hash-join": func(bs int) Operator {
 			return NewHashJoinSized(
-				NewIndexScan(ix, left, false),
-				NewIndexScan(ix, right, false), true, bs)
+				NewIndexScan(ix, left),
+				NewIndexScan(ix, right), true, bs)
 		},
 		"group-join": func(bs int) Operator {
 			return NewGroupJoin(
-				NewIndexScan(ix, left, false),
-				NewIndexScan(ix, right, false), bs)
+				NewIndexScan(ix, left),
+				NewIndexScan(ix, right), bs)
 		},
 		"distinct-over-join": func(bs int) Operator {
-			return NewDistinct(NewMergeJoinSized(
-				NewIndexScan(ix, left, true),
-				NewIndexScan(ix, right, false), bs))
+			return NewDistinct(NewHashJoinSized(
+				NewIndexScan(ix, left),
+				NewIndexScan(ix, right), true, bs))
 		},
 		"union": func(bs int) Operator {
 			return NewUnionDistinct([]Operator{
-				NewIndexScan(ix, left, false),
-				NewIndexScan(ix, right, false),
+				NewIndexScan(ix, left),
+				NewIndexScan(ix, right),
 			})
 		},
 		"union-hashed": func(bs int) Operator {
 			return NewUnionDistinct([]Operator{
-				NewIndexScan(ix, left, true),
-				NewIndexScan(ix, right, false),
+				NewHashJoinSized(NewIndexScan(ix, left), NewIndexScan(ix, right), false, bs),
+				NewIndexScan(ix, right),
 			})
 		},
 	}
@@ -79,9 +71,9 @@ func TestNextBatchContract(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	g := randomGraph(r, 20, 60, 2)
 	ix := buildIndex(t, g, 2)
-	op := NewMergeJoinSized(
-		NewIndexScan(ix, pathindex.Path{graph.Fwd(0)}, true),
-		NewIndexScan(ix, pathindex.Path{graph.Fwd(1)}, false), 4)
+	op := NewGroupJoin(
+		NewIndexScan(ix, pathindex.Path{graph.Fwd(0)}),
+		NewIndexScan(ix, pathindex.Path{graph.Fwd(1)}), 4)
 	buf := make([]Pair, 5)
 	total := 0
 	for {
@@ -114,12 +106,12 @@ func TestBatchCounters(t *testing.T) {
 	g := randomGraph(r, 20, 50, 1)
 	ix := buildIndex(t, g, 1)
 	p := pathindex.Path{graph.Fwd(0)}
-	rows := len(Run(NewIndexScan(ix, p, false)))
+	rows := len(Run(NewIndexScan(ix, p)))
 	if rows == 0 {
 		t.Fatal("empty test relation")
 	}
 	for _, bs := range []int{1, 3, 1024} {
-		s := NewIndexScan(ix, p, false)
+		s := NewIndexScan(ix, p)
 		RunSized(s, bs)
 		wantBatches := (rows + bs - 1) / bs
 		if s.Batches() != wantBatches {
@@ -129,7 +121,7 @@ func TestBatchCounters(t *testing.T) {
 			t.Errorf("batch=%d: Rows() = %d, want %d", bs, s.Rows(), rows)
 		}
 	}
-	u := NewUnionDistinct([]Operator{NewIndexScan(ix, p, false)})
+	u := NewUnionDistinct([]Operator{NewIndexScan(ix, p)})
 	Run(u)
 	st := CollectStats(u)
 	if st.BatchesByOperator["index-scan"] == 0 || st.BatchesByOperator["union-distinct"] == 0 {
@@ -140,10 +132,10 @@ func TestBatchCounters(t *testing.T) {
 	}
 }
 
-// TestMergeJoinGroupsAcrossBatches: a hub cross product whose equal-key
-// groups are much larger than the join's internal batch buffers must
-// still be emitted in full.
-func TestMergeJoinGroupsAcrossBatches(t *testing.T) {
+// TestGroupJoinHubAcrossBatches: a hub cross product — 17 sources
+// through one hub whose row of 11 targets outgrows the join's small
+// batch buffers — must still be emitted in full, each pair once.
+func TestGroupJoinHubAcrossBatches(t *testing.T) {
 	g := graph.New()
 	for i := 0; i < 17; i++ {
 		g.AddEdge("s"+string(rune('a'+i)), "a", "hub")
@@ -156,44 +148,11 @@ func TestMergeJoinGroupsAcrossBatches(t *testing.T) {
 	a, _ := g.LookupLabel("a")
 	b, _ := g.LookupLabel("b")
 	for _, bs := range []int{1, 2, 5, 1024} {
-		got := RunSized(NewMergeJoinSized(
-			NewIndexScan(ix, pathindex.Path{graph.Fwd(a)}, true),
-			NewIndexScan(ix, pathindex.Path{graph.Fwd(b)}, false), bs), bs)
-		if len(got) != 17*11 {
+		got := RunSized(NewGroupJoin(
+			NewIndexScan(ix, pathindex.Path{graph.Fwd(a)}),
+			NewIndexScan(ix, pathindex.Path{graph.Fwd(b)}), bs), bs)
+		if len(got) != 17*11 || len(asSet(got)) != len(got) {
 			t.Errorf("batch=%d: %d pairs, want %d", bs, len(got), 17*11)
-		}
-	}
-}
-
-// TestGallop pins the galloping search helpers on handcrafted windows.
-func TestGallop(t *testing.T) {
-	mk := func(keys ...graph.NodeID) []Pair {
-		out := make([]Pair, len(keys))
-		for i, k := range keys {
-			out[i] = Pair{Src: k, Dst: k}
-		}
-		return out
-	}
-	cases := []struct {
-		w      []Pair
-		target graph.NodeID
-		want   int
-	}{
-		{nil, 5, 0},
-		{mk(7), 5, 0},
-		{mk(3), 5, 1},
-		{mk(1, 2, 3, 4, 5, 6, 7, 8), 5, 4},
-		{mk(1, 2, 3), 9, 3},
-		{mk(5, 5, 5), 5, 0},
-		{mk(1, 5, 5, 9), 5, 1},
-		{mk(1, 1, 1, 1, 1, 1, 1, 1, 1, 2), 2, 9},
-	}
-	for _, c := range cases {
-		if got := gallopBySrc(c.w, c.target); got != c.want {
-			t.Errorf("gallopBySrc(%v, %d) = %d, want %d", c.w, c.target, got, c.want)
-		}
-		if got := gallopByDst(c.w, c.target); got != c.want {
-			t.Errorf("gallopByDst(%v, %d) = %d, want %d", c.w, c.target, got, c.want)
 		}
 	}
 }

@@ -203,11 +203,11 @@ func TestStreamClosureDifferential(t *testing.T) {
 		identity = append(identity, Pair{Src: graph.NodeID(v), Dst: graph.NodeID(v)})
 	}
 	for _, bs := range []int{1, 3, DefaultBatchSize} {
-		body := func() []Operator { return []Operator{NewIndexScan(ix, bInv, false), NewIndexScan(ix, c, false)} }
+		body := func() []Operator { return []Operator{NewIndexScan(ix, bInv), NewIndexScan(ix, c)} }
 		bodyPairs := [][]Pair{pairsOf(bruteCompose(g, bInv)), pairsOf(bruteCompose(g, c))}
 		checkClosure(t, fmt.Sprintf("identity bs=%d", bs), NewStreamClosure(NewIdentityScan(g), body()...), bs,
 			bfsClosure(identity, bodyPairs))
-		checkClosure(t, fmt.Sprintf("scan bs=%d", bs), NewStreamClosure(NewIndexScan(ix, a, false), body()...), bs,
+		checkClosure(t, fmt.Sprintf("scan bs=%d", bs), NewStreamClosure(NewIndexScan(ix, a), body()...), bs,
 			bfsClosure(pairsOf(bruteCompose(g, a)), bodyPairs))
 	}
 }
@@ -244,7 +244,7 @@ func TestClosureOperatorChain(t *testing.T) {
 	ix := buildIndex(t, g, 2)
 	a := pathindex.Path{graph.Fwd(mustLabel(t, g, "a"))}
 
-	got := Run(NewStreamClosure(NewIdentityScan(g), NewIndexScan(ix, a, false)))
+	got := Run(NewStreamClosure(NewIdentityScan(g), NewIndexScan(ix, a)))
 	// 6 chain nodes: all (i,j) with i <= j, i.e. 6·7/2 = 21 pairs.
 	if len(got) != 21 {
 		t.Fatalf("chain a* closure: got %d pairs, want 21", len(got))

@@ -56,8 +56,9 @@ func hashDedups(op Operator) []Operator {
 
 // twoRouteGraph is a graph on which a/b/c reaches (s,d) along two
 // routes, s→x1→y1→d and s→x2→y2→d, whose middle nodes the 4-shard hash
-// partitioner assigns to different shards: whichever node a merge join
-// of a/b/c joins on, two shards each emit (s,d).
+// partitioner assigns to different shards: whichever node a join of
+// a/b/c joins on, it meets (s,d) twice, through rows that different
+// shards hold.
 func twoRouteGraph() *graph.Graph {
 	part := pathindex.NewHashPartitioner(4)
 	g := graph.New()
@@ -89,10 +90,9 @@ func twoRouteGraph() *graph.Graph {
 // no pair twice, no pair went through more than one root-level
 // deduplicating operator (so those operators emitted, in total, exactly
 // the result or — under a duplicate-free root — nothing at all), and
-// only sharded or fanned-out trees hash: over unsharded storage with
-// the disjuncts drained in turn there is no Distinct and the root union
-// merges by source, while a root union over a Gather or shard streams
-// keeps its pairSet.
+// only the root union hashes, and only over a Gather or shard streams:
+// there is no Distinct, and over one run with the disjuncts drained in
+// turn the root union merges by source.
 func TestDedupPlacement(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	random := randomGraph(r, 40, 90, 3)
@@ -108,23 +108,21 @@ func TestDedupPlacement(t *testing.T) {
 		paths    []pathindex.Path
 		closures []plan.Seq
 		epsilon  bool
-		// noUnion says when Build must return the lone disjunct as is,
-		// its root emitting a set by itself: "always", "unsharded" (a
-		// group join; a scattered merge join is gathered, and the Gather
-		// is a union) or never.
-		noUnion string
+		// noUnion says Build must return the lone disjunct as is, its
+		// root emitting a set by itself.
+		noUnion bool
 		g       *graph.Graph // nil: the random graph
 	}{
-		{name: "single-scan", query: "a/b", paths: []pathindex.Path{{a, b}}, noUnion: "always"},
-		{name: "single-join", query: "a/b/c", paths: []pathindex.Path{{a, b, c}}, noUnion: "unsharded"},
-		{name: "join-two-shard-routes", query: "a/b/c", paths: []pathindex.Path{{a, b, c}}, noUnion: "unsharded",
+		{name: "single-scan", query: "a/b", paths: []pathindex.Path{{a, b}}, noUnion: true},
+		{name: "single-join", query: "a/b/c", paths: []pathindex.Path{{a, b, c}}, noUnion: true},
+		{name: "join-two-shard-routes", query: "a/b/c", paths: []pathindex.Path{{a, b, c}}, noUnion: true,
 			g: twoRouteGraph()},
 		{name: "multi-disjunct", query: "a/b/c|b^-/a|c|()", epsilon: true,
 			paths: []pathindex.Path{{a, b, c}, {graph.Inv(1), a}, {c}}},
 		{name: "closure", query: "a/(b/c)*",
-			closures: []plan.Seq{seq(seg(a), star(seq(seg(b, c))))}, noUnion: "always"},
+			closures: []plan.Seq{seq(seg(a), star(seq(seg(b, c))))}, noUnion: true},
 		{name: "nested-closure", query: "(a/b*)*",
-			closures: []plan.Seq{seq(star(seq(seg(a), star(seq(seg(b))))))}, noUnion: "always"},
+			closures: []plan.Seq{seq(star(seq(seg(a), star(seq(seg(b))))))}, noUnion: true},
 		{name: "closure-and-path", query: "a/(b/c)*|c/a/b",
 			paths:    []pathindex.Path{{c, a, b}},
 			closures: []plan.Seq{seq(seg(a), star(seq(seg(b, c))))}},
@@ -151,7 +149,7 @@ func TestDedupPlacement(t *testing.T) {
 				storage = buildShardedIndex(t, g, k, shards)
 			}
 			for _, strat := range plan.Strategies() {
-				pl := plan.Planner{K: k, Hist: hist, NumNodes: g.NumNodes(), Shards: shards}
+				pl := plan.Planner{K: k, Hist: hist, NumNodes: g.NumNodes()}
 				p, err := pl.PlanQuery(tc.paths, tc.closures, tc.epsilon, strat)
 				if err != nil {
 					t.Fatalf("%s: %v", tc.name, err)
@@ -176,7 +174,7 @@ func TestDedupPlacement(t *testing.T) {
 							t.Errorf("%s: disjuncts under one Gather = %v", where, fanned)
 						}
 						hashed := hashDedups(op)
-						if shards <= 1 && !fanned && len(hashed) > 0 {
+						if len(hashed) > 1 || len(hashed) == 1 && (hashed[0] != op || shards <= 1 && !fanned) {
 							t.Errorf("%s: %d operators dedup through a hash set, the first %s", where, len(hashed), hashed[0].Name())
 						}
 						if u, ok := op.(*UnionDistinct); ok && u.bySource != (shards <= 1 && !fanned) {
@@ -193,7 +191,7 @@ func TestDedupPlacement(t *testing.T) {
 						// The noUnion shapes are those of k=2 segmentations; naive
 						// plans single labels, so its a/b is already a join.
 						wantUnion := len(got)
-						if tc.noUnion == "always" || tc.noUnion == "unsharded" && shards <= 1 {
+						if tc.noUnion {
 							wantUnion = 0
 						}
 						if strat != plan.Naive && st.RowsByOperator["union-distinct"] != wantUnion {

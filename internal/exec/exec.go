@@ -1,24 +1,25 @@
 // Package exec provides the physical operators that evaluate the plans of
-// internal/plan against a k-path index: index scans (forward, inverted
-// and source-bound), group joins over source-ordered inputs, merge joins
-// on the index sort order, hash joins, probe joins over prefix lookups,
-// identity scans for ε, and the top-level deduplicating union that
-// realizes the paper's set semantics for query answers.
+// internal/plan against a k-path index: index scans (full and
+// source-bound), group joins over source-grouped inputs, hash joins,
+// probe joins over prefix lookups, identity scans for ε, and the
+// top-level deduplicating union that realizes the paper's set semantics
+// for query answers.
 //
 // Duplicates are removed by source where the stream allows it: a group
 // join and a closure emit each source's targets once, stamping a dense
-// array per source group, and a union whose children are all grouped by
-// ascending source merges them and dedups each group the same way. Only
-// streams with no source order — merge, hash and probe joins,
-// concatenated shard scans, gathers — pass through a hash set (pairSet).
+// array per source group, and a union whose children are all in
+// ascending source order merges them and dedups each group the same
+// way. Only streams out of source order — hash and probe joins,
+// concatenated shard scans and the group joins over them, gathers —
+// pass through a hash set (pairSet).
 //
 // Operators are vectorized: NextBatch fills a caller-supplied buffer with
 // up to len(buf) (source, target) pairs per call, so the per-tuple
 // interface dispatch of the classic Volcano model is paid once per batch
 // instead of once per pair. Index scans decode zero-copy blocks of the
-// index's sorted packed runs straight into the batch buffer; the merge
-// join advances over batches with galloping search. Operators also expose
-// runtime counters (rows and batches) for the engine's statistics output.
+// index's sorted packed runs straight into the batch buffer. Operators
+// also expose runtime counters (rows and batches) for the engine's
+// statistics output.
 package exec
 
 import (
@@ -111,7 +112,7 @@ func CollectStats(op Operator) Stats {
 
 // BuildOptions configures operator-tree construction.
 type BuildOptions struct {
-	// PerJoinDedup wraps every merge, hash and probe join in a Distinct
+	// PerJoinDedup wraps every hash and probe join in a Distinct
 	// operator, trading hash-set maintenance for smaller intermediate
 	// results (ablation Ext-3c). A group join emits a set already and is
 	// never wrapped. The root of the tree is duplicate-free regardless
@@ -205,14 +206,13 @@ func Build(p *plan.Plan, ix pathindex.Storage, opts BuildOptions) (Operator, err
 }
 
 // duplicateFree reports whether op emits no pair twice — the one rule
-// that places duplicate elimination. Duplicates arise only where a merge,
-// hash or probe join projects away its middle node and where a union
+// that places duplicate elimination. Duplicates arise only where a hash
+// or probe join projects away its middle node and where a union
 // concatenates streams; every other operator emits a set: scans read a
 // relation (a ConcatScan reads disjoint shard runs), Distinct keeps a
 // seen-set, and a closure and a group join emit each source's targets
-// once. A Gather is a union too: its per-shard joins meet the same
-// (src,dst) through join nodes of different shards, and its disjuncts
-// overlap, so it is never duplicate-free, not even over Distincts.
+// once. A Gather is a union of disjuncts, which overlap, so it is never
+// duplicate-free, not even over Distincts.
 func duplicateFree(op Operator) bool {
 	switch op.(type) {
 	case *IndexScan, *ConcatScan, *IdentityScan,
@@ -223,42 +223,49 @@ func duplicateFree(op Operator) bool {
 }
 
 // sourceOrdered reports whether op emits its pairs grouped by ascending
-// source: a forward scan reads a run sorted by source, the identity scan
-// counts up, a closure walks its seeds by source and a group join its
-// left input. Inverted scans (ordered by target), concatenated shard
-// scans, merge, hash and probe joins, the Distincts over them, and
-// gathers are not.
+// source — what a by-source union merges: a scan reads a run sorted by
+// source, the identity scan counts up, a closure walks its seeds by
+// source and a group join keeps its left input's order. Concatenated
+// shard scans (ascending within each shard only), hash and probe joins,
+// the Distincts over them, and gathers are not.
 func sourceOrdered(op Operator) bool {
 	switch v := op.(type) {
-	case *IndexScan:
-		return !v.swap
-	case *IdentityScan, *StreamClosure, *GroupJoin:
+	case *IndexScan, *IdentityScan, *StreamClosure:
 		return true
+	case *GroupJoin:
+		return sourceOrdered(v.left.op)
 	}
 	return false
 }
 
-// stripRootDistinct removes the Distinct at the root of a disjunct, or
-// of every per-shard tree under a root Gather.
+// sourceGrouped reports whether each source's pairs arrive together in
+// op's stream — what a group join needs of its left input: a stream in
+// source order, or a ConcatScan, whose shards hold disjoint sources, or
+// a group join, whose left input is grouped (Build checks it).
+func sourceGrouped(op Operator) bool {
+	switch op.(type) {
+	case *ConcatScan, *GroupJoin:
+		return true
+	}
+	return sourceOrdered(op)
+}
+
+// stripRootDistinct removes the Distinct at the root of a disjunct.
 func stripRootDistinct(op Operator) Operator {
-	switch v := op.(type) {
-	case *Distinct:
-		return v.child
-	case *Gather:
-		for i, k := range v.kids {
-			v.kids[i] = stripRootDistinct(k)
-		}
+	if d, ok := op.(*Distinct); ok {
+		return d.child
 	}
 	return op
 }
 
 func buildNode(n plan.Node, ix pathindex.Storage, opts BuildOptions) (Operator, error) {
 	switch v := n.(type) {
-	case *plan.Scatter:
-		return buildScatter(v, ix, opts)
 	case *plan.Scan:
 		if len(v.Segment) > ix.K() {
 			return nil, fmt.Errorf("exec: segment %v longer than index k=%d", v.Segment, ix.K())
+		}
+		if v.Inverted {
+			return nil, fmt.Errorf("exec: inverted scan of %v: scans read in source order only", v.Segment)
 		}
 		if v.Bound {
 			// The ⟨segment, src⟩ run — a seek to (src, 0) read up to
@@ -269,21 +276,16 @@ func buildNode(n plan.Node, ix pathindex.Storage, opts BuildOptions) (Operator, 
 			scan := &IndexScan{blocks: new(pathindex.BlockIterator), block: run}
 			return WithContext(scan, opts.Ctx), nil
 		}
-		return WithContext(newSegmentScan(ix, v.Segment, v.Inverted), opts.Ctx), nil
+		return WithContext(newSegmentScan(ix, v.Segment), opts.Ctx), nil
 	case *plan.Identity:
 		return WithContext(&IdentityScan{n: int(v.Src), total: int(v.Src) + 1}, opts.Ctx), nil
 	case *plan.Join:
-		// Over several shards the global runs are concatenations, not
-		// sorted on the join node: a merge join must run per shard.
-		if sh, ok := pathindex.AsSharded(ix); ok && v.Algo == plan.Merge && sh.Partitioner().NumShards() > 1 {
-			return nil, fmt.Errorf("exec: merge join over %d-shard storage has no plan.Scatter above it", sh.Partitioner().NumShards())
-		}
 		left, err := buildNode(v.Left, ix, opts)
 		if err != nil {
 			return nil, err
 		}
-		if v.Algo == plan.Group && !sourceOrdered(left) {
-			return nil, fmt.Errorf("exec: group join over a %s left input, which is not grouped by ascending source", left.Name())
+		if v.Algo == plan.Group && !sourceGrouped(left) {
+			return nil, fmt.Errorf("exec: group join over a %s left input, which is not grouped by source", left.Name())
 		}
 		var join Operator
 		if v.Algo == plan.Probe {
@@ -297,8 +299,6 @@ func buildNode(n plan.Node, ix pathindex.Storage, opts BuildOptions) (Operator, 
 			switch v.Algo {
 			case plan.Group:
 				join = NewGroupJoin(left, right, opts.batchSize())
-			case plan.Merge:
-				join = NewMergeJoinSized(left, right, opts.batchSize())
 			default:
 				join = NewHashJoinSized(left, right, v.BuildRight, opts.batchSize())
 			}
@@ -353,47 +353,39 @@ func RunSized(op Operator, batchSize int) []Pair {
 	}
 }
 
-// IndexScan streams one segment's relation from the index by decoding its
-// sorted packed blocks into the batch buffer — no per-pair calls and no
-// intermediate allocation. With swap=true it physically scans the
-// segment's inverse path and swaps the components, so pairs of the
-// original segment arrive ordered by target — the inverted scans of the
-// paper's merge-join plans.
+// IndexScan streams one segment's relation from the index in (source,
+// target) order by decoding its sorted packed blocks into the batch
+// buffer — no per-pair calls and no intermediate allocation.
 type IndexScan struct {
 	opBase
 	blocks *pathindex.BlockIterator
 	block  []pathindex.Packed
 	off    int
-	swap   bool
 }
 
 // newSegmentScan builds the scan operator for one segment: over
 // sharded storage, the concatenation of the per-shard scans; otherwise
 // an IndexScan over the storage's blocks (Storage.Blocks decodes a
 // compressed run block by block and merges a tier stack's runs).
-func newSegmentScan(ix pathindex.Storage, segment pathindex.Path, inverted bool) Operator {
+func newSegmentScan(ix pathindex.Storage, segment pathindex.Path) Operator {
 	if sh, ok := pathindex.AsSharded(ix); ok {
 		// One shard's scan is the whole, sorted run.
 		n := sh.Partitioner().NumShards()
 		if n == 1 {
-			return newSegmentScan(sh.Shard(0), segment, inverted)
+			return newSegmentScan(sh.Shard(0), segment)
 		}
 		kids := make([]Operator, n)
 		for i := range kids {
-			kids[i] = newSegmentScan(sh.Shard(i), segment, inverted)
+			kids[i] = newSegmentScan(sh.Shard(i), segment)
 		}
 		return &ConcatScan{kids: kids}
 	}
-	return NewIndexScan(ix, segment, inverted)
+	return NewIndexScan(ix, segment)
 }
 
-// NewIndexScan returns a scan of segment; inverted selects target order.
-func NewIndexScan(ix pathindex.Storage, segment pathindex.Path, inverted bool) *IndexScan {
-	p := segment
-	if inverted {
-		p = segment.Inverse()
-	}
-	return &IndexScan{blocks: ix.Blocks(p), swap: inverted}
+// NewIndexScan returns a scan of segment.
+func NewIndexScan(ix pathindex.Storage, segment pathindex.Path) *IndexScan {
+	return &IndexScan{blocks: ix.Blocks(segment)}
 }
 
 // NextBatch implements Operator.
@@ -416,16 +408,9 @@ func (s *IndexScan) NextBatch(buf []Pair) int {
 		if m > len(dst) {
 			m = len(dst)
 		}
-		if s.swap {
-			for i := 0; i < m; i++ {
-				pr := src[i]
-				dst[i] = Pair{Src: pr.Dst(), Dst: pr.Src()}
-			}
-		} else {
-			for i := 0; i < m; i++ {
-				pr := src[i]
-				dst[i] = Pair{Src: pr.Src(), Dst: pr.Dst()}
-			}
+		for i := 0; i < m; i++ {
+			pr := src[i]
+			dst[i] = Pair{Src: pr.Src(), Dst: pr.Dst()}
 		}
 		n += m
 		s.off += m
@@ -498,191 +483,6 @@ func (in *input) fill() bool {
 	}
 	return true
 }
-
-// gallopByDst returns the smallest offset i into w with w[i].Dst >=
-// target, or len(w) if none, assuming w is non-decreasing on Dst. It
-// probes at exponentially growing strides and binary-searches the final
-// stride, so skipping a long run of non-matching keys costs O(log run)
-// comparisons. gallopBySrc is the Src-keyed twin; the two are spelled
-// out concretely so the merge join's innermost comparisons stay direct
-// field reads instead of indirect calls through a key-extractor func.
-func gallopByDst(w []Pair, target graph.NodeID) int {
-	if len(w) == 0 || w[0].Dst >= target {
-		return 0
-	}
-	// Invariant: w[lo].Dst < target. Find hi with w[hi].Dst >= target.
-	lo, hi := 0, 1
-	for hi < len(w) && w[hi].Dst < target {
-		lo = hi
-		hi <<= 1
-	}
-	if hi > len(w) {
-		hi = len(w)
-	}
-	// Binary search in (lo, hi].
-	for lo+1 < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if w[mid].Dst < target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
-}
-
-// gallopBySrc is gallopByDst keyed on Src.
-func gallopBySrc(w []Pair, target graph.NodeID) int {
-	if len(w) == 0 || w[0].Src >= target {
-		return 0
-	}
-	lo, hi := 0, 1
-	for hi < len(w) && w[hi].Src < target {
-		lo = hi
-		hi <<= 1
-	}
-	if hi > len(w) {
-		hi = len(w)
-	}
-	for lo+1 < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if w[mid].Src < target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return hi
-}
-
-// MergeJoin composes left with right on left.dst = right.src. It requires
-// left ordered by dst (an inverted scan) and right ordered by src (a
-// forward scan); both hold groups of equal keys, which are
-// cross-producted. Batches are consumed with galloping advance: when one
-// side's key trails the other, the cursor skips ahead by exponential
-// search instead of stepping pair by pair.
-type MergeJoin struct {
-	opBase
-	left, right input
-
-	groupSrcs []graph.NodeID // left sources for the current key
-	groupDsts []graph.NodeID // right targets for the current key
-	gi, gj    int
-}
-
-// NewMergeJoin returns a merge join of left and right with default batch
-// buffers.
-func NewMergeJoin(left, right Operator) *MergeJoin {
-	return NewMergeJoinSized(left, right, DefaultBatchSize)
-}
-
-// NewMergeJoinSized returns a merge join whose input buffers hold
-// batchSize pairs.
-func NewMergeJoinSized(left, right Operator, batchSize int) *MergeJoin {
-	if batchSize < 1 {
-		batchSize = 1
-	}
-	return &MergeJoin{left: newInput(left, batchSize), right: newInput(right, batchSize)}
-}
-
-func (m *MergeJoin) children() []Operator { return []Operator{m.left.op, m.right.op} }
-
-// advanceToDst moves in's cursor to the first pair with Dst >= target,
-// galloping within each buffered batch and discarding batches that end
-// below the target. advanceToSrc is the Src-keyed twin.
-func advanceToDst(in *input, target graph.NodeID) {
-	for in.fill() {
-		w := in.buf[in.pos:in.n]
-		if w[len(w)-1].Dst < target {
-			in.pos = in.n // whole batch below target
-			continue
-		}
-		in.pos += gallopByDst(w, target)
-		return
-	}
-}
-
-func advanceToSrc(in *input, target graph.NodeID) {
-	for in.fill() {
-		w := in.buf[in.pos:in.n]
-		if w[len(w)-1].Src < target {
-			in.pos = in.n
-			continue
-		}
-		in.pos += gallopBySrc(w, target)
-		return
-	}
-}
-
-// collectLeftGroup appends to dst the Src of every pair at the cursor
-// whose Dst equals k, advancing across batch refills.
-// collectRightGroup is the mirror (key Src, collect Dst).
-func collectLeftGroup(in *input, k graph.NodeID, dst []graph.NodeID) []graph.NodeID {
-	for {
-		for in.pos < in.n && in.buf[in.pos].Dst == k {
-			dst = append(dst, in.buf[in.pos].Src)
-			in.pos++
-		}
-		if in.pos < in.n || !in.fill() {
-			return dst
-		}
-	}
-}
-
-func collectRightGroup(in *input, k graph.NodeID, dst []graph.NodeID) []graph.NodeID {
-	for {
-		for in.pos < in.n && in.buf[in.pos].Src == k {
-			dst = append(dst, in.buf[in.pos].Dst)
-			in.pos++
-		}
-		if in.pos < in.n || !in.fill() {
-			return dst
-		}
-	}
-}
-
-// NextBatch implements Operator.
-func (m *MergeJoin) NextBatch(buf []Pair) int {
-	if cancelled(m.ctx) {
-		return 0
-	}
-	n := 0
-	for {
-		// Emit from the current group cross product.
-		for m.gi < len(m.groupSrcs) {
-			if n == len(buf) {
-				return m.emit(n)
-			}
-			buf[n] = Pair{Src: m.groupSrcs[m.gi], Dst: m.groupDsts[m.gj]}
-			n++
-			m.gj++
-			if m.gj == len(m.groupDsts) {
-				m.gj = 0
-				m.gi++
-			}
-		}
-		if !m.left.fill() || !m.right.fill() {
-			return m.emit(n)
-		}
-		lkey := m.left.buf[m.left.pos].Dst
-		rkey := m.right.buf[m.right.pos].Src
-		switch {
-		case lkey < rkey:
-			advanceToDst(&m.left, rkey)
-		case lkey > rkey:
-			advanceToSrc(&m.right, lkey)
-		default:
-			// Keys are copied out of the buffers because collecting a
-			// group may refill them.
-			m.groupSrcs = collectLeftGroup(&m.left, lkey, m.groupSrcs[:0])
-			m.groupDsts = collectRightGroup(&m.right, lkey, m.groupDsts[:0])
-			m.gi, m.gj = 0, 0
-		}
-	}
-}
-
-// Name implements Operator.
-func (m *MergeJoin) Name() string { return "merge-join" }
 
 // HashJoin composes left with right on left.dst = right.src, building a
 // hash table from whole batches of one side and probing with batches of
@@ -927,7 +727,7 @@ func (d *dedup) refill(op Operator, batchSize int) bool {
 // UnionDistinct concatenates child streams and removes duplicate pairs —
 // the top-level union over disjuncts with the paper's set semantics.
 //
-// When every child is grouped by ascending source (see sourceOrdered) the
+// When every child is in ascending source order (see sourceOrdered) the
 // union runs by source: it merges the children on their heads' sources
 // and dedups each source group through one array of targets, stamped per
 // group, so it hashes nothing and its output is grouped by ascending

@@ -69,19 +69,15 @@ var benchRightPath = pathindex.Path{graph.Fwd(1), graph.Fwd(2)}
 func benchOp(name string, ix *pathindex.Index, batchSize int) Operator {
 	switch name {
 	case "index-scan":
-		return NewIndexScan(ix, benchScanPath, false)
-	case "merge-join":
-		return NewMergeJoinSized(
-			NewIndexScan(ix, benchLeftPath, true),
-			NewIndexScan(ix, benchRightPath, false), batchSize)
+		return NewIndexScan(ix, benchScanPath)
 	case "hash-join":
 		return NewHashJoinSized(
-			NewIndexScan(ix, benchLeftPath, false),
-			NewIndexScan(ix, benchRightPath, false), true, batchSize)
+			NewIndexScan(ix, benchLeftPath),
+			NewIndexScan(ix, benchRightPath), true, batchSize)
 	case "group-join":
 		return NewGroupJoin(
-			NewIndexScan(ix, benchLeftPath, false),
-			NewIndexScan(ix, benchRightPath, false), batchSize)
+			NewIndexScan(ix, benchLeftPath),
+			NewIndexScan(ix, benchRightPath), batchSize)
 	default:
 		panic("unknown bench operator " + name)
 	}
@@ -104,7 +100,6 @@ func benchOperator(b *testing.B, name string) {
 }
 
 func BenchmarkIndexScan(b *testing.B) { benchOperator(b, "index-scan") }
-func BenchmarkMergeJoin(b *testing.B) { benchOperator(b, "merge-join") }
 func BenchmarkHashJoin(b *testing.B)  { benchOperator(b, "hash-join") }
 func BenchmarkGroupJoin(b *testing.B) { benchOperator(b, "group-join") }
 
@@ -115,7 +110,7 @@ func BenchmarkGroupJoin(b *testing.B) { benchOperator(b, "group-join") }
 // source through a UnionDistinct merging by source, whose stamped array
 // is what group joins and by-source unions pay instead of a hash set.
 func BenchmarkDedup(b *testing.B) {
-	in := Run(benchOp("merge-join", benchIndex(b), DefaultBatchSize))
+	in := Run(benchOp("hash-join", benchIndex(b), DefaultBatchSize))
 	out := make([]Pair, 0, len(in))
 	report := func(b *testing.B) {
 		if len(out) == 0 || len(out) == len(in) {

@@ -89,52 +89,42 @@ func TestIndexScanOrdering(t *testing.T) {
 	ix := buildIndex(t, g, 2)
 	p := pathindex.Path{graph.Fwd(0), graph.Fwd(1)}
 
-	fwd := Run(NewIndexScan(ix, p, false))
+	fwd := Run(NewIndexScan(ix, p))
 	for i := 1; i < len(fwd); i++ {
 		if fwd[i-1].Src > fwd[i].Src || (fwd[i-1].Src == fwd[i].Src && fwd[i-1].Dst >= fwd[i].Dst) {
-			t.Fatalf("forward scan out of (src,dst) order at %d", i)
+			t.Fatalf("scan out of (src,dst) order at %d", i)
 		}
 	}
-	inv := Run(NewIndexScan(ix, p, true))
-	for i := 1; i < len(inv); i++ {
-		if inv[i-1].Dst > inv[i].Dst || (inv[i-1].Dst == inv[i].Dst && inv[i-1].Src >= inv[i].Src) {
-			t.Fatalf("inverted scan out of (dst,src) order at %d", i)
-		}
-	}
-	// Same pair sets.
-	if !setsEqual(asSet(fwd), asSet(inv)) {
-		t.Error("forward and inverted scans differ as sets")
-	}
-	// And both equal the brute relation.
 	if !setsEqual(asSet(fwd), bruteCompose(g, p)) {
 		t.Error("scan disagrees with brute composition")
 	}
 }
 
-func TestMergeEqualsHashJoin(t *testing.T) {
+func TestGroupEqualsHashJoin(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	g := randomGraph(r, 25, 60, 2)
 	ix := buildIndex(t, g, 2)
 	left := pathindex.Path{graph.Fwd(0), graph.Inv(1)}
 	right := pathindex.Path{graph.Fwd(1), graph.Fwd(0)}
 
-	merge := Run(NewMergeJoin(
-		NewIndexScan(ix, left, true),
-		NewIndexScan(ix, right, false),
+	group := Run(NewGroupJoin(
+		NewIndexScan(ix, left),
+		NewIndexScan(ix, right),
+		DefaultBatchSize,
 	))
 	hashLB := Run(NewHashJoin(
-		NewIndexScan(ix, left, false),
-		NewIndexScan(ix, right, false),
+		NewIndexScan(ix, left),
+		NewIndexScan(ix, right),
 		false,
 	))
 	hashRB := Run(NewHashJoin(
-		NewIndexScan(ix, left, false),
-		NewIndexScan(ix, right, false),
+		NewIndexScan(ix, left),
+		NewIndexScan(ix, right),
 		true,
 	))
 	want := bruteCompose(g, append(append(pathindex.Path{}, left...), right...))
-	if !setsEqual(asSet(merge), want) {
-		t.Errorf("merge join: %d pairs, want %d", len(asSet(merge)), len(want))
+	if len(group) != len(want) || !setsEqual(asSet(group), want) {
+		t.Errorf("group join: %d pairs (%d distinct), want %d", len(group), len(asSet(group)), len(want))
 	}
 	if !setsEqual(asSet(hashLB), want) {
 		t.Errorf("hash join (build left): %d pairs, want %d", len(asSet(hashLB)), len(want))
@@ -144,30 +134,7 @@ func TestMergeEqualsHashJoin(t *testing.T) {
 	}
 }
 
-func TestMergeJoinManyToMany(t *testing.T) {
-	// Hub graph: many sources point at hub via a; hub points at many
-	// targets via b. The join must emit the full cross product.
-	g := graph.New()
-	for _, s := range []string{"s1", "s2", "s3"} {
-		g.AddEdge(s, "a", "hub")
-	}
-	for _, d := range []string{"t1", "t2"} {
-		g.AddEdge("hub", "b", d)
-	}
-	g.Freeze()
-	ix := buildIndex(t, g, 1)
-	a, _ := g.LookupLabel("a")
-	b, _ := g.LookupLabel("b")
-	got := Run(NewMergeJoin(
-		NewIndexScan(ix, pathindex.Path{graph.Fwd(a)}, true),
-		NewIndexScan(ix, pathindex.Path{graph.Fwd(b)}, false),
-	))
-	if len(got) != 6 {
-		t.Fatalf("got %d pairs, want 6 (3x2 cross product)", len(got))
-	}
-}
-
-func TestMergeJoinEmptyInputs(t *testing.T) {
+func TestJoinEmptyInputs(t *testing.T) {
 	g := graph.New()
 	g.AddEdge("x", "a", "y")
 	g.Label("b") // no edges
@@ -175,16 +142,25 @@ func TestMergeJoinEmptyInputs(t *testing.T) {
 	ix := buildIndex(t, g, 1)
 	a, _ := g.LookupLabel("a")
 	b, _ := g.LookupLabel("b")
-	got := Run(NewMergeJoin(
-		NewIndexScan(ix, pathindex.Path{graph.Fwd(a)}, true),
-		NewIndexScan(ix, pathindex.Path{graph.Fwd(b)}, false),
+	got := Run(NewGroupJoin(
+		NewIndexScan(ix, pathindex.Path{graph.Fwd(a)}),
+		NewIndexScan(ix, pathindex.Path{graph.Fwd(b)}),
+		DefaultBatchSize,
 	))
 	if len(got) != 0 {
-		t.Errorf("join with empty right = %v", got)
+		t.Errorf("group join with empty right = %v", got)
+	}
+	got = Run(NewGroupJoin(
+		NewIndexScan(ix, pathindex.Path{graph.Fwd(b)}),
+		NewIndexScan(ix, pathindex.Path{graph.Fwd(a)}),
+		DefaultBatchSize,
+	))
+	if len(got) != 0 {
+		t.Errorf("group join with empty left = %v", got)
 	}
 	got = Run(NewHashJoin(
-		NewIndexScan(ix, pathindex.Path{graph.Fwd(b)}, false),
-		NewIndexScan(ix, pathindex.Path{graph.Fwd(a)}, false),
+		NewIndexScan(ix, pathindex.Path{graph.Fwd(b)}),
+		NewIndexScan(ix, pathindex.Path{graph.Fwd(a)}),
 		false,
 	))
 	if len(got) != 0 {
@@ -217,8 +193,8 @@ func TestUnionDistinct(t *testing.T) {
 	a, _ := g.LookupLabel("a")
 	b, _ := g.LookupLabel("b")
 	u := NewUnionDistinct([]Operator{
-		NewIndexScan(ix, pathindex.Path{graph.Fwd(a)}, false),
-		NewIndexScan(ix, pathindex.Path{graph.Fwd(b)}, false),
+		NewIndexScan(ix, pathindex.Path{graph.Fwd(a)}),
+		NewIndexScan(ix, pathindex.Path{graph.Fwd(b)}),
 	})
 	got := Run(u)
 	if len(got) != 2 {
@@ -241,8 +217,8 @@ func TestDistinct(t *testing.T) {
 	a, _ := g.LookupLabel("a")
 	b, _ := g.LookupLabel("b")
 	join := NewHashJoin(
-		NewIndexScan(ix, pathindex.Path{graph.Fwd(a)}, false),
-		NewIndexScan(ix, pathindex.Path{graph.Fwd(b)}, false),
+		NewIndexScan(ix, pathindex.Path{graph.Fwd(a)}),
+		NewIndexScan(ix, pathindex.Path{graph.Fwd(b)}),
 		false,
 	)
 	got := Run(NewDistinct(join))
@@ -335,9 +311,10 @@ func TestCollectStats(t *testing.T) {
 	ix := buildIndex(t, g, 1)
 	a, _ := g.LookupLabel("a")
 	b, _ := g.LookupLabel("b")
-	join := NewMergeJoin(
-		NewIndexScan(ix, pathindex.Path{graph.Fwd(a)}, true),
-		NewIndexScan(ix, pathindex.Path{graph.Fwd(b)}, false),
+	join := NewGroupJoin(
+		NewIndexScan(ix, pathindex.Path{graph.Fwd(a)}),
+		NewIndexScan(ix, pathindex.Path{graph.Fwd(b)}),
+		DefaultBatchSize,
 	)
 	u := NewUnionDistinct([]Operator{join})
 	Run(u)
@@ -345,8 +322,8 @@ func TestCollectStats(t *testing.T) {
 	if st.RowsByOperator["index-scan"] != 2 {
 		t.Errorf("index-scan rows = %d, want 2", st.RowsByOperator["index-scan"])
 	}
-	if st.RowsByOperator["merge-join"] != 1 {
-		t.Errorf("merge-join rows = %d, want 1", st.RowsByOperator["merge-join"])
+	if st.RowsByOperator["group-join"] != 1 {
+		t.Errorf("group-join rows = %d, want 1", st.RowsByOperator["group-join"])
 	}
 	if st.RowsByOperator["union-distinct"] != 1 {
 		t.Errorf("union rows = %d, want 1", st.RowsByOperator["union-distinct"])

@@ -3,14 +3,15 @@ package exec
 import "repro/internal/graph"
 
 // GroupJoin composes left with right on left.dst = right.src when left
-// arrives grouped by ascending source — a forward or bound scan, the
-// identity scan, a closure or another group join. On the first NextBatch
-// it drains right into rows keyed by source (an adjacency). Then, for
-// each left pair (s, m), it emits (s, t) for every t in m's row, keeping
-// t only the first time s's group reaches it: a dense array of targets,
-// stamped per source group as StreamClosure stamps its components, so
-// the output is a set, grouped by ascending source, and dedup costs one
-// array read per witness instead of a hash-set insert.
+// arrives grouped by source (see sourceGrouped) — a scan, the shards'
+// concatenated scans, a bound scan, the identity scan, a closure or
+// another group join. On the first NextBatch it drains right into rows
+// keyed by source (an adjacency). Then, for each left pair (s, m), it
+// emits (s, t) for every t in m's row, keeping t only the first time s's
+// group reaches it: a dense array of targets, stamped per source group
+// as StreamClosure stamps its components, so the output is a set,
+// grouped by source in left's order, and dedup costs one array read per
+// witness instead of a hash-set insert.
 //
 // Memory is O(|right| + nodes), never proportional to the output.
 type GroupJoin struct {
@@ -28,7 +29,7 @@ type GroupJoin struct {
 	rend  int
 }
 
-// NewGroupJoin returns a group join of a source-ordered left with right,
+// NewGroupJoin returns a group join of a source-grouped left with right,
 // pulling batchSize pairs per child call.
 func NewGroupJoin(left, right Operator, batchSize int) *GroupJoin {
 	batchSize = max(batchSize, 1)

@@ -70,8 +70,8 @@ func TestGroupJoinDifferential(t *testing.T) {
 		name string
 		s    pathindex.Storage
 	}{{"heap", ix}, {"v3", v3}, {"levels-v3", stack}} {
-		left := Run(NewIndexScan(tc.s, a, false))
-		right := Run(NewIndexScan(tc.s, b, false))
+		left := Run(NewIndexScan(tc.s, a))
+		right := Run(NewIndexScan(tc.s, b))
 		nodes := graph.NodeID(tc.s.Graph().NumNodes())
 		if tc.name == "levels-v3" && !slices.ContainsFunc(right, func(p Pair) bool { return p.Src >= graph.NodeID(g.NumNodes()) }) {
 			t.Fatalf("%s: the tier's b-pairs add no node", tc.name)
@@ -99,7 +99,7 @@ func TestGroupJoinDifferential(t *testing.T) {
 			t.Fatalf("%s: fixture lacks a case: unmatched source %v, empty row %v, pair through several join nodes %v", tc.name, unmatched, emptyRow, multi)
 		}
 		for _, size := range []int{1, 3, 1024} {
-			op := NewGroupJoin(NewIndexScan(tc.s, a, false), &sliceOp{pairs: slices.Clone(right)}, size)
+			op := NewGroupJoin(NewIndexScan(tc.s, a), &sliceOp{pairs: slices.Clone(right)}, size)
 			got := RunSized(op, size)
 			where := fmt.Sprintf("%s, batch %d", tc.name, size)
 			if len(got) != len(want) || !setsEqual(asSet(got), want) {
@@ -153,28 +153,30 @@ func TestGroupJoinCancelledDuringDrain(t *testing.T) {
 }
 
 // TestBuildRefusesUnorderedGroupJoin: a group join needs a left input
-// grouped by ascending source, so Build refuses one over an inverted
-// scan or over the concatenated shard scans of sharded storage, and
-// builds it over one shard, whose scan is that shard's sorted run.
+// grouped by source, so Build refuses one over a hash join, whose output
+// is not, and builds it over a scan of one run and over the concatenated
+// scans of 1 or 2 shards' runs. A scan marked inverted, which no plan
+// holds, is refused rather than read forward.
 func TestBuildRefusesUnorderedGroupJoin(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	g := randomGraph(r, 40, 90, 2)
 	ix := buildIndex(t, g, 2)
-	join := func(inverted bool) *plan.Plan {
-		return &plan.Plan{Disjuncts: []plan.Node{&plan.Join{
-			Left:  &plan.Scan{Segment: pathindex.Path{graph.Fwd(0)}, Inverted: inverted},
-			Right: &plan.Scan{Segment: pathindex.Path{graph.Fwd(1)}},
-			Algo:  plan.Group,
-		}}}
+	a := &plan.Scan{Segment: pathindex.Path{graph.Fwd(0)}}
+	b := &plan.Scan{Segment: pathindex.Path{graph.Fwd(1)}}
+	group := func(left plan.Node) *plan.Plan {
+		return &plan.Plan{Disjuncts: []plan.Node{&plan.Join{Left: left, Right: b, Algo: plan.Group}}}
 	}
-	if _, err := Build(join(true), ix, BuildOptions{}); err == nil {
-		t.Error("group join over an inverted scan was built")
+	if _, err := Build(group(&plan.Join{Left: a, Right: b, Algo: plan.Hash}), ix, BuildOptions{}); err == nil {
+		t.Error("group join over a hash join was built")
 	}
-	if _, err := Build(join(false), buildShardedIndex(t, g, 2, 2), BuildOptions{}); err == nil {
-		t.Error("group join over a 2-shard concat-scan was built")
+	inverted := &plan.Scan{Segment: a.Segment, Inverted: true}
+	for _, p := range []*plan.Plan{group(inverted), {Disjuncts: []plan.Node{inverted}}} {
+		if _, err := Build(p, ix, BuildOptions{}); err == nil {
+			t.Error("an inverted scan was built")
+		}
 	}
-	for _, s := range []pathindex.Storage{ix, buildShardedIndex(t, g, 2, 1)} {
-		if _, err := Build(join(false), s, BuildOptions{}); err != nil {
+	for _, s := range []pathindex.Storage{ix, buildShardedIndex(t, g, 2, 1), buildShardedIndex(t, g, 2, 2)} {
+		if _, err := Build(group(a), s, BuildOptions{}); err != nil {
 			t.Errorf("%T: %v", s, err)
 		}
 	}

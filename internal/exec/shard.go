@@ -1,20 +1,10 @@
-// This file implements the fan-out of execution. Sharded storage takes
-// two shapes:
-//
-//   - a plan.Scatter — a merge join whose inverted left run and forward
-//     right run are both partitioned on the join node — builds the
-//     ordinary operator tree once per shard over that shard's storage,
-//     and a Gather fans the per-shard streams in, one sender per shard;
-//   - everything else runs once, over the shards' concatenated runs: a
-//     segment scan over sharded storage is a ConcatScan of the per-shard
-//     sub-scans, which hash joins, closures and the union consume as any
-//     other relation. Only merge joins need sorted input, and they run
-//     per shard; group joins, which need their left input grouped by
-//     source, are planned over unsharded storage only.
-//
-// Disjuncts fan out the same way: with BuildOptions.Workers > 1, Build
-// puts the disjunct trees under one Gather with that many senders,
-// below the root union that deduplicates them.
+// This file implements the two operators that read several streams as
+// one. Over sharded storage a segment scan is a ConcatScan of the
+// per-shard sub-scans, run once: the plan is the one unsharded storage
+// runs, and a query over shards runs on one goroutine. With
+// BuildOptions.Workers > 1, Build puts the disjunct trees under one
+// Gather with that many senders, below the root union that deduplicates
+// them.
 
 package exec
 
@@ -22,15 +12,13 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/pathindex"
-	"repro/internal/plan"
 )
 
 // ConcatScan streams one segment's relation over sharded storage: the
 // per-shard sub-scans one after another, synchronously. Shard runs are
-// source-disjoint (target-disjoint for inverted scans), so the stream is
-// a set, sorted within each shard but not across shards.
+// source-disjoint and each is sorted, so the stream is a set grouped by
+// source, though not in ascending source order across shards: a group
+// join takes it as its left input, a by-source union does not.
 type ConcatScan struct {
 	opBase
 	kids []Operator
@@ -61,16 +49,14 @@ type senderBatch struct {
 }
 
 // Gather fans in operator streams concurrently and unordered: the
-// per-shard trees of a plan.Scatter, or the disjunct trees of a plan run
-// with BuildOptions.Workers. Each of its senders — goroutines, at most
-// one per child — claims the next unclaimed child, drains it into whole
-// batches on one shared channel, and claims the next, until none is
-// left. Each sender owns two buffers that cycle through its free
-// channel, so a started Gather allocates nothing per batch; the consumer
-// copies each batch out and hands its buffer back. A Gather is a union:
-// per-shard join outputs overlap once the join node is projected away,
-// and disjuncts overlap anyway, so it passes duplicates through (see
-// duplicateFree).
+// disjunct trees of a plan run with BuildOptions.Workers. Each of its
+// senders — goroutines, at most one per child — claims the next
+// unclaimed child, drains it into whole batches on one shared channel,
+// and claims the next, until none is left. Each sender owns two buffers
+// that cycle through its free channel, so a started Gather allocates
+// nothing per batch; the consumer copies each batch out and hands its
+// buffer back. A Gather is a union: disjuncts overlap, so it passes
+// duplicates through (see duplicateFree).
 //
 // Cancellation: senders stop at batch boundaries once ctx is done or the
 // gather is quiesced. A Gather that returned 0 has no goroutines left;
@@ -267,28 +253,4 @@ func Quiesce(op Operator) {
 			Quiesce(c)
 		}
 	}
-}
-
-// buildScatter builds a plan.Scatter node: the child's ordinary tree over
-// each shard's storage under a Gather. One shard needs no Gather, and over
-// unsharded storage the scatter is transparent — its child builds as if
-// the node were absent — so plans compiled for a sharded engine still
-// execute anywhere.
-func buildScatter(v *plan.Scatter, ix pathindex.Storage, opts BuildOptions) (Operator, error) {
-	sh, ok := pathindex.AsSharded(ix)
-	if !ok {
-		return buildNode(v.Child, ix, opts)
-	}
-	kids := make([]Operator, sh.Partitioner().NumShards())
-	for i := range kids {
-		kid, err := buildNode(v.Child, sh.Shard(i), opts)
-		if err != nil {
-			return nil, err
-		}
-		kids[i] = kid
-	}
-	if len(kids) == 1 {
-		return kids[0], nil
-	}
-	return NewGather(kids, len(kids), opts.batchSize(), opts.Ctx), nil
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -48,42 +47,35 @@ func multisetsEqual(a, b map[Pair]int) bool {
 }
 
 // TestShardedSegmentScan: scanning a segment over sharded storage yields
-// exactly the unsharded relation, each pair once, forward and inverted,
-// at every shard count; the per-shard sub-scans are disjoint, and each
-// holds only pairs whose physical source — the source forward, the
-// target inverted — its shard owns.
+// exactly the unsharded relation, each pair once, at every shard count;
+// the per-shard sub-scans are disjoint, and each holds only pairs whose
+// source its shard owns.
 func TestShardedSegmentScan(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	g := randomGraph(r, 25, 60, 2)
 	ix := buildIndex(t, g, 2)
 	p := pathindex.Path{graph.Fwd(0), graph.Fwd(1)}
-	for _, inverted := range []bool{false, true} {
-		want := asSet(Run(newSegmentScan(ix, p, inverted)))
-		for _, n := range []int{1, 2, 4, 7} {
-			s := buildShardedIndex(t, g, 2, n)
-			got := Run(newSegmentScan(s, p, inverted))
-			if len(got) != len(want) || !setsEqual(asSet(got), want) {
-				t.Fatalf("n=%d inverted=%v: %d pairs (%d distinct), want %d", n, inverted, len(got), len(asSet(got)), len(want))
-			}
-			owner := map[Pair]int{}
-			for i := 0; i < n; i++ {
-				for _, pr := range Run(newSegmentScan(s.Shard(i), p, inverted)) {
-					if prev, dup := owner[pr]; dup {
-						t.Fatalf("n=%d inverted=%v: %v in shards %d and %d", n, inverted, pr, prev, i)
-					}
-					owner[pr] = i
-					key := pr.Src
-					if inverted {
-						key = pr.Dst
-					}
-					if s.ShardOf(key) != i {
-						t.Fatalf("n=%d inverted=%v: shard %d holds %v, owned by %d", n, inverted, i, pr, s.ShardOf(key))
-					}
+	want := asSet(Run(newSegmentScan(ix, p)))
+	for _, n := range []int{1, 2, 4, 7} {
+		s := buildShardedIndex(t, g, 2, n)
+		got := Run(newSegmentScan(s, p))
+		if len(got) != len(want) || !setsEqual(asSet(got), want) {
+			t.Fatalf("n=%d: %d pairs (%d distinct), want %d", n, len(got), len(asSet(got)), len(want))
+		}
+		owner := map[Pair]int{}
+		for i := 0; i < n; i++ {
+			for _, pr := range Run(newSegmentScan(s.Shard(i), p)) {
+				if prev, dup := owner[pr]; dup {
+					t.Fatalf("n=%d: %v in shards %d and %d", n, pr, prev, i)
+				}
+				owner[pr] = i
+				if s.ShardOf(pr.Src) != i {
+					t.Fatalf("n=%d: shard %d holds %v, owned by %d", n, i, pr, s.ShardOf(pr.Src))
 				}
 			}
-			if len(owner) != len(want) {
-				t.Fatalf("n=%d inverted=%v: shards hold %d pairs, want %d", n, inverted, len(owner), len(want))
-			}
+		}
+		if len(owner) != len(want) {
+			t.Fatalf("n=%d: shards hold %d pairs, want %d", n, len(owner), len(want))
 		}
 	}
 }
@@ -202,28 +194,10 @@ func TestGatherZeroAllocsPerBatch(t *testing.T) {
 	}
 }
 
-// hasScatter reports whether a plan subtree holds a plan.Scatter.
-func hasScatter(n plan.Node) bool {
-	switch v := n.(type) {
-	case *plan.Scatter:
-		return true
-	case *plan.Join:
-		return hasScatter(v.Left) || hasScatter(v.Right)
-	case *plan.Closure:
-		for _, b := range v.Body {
-			if hasScatter(b) {
-				return true
-			}
-		}
-		return v.Input != nil && hasScatter(v.Input)
-	}
-	return false
-}
-
-// TestScatterPlansMatchUnsharded is the exec-level differential test:
-// every strategy's scattered plan over sharded storage produces exactly
-// the unsharded result.
-func TestScatterPlansMatchUnsharded(t *testing.T) {
+// TestShardedPlansMatchUnsharded is the exec-level differential test:
+// every strategy's plan run over sharded storage produces exactly the
+// result it produces over the unsharded index, each pair once.
+func TestShardedPlansMatchUnsharded(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	g := randomGraph(r, 25, 70, 3)
 	k := 2
@@ -235,74 +209,39 @@ func TestScatterPlansMatchUnsharded(t *testing.T) {
 		{graph.Inv(0), graph.Fwd(1)},
 		{graph.Fwd(2)},
 	}
-	for _, n := range []int{1, 2, 4, 7} {
-		s := buildShardedIndex(t, g, k, n)
-		for _, strat := range plan.Strategies() {
-			base := &plan.Planner{K: k, Hist: h, NumNodes: g.NumNodes()}
-			p0, err := base.PlanPaths(disjuncts, true, strat)
+	pl := &plan.Planner{K: k, Hist: h, NumNodes: g.NumNodes()}
+	for _, strat := range plan.Strategies() {
+		p, err := pl.PlanPaths(disjuncts, true, strat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		op0, err := Build(p, ix, BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := asSet(Run(op0))
+		for _, n := range []int{1, 2, 4, 7} {
+			op1, err := Build(p, buildShardedIndex(t, g, k, n), BuildOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			op0, err := Build(p0, ix, BuildOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := asSet(Run(op0))
-
-			sharded := &plan.Planner{K: k, Hist: h, NumNodes: g.NumNodes(), Shards: n}
-			p1, err := sharded.PlanPaths(disjuncts, true, strat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := hasScatter(p1.Disjuncts[0]); got != (n > 1) {
-				t.Fatalf("n=%d %v: three-label disjunct scattered = %v", n, strat, got)
-			}
-			if hasScatter(p1.Disjuncts[2]) {
-				t.Fatalf("n=%d %v: a lone scan scattered", n, strat)
-			}
-			op1, err := Build(p1, s, BuildOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := asSet(Run(op1))
-			if !setsEqual(got, want) {
-				t.Errorf("n=%d %v: %d pairs, want %d", n, strat, len(got), len(want))
-			}
-			// Scattered plans also run correctly over unsharded storage
-			// (the Scatter is transparent).
-			op2, err := Build(p1, ix, BuildOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !setsEqual(asSet(Run(op2)), want) {
-				t.Errorf("n=%d %v: scattered plan over unsharded storage diverged", n, strat)
+			got := Run(op1)
+			if len(got) != len(want) || !setsEqual(asSet(got), want) {
+				t.Errorf("n=%d %v: %d pairs (%d distinct), want %d", n, strat, len(got), len(asSet(got)), len(want))
 			}
 		}
 	}
 }
 
-// mergeJoinPlan is the paper's merge join left ⋈ right: left scanned
-// inverted, right forward, optionally under a Scatter.
-func mergeJoinPlan(left, right pathindex.Path, shards int) plan.Node {
-	var n plan.Node = &plan.Join{
-		Left:  &plan.Scan{Segment: left, Inverted: true},
-		Right: &plan.Scan{Segment: right},
-		Algo:  plan.Merge,
-	}
-	if shards > 0 {
-		n = &plan.Scatter{Child: n, Shards: shards}
-	}
-	return n
-}
-
-// TestCoPartitionedMergeJoin is the co-partitioning property: on random
-// graphs, the per-shard merge joins under one Gather emit exactly the
-// unsharded merge join's multiset of pairs — every match is found by the
-// one shard owning its join node — at 1/2/4/7 shards, over heap shards,
-// reopened on-disk shards, and a Levels stack over a sharded base after
-// an update. Without the Scatter, a merge join over several shards is
-// refused.
-func TestCoPartitionedMergeJoin(t *testing.T) {
+// TestGroupJoinOverShards: a group join whose left input is a ConcatScan
+// of shard runs — grouped by source, not in ascending source order —
+// equals a nested loop plus a set, each pair once, on random graphs at
+// 1/2/4/7 shards and batch sizes 1, 3 and 1024, over heap shards,
+// reopened v3 shards, and a Levels stack over a sharded base whose tier
+// adds nodes as sources and targets. A root union over two such joins
+// cannot merge them by source once there are several shards: it dedups
+// through its hash set and still equals the union of the oracles.
+func TestGroupJoinOverShards(t *testing.T) {
 	const k = 2
 	labels := []graph.DirLabel{graph.Fwd(0), graph.Inv(0), graph.Fwd(1), graph.Inv(1)}
 	for seed := int64(1); seed <= 3; seed++ {
@@ -311,9 +250,9 @@ func TestCoPartitionedMergeJoin(t *testing.T) {
 		var batch []graph.LabeledEdge
 		for i := 0; i < 25; i++ {
 			batch = append(batch, graph.LabeledEdge{
-				Src:   g.NodeName(graph.NodeID(r.Intn(30))),
+				Src:   fmt.Sprint(r.Intn(34)), // a few new nodes on either side
 				Label: g.LabelName(graph.LabelID(r.Intn(2))),
-				Dst:   fmt.Sprint(r.Intn(34)), // a few new nodes
+				Dst:   fmt.Sprint(r.Intn(34)),
 			})
 		}
 		g2, err := g.ExtendFrozen(batch)
@@ -354,50 +293,42 @@ func TestCoPartitionedMergeJoin(t *testing.T) {
 			suts := []struct {
 				name   string
 				s, ref pathindex.Storage
-			}{{"heap", heap, ix}, {"disk", disk, ix}, {"levels", levels, ix2}}
+			}{{"heap", heap, ix}, {"v3", disk, ix}, {"levels", levels, ix2}}
 			for _, sut := range suts {
-				for _, j := range joins {
-					want := multiset(Run(mustBuild(t, mergeJoinPlan(j[0], j[1], 0), sut.ref)))
-					got := multiset(Run(mustBuild(t, mergeJoinPlan(j[0], j[1], n), sut.s)))
-					if !multisetsEqual(got, want) {
-						t.Fatalf("seed %d %s n=%d %v⋈%v: scattered join differs from the unsharded one", seed, sut.name, n, j[0], j[1])
-					}
-					_, err := buildNode(mergeJoinPlan(j[0], j[1], 0), sut.s, BuildOptions{})
-					if (err != nil) != (n > 1) {
-						t.Fatalf("seed %d %s n=%d: unscattered merge join over sharded storage: err = %v", seed, sut.name, n, err)
-					}
-					if n > 1 && !strings.Contains(err.Error(), "Scatter") {
-						t.Fatalf("error does not name the missing scatter: %v", err)
+				oracle := func(j [2]pathindex.Path) map[Pair]bool {
+					want, _ := nestedLoopJoin(Run(NewIndexScan(sut.ref, j[0])), Run(NewIndexScan(sut.ref, j[1])))
+					return want
+				}
+				join := func(j [2]pathindex.Path, bs int) Operator {
+					return NewGroupJoin(newSegmentScan(sut.s, j[0]), newSegmentScan(sut.s, j[1]), bs)
+				}
+				for i, j := range joins {
+					want := oracle(j)
+					for _, bs := range []int{1, 3, 1024} {
+						where := fmt.Sprintf("seed %d %s n=%d batch=%d %v⋈%v", seed, sut.name, n, bs, j[0], j[1])
+						left := newSegmentScan(sut.s, j[0])
+						if _, concat := left.(*ConcatScan); concat != (n > 1) || !sourceGrouped(left) {
+							t.Fatalf("%s: left input is a %s", where, left.Name())
+						}
+						got := RunSized(join(j, bs), bs)
+						if len(got) != len(want) || !setsEqual(asSet(got), want) {
+							t.Fatalf("%s: %d pairs (%d distinct), oracle %d", where, len(got), len(asSet(got)), len(want))
+						}
+						next := joins[(i+1)%len(joins)]
+						u := NewUnionDistinctSized([]Operator{join(j, bs), join(next, bs)}, bs)
+						if u.bySource != (n == 1) {
+							t.Fatalf("%s: root union by source = %v", where, u.bySource)
+						}
+						both := oracle(next)
+						for pr := range want {
+							both[pr] = true
+						}
+						if got := RunSized(u, bs); len(got) != len(both) || !setsEqual(asSet(got), both) {
+							t.Fatalf("%s: union of two joins has %d pairs (%d distinct), oracle %d", where, len(got), len(asSet(got)), len(both))
+						}
 					}
 				}
 			}
 		}
-	}
-}
-
-func mustBuild(t *testing.T, n plan.Node, ix pathindex.Storage) Operator {
-	t.Helper()
-	op, err := buildNode(n, ix, BuildOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return op
-}
-
-// TestScatterExplainShape: the plan renders the exchange on the
-// co-partitioned join, and nothing broadcasts.
-func TestScatterExplainShape(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	g := randomGraph(r, 15, 30, 2)
-	ix := buildIndex(t, g, 2)
-	h := histogram.BuildExact(ix)
-	pl := &plan.Planner{K: 2, Hist: h, NumNodes: g.NumNodes(), Shards: 4}
-	p, err := pl.PlanPaths([]pathindex.Path{{graph.Fwd(0), graph.Fwd(1), graph.Fwd(0)}}, false, plan.SemiNaive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := p.Format(g)
-	if !strings.Contains(out, "scatter ×4 [co-partitioned on join node] → gather") || strings.Contains(out, "broadcast") {
-		t.Fatalf("EXPLAIN lacks the co-partitioned scatter shape:\n%s", out)
 	}
 }

@@ -118,7 +118,7 @@ func (t *Tier) shardTiers(part Partitioner) []*Tier {
 //
 // The base may be sharded. The stack stays global — one tier list, one
 // merge / spill / fold / checkpoint lifecycle — and offers the shard
-// view the executor scatters over (Sharded): Shard(i) is a Levels over
+// view the executor's scans concatenate (Sharded): Shard(i) is a Levels over
 // the base's shard i whose tiers are this stack's tiers restricted to
 // the sources shard i owns.
 //

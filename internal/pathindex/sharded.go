@@ -11,9 +11,9 @@
 // cursor's Seek and SrcRun, and so the bound scans and probe joins of
 // single-source plans) route to the single owning shard; whole-relation
 // reads (Relation, and a cursor read past a source) merge the per-shard
-// runs back together. The executor needs no global
-// order and avoids that: it concatenates the per-shard scans, and runs
-// each merge join per shard.
+// runs back together. The executor needs no global order and avoids
+// that: it concatenates the per-shard scans, a stream grouped by source,
+// which is all its joins need.
 //
 // Sharding is an execution-layout choice, not a semantic one: a
 // ShardedStorage answers every Storage query identically to the

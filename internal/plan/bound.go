@@ -4,8 +4,7 @@
 // into length-k pieces, the first read by the paper's prefix lookup
 // I_{G,k}(⟨p, src⟩) (Example 3.1) and every later one probed per reached
 // node; a closure closes the chain so far. Closure bodies are unbound and
-// planned as PlanQuery plans them; the chain itself has no merge join and
-// so never needs a Scatter.
+// planned as PlanQuery plans them.
 
 package plan
 

@@ -33,9 +33,8 @@ type Seq struct {
 // executor condenses the body relation into strongly connected
 // components and walks the component DAG from each source of Input's
 // relation (the identity relation when Input is nil). Output is a set
-// grouped by ascending source, so over unsharded storage a Closure is
-// the left input of a group join like any scan; over sharded storage a
-// join above it is a hash join, since a merge join needs Scan operands.
+// grouped by ascending source, so a Closure is the left input of a group
+// join like any scan.
 type Closure struct {
 	// Input is the relation being closed; nil means the identity
 	// relation over all graph nodes (a pure star disjunct), an Identity
@@ -90,8 +89,7 @@ func (pl *Planner) closure(input Node, body []Node) *Closure {
 
 // PlanQuery generates a plan for a full star-factored query: plain
 // label-path disjuncts plus closure-sequence disjuncts, with hasEpsilon
-// adding the identity disjunct. Over sharded storage (Shards > 1) the
-// finished join trees get their scatters last.
+// adding the identity disjunct.
 func (pl *Planner) PlanQuery(disjuncts []pathindex.Path, closures []Seq, hasEpsilon bool, strategy Strategy) (*Plan, error) {
 	return pl.planQuery(nil, disjuncts, closures, hasEpsilon, strategy)
 }
@@ -126,21 +124,14 @@ func (pl *Planner) planQuery(src *graph.NodeID, disjuncts []pathindex.Path, clos
 		}
 		p.Disjuncts = append(p.Disjuncts, node)
 	}
-	if pl.Shards > 1 {
-		for i, d := range p.Disjuncts {
-			p.Disjuncts[i] = pl.scatter(d)
-		}
-	}
 	return p, nil
 }
 
 // planSeq plans one closure-sequence disjunct applied to input (nil for
 // none). Unbound, segments are planned by the strategy like plain
 // disjuncts; over a bound input they extend the bound chain. Closure
-// factors become Closure nodes over the relation planned so far (joins
-// above closures are group, hash or probe joins, never merge joins,
-// since a Closure is not a Scan); their bodies are always planned
-// unbound.
+// factors become Closure nodes over the relation planned so far; their
+// bodies are always planned unbound.
 func (pl *Planner) planSeq(input Node, s Seq, strategy Strategy) (Node, error) {
 	if len(s.Elems) == 0 {
 		return nil, fmt.Errorf("plan: empty closure sequence (represent ε via hasEpsilon)")

@@ -37,8 +37,6 @@ func shape(n Node) string {
 		return b.String()
 	case *Join:
 		return fmt.Sprintf("%s(%s,%s)", v.Algo, shape(v.Left), shape(v.Right))
-	case *Scatter:
-		return fmt.Sprintf("scatter(%s)", shape(v.Child))
 	}
 	return fmt.Sprintf("<%T>", n)
 }
@@ -46,9 +44,10 @@ func shape(n Node) string {
 // TestGroupJoinPlans plans Q3 and Q7 of the Advogato workload (labels
 // master, journeyer, apprentice) at k = 3 under every strategy. The
 // table holds the merge/hash plans the planner made before group joins
-// existed. At Shards 4 and under HashOnly the plans still equal them.
-// At Shards 0 every join is a group join, no scan is inverted, and the
-// tree, Card and Cost are those of the table's unsharded plan.
+// existed, the paper's merge join reading an inverted left scan (~).
+// Under HashOnly the plans still equal them. Otherwise every join is a
+// group join, no scan is inverted, and the tree, Card and Cost are those
+// of the table's merge/hash plan.
 func TestGroupJoinPlans(t *testing.T) {
 	m, j, a := graph.Fwd(0), graph.Fwd(1), graph.Fwd(2)
 	queries := map[string][]pathindex.Path{
@@ -61,26 +60,18 @@ func TestGroupJoinPlans(t *testing.T) {
 		shape         string
 		card, cost    float64
 	}{
-		{"Q3", "shards0", Naive, "hash(hash(hash(hash(merge(~j,m),j),a),m),j)", 1000000.0, 2725367.0},
-		{"Q3", "shards0", SemiNaive, "merge(~jmj,amj)", 4449.2, 14053.2},
-		{"Q3", "shards0", MinSupport, "merge(~jmj,amj)", 4449.2, 14053.2},
-		{"Q3", "shards0", MinJoin, "merge(~jmj,amj)", 4449.2, 14053.2},
-		{"Q3", "shards4", Naive, "hash(hash(hash(hash(scatter(merge(~j,m)),j),a),m),j)", 1000000.0, 2725367.0},
-		{"Q3", "shards4", SemiNaive, "scatter(merge(~jmj,amj))", 4449.2, 14053.2},
-		{"Q3", "shards4", MinSupport, "scatter(merge(~jmj,amj))", 4449.2, 14053.2},
-		{"Q3", "shards4", MinJoin, "scatter(merge(~jmj,amj))", 4449.2, 14053.2},
+		{"Q3", "group", Naive, "hash(hash(hash(hash(merge(~j,m),j),a),m),j)", 1000000.0, 2725367.0},
+		{"Q3", "group", SemiNaive, "merge(~jmj,amj)", 4449.2, 14053.2},
+		{"Q3", "group", MinSupport, "merge(~jmj,amj)", 4449.2, 14053.2},
+		{"Q3", "group", MinJoin, "merge(~jmj,amj)", 4449.2, 14053.2},
 		{"Q3", "hashOnly", Naive, "hash(hash(hash(hash(hash(j,m),j),a),m),j)", 1000000.0, 2727151.0},
 		{"Q3", "hashOnly", SemiNaive, "hash(jmj,amj)", 4449.2, 14680.2},
 		{"Q3", "hashOnly", MinSupport, "hash(jmj,amj)", 4449.2, 14680.2},
 		{"Q3", "hashOnly", MinJoin, "hash(jmj,amj)", 4449.2, 14680.2},
-		{"Q7", "shards0", Naive, "hash(hash(hash(hash(merge(~m,a),m),a),m),j) | hash(hash(hash(hash(hash(hash(merge(~m,a),m),a),m),a),m),j)", 2000000.0, 9450525.3},
-		{"Q7", "shards0", SemiNaive, "merge(~mam,amj) | hash(merge(~mam,ama),mj)", 55733.3, 122743.0},
-		{"Q7", "shards0", MinSupport, "merge(~mam,amj) | hash(mam,hash(merge(~a,mam),j))", 160577.9, 313591.6},
-		{"Q7", "shards0", MinJoin, "merge(~mam,amj) | hash(merge(~ma,mam),amj)", 45513.8, 99463.9},
-		{"Q7", "shards4", Naive, "hash(hash(hash(hash(scatter(merge(~m,a)),m),a),m),j) | hash(hash(hash(hash(hash(hash(scatter(merge(~m,a)),m),a),m),a),m),j)", 2000000.0, 9450525.3},
-		{"Q7", "shards4", SemiNaive, "scatter(merge(~mam,amj)) | hash(scatter(merge(~mam,ama)),mj)", 55733.3, 122743.0},
-		{"Q7", "shards4", MinSupport, "scatter(merge(~mam,amj)) | hash(mam,hash(scatter(merge(~a,mam)),j))", 160577.9, 313591.6},
-		{"Q7", "shards4", MinJoin, "scatter(merge(~mam,amj)) | hash(scatter(merge(~ma,mam)),amj)", 45513.8, 99463.9},
+		{"Q7", "group", Naive, "hash(hash(hash(hash(merge(~m,a),m),a),m),j) | hash(hash(hash(hash(hash(hash(merge(~m,a),m),a),m),a),m),j)", 2000000.0, 9450525.3},
+		{"Q7", "group", SemiNaive, "merge(~mam,amj) | hash(merge(~mam,ama),mj)", 55733.3, 122743.0},
+		{"Q7", "group", MinSupport, "merge(~mam,amj) | hash(mam,hash(merge(~a,mam),j))", 160577.9, 313591.6},
+		{"Q7", "group", MinJoin, "merge(~mam,amj) | hash(merge(~ma,mam),amj)", 45513.8, 99463.9},
 		{"Q7", "hashOnly", Naive, "hash(hash(hash(hash(hash(m,a),m),a),m),j) | hash(hash(hash(hash(hash(hash(hash(m,a),m),a),m),a),m),j)", 2000000.0, 9453855.3},
 		{"Q7", "hashOnly", SemiNaive, "hash(mam,amj) | hash(hash(mam,ama),mj)", 55733.3, 126273.0},
 		{"Q7", "hashOnly", MinSupport, "hash(mam,amj) | hash(mam,hash(hash(a,mam),j))", 160577.9, 317021.6},
@@ -91,10 +82,8 @@ func TestGroupJoinPlans(t *testing.T) {
 		pl := &Planner{K: 3, Hist: hashEstimator{}, NumNodes: 1000}
 		want := tc.shape
 		switch tc.config {
-		case "shards0":
+		case "group":
 			want = strings.ReplaceAll(asGroup.ReplaceAllString(want, "group"), "~", "")
-		case "shards4":
-			pl.Shards = 4
 		case "hashOnly":
 			pl.HashOnly = true
 		}

@@ -4,22 +4,19 @@
 // evaluation strategies: naive, semiNaive, minSupport, and minJoin.
 //
 // A disjunct (label path) is segmented into contiguous subpaths of length
-// at most k; each segment becomes an index scan and segments are combined
-// with joins on the shared intermediate node. A merge join exploits the
-// index sort order and is possible exactly when both operands are scans:
-// the left operand is scanned inverted (via the indexed inverse path, so
-// its pairs arrive ordered by target) and the right operand forward
-// (ordered by source) — the convention of the paper's worked example
-// I(w⁻k⁻k⁻) ⋈ I(kww). Merge join outputs carry no useful order, so joins
-// above them use hash joins.
+// at most k; each segment becomes a forward index scan and segments are
+// combined with joins on the shared intermediate node. Every unbound
+// join is a group join: its left operand streams grouped by source (a
+// scan, a closure or another group join), its right operand is drained
+// into rows, and each source's targets are deduplicated as they are
+// emitted, so the output is a set grouped by source. The plan is the
+// same whatever the storage layout: over sharded storage a scan reads
+// the shards' runs one after another, which groups it by source too.
 //
-// Over unsharded storage every unbound join is a group join instead: its
-// left operand streams grouped by ascending source (a forward scan, a
-// closure or another group join), its right operand is drained into
-// rows, and each source's targets are deduplicated as they are emitted,
-// so the output is a set grouped by ascending source. The cost model and
-// so every strategy's choice of tree are those of the merge/hash plan;
-// only the physical operator differs.
+// The cost model is the paper's: a join of two scans is costed as its
+// merge join I(w⁻k⁻k⁻) ⋈ I(kww) of an inverted and a forward scan, any
+// other join as a hash join. Only the physical operator differs, so each
+// strategy chooses the tree it would choose for merge and hash joins.
 //
 // A single-source query binds its source into the plan instead (see
 // bound.go): the first scan reads only the source's prefix run and every
@@ -88,19 +85,20 @@ func Strategies() []Strategy { return []Strategy{Naive, SemiNaive, MinSupport, M
 type JoinAlgo int
 
 const (
-	Merge JoinAlgo = iota
-	Hash
+	// Hash builds a hash table on one input and probes it with the
+	// other; unbound joins use it only under Planner.HashOnly.
+	Hash JoinAlgo = iota
 	// Probe joins a bound left input to its right scan's segment by one
 	// ⟨segment, node⟩ prefix lookup per left pair; only bound plans use it.
 	Probe
-	// Group streams a left input grouped by ascending source against the
-	// right input laid out as rows, deduplicating per source; every
-	// unbound join over unsharded storage uses it.
+	// Group streams a left input grouped by source against the right
+	// input laid out as rows, deduplicating per source; every other
+	// unbound join uses it.
 	Group
 )
 
 func (a JoinAlgo) String() string {
-	return [...]string{Merge: "merge", Hash: "hash", Probe: "probe", Group: "group"}[a]
+	return [...]string{Hash: "hash", Probe: "probe", Group: "group"}[a]
 }
 
 // Node is a physical plan operator.
@@ -111,13 +109,13 @@ type Node interface {
 	Cost() float64
 }
 
-// Scan reads one segment's relation from the index. If Inverted, the
-// physical scan uses the indexed inverse path and swaps components, so
-// pairs arrive ordered by target instead of source. If Bound, it reads
-// only the pairs whose source is Src: the paper's ⟨path, source⟩ prefix
-// lookup.
+// Scan reads one segment's relation from the index in source order. If
+// Bound, it reads only the pairs whose source is Src: the paper's
+// ⟨path, source⟩ prefix lookup.
 type Scan struct {
-	Segment  pathindex.Path
+	Segment pathindex.Path
+	// Inverted is never set by the planner, and the executor refuses a
+	// scan that sets it; it leaves with the next benchmark change.
 	Inverted bool
 	Bound    bool
 	Src      graph.NodeID
@@ -126,6 +124,16 @@ type Scan struct {
 
 func (s *Scan) Card() float64 { return s.card }
 func (s *Scan) Cost() float64 { return s.card }
+
+// Scatter is never produced by the planner, and the executor refuses
+// it; it leaves with the next benchmark change.
+type Scatter struct {
+	Child  Node
+	Shards int
+}
+
+func (s *Scatter) Card() float64 { return s.Child.Card() }
+func (s *Scatter) Cost() float64 { return s.Child.Cost() }
 
 // Join composes Left with Right on Left.dst = Right.src, emitting
 // (Left.src, Right.dst) pairs.
@@ -187,18 +195,13 @@ type Planner struct {
 	// NumNodes is |nodes(G)|, used as the distinct-value estimate in the
 	// join cardinality formula.
 	NumNodes int
-	// HashOnly disables merge and group joins (ablation Ext-3b).
+	// HashOnly makes every unbound join a hash join (ablation Ext-3b).
 	HashOnly bool
-	// Shards, when > 1, targets source-partitioned storage: joins are
-	// merge and hash joins, and every co-partitioned merge join is
-	// wrapped in a Scatter node for per-shard evaluation (see shard.go).
-	// At 0 or 1 every unbound join is a group join.
-	Shards int
 }
 
 // Cost-model constants: a hash join pays hashBuildFactor per build-side
-// row and 1 per probe-side row; a merge join pays 1 per row on both
-// sides. Every operator additionally pays 1 per output row.
+// row and 1 per probe-side row; a merge join of two scans pays 1 per row
+// on both sides. Every operator additionally pays 1 per output row.
 const hashBuildFactor = 1.5
 
 // PlanPaths generates a plan for the given disjuncts under the strategy:
@@ -233,36 +236,29 @@ func (pl *Planner) scan(seg pathindex.Path) *Scan {
 	return &Scan{Segment: seg, card: pl.Hist.EstimateCount(seg)}
 }
 
-// join combines two subplans, picking the join algorithm and build side.
-// A merge join is chosen when both operands are scans (the only operands
-// with exploitable order); the left scan is then marked inverted so its
-// pairs arrive ordered by target. Over unsharded storage the join is a
-// group join whatever its operands, with the left scan kept forward; it
-// is costed as the merge or hash join it replaces, so strategies choose
-// the same trees either way.
+// join combines two subplans: a group join, or a hash join under
+// HashOnly. A join of two scans is costed as the paper's merge join and
+// any other as a hash join on its smaller side, whichever operator runs
+// it, so the strategies choose the same trees either way.
 func (pl *Planner) join(left, right Node) *Join {
-	j := &Join{Left: left, Right: right}
-	ls, lok := left.(*Scan)
+	j := &Join{Left: left, Right: right, Algo: Group}
+	if pl.HashOnly {
+		j.Algo = Hash
+	}
+	_, lok := left.(*Scan)
 	_, rok := right.(*Scan)
 	cl, cr := left.Card(), right.Card()
 	j.card = pl.joinCard(cl, cr)
-	group := pl.Shards <= 1 && !pl.HashOnly
 	if lok && rok && !pl.HashOnly {
-		j.Algo = Merge
-		ls.Inverted = !group
 		j.cost = left.Cost() + right.Cost() + cl + cr + j.card
-	} else {
-		j.Algo = Hash
-		build, probe := cl, cr
-		if cr < cl {
-			j.BuildRight = true
-			build, probe = cr, cl
-		}
-		j.cost = left.Cost() + right.Cost() + hashBuildFactor*build + probe + j.card
+		return j
 	}
-	if group {
-		j.Algo, j.BuildRight = Group, false
+	build, probe := cl, cr
+	if cr < cl {
+		build, probe = cr, cl
+		j.BuildRight = pl.HashOnly // a group join has no build side
 	}
+	j.cost = left.Cost() + right.Cost() + hashBuildFactor*build + probe + j.card
 	return j
 }
 
@@ -334,13 +330,10 @@ func (pl *Planner) minSupport(d pathindex.Path) Node {
 	default:
 		l := pl.minSupport(left)
 		r := pl.minSupport(right)
-		// The two association orders; join() already explores the
-		// forward/inverted scan alternatives implicitly by picking merge
-		// joins (with the left side inverted) whenever both inputs are
-		// scans. Each alternative gets its own copy of the flank trees
-		// because join() mutates scan inversion flags.
+		// The two association orders; the one not kept is dropped, so
+		// they may share the flank trees.
 		a := pl.join(pl.join(l, pl.scan(center)), r)
-		b := pl.join(pl.cloneTree(l), pl.join(pl.scan(center), pl.cloneTree(r)))
+		b := pl.join(l, pl.join(pl.scan(center), r))
 		if a.Cost() <= b.Cost() {
 			return a
 		}
@@ -455,9 +448,7 @@ func (pl *Planner) optimalTree(segs []pathindex.Path) Node {
 			j := i + width
 			var best *Join
 			for s := i + 1; s < j; s++ {
-				// join() mutates scan inversion flags, so each candidate
-				// needs freshly built operands: rebuild the sub-trees.
-				cand := pl.join(pl.cloneTree(dp[i][s]), pl.cloneTree(dp[s][j]))
+				cand := pl.join(dp[i][s], dp[s][j])
 				if best == nil || cand.Cost() < best.Cost() {
 					best = cand
 				}
@@ -466,33 +457,6 @@ func (pl *Planner) optimalTree(segs []pathindex.Path) Node {
 		}
 	}
 	return dp[0][n]
-}
-
-// cloneTree deep-copies a plan subtree so that alternatives explored by
-// the planner do not share mutable scan nodes.
-func (pl *Planner) cloneTree(n Node) Node {
-	switch v := n.(type) {
-	case *Scan:
-		c := *v
-		return &c
-	case *Join:
-		c := *v
-		c.Left = pl.cloneTree(v.Left)
-		c.Right = pl.cloneTree(v.Right)
-		return &c
-	case *Closure:
-		c := *v
-		if v.Input != nil {
-			c.Input = pl.cloneTree(v.Input)
-		}
-		c.Body = make([]Node, len(v.Body))
-		for i, b := range v.Body {
-			c.Body[i] = pl.cloneTree(b)
-		}
-		return &c
-	default:
-		return n
-	}
 }
 
 // Format renders the plan as an indented tree using g for label names.
@@ -519,9 +483,6 @@ func formatNode(b *strings.Builder, n Node, g *graph.Graph, prefix, indent strin
 	switch v := n.(type) {
 	case *Scan:
 		dir := ""
-		if v.Inverted {
-			dir = fmt.Sprintf(" [scan %s, swap]", v.Segment.Inverse().Format(g))
-		}
 		if v.Bound {
 			dir = " from " + g.NodeName(v.Src)
 		}
@@ -553,9 +514,6 @@ func formatNode(b *strings.Builder, n Node, g *graph.Graph, prefix, indent strin
 			}
 			formatNode(b, c, g, childPrefix, childIndent)
 		}
-	case *Scatter:
-		fmt.Fprintf(b, "%sscatter ×%d [co-partitioned on join node] → gather\n", prefix, v.Shards)
-		formatNode(b, v.Child, g, indent+"└─ ", indent+"   ")
 	default:
 		fmt.Fprintf(b, "%s<unknown node %T>\n", prefix, n)
 	}

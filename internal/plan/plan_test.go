@@ -47,20 +47,14 @@ func leaves(n Node) []*Scan {
 		return []*Scan{v}
 	case *Join:
 		return append(leaves(v.Left), leaves(v.Right)...)
-	case *Scatter:
-		return leaves(v.Child)
 	}
 	return nil
 }
 
-// joins returns all join nodes of a plan tree in preorder, looking
-// through scatters.
+// joins returns all join nodes of a plan tree in preorder.
 func joins(n Node) []*Join {
-	switch v := n.(type) {
-	case *Join:
+	if v, ok := n.(*Join); ok {
 		return append(append([]*Join{v}, joins(v.Left)...), joins(v.Right)...)
-	case *Scatter:
-		return joins(v.Child)
 	}
 	return nil
 }
@@ -138,66 +132,45 @@ func TestSingleSegmentDisjunct(t *testing.T) {
 }
 
 // TestWorkedExampleSemiNaive reproduces the Section 4 example plans for
-// R = k ◦ (k◦w)^{2,4} ◦ w at k=3. Over sharded storage disjunct kkwkww
-// becomes one merge join of I((kkw)⁻ scanned, swapped) with I(kww);
-// kkwkwkww adds a hash join; kkwkwkwkww two hash joins. Unsharded, the
-// same trees are group joins over forward scans.
+// R = k ◦ (k◦w)^{2,4} ◦ w at k=3. Disjunct kkwkww becomes one join of
+// I(kkw) with I(kww) — the paper's merge join I(w⁻k⁻k⁻) ⋈ I(kww), here a
+// group join over forward scans; kkwkwkww adds a second join and
+// kkwkwkwkww a third. Under HashOnly the same trees are hash joins.
 func TestWorkedExampleSemiNaive(t *testing.T) {
 	g, k, w := gexLabels()
 	d1 := path(k, k, w, k, w, w)
 	d2 := path(k, k, w, k, w, k, w, w)
 	d3 := path(k, k, w, k, w, k, w, k, w, w)
-	for _, shards := range []int{0, 2} {
+	for _, hashOnly := range []bool{false, true} {
 		pl := newPlanner(3, fakeEstimator{def: 50})
-		pl.Shards = shards
+		pl.HashOnly = hashOnly
 		p, err := pl.PlanPaths([]pathindex.Path{d1, d2, d3}, false, SemiNaive)
 		if err != nil {
 			t.Fatal(err)
 		}
-		merge, hash := Merge, Hash
-		if shards == 0 {
-			merge, hash = Group, Group
+		algo := Group
+		if hashOnly {
+			algo = Hash
 		}
-
-		// Disjunct 1: merge(scan kkw inverted, scan kww).
-		j1 := joins(p.Disjuncts[0])
-		if len(j1) != 1 || j1[0].Algo != merge {
-			t.Fatalf("shards=%d d1: want a single %v join, got %v", shards, merge, describeJoins(j1))
-		}
-		l := j1[0].Left.(*Scan)
-		if l.Inverted != (shards > 1) {
-			t.Errorf("shards=%d d1: left scan inverted = %v (paper: I(w^-k^-k^-) under a merge join)", shards, l.Inverted)
-		}
-		if got := l.Segment.Inverse().Format(g); got != "worksFor^-/knows^-/knows^-" {
-			t.Errorf("shards=%d d1: inverse of left scan %s", shards, got)
-		}
-		if got := j1[0].Right.(*Scan).Segment.Format(g); got != "knows/worksFor/worksFor" {
-			t.Errorf("shards=%d d1: right scan = %s", shards, got)
-		}
-		segmentsCover(t, p.Disjuncts[0], d1)
-
-		// Disjunct 2: merge then hash.
-		j2 := joins(p.Disjuncts[1])
-		if len(j2) != 2 || j2[0].Algo != hash || j2[1].Algo != merge {
-			t.Errorf("shards=%d d2: want %v(%v(...),...), got %v", shards, hash, merge, describeJoins(j2))
-		}
-		segmentsCover(t, p.Disjuncts[1], d2)
-
-		// Disjunct 3: merge then two hashes.
-		j3 := joins(p.Disjuncts[2])
-		if len(j3) != 3 {
-			t.Fatalf("shards=%d d3: want 3 joins, got %d", shards, len(j3))
-		}
-		merges := 0
-		for _, j := range j3 {
-			if j.Algo == Merge {
-				merges++
+		for i, d := range []pathindex.Path{d1, d2, d3} {
+			js := joins(p.Disjuncts[i])
+			if len(js) != i+1 {
+				t.Fatalf("hashOnly=%v d%d: want %d joins, got %v", hashOnly, i+1, i+1, describeJoins(js))
 			}
+			for _, j := range js {
+				if j.Algo != algo {
+					t.Errorf("hashOnly=%v d%d: want %v joins, got %v", hashOnly, i+1, algo, describeJoins(js))
+				}
+			}
+			segmentsCover(t, p.Disjuncts[i], d)
 		}
-		if want := map[bool]int{true: 1, false: 0}[shards > 1]; merges != want {
-			t.Errorf("shards=%d d3: want exactly %d merge join, got %d", shards, want, merges)
+		j1 := joins(p.Disjuncts[0])[0]
+		if got := j1.Left.(*Scan).Segment.Format(g); got != "knows/knows/worksFor" {
+			t.Errorf("hashOnly=%v d1: left scan = %s", hashOnly, got)
 		}
-		segmentsCover(t, p.Disjuncts[2], d3)
+		if got := j1.Right.(*Scan).Segment.Format(g); got != "knows/worksFor/worksFor" {
+			t.Errorf("hashOnly=%v d1: right scan = %s", hashOnly, got)
+		}
 	}
 }
 
@@ -234,29 +207,22 @@ func TestMinSupportPicksMostSelectiveWindow(t *testing.T) {
 	if !found {
 		t.Errorf("minSupport did not isolate the most selective window kwk; leaves=%d", len(segs))
 	}
-	// With both flanks scans, the inner join with the center is a merge
-	// join and the outer join a hash join (paper's illustration) over
-	// sharded storage; unsharded, both are group joins.
+	// The center joins one flank and the result the other: both are
+	// group joins, and hash joins under HashOnly.
 	js := joins(node)
 	if len(js) != 2 {
 		t.Fatalf("want 2 joins, got %d", len(js))
 	}
 	if js[0].Algo != Group || js[1].Algo != Group {
-		t.Errorf("unsharded joins should be group joins, got %v", describeJoins(js))
+		t.Errorf("joins should be group joins, got %v", describeJoins(js))
 	}
-	pl.Shards = 2
+	pl.HashOnly = true
 	if p, err = pl.PlanPaths([]pathindex.Path{d}, false, MinSupport); err != nil {
 		t.Fatal(err)
 	}
 	js = joins(p.Disjuncts[0])
-	if len(js) != 2 {
-		t.Fatalf("shards=2: want 2 joins, got %d", len(js))
-	}
-	if js[0].Algo != Hash {
-		t.Errorf("shards=2: outer join should be hash, got %v", js[0].Algo)
-	}
-	if js[1].Algo != Merge {
-		t.Errorf("shards=2: inner join should be merge, got %v", js[1].Algo)
+	if len(js) != 2 || js[0].Algo != Hash || js[1].Algo != Hash {
+		t.Errorf("HashOnly: want two hash joins, got %v", describeJoins(js))
 	}
 }
 
@@ -349,7 +315,7 @@ func TestHashJoinBuildSide(t *testing.T) {
 		path(k).Key(): 1, // the final 1-step segment is tiny
 	}}
 	pl := newPlanner(3, est)
-	pl.Shards = 2 // unsharded, the join is a group join and has no build side
+	pl.HashOnly = true // a group join has no build side
 	p, err := pl.PlanPaths([]pathindex.Path{d}, false, SemiNaive)
 	if err != nil {
 		t.Fatal(err)
@@ -380,14 +346,14 @@ func TestPlanCardAndCost(t *testing.T) {
 func TestFormat(t *testing.T) {
 	g, k, w := gexLabels()
 	for _, tc := range []struct {
-		shards     int
+		hashOnly   bool
 		want, gone []string
 	}{
-		{0, []string{"semiNaive", "group-join", "knows/knows/worksFor", "identity"}, []string{"swap", "merge-join"}},
-		{2, []string{"semiNaive", "merge-join", "knows/knows/worksFor", "swap", "identity", "scatter ×2"}, []string{"group-join"}},
+		{false, []string{"semiNaive", "group-join", "knows/knows/worksFor", "identity"}, []string{"hash-join", "build="}},
+		{true, []string{"semiNaive", "hash-join build=", "knows/knows/worksFor", "identity"}, []string{"group-join"}},
 	} {
 		pl := newPlanner(3, fakeEstimator{def: 10})
-		pl.Shards = tc.shards
+		pl.HashOnly = tc.hashOnly
 		p, err := pl.PlanPaths([]pathindex.Path{path(k, k, w, k, w, w)}, true, SemiNaive)
 		if err != nil {
 			t.Fatal(err)
@@ -395,12 +361,12 @@ func TestFormat(t *testing.T) {
 		out := p.Format(g)
 		for _, want := range tc.want {
 			if !strings.Contains(out, want) {
-				t.Errorf("shards=%d: Format missing %q:\n%s", tc.shards, want, out)
+				t.Errorf("hashOnly=%v: Format missing %q:\n%s", tc.hashOnly, want, out)
 			}
 		}
 		for _, gone := range tc.gone {
 			if strings.Contains(out, gone) {
-				t.Errorf("shards=%d: Format has %q:\n%s", tc.shards, gone, out)
+				t.Errorf("hashOnly=%v: Format has %q:\n%s", tc.hashOnly, gone, out)
 			}
 		}
 	}
@@ -408,9 +374,8 @@ func TestFormat(t *testing.T) {
 
 // TestQuickAllStrategiesCoverDisjunct: for random disjuncts, every
 // strategy yields a tree whose leaf segments concatenate to the disjunct,
-// with all segments within length k. Unsharded, every join is a group
-// join and no scan is inverted; over shards, merge joins join two scans,
-// the left one inverted.
+// with all segments within length k, no scan inverted, and every join a
+// group join, or a hash join under HashOnly.
 func TestQuickAllStrategiesCoverDisjunct(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -426,9 +391,9 @@ func TestQuickAllStrategiesCoverDisjunct(t *testing.T) {
 			}
 		}
 		est := fakeEstimator{def: float64(1 + r.Intn(1000))}
-		for _, shards := range []int{0, 2} {
+		for _, hashOnly := range []bool{false, true} {
 			pl := newPlanner(k, est)
-			pl.Shards = shards
+			pl.HashOnly = hashOnly
 			for _, s := range Strategies() {
 				p, err := pl.PlanPaths([]pathindex.Path{d}, false, s)
 				if err != nil {
@@ -445,8 +410,8 @@ func TestQuickAllStrategiesCoverDisjunct(t *testing.T) {
 						t.Logf("%v: segment %v longer than %d", s, leaf.Segment, maxSeg)
 						return false
 					}
-					if shards == 0 && leaf.Inverted {
-						t.Logf("%v: inverted scan under a group join", s)
+					if leaf.Inverted {
+						t.Logf("%v: inverted scan", s)
 						return false
 					}
 					cat = append(cat, leaf.Segment...)
@@ -455,19 +420,11 @@ func TestQuickAllStrategiesCoverDisjunct(t *testing.T) {
 					t.Logf("%v: segments do not cover disjunct", s)
 					return false
 				}
+				want := map[bool]JoinAlgo{false: Group, true: Hash}[hashOnly]
 				for _, j := range joins(p.Disjuncts[0]) {
-					if shards == 0 && j.Algo != Group {
-						t.Logf("%v: unsharded %v join", s, j.Algo)
+					if j.Algo != want {
+						t.Logf("%v hashOnly=%v: %v join", s, hashOnly, j.Algo)
 						return false
-					}
-					// Merge joins only between two scans, left inverted.
-					if j.Algo == Merge {
-						ls, lok := j.Left.(*Scan)
-						_, rok := j.Right.(*Scan)
-						if !lok || !rok || !ls.Inverted {
-							t.Logf("%v: malformed merge join", s)
-							return false
-						}
 					}
 				}
 			}
@@ -496,43 +453,39 @@ func segLengths(ls []*Scan) []int {
 }
 
 // TestBoundPlanFormat: a bound plan names its source on the leaf scan,
-// joins every later segment by probing, and has no merge join or scatter
-// — on one shard and on four — and a leading star closes the bound
-// identity.
+// joins every later segment by probing, and has no group or hash join,
+// and a leading star closes the bound identity.
 func TestBoundPlanFormat(t *testing.T) {
 	g, k, w := gexLabels()
 	jan, _ := g.LookupNode("jan")
 	star := Seq{Elems: []SeqElem{{Star: []Seq{{Elems: []SeqElem{{Seg: path(k)}}}}}}}
-	for _, shards := range []int{1, 4} {
-		pl := newPlanner(2, fakeEstimator{def: 10})
-		pl.Shards = shards
-		p, err := pl.PlanQueryFrom(jan, []pathindex.Path{path(k, k, w, k, w)}, []Seq{star}, true)
-		if err != nil {
-			t.Fatal(err)
+	pl := newPlanner(2, fakeEstimator{def: 10})
+	p, err := pl.PlanQueryFrom(jan, []pathindex.Path{path(k, k, w, k, w)}, []Seq{star}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := p.Format(g)
+	for _, want := range []string{
+		"scan knows/knows from jan (est 0.1)",
+		"probe-join",
+		"identity (ε) from jan",
+		"closure (",
+		"input: identity (ε) from jan",
+		"body: scan knows (est 10.0)",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("bound plan lacks %q:\n%s", want, out)
 		}
-		out := p.Format(g)
-		for _, want := range []string{
-			"scan knows/knows from jan (est 0.1)",
-			"probe-join",
-			"identity (ε) from jan",
-			"closure (",
-			"input: identity (ε) from jan",
-			"body: scan knows (est 10.0)",
-		} {
-			if !strings.Contains(out, want) {
-				t.Errorf("shards=%d: bound plan lacks %q:\n%s", shards, want, out)
-			}
+	}
+	for _, gone := range []string{"group-join", "hash-join"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("bound plan has %q:\n%s", gone, out)
 		}
-		for _, gone := range []string{"merge-join", "hash-join", "scatter", "swap"} {
-			if strings.Contains(out, gone) {
-				t.Errorf("shards=%d: bound plan has %q:\n%s", shards, gone, out)
-			}
-		}
-		if p.HasEpsilon {
-			t.Errorf("shards=%d: bound ε must be the bound identity, not the all-nodes one", shards)
-		}
-		if got := len(joins(p.Disjuncts[1])); got != 2 {
-			t.Errorf("shards=%d: 3-segment chain has %d probe joins, want 2:\n%s", shards, got, out)
-		}
+	}
+	if p.HasEpsilon {
+		t.Error("bound ε must be the bound identity, not the all-nodes one")
+	}
+	if got := len(joins(p.Disjuncts[1])); got != 2 {
+		t.Errorf("3-segment chain has %d probe joins, want 2:\n%s", got, out)
 	}
 }

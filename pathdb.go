@@ -121,8 +121,8 @@ type Options struct {
 	CompactRatio float64
 	// Shards, when > 1, partitions the index by source node into that
 	// many in-process shards: Build constructs one index partition per
-	// shard, queries run each merge join per shard and read the rest
-	// across the shards' runs, and SaveShardedIndex/Open round-trip the
+	// shard, queries run the unsharded plan and read each segment across
+	// the shards' runs, and SaveShardedIndex/Open round-trip the
 	// layout as a directory of per-shard v3 files plus a manifest. 0 or 1
 	// keeps the single-index layout.
 	Shards int
@@ -401,7 +401,7 @@ func OpenWith(graphPath, indexPath string, opts Options) (*DB, error) {
 }
 
 // openEngine opens the saved index at indexPath — one file, or a
-// sharded directory, which is then served scatter-gather — over g and
+// sharded directory — over g and
 // wraps it in an engine. The closer releases the opened storage. An
 // index that names nodes g does not have fails with ErrGraphMismatch.
 func openEngine(indexPath string, g *Graph, opts Options) (*core.Engine, io.Closer, error) {
