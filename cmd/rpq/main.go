@@ -14,11 +14,11 @@
 //
 // The build/serve pair exercises the save-once/open-many lifecycle:
 // `build` constructs the k-path index and writes it block-compressed in
-// format v3; `serve` maps the file, decodes it block by block on scan,
+// format v4; `serve` maps the file, decodes it block by block on scan,
 // and answers queries read from stdin, one per line. An index file of
-// the retired formats v1 or v2 is refused by name: rerun `build`.
+// the retired formats v1–v3 is refused by name: rerun `build`.
 // With -shards N, `build` partitions the index by source node and
-// writes a directory of per-shard v3 files plus a manifest; `serve`
+// writes a directory of per-shard v4 files plus a manifest; `serve`
 // auto-detects that layout too and runs the same plans over it.
 // A malformed query line is reported on stderr and serving continues;
 // non-zero exit is reserved for setup failures (bad flags, unreadable
@@ -108,14 +108,14 @@ func main() {
 }
 
 // runBuild implements `rpq build`: construct the index once and persist
-// it block-compressed (format v3) for any number of later `rpq serve`
+// it block-compressed (format v4) for any number of later `rpq serve`
 // cold starts.
 func runBuild(args []string) error {
 	fs := flag.NewFlagSet("build", flag.ExitOnError)
 	graphPath := fs.String("graph", "", "edge-list file (required)")
 	indexPath := fs.String("index", "", "output index file (required); a directory when -shards > 1")
 	k := fs.Int("k", 2, "path-index locality parameter")
-	shards := fs.Int("shards", 1, "partition the index by source node into this many shards (writes a directory of per-shard v3 files + manifest)")
+	shards := fs.Int("shards", 1, "partition the index by source node into this many shards (writes a directory of per-shard v4 files + manifest)")
 	fs.Parse(args)
 	if *graphPath == "" || *indexPath == "" {
 		return fmt.Errorf("-graph and -index are required")
@@ -149,7 +149,7 @@ func runBuild(args []string) error {
 			*indexPath, size, ss.Shards, ss.Partitioner, float64(8*st.Entries)/float64(size),
 			float64(time.Since(t0).Microseconds())/1000.0)
 	} else {
-		fmt.Printf("wrote %s: %d bytes (format v3, %.2fx vs raw pairs) in %.2f ms\n",
+		fmt.Printf("wrote %s: %d bytes (format v4, %.2fx vs raw pairs) in %.2f ms\n",
 			*indexPath, size, float64(8*st.Entries)/float64(size),
 			float64(time.Since(t0).Microseconds())/1000.0)
 	}

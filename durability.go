@@ -18,9 +18,9 @@ import (
 // This file is the durable update path: a write-ahead edge log plus
 // tiered on-disk state under one directory. A durable DB appends every
 // batch to the WAL (fsync'd, CRC-framed) before publishing the
-// successor snapshot, spills settled update tiers to format-v3 run
+// successor snapshot, spills settled update tiers to format-v4 run
 // files, and periodically compacts the tier stack into a checkpoint — a
-// (graph snapshot, v3 index) pair that supersedes the log prefix it
+// (graph snapshot, v4 index) pair that supersedes the log prefix it
 // covers, after which the WAL is truncated to the remaining suffix. A
 // sharded lineage runs the same lifecycle; only its checkpoint index is
 // a sharded directory instead of one file.
@@ -40,7 +40,7 @@ import (
 const WALFileName = "wal.log"
 
 // DefaultSpillEntries is the tier size (in index entries) beyond which
-// a memory-only tier is spilled to a v3 run file.
+// a memory-only tier is spilled to a v4 run file.
 const DefaultSpillEntries = 1 << 14
 
 // DefaultCompactBudget is the per-step entry budget of incremental
@@ -60,7 +60,7 @@ type DurabilityOptions struct {
 	// measure the update path without the disk.
 	NoSync bool
 	// SpillEntries is the tier size beyond which a tier is persisted as
-	// a v3 run file so recovery can load it instead of re-deriving it.
+	// a v4 run file so recovery can load it instead of re-deriving it.
 	// 0 uses DefaultSpillEntries; negative disables spilling.
 	SpillEntries int
 	// CompactBudget is the entry budget per incremental compaction step.
@@ -378,7 +378,7 @@ func (db *DB) maintainTiers() {
 	db.maybeSpill(e)
 }
 
-// maybeSpill persists every sufficiently large memory-only tier as a v3
+// maybeSpill persists every sufficiently large memory-only tier as a v4
 // run file and logs a Spill record for it, so recovery can load the
 // precomputed runs instead of re-deriving them. A tier produced by
 // merging loses its predecessors' spill markers and is re-spilled once
@@ -414,7 +414,7 @@ func (db *DB) maybeSpill(e *core.Engine) {
 }
 
 // checkpoint persists a completed compaction as the new durable base —
-// a graph snapshot plus the folded index as a v3 file, or as a sharded
+// a graph snapshot plus the folded index as a v4 file, or as a sharded
 // directory when the base is sharded — then logs a Checkpoint record and
 // truncates the WAL to the records the checkpoint does not cover. Every
 // crash window is safe: files are written atomically before the record

@@ -482,7 +482,7 @@ func Reach(c Config) (*Table, error) {
 // Advogato query under minSupport at the largest k, the result size, the
 // summed intermediate rows and batches over all operators, the mean
 // rows moved per batch, and — since the engine here serves from
-// block-compressed v3 storage — the per-query decompression traffic
+// block-compressed v4 storage — the per-query decompression traffic
 // (blocks and bytes decoded, read from core.Stats). Batch=1 numbers
 // equal what the pre-vectorization tuple-at-a-time executor paid one
 // interface call apiece for, so this table is the before/after ledger
@@ -495,7 +495,7 @@ func ExecProfile(c Config) (*Table, error) {
 	}
 	g := c.advogato()
 	k := c.Ks[len(c.Ks)-1]
-	// Serve from compressed v3 storage so the decode counters are live:
+	// Serve from compressed v4 storage so the decode counters are live:
 	// the profile then also shows how much of the index each query
 	// actually decompresses.
 	dir, err := os.MkdirTemp("", "pathdb-execprofile-*")
@@ -507,11 +507,11 @@ func ExecProfile(c Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	v3Path := filepath.Join(dir, "ix.v3")
-	if err := ix.SaveV3(v3Path); err != nil {
+	ixPath := filepath.Join(dir, "ix.pix")
+	if err := ix.Save(ixPath); err != nil {
 		return nil, err
 	}
-	cix, err := pathindex.OpenCompressed(v3Path, g)
+	cix, err := pathindex.OpenCompressed(ixPath, g)
 	if err != nil {
 		return nil, err
 	}
@@ -521,7 +521,7 @@ func ExecProfile(c Config) (*Table, error) {
 		return nil, err
 	}
 	t := &Table{
-		Title: fmt.Sprintf("Exec profile (minSupport, k=%d, v3 storage): batched operator traffic, %d nodes / %d edges",
+		Title: fmt.Sprintf("Exec profile (minSupport, k=%d, v4 storage): batched operator traffic, %d nodes / %d edges",
 			k, g.NumNodes(), g.NumEdges()),
 		Header: []string{"query", "exec ms", "result pairs", "interm rows", "batches", "rows/batch", "blocks dec", "KB dec"},
 	}
@@ -558,7 +558,7 @@ func ExecProfile(c Config) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"rows/batch is the mean batch fill across the operator tree; the tuple-at-a-time executor moved 1 row per call",
 		fmt.Sprintf("operators move up to %d pairs per NextBatch call", exec.DefaultBatchSize),
-		"blocks/KB dec are the v3 block decompressions the query's scans triggered (one decode per touched 4096-pair block)")
+		"blocks/KB dec are the v4 block decompressions the query's scans triggered (one decode per touched 4096-pair block)")
 	if len(skipped) > 0 {
 		t.Notes = append(t.Notes, closureSkipNote(skipped))
 	}

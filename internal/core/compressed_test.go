@@ -23,7 +23,7 @@ func TestDifferentialHeapV3(t *testing.T) {
 	heap := newTestEngine(t, g, 2)
 
 	v3Path := filepath.Join(t.TempDir(), "diff.v3")
-	if err := heap.Storage().(*pathindex.Index).SaveV3(v3Path); err != nil {
+	if err := heap.Storage().(*pathindex.Index).Save(v3Path); err != nil {
 		t.Fatal(err)
 	}
 	c, err := pathindex.OpenCompressed(v3Path, g)
@@ -84,7 +84,7 @@ func TestUpdateOverCompressedStorage(t *testing.T) {
 	base, full, batches := splitGraph(r, 25, 70, []string{"a", "b"}, 2)
 	heapEng := newTestEngine(t, base, 2)
 	path := filepath.Join(t.TempDir(), "base.v3")
-	if err := heapEng.Storage().(*pathindex.Index).SaveV3(path); err != nil {
+	if err := heapEng.Storage().(*pathindex.Index).Save(path); err != nil {
 		t.Fatal(err)
 	}
 	c, err := pathindex.OpenCompressed(path, base)
@@ -154,7 +154,7 @@ func TestExecuteParallelStats(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(43)), 40, 120, labels)
 	heap := newTestEngine(t, g, 2)
 	path := filepath.Join(t.TempDir(), "stats.v3")
-	if err := heap.Storage().(*pathindex.Index).SaveV3(path); err != nil {
+	if err := heap.Storage().(*pathindex.Index).Save(path); err != nil {
 		t.Fatal(err)
 	}
 	c, err := pathindex.OpenCompressed(path, g)

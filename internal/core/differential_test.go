@@ -77,7 +77,7 @@ func TestDifferentialHeapVsMapped(t *testing.T) {
 	heap := newTestEngine(t, g, 2)
 
 	path := filepath.Join(t.TempDir(), "diff.v3")
-	if err := heap.Storage().(*pathindex.Index).SaveV3(path); err != nil {
+	if err := heap.Storage().(*pathindex.Index).Save(path); err != nil {
 		t.Fatal(err)
 	}
 	m, err := pathindex.OpenCompressed(path, g)

@@ -443,7 +443,10 @@ func (p *Prepared) StreamContext(ctx context.Context, fn func(batch []pathindex.
 // operator tree (fanning the disjuncts out over workers senders when
 // workers > 1), hands fn every result batch until the tree is exhausted,
 // ctx is done or fn fails, and fills the statistics of the run — exec
-// time, per-operator counters and decode work — up to that point.
+// time, per-operator counters and decode work — up to that point. A
+// corrupt index block that ended a cursor of the tree is the run's
+// error (wrapping pathindex.ErrCorrupt): the stream it cut short is not
+// the answer.
 func (p *Prepared) run(ctx context.Context, workers int, fn func(batch []pathindex.Pair) error) (Stats, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -496,6 +499,9 @@ func (p *Prepared) run(ctx context.Context, workers int, fn func(batch []pathind
 	// A tree abandoned mid-stream still has senders running; their
 	// operators' counters are stable only once they are stopped.
 	exec.Quiesce(op)
+	if err := exec.Err(op); err != nil && runErr == nil {
+		runErr = fmt.Errorf("core: reading the index: %w", err)
+	}
 	es := exec.CollectStats(op)
 	st.OperatorRows = es.RowsByOperator
 	st.OperatorBatches = es.BatchesByOperator

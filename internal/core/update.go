@@ -180,6 +180,9 @@ func (e *Engine) FinishCompact(j *CompactJob) (*Engine, error) {
 		return nil, fmt.Errorf("core: FinishCompact before the fold completed")
 	}
 	defer j.Abort()
+	if err := j.fold.Err(); err != nil {
+		return nil, fmt.Errorf("core: compacting: %w", err)
+	}
 	folded := j.fold.Result()
 	src := j.fold.Src()
 	cur, ok := e.ix.(*pathindex.Levels)

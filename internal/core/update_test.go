@@ -166,7 +166,7 @@ func TestUpdateOverMappedStorage(t *testing.T) {
 	base, full, batches := splitGraph(r, 25, 70, []string{"a", "b"}, 1)
 	heapEng := newTestEngine(t, base, 2)
 	path := filepath.Join(t.TempDir(), "base.pix")
-	if err := heapEng.Storage().(*pathindex.Index).SaveV3(path); err != nil {
+	if err := heapEng.Storage().(*pathindex.Index).Save(path); err != nil {
 		t.Fatal(err)
 	}
 	m, err := pathindex.OpenStorage(path, base)

@@ -272,7 +272,11 @@ func buildNode(n plan.Node, ix pathindex.Storage, opts BuildOptions) (Operator, 
 			// (src+1, 0) — is the scan's already-loaded block, with an
 			// empty iterator behind it. Nothing reads the cursor again,
 			// so the run stays valid.
-			run := ix.Blocks(v.Segment).SrcRun(v.Src)
+			cur := ix.Blocks(v.Segment)
+			run := cur.SrcRun(v.Src)
+			if err := cur.Err(); err != nil {
+				return nil, err
+			}
 			scan := &IndexScan{blocks: new(pathindex.BlockIterator), block: run}
 			return WithContext(scan, opts.Ctx), nil
 		}
@@ -329,6 +333,26 @@ func buildNode(n plan.Node, ix pathindex.Storage, opts BuildOptions) (Operator, 
 	default:
 		return nil, fmt.Errorf("exec: unknown plan node %T", n)
 	}
+}
+
+// Err returns the first error a storage cursor of op's tree met. A
+// corrupt block ends its cursor's stream early, so a drained tree's
+// answer is the query's answer only when Err returns nil. Gathers must
+// be quiesced first (see Quiesce).
+func Err(op Operator) error {
+	if c, ok := op.(interface{ cursorErr() error }); ok {
+		if err := c.cursorErr(); err != nil {
+			return err
+		}
+	}
+	if hc, ok := op.(interface{ children() []Operator }); ok {
+		for _, c := range hc.children() {
+			if err := Err(c); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Run drains an operator into a result slice using DefaultBatchSize
@@ -421,6 +445,8 @@ func (s *IndexScan) NextBatch(buf []Pair) int {
 // Name implements Operator.
 func (s *IndexScan) Name() string { return "index-scan" }
 
+func (s *IndexScan) cursorErr() error { return s.blocks.Err() }
+
 // IdentityScan emits (n, n) for every node of the graph, realizing the ε
 // disjunct.
 type IdentityScan struct {
@@ -465,6 +491,17 @@ type input struct {
 
 func newInput(op Operator, batchSize int) input {
 	return input{op: op, buf: make([]Pair, batchSize)}
+}
+
+// fillGrowing is fill that first doubles the buffer, up to limit pairs,
+// when the last refill filled it: an input that streams many pairs
+// reaches full batches after a few refills, and one of a few pairs
+// never allocates more than its first small buffer.
+func (in *input) fillGrowing(limit int) bool {
+	if in.pos == in.n && in.n == len(in.buf) && len(in.buf) < limit {
+		in.buf = make([]Pair, min(2*len(in.buf), limit))
+	}
+	return in.fill()
 }
 
 // fill ensures pos < n, pulling the next batch when the current one is
@@ -606,8 +643,9 @@ func (h *HashJoin) Name() string { return "hash-join" }
 // over update tiers.
 type ProbeJoin struct {
 	opBase
-	left input // its batch is sorted by (Dst, Src) once pulled
-	cur  *pathindex.BlockIterator
+	left      input // its batch is sorted by (Dst, Src) once pulled
+	batchSize int   // the most left pairs pulled at once
+	cur       *pathindex.BlockIterator
 
 	// The group being expanded: left.buf[gi:gj] share the join node
 	// whose ⟨seg, m⟩ run is run; left.buf[gi]'s pairs are emitted up to
@@ -618,9 +656,12 @@ type ProbeJoin struct {
 }
 
 // NewProbeJoin returns a probe join of left with seg's relation in ix,
-// pulling batchSize left pairs per child call.
+// pulling up to batchSize left pairs per child call: headMinBatch at
+// first, doubling while the left input fills its buffer (see
+// fillGrowing). A bound plan's left inputs are mostly a few pairs.
 func NewProbeJoin(left Operator, ix pathindex.Storage, seg pathindex.Path, batchSize int) *ProbeJoin {
-	return &ProbeJoin{left: newInput(left, max(batchSize, 1)), cur: ix.Blocks(seg)}
+	batchSize = max(batchSize, 1)
+	return &ProbeJoin{left: newInput(left, min(batchSize, headMinBatch)), batchSize: batchSize, cur: ix.Blocks(seg)}
 }
 
 func (p *ProbeJoin) children() []Operator { return []Operator{p.left.op} }
@@ -660,7 +701,7 @@ func (p *ProbeJoin) nextGroup() bool {
 	in := &p.left
 	if p.gj == in.n {
 		p.gj, in.pos = 0, in.n
-		if !in.fill() {
+		if !in.fillGrowing(p.batchSize) {
 			return false
 		}
 		sortByDst(in.buf[:in.n])
@@ -686,6 +727,8 @@ func sortByDst(w []Pair) {
 
 // Name implements Operator.
 func (p *ProbeJoin) Name() string { return "probe-join" }
+
+func (p *ProbeJoin) cursorErr() error { return p.cur.Err() }
 
 // dedup filters batches through a seen-set, retaining the first
 // occurrence of each pair. It is the shared core of UnionDistinct and
@@ -816,7 +859,7 @@ func (u *UnionDistinct) mergeBySource(buf []Pair) int {
 			var least *input
 			for i := range u.heads {
 				h := &u.heads[i]
-				if u.fillHead(h) && (least == nil || h.buf[h.pos].Src < least.buf[least.pos].Src) {
+				if h.fillGrowing(u.batchSize) && (least == nil || h.buf[h.pos].Src < least.buf[least.pos].Src) {
 					least = h
 				}
 			}
@@ -827,7 +870,7 @@ func (u *UnionDistinct) mergeBySource(buf []Pair) int {
 			stamp++
 		}
 		h, src := &u.heads[u.cur], u.src
-		for n < len(buf) && u.fillHead(h) && h.buf[h.pos].Src == src {
+		for n < len(buf) && h.fillGrowing(u.batchSize) && h.buf[h.pos].Src == src {
 			w := h.buf[h.pos:h.n]
 			i := 0
 			for ; i < len(w) && n < len(buf) && w[i].Src == src; i++ {
@@ -851,20 +894,11 @@ func (u *UnionDistinct) mergeBySource(buf []Pair) int {
 	return n
 }
 
-// headMinBatch is the size of a by-source union's first buffer per
-// child. A bound plan's union has many children of a few pairs each, and
-// a full batch per child would be most of its allocation.
+// headMinBatch is the size of the first buffer of an input that grows
+// (see fillGrowing): a by-source union's per child and a probe join's
+// left. A bound plan has many such inputs of a few pairs each, and a
+// full batch for each would be most of its allocation.
 const headMinBatch = 64
-
-// fillHead is h.fill that first doubles h's buffer, up to the union's
-// batch size, when the last refill filled it: a child that streams many
-// pairs reaches full batches after a few refills.
-func (u *UnionDistinct) fillHead(h *input) bool {
-	if h.pos == h.n && h.n == len(h.buf) && len(h.buf) < u.batchSize {
-		h.buf = make([]Pair, min(2*len(h.buf), u.batchSize))
-	}
-	return h.fill()
-}
 
 // Name implements Operator.
 func (u *UnionDistinct) Name() string { return "union-distinct" }

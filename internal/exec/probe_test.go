@@ -31,7 +31,7 @@ func nestedLoopProbe(left []Pair, rel []pathindex.Packed) []Pair {
 func openV3(t *testing.T, ix *pathindex.Index) *pathindex.CompressedIndex {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "ix.pix")
-	if err := ix.SaveV3(path); err != nil {
+	if err := ix.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	c, err := pathindex.OpenCompressed(path, ix.Graph())

@@ -17,7 +17,7 @@ import (
 // by identifier, so LoadSnapshot reconstructs a graph whose IDs are
 // bit-identical to the saved one (isolated nodes included, which an
 // edge list also loses). The durability layer pairs a snapshot with a
-// format-v3 index file in each checkpoint.
+// format-v4 index file in each checkpoint.
 
 // snapHeader is the snapshot preamble: magic plus format version.
 var snapHeader = []byte{'P', 'G', 'S', 'N', 1, 0, 0, 0}

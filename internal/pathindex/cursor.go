@@ -24,9 +24,11 @@ const DefaultBlockSize = 4096
 //     forward from the current offset, and its blocks and sub-runs are
 //     zero-copy sub-slices of the index run;
 //   - a *CompressedIndex run skips whole on-disk blocks by their first
-//     pairs and decodes only the block it lands in, only as far as the
-//     pairs it returns: pairs below the key are read past, not kept,
-//     and a later seek further into the block reads on from there;
+//     pairs, and into the block it lands in by the block's restart
+//     points, and decodes that block only as far as the pairs it
+//     returns: the fewer than restartEvery pairs between the restart and
+//     the key are read past, not kept, and a later seek further into
+//     the block reads on from there or from a later restart;
 //   - a *Levels path held by base and tiers seeks the base's cursor and
 //     the path's tier run, and merges the two as it reads;
 //   - a *ShardedStorage path routes a seek to the cursor of the shard
@@ -39,6 +41,11 @@ const DefaultBlockSize = 4096
 // sub-run must not be mutated, and unless it aliases a heap run it is
 // only valid until the next call on the iterator; consumers (IndexScan,
 // ProbeJoin) finish with it before calling again.
+//
+// A compressed block that fails its checksum or its decode checks ends
+// the cursor: it reads as exhausted from then on and Err returns the
+// error, which wraps ErrCorrupt. A reader that drained or probed a
+// cursor checks Err before it trusts what it read as complete.
 type BlockIterator struct {
 	rel  []Packed // heap source: the whole run; compressed: a window onto block blk-1
 	off  int      // the cursor: next pair of rel to hand out
@@ -52,6 +59,7 @@ type BlockIterator struct {
 	from Packed
 	dec  blockReader
 	run  []Packed // SrcRun's result when a sub-run spans blocks
+	err  error    // the decode error that ended the cursor
 
 	// Composite source (a Levels merge, a sharded router): when comp is
 	// non-nil it serves every call.
@@ -64,11 +72,20 @@ type composite interface {
 	seek(key Packed)
 	srcRun(src graph.NodeID) []Packed
 	sized(n int)
+	err() error
 }
 
-// Next returns the next block, or nil at exhaustion. A decode error in a
-// compressed run terminates the iteration early (see the CompressedIndex
-// trust model) rather than panicking.
+// Err returns the error that ended the cursor early, nil while every
+// block it read was sound.
+func (bi *BlockIterator) Err() error {
+	if bi.comp != nil {
+		return bi.comp.err()
+	}
+	return bi.err
+}
+
+// Next returns the next block, or nil at exhaustion. A corrupt block
+// ends the iteration early, with Err set.
 func (bi *BlockIterator) Next() []Packed {
 	if bi.comp != nil {
 		return bi.comp.next()
@@ -88,16 +105,18 @@ func (bi *BlockIterator) Next() []Packed {
 }
 
 // advance decodes the rest of the held block, or else all of the next
-// one. It reports false at the end of the run and on a decode error.
+// one. It reports false at the end of the run and on a corrupt block.
 func (bi *BlockIterator) advance() bool {
 	if bi.dec.left == 0 {
 		if bi.blk >= len(bi.cr.counts) {
 			return false
 		}
-		if cap(bi.rel) < v3BlockPairs {
-			bi.rel = make([]Packed, 0, v3BlockPairs) // a scan reads whole blocks
+		if n := int(bi.cr.counts[bi.blk]); cap(bi.rel) < n {
+			bi.rel = make([]Packed, 0, n) // a scan reads whole blocks, all but the last full
 		}
-		bi.start(bi.blk, 0)
+		if !bi.start(bi.blk, 0) {
+			return false
+		}
 	}
 	return bi.extend(^Packed(0))
 }
@@ -108,42 +127,57 @@ func (bi *BlockIterator) advance() bool {
 // seeks from key on, or from the block's first pair if that is greater
 // (below it lie the earlier blocks, or nothing for block 0).
 func (bi *BlockIterator) start(b int, key Packed) bool {
-	bi.dec, bi.blk = bi.cr.reader(b), b+1
+	dec, err := bi.cr.reader(b)
+	if err != nil {
+		return bi.fail(err)
+	}
+	bi.dec, bi.blk = dec, b+1
 	bi.rel, bi.off, bi.from = bi.rel[:0], 0, key
 	if b > 0 {
 		bi.from = max(key, bi.dec.prev)
+	}
+	return bi.skipTo(key)
+}
+
+// skipTo fills the emptied window from the held block's first pair
+// ≥ key on, reading from the last restart point at or below key when
+// that lies past the reader.
+func (bi *BlockIterator) skipTo(key Packed) bool {
+	if key > bi.dec.prev {
+		if err := bi.cr.restart(bi.blk-1, &bi.dec, key); err != nil {
+			return bi.fail(err)
+		}
 	}
 	if key <= bi.dec.prev {
 		bi.rel = append(bi.rel, bi.dec.prev)
 		return true
 	}
-	if bi.dec.skip(key) != nil {
-		return bi.fail()
+	if err := bi.dec.skip(key); err != nil {
+		return bi.fail(err)
 	}
 	return bi.extend(key)
 }
 
 // extend decodes the held block into the window until the window's last
 // pair is ≥ stop or the block is spent, so a lookup decodes no further
-// into a block than the pairs it reads. A decode error (see the
-// CompressedIndex trust model) empties the iterator for good and
-// returns false.
+// into a block than the pairs it reads. A decode error ends the cursor
+// (see fail) and returns false.
 func (bi *BlockIterator) extend(stop Packed) bool {
 	if n := len(bi.rel); bi.dec.left == 0 || n > 0 && bi.rel[n-1] >= stop {
 		return true
 	}
 	rel, err := bi.dec.read(bi.rel, stop)
 	if err != nil {
-		return bi.fail()
+		return bi.fail(err)
 	}
 	bi.rel = rel
 	return true
 }
 
-// fail empties a compressed iterator after a decode error and returns
-// false.
-func (bi *BlockIterator) fail() bool {
-	bi.cr, bi.rel, bi.off, bi.dec = nil, nil, 0, blockReader{}
+// fail ends a compressed cursor on a corrupt block: it keeps err for Err
+// and empties the cursor for good. It returns false.
+func (bi *BlockIterator) fail(err error) bool {
+	bi.cr, bi.rel, bi.off, bi.dec, bi.err = nil, nil, 0, blockReader{}, err
 	return false
 }
 
@@ -182,11 +216,7 @@ func (bi *BlockIterator) seekBlock(key Packed) {
 		return
 	}
 	bi.rel, bi.off, bi.from = bi.rel[:0], 0, key
-	if bi.dec.skip(key) != nil {
-		bi.fail()
-		return
-	}
-	bi.extend(key)
+	bi.skipTo(key)
 }
 
 // SrcRun returns the sub-run of pairs with Src == src and leaves the

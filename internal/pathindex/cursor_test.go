@@ -157,7 +157,7 @@ func TestCursorMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := ix.SaveV3(filepath.Join(dir, "base.pix")); err != nil {
+	if err := ix.Save(filepath.Join(dir, "base.pix")); err != nil {
 		t.Fatal(err)
 	}
 	v3, err := OpenCompressed(filepath.Join(dir, "base.pix"), base)
@@ -205,10 +205,10 @@ func TestSrcRunDecodesOnlyItsBlocks(t *testing.T) {
 	// Four blocks: source 7's pairs end exactly at the first boundary,
 	// source 9's fill the next two blocks, and source 12 has the last.
 	var run []Packed
-	for i := 0; i < v3BlockPairs; i++ {
-		run = append(run, Pack(graph.NodeID(3+i/(v3BlockPairs-10)*4), graph.NodeID(i)))
+	for i := 0; i < blockPairs; i++ {
+		run = append(run, Pack(graph.NodeID(3+i/(blockPairs-10)*4), graph.NodeID(i)))
 	}
-	for i := 0; i < 2*v3BlockPairs; i++ {
+	for i := 0; i < 2*blockPairs; i++ {
 		run = append(run, Pack(9, graph.NodeID(i)))
 	}
 	run = append(run, Pack(12, 0))
@@ -216,10 +216,10 @@ func TestSrcRunDecodesOnlyItsBlocks(t *testing.T) {
 	ix := newIndex(g, 2)
 	ix.addRun(p, run)
 	var buf bytes.Buffer
-	if _, err := ix.WriteV3To(&buf); err != nil {
+	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	c, err := parseV3(buf.Bytes(), g)
+	c, err := parseImage(buf.Bytes(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,8 +247,8 @@ func TestSrcRunDecodesOnlyItsBlocks(t *testing.T) {
 		t.Errorf("a lookup below the cursor, then ascending ones in its block, decoded %d blocks, want 1", n)
 	}
 	if n := decoded(func() {
-		if got := bi.SrcRun(9); len(got) != 2*v3BlockPairs {
-			t.Errorf("SrcRun(9) = %d pairs, want %d", len(got), 2*v3BlockPairs)
+		if got := bi.SrcRun(9); len(got) != 2*blockPairs {
+			t.Errorf("SrcRun(9) = %d pairs, want %d", len(got), 2*blockPairs)
 		}
 	}); n != 2 {
 		t.Errorf("a sub-run over blocks 1 and 2 decoded %d blocks, want 2", n)
@@ -256,13 +256,35 @@ func TestSrcRunDecodesOnlyItsBlocks(t *testing.T) {
 }
 
 // FuzzSeek drives a cursor over a fuzzed sorted run, held both on the
-// heap and written as v3, through a fuzzed sequence of Seek, SrcRun and
-// Next calls; both must match a binary search over the run.
+// heap and written as an index file, through a fuzzed sequence of Seek,
+// SrcRun and Next calls; both must match a binary search over the run.
 func FuzzSeek(f *testing.F) {
 	f.Add(int64(1), uint16(10), uint8(3), uint8(0), []byte{8, 0, 0, 0, 10, 200, 12, 7, 15, 1})
 	f.Add(int64(2), uint16(9000), uint8(12), uint8(2), []byte{2, 128, 0, 0, 6, 10, 14, 3, 22, 5, 30, 9, 31, 255})
 	f.Add(int64(3), uint16(5000), uint8(40), uint8(1), []byte{34, 0, 3, 77, 18, 200, 26, 1, 2, 0})
 	f.Add(int64(31), uint16(0), uint8(3), uint8(92), []byte("70")) // an empty run
+	// Seeks and SrcRuns on, just after and just before every restart
+	// point, each checked by a Next, in one block of restartEvery−1,
+	// restartEvery, restartEvery+1 and blockPairs pairs; small gaps keep
+	// a source's pairs together, large ones change source at every pair.
+	for _, n := range []int{restartEvery - 1, restartEvery, restartEvery + 1, blockPairs} {
+		var ops []byte
+		for j := restartEvery - 1; j < n; j++ {
+			if j%restartEvery > 1 && j%restartEvery < restartEvery-1 {
+				continue
+			}
+			arg := (256*j + n - 1) / n // the least arg with arg·n/256 ≥ j
+			if arg > 255 || arg*n/256 != j {
+				continue
+			}
+			for _, key := range []byte{0, 1, 2} { // on, after, before the pair
+				ops = append(ops, key<<2|2, byte(arg), 0, 0, key<<2|3, byte(arg), 0, 0)
+			}
+		}
+		for _, gapBits := range []uint8{2, 40} {
+			f.Add(int64(n), uint16(n), gapBits, uint8(2), ops)
+		}
+	}
 	g := graph.New()
 	g.EnsureNodes(1)
 	g.Label("a")
@@ -283,10 +305,10 @@ func FuzzSeek(f *testing.F) {
 		ix := newIndex(g, 2)
 		ix.addRun(p, run)
 		var buf bytes.Buffer
-		if _, err := ix.WriteV3To(&buf); err != nil {
+		if _, err := ix.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		c, err := parseV3(buf.Bytes(), g)
+		c, err := parseImage(buf.Bytes(), g)
 		if err != nil {
 			t.Fatal(err)
 		}

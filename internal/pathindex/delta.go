@@ -33,8 +33,9 @@ import (
 
 // subtract removes from the sorted run raw, in place, every pair the
 // cursor's run holds: one SrcRun per distinct source of raw, ascending,
-// so the cursor only walks forward.
-func subtract(raw []Packed, it *BlockIterator) []Packed {
+// so the cursor only walks forward. It fails when the cursor met a
+// corrupt block.
+func subtract(raw []Packed, it *BlockIterator) ([]Packed, error) {
 	out := raw[:0]
 	for i := 0; i < len(raw); {
 		src := raw[i].Src()
@@ -48,7 +49,7 @@ func subtract(raw []Packed, it *BlockIterator) []Packed {
 		}
 		i = j
 	}
-	return out
+	return out, it.Err()
 }
 
 // prefixRuns holds the sub-runs of one relation for an ascending list of
@@ -59,13 +60,13 @@ type prefixRuns struct {
 	pairs []Packed
 }
 
-func readPrefixRuns(it *BlockIterator, srcs []graph.NodeID) *prefixRuns {
+func readPrefixRuns(it *BlockIterator, srcs []graph.NodeID) (*prefixRuns, error) {
 	pr := &prefixRuns{srcs: srcs, ends: make([]int, len(srcs))}
 	for i, src := range srcs {
 		pr.pairs = append(pr.pairs, it.SrcRun(src)...)
 		pr.ends[i] = len(pr.pairs)
 	}
-	return pr
+	return pr, it.Err()
 }
 
 // run returns src's sub-run; src must be one of the listed sources.
@@ -90,7 +91,9 @@ func (pr *prefixRuns) run(src graph.NodeID) []Packed {
 // base relations by construction, so merging a base run with its delta
 // run needs no deduplication. The index's PathsKCount is the number of
 // distinct non-identity pairs its runs relate — the increment's share
-// of the stack's |paths_k| (see NewTier) — counted here, once.
+// of the stack's |paths_k| (see NewTier) — counted here, once. A corrupt
+// base block the lookups read fails the build with its error (see
+// BlockIterator.Err) rather than yield a delta computed from a short run.
 func BuildDelta(base Storage, g2 *graph.Graph) (*Index, error) {
 	g := base.Graph()
 	if !g2.Frozen() {
@@ -127,7 +130,11 @@ func BuildDelta(base Storage, g2 *graph.Graph) (*Index, error) {
 		}
 		// The delta is short beside the edge relation it is cut from, so
 		// it gets an array of its own.
-		edgeDelta[dl] = slices.Clone(subtract(packEdges(g2.Edges(dl.Label())), base.Blocks(Path{dl})))
+		ed, err := subtract(packEdges(g2.Edges(dl.Label())), base.Blocks(Path{dl}))
+		if err != nil {
+			return nil, err
+		}
+		edgeDelta[dl] = slices.Clone(ed)
 	}
 	for _, dl := range dirs {
 		if len(edgeDelta[dl]) > 0 {
@@ -191,7 +198,10 @@ func BuildDelta(base Storage, g2 *graph.Graph) (*Index, error) {
 				// inverses, so the lookup is exact; paths absent from the
 				// base (e.g. over a new label) have empty p(G).
 				if len(ed) > 0 && lookups == nil {
-					lookups = readPrefixRuns(base.Blocks(p.Inverse()), bs)
+					var err error
+					if lookups, err = readPrefixRuns(base.Blocks(p.Inverse()), bs); err != nil {
+						return nil, err
+					}
 				}
 				for _, pr := range ed {
 					c := pr.Dst()
@@ -204,7 +214,10 @@ func BuildDelta(base Storage, g2 *graph.Graph) (*Index, error) {
 				}
 				// Subtract pairs the base already relates: the delta run
 				// must be disjoint so merges at scan need no dedup.
-				rel := subtract(sortDedup(raw), base.Blocks(q))
+				rel, err := subtract(sortDedup(raw), base.Blocks(q))
+				if err != nil {
+					return nil, err
+				}
 				// The run lives as long as its tier; when subtraction
 				// discarded most of the join output, free the oversized
 				// backing array instead of pinning it behind a short run.

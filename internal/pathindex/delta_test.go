@@ -137,7 +137,7 @@ func TestDeltaTierMatchesRebuild(t *testing.T) {
 			checkTiersDisjoint(t, ls)
 			// The fold must also equal the rebuild; its |paths_k| is the
 			// stack's upper bound carried over, never below the exact count.
-			folded := ls.Compacted().(*Index)
+			folded := compacted(t, ls).(*Index)
 			checkStorageEqual(t, folded, oracle)
 			if folded.PathsKCount() < oracle.PathsKCount() {
 				t.Errorf("k=%d: folded PathsKCount = %d, below the oracle's %d", k, folded.PathsKCount(), oracle.PathsKCount())
@@ -176,12 +176,12 @@ func TestLevelsOverV3Base(t *testing.T) {
 		t.Fatal(err)
 	}
 	multi := false
-	ix.AllPaths(func(_ uint32, _ Path, count int) { multi = multi || count > v3BlockPairs })
+	ix.AllPaths(func(_ uint32, _ Path, count int) { multi = multi || count > blockPairs })
 	if !multi {
-		t.Fatalf("no base run spans more than one %d-pair block", v3BlockPairs)
+		t.Fatalf("no base run spans more than one %d-pair block", blockPairs)
 	}
 	path := filepath.Join(t.TempDir(), "base.pix")
-	if err := ix.SaveV3(path); err != nil {
+	if err := ix.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	v3, err := OpenStorage(path, base)
@@ -300,7 +300,9 @@ func TestDeltaRejectsMismatchedGraphs(t *testing.T) {
 // four-tier Levels stack over each of those — the second is what a
 // database opened from its index file applies against after its first
 // batch. The delta's prefix lookups and subtraction walk one cursor per
-// path, so a v3 base decodes each block it touches once per path.
+// path, so a file base decodes each block it touches once per path,
+// from the restart point below each lookup; over one the benchmark
+// reports the blocks started and the payload bytes read per batch.
 func BenchmarkBuildDelta(b *testing.B) {
 	const batchEdges = 16
 	g := datasets.AdvogatoScaled(1, 0.1)
@@ -309,7 +311,7 @@ func BenchmarkBuildDelta(b *testing.B) {
 		b.Fatal(err)
 	}
 	path := filepath.Join(b.TempDir(), "base.pix")
-	if err := ix.SaveV3(path); err != nil {
+	if err := ix.Save(path); err != nil {
 		b.Fatal(err)
 	}
 	v3, err := OpenStorage(path, g)
@@ -340,10 +342,20 @@ func BenchmarkBuildDelta(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			dec, ok := base.s.(interface{ DecodeStats() (int64, int64) })
+			var blocks0, bytes0 int64
+			if ok {
+				blocks0, bytes0 = dec.DecodeStats()
+			}
 			for b.Loop() {
 				if _, err := BuildDelta(base.s, g2); err != nil {
 					b.Fatal(err)
 				}
+			}
+			if ok {
+				blocks1, bytes1 := dec.DecodeStats()
+				b.ReportMetric(float64(blocks1-blocks0)/float64(b.N), "blocks/op")
+				b.ReportMetric(float64(bytes1-bytes0)/float64(b.N), "decoded-B/op")
 			}
 		})
 	}

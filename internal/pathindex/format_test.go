@@ -68,7 +68,7 @@ func assertSameIndex(t *testing.T, g *graph.Graph, a, b dirStorage) {
 func saveV3(t *testing.T, ix *Index) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "ix.v3")
-	if err := ix.SaveV3(path); err != nil {
+	if err := ix.Save(path); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -83,18 +83,18 @@ func TestV3RoundTrip(t *testing.T) {
 	}
 
 	var v3buf bytes.Buffer
-	n, err := ix.WriteV3To(&v3buf)
+	n, err := ix.WriteTo(&v3buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != int64(v3buf.Len()) {
-		t.Fatalf("WriteV3To reported %d bytes, wrote %d", n, v3buf.Len())
+		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, v3buf.Len())
 	}
 	if dataLen := binary.LittleEndian.Uint64(v3buf.Bytes()[88:]); dataLen >= uint64(8*ix.NumEntries()) {
 		t.Errorf("v3 data section (%d bytes) not smaller than the raw pairs (%d bytes)", dataLen, 8*ix.NumEntries())
 	}
 
-	c, err := parseV3(v3buf.Bytes(), g)
+	c, err := parseImage(v3buf.Bytes(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,10 +186,10 @@ func TestSerializeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := orig.WriteV3To(&buf); err != nil {
+	if _, err := orig.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	c, err := parseV3(buf.Bytes(), g)
+	c, err := parseImage(buf.Bytes(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestV3ReadFileFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	odd := append(make([]byte, 1, len(data)+1), data...)[1:]
-	c, err := parseV3(odd, g)
+	c, err := parseImage(odd, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := orig.WriteV3To(&buf); err != nil {
+	if _, err := orig.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -396,7 +396,7 @@ func TestLoadDetectsV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := orig.WriteV3To(&buf); err != nil {
+	if _, err := orig.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	v2 := buf.Bytes()
@@ -416,7 +416,7 @@ func TestLoadDetectsV2(t *testing.T) {
 // TestV3SmallRuns exercises the block-boundary edge cases: single-pair
 // runs, runs exactly at the block size, and runs one pair over it.
 func TestV3SmallRuns(t *testing.T) {
-	for _, pairs := range []int{1, 2, v3BlockPairs - 1, v3BlockPairs, v3BlockPairs + 1, 2*v3BlockPairs + 3} {
+	for _, pairs := range []int{1, 2, blockPairs - 1, blockPairs, blockPairs + 1, 2*blockPairs + 3} {
 		g := graph.New()
 		g.EnsureNodes(pairs + 1)
 		lid := g.Label("a")
@@ -429,10 +429,10 @@ func TestV3SmallRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if _, err := ix.WriteV3To(&buf); err != nil {
+		if _, err := ix.WriteTo(&buf); err != nil {
 			t.Fatalf("%d pairs: %v", pairs, err)
 		}
-		c, err := parseV3(buf.Bytes(), g)
+		c, err := parseImage(buf.Bytes(), g)
 		if err != nil {
 			t.Fatalf("%d pairs: %v", pairs, err)
 		}
@@ -451,7 +451,7 @@ func TestCorruptV3(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := ix.WriteV3To(&buf); err != nil {
+	if _, err := ix.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -459,11 +459,11 @@ func TestCorruptV3(t *testing.T) {
 	labelsOff := int(le.Uint64(full[48:]))
 	dirOff := int(le.Uint64(full[64:]))
 	dataOff := int(le.Uint64(full[80:]))
-	recSize := v3RecSize(ix.K())
+	recSize := recSize(ix.K())
 
 	parse := func(data []byte) func() error {
 		return func() error {
-			_, err := parseV3(data, g)
+			_, err := parseImage(data, g)
 			return err
 		}
 	}
@@ -495,9 +495,9 @@ func TestCorruptV3(t *testing.T) {
 	if le.Uint32(full[dirOff+24:]) != 1 {
 		t.Fatal("fixture: first run is not a single block")
 	}
-	inflated := mutate(dirOff+16, u64(v3BlockPairs))
-	copy(inflated[dataOff+12:], u32(v3BlockPairs))
-	copy(inflated[32:], u64(uint64(ix.NumEntries())-le.Uint64(full[dirOff+16:])+v3BlockPairs))
+	inflated := mutate(dirOff+16, u64(blockPairs))
+	copy(inflated[dataOff+12:], u32(blockPairs))
+	copy(inflated[32:], u64(uint64(ix.NumEntries())-le.Uint64(full[dirOff+16:])+blockPairs))
 
 	cases := []struct {
 		name string
@@ -507,6 +507,7 @@ func TestCorruptV3(t *testing.T) {
 		{"unsupported version", mutate(4, u32(99))},
 		{"v1 version on v3 layout", mutate(4, u32(1))},
 		{"v2 version on v3 layout", mutate(4, u32(2))},
+		{"v3 version on v4 layout", mutate(4, u32(3))},
 		{"bad page size", mutate(12, u32(3))},
 		{"k zero", mutate(16, u32(0))},
 		{"k implausible", mutate(16, u32(1<<30))},
@@ -532,7 +533,7 @@ func TestCorruptV3(t *testing.T) {
 		// Block-directory corruption inside the data section: the first
 		// run's first block entry.
 		{"block count zero", mutate(dataOff+12, u32(0))},
-		{"block count beyond cap", mutate(dataOff+12, u32(v3BlockPairs+1))},
+		{"block count beyond cap", mutate(dataOff+12, u32(blockPairs+1))},
 		{"block payload offset out of range", mutate(dataOff+8, u32(^uint32(0)))},
 		{"block count beyond payload", inflated},
 	}
@@ -591,12 +592,13 @@ func TestCorruptV3(t *testing.T) {
 		}
 	}
 
-	// Varint payload corruption. OpenCompressed deliberately trusts the
-	// payload (open cost stays proportional to the block directories), so
-	// these images parse — but VerifyBlocks, Load, and plain scans must
-	// all fail or terminate cleanly, never panic or fabricate pairs.
+	// Varint payload corruption. OpenCompressed leaves the payload to
+	// each block's first read (open cost stays proportional to the block
+	// directories), so these images parse — but VerifyBlocks, Load, and
+	// plain scans must all fail or terminate cleanly, never panic or
+	// fabricate pairs.
 	firstRunBlocks := int(le.Uint32(full[dirOff+24:]))
-	payloadOff := dataOff + firstRunBlocks*v3BlockDirEntry
+	payloadOff := dataOff + firstRunBlocks*blockDirEntry
 	payloadCases := []struct {
 		name string
 		data []byte
@@ -612,7 +614,7 @@ func TestCorruptV3(t *testing.T) {
 		{"oversized delta", mutate(payloadOff, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})},
 	}
 	for _, tc := range payloadCases {
-		c, err := parseV3(tc.data, g)
+		c, err := parseImage(tc.data, g)
 		if err != nil {
 			// Also acceptable: some payload mutations are caught at parse
 			// time via directory inconsistencies.
@@ -664,10 +666,10 @@ func BenchmarkV3Decode(b *testing.B) {
 		b.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if _, err := ix.WriteV3To(&buf); err != nil {
+	if _, err := ix.WriteTo(&buf); err != nil {
 		b.Fatal(err)
 	}
-	c, err := parseV3(buf.Bytes(), g)
+	c, err := parseImage(buf.Bytes(), g)
 	if err != nil {
 		b.Fatal(err)
 	}

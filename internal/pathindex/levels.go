@@ -17,7 +17,7 @@ import (
 // together by tier merging, tagged with the inclusive WAL sequence range
 // it covers and, once persisted, the name of its spill file. The runs
 // and the pair count (the index's PathsKCount) are immutable; the spill
-// marker is set at most once, after the v3 run file is durable, and is
+// marker is set at most once, after the v4 run file is durable, and is
 // metadata only — serving never reads it.
 type Tier struct {
 	ix     *Index
@@ -56,11 +56,11 @@ func (t *Tier) Spill() string {
 // SetSpill records that the tier's runs are durable in the named file.
 func (t *Tier) SetSpill(file string) { t.spill.Store(&file) }
 
-// WriteSpill persists the tier's index as a format-v3 file
-// (SaveV3Atomic), its pair count in the |paths_k| field. The caller
+// WriteSpill persists the tier's index as a format-v4 file
+// (SaveAtomic), its pair count in the |paths_k| field. The caller
 // records the spill in the WAL (and calls SetSpill) only after
 // WriteSpill returns.
-func (t *Tier) WriteSpill(path string) error { return t.ix.SaveV3Atomic(path) }
+func (t *Tier) WriteSpill(path string) error { return t.ix.SaveAtomic(path) }
 
 // NewSpilledTier reconstructs a tier from a heap-loaded spill index
 // (recovery's shortcut past BuildDelta). The index must have been
@@ -68,14 +68,8 @@ func (t *Tier) WriteSpill(path string) error { return t.ix.SaveV3Atomic(path) }
 // the graph as of seqHi.
 //
 // The tier adopts the pair count WriteSpill stored in the file's
-// |paths_k| field. A zero there marks a file written before spills
-// carried the count; only then are the runs recounted, which yields the
-// same value for a one-batch tier and at most the stored sum for a
-// merged one.
+// |paths_k| field.
 func NewSpilledTier(ix *Index, seqLo, seqHi uint64, file string) *Tier {
-	if ix.stats.PathsKCount == 0 {
-		ix.stats.PathsKCount = countDistinctPairs(ix.relations, 0)
-	}
 	t := NewTier(ix, seqLo, seqHi)
 	t.SetSpill(file)
 	return t
@@ -586,6 +580,8 @@ func (m *tierMerge) srcRun(src graph.NodeID) []Packed {
 	return slices.Clip(m.run)
 }
 
+func (m *tierMerge) err() error { return m.base.Err() }
+
 func (m *tierMerge) sized(n int) {
 	m.size, m.buf = n, nil
 	m.base.Sized(n)
@@ -602,6 +598,7 @@ type Fold struct {
 	src    *Levels
 	out    *Index
 	result Storage
+	err    error
 	next   int
 	dur    time.Duration
 }
@@ -642,6 +639,13 @@ func (f *Fold) Step(entryBudget int) bool {
 		default:
 			rel = mergeRuns(base, delta)
 		}
+		if len(rel) != f.src.counts[id] {
+			// The base read short: CompressedIndex.Relation reads a
+			// corrupt block's run as nil. Folding on would write the
+			// loss into the compacted base.
+			f.err = corrupt("path %v reads %d pairs in the stack, its directory holds %d", p, len(rel), f.src.counts[id])
+			return true
+		}
 		f.out.addRun(p, rel)
 		budget -= len(rel)
 		f.next++
@@ -667,15 +671,20 @@ func (f *Fold) Step(entryBudget int) bool {
 	return true
 }
 
-// Done reports whether the fold has completed.
-func (f *Fold) Done() bool { return f.result != nil }
+// Done reports whether the fold has completed or failed.
+func (f *Fold) Done() bool { return f.result != nil || f.err != nil }
+
+// Err returns the error that stopped the fold, which wraps ErrCorrupt:
+// a base run that reads fewer pairs than the directory holds.
+func (f *Fold) Err() error { return f.err }
 
 // Src returns the stack the fold reads from.
 func (f *Fold) Src() *Levels { return f.src }
 
 // Result returns the folded base in the layout of the base it replaces:
 // a heap *Index, partitioned into a *ShardedStorage when the source base
-// was sharded. It must only be called once Step has returned true.
+// was sharded. It must only be called once Step has returned true, and
+// is nil when Err is not.
 func (f *Fold) Result() Storage {
 	if !f.Done() {
 		panic("pathindex: Fold.Result before completion")
@@ -684,12 +693,12 @@ func (f *Fold) Result() Storage {
 }
 
 // Compacted folds the whole stack in one call (a Fold run to
-// completion) and returns Fold.Result.
-func (ls *Levels) Compacted() Storage {
+// completion) and returns Fold.Result and Fold.Err.
+func (ls *Levels) Compacted() (Storage, error) {
 	f := ls.StartFold()
 	for !f.Step(1 << 30) {
 	}
-	return f.result
+	return f.result, f.err
 }
 
 // FileBytes forwards the base storage's on-disk size (0 over a heap

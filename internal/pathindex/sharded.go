@@ -362,6 +362,15 @@ func (c *shardCursor) srcRun(src graph.NodeID) []Packed {
 	return c.parts[o].SrcRun(src)
 }
 
+func (c *shardCursor) err() error {
+	for _, p := range c.parts {
+		if err := p.Err(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func (c *shardCursor) sized(n int) {
 	c.size, c.buf = n, nil
 	for _, p := range c.parts {

@@ -1,5 +1,5 @@
 // On-disk layout for sharded indexes: a directory holding one ordinary
-// v3 index file per shard plus a small SHARDS.json manifest describing
+// v4 index file per shard plus a small SHARDS.json manifest describing
 // the partitioning. Shard files are complete, self-contained index
 // files — each opens through the normal OpenStorage path — so every
 // existing tool that reads one index file reads one shard unchanged. A save builds the whole directory under a
@@ -64,7 +64,7 @@ func IsShardedPath(path string) bool {
 // shardFileName names shard i's index file.
 func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.pix", i) }
 
-// SaveSharded writes the sharded index as a directory: one v3 file per
+// SaveSharded writes the sharded index as a directory: one v4 file per
 // shard plus the manifest, every file fsync'd. The directory is built
 // under dir+".tmp" and renamed to dir, so dir only ever names a complete
 // layout; a layout already at dir is moved aside first and removed after
@@ -93,7 +93,7 @@ func (s *ShardedStorage) SaveSharded(dir string) error {
 		name := shardFileName(i)
 		ix, err := Materialize(p)
 		if err == nil {
-			err = ix.saveV3Sync(filepath.Join(tmp, name))
+			err = ix.saveSync(filepath.Join(tmp, name))
 		}
 		if err != nil {
 			return fmt.Errorf("pathindex: save shard %d: %w", i, err)
@@ -138,7 +138,7 @@ func syncDir(dir string) error {
 
 // SaveAtomic persists a folded base — Fold.Result — at path so that a
 // crash leaves either nothing or the complete artifact under that name:
-// one v3 file for an unsharded base (SaveV3Atomic), the sharded
+// one v4 file for an unsharded base (SaveAtomic), the sharded
 // directory layout for a sharded one (SaveSharded). Open reads either
 // back.
 func SaveAtomic(s Storage, path string) error {
@@ -149,7 +149,7 @@ func SaveAtomic(s Storage, path string) error {
 	if err != nil {
 		return err
 	}
-	return ix.SaveV3Atomic(path)
+	return ix.SaveAtomic(path)
 }
 
 // Open opens a saved index for serving, whatever its layout: a sharded

@@ -300,9 +300,10 @@ func TestLevelsOverShardedBase(t *testing.T) {
 			check("spill reloaded", reloaded)
 
 			// The fold re-partitions: a sharded base comes back sharded.
-			folded, ok := reloaded.Compacted().(*ShardedStorage)
+			fs := compacted(t, reloaded)
+			folded, ok := fs.(*ShardedStorage)
 			if !ok {
-				t.Fatalf("fold of a stack over a sharded base returned %T", reloaded.Compacted())
+				t.Fatalf("fold of a stack over a sharded base returned %T", fs)
 			}
 			if folded.NumShards() != n || folded.Partitioner() != part || folded.Graph() != ls.Graph() {
 				t.Fatalf("fold changed the layout: %d shards under %v", folded.NumShards(), folded.Partitioner())
@@ -525,7 +526,7 @@ func TestOpenShardedCorruptLayouts(t *testing.T) {
 	if err := os.MkdirAll(dir+".tmp", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	next := pushChunks(t, old, batch, 1).Compacted().(*ShardedStorage)
+	next := compacted(t, pushChunks(t, old, batch, 1)).(*ShardedStorage)
 	if err := next.SaveSharded(dir); err != nil {
 		t.Fatal(err)
 	}

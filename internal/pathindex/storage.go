@@ -88,7 +88,7 @@ func (g *pinGate) shutdown(release func()) {
 //
 //   - *Index — heap-backed packed runs, built in memory or decoded from
 //     a saved file by Load. An update tier's delta is one too.
-//   - *CompressedIndex — a format-v3 file of block-compressed runs,
+//   - *CompressedIndex — a format-v4 file of block-compressed runs,
 //     mmap-backed. Only the per-run block directories are decoded at
 //     open; relation payload is delta+varint decoded on read, inside
 //     the run's cursor, only in the blocks it reaches. Its Relation and
@@ -240,7 +240,7 @@ func Materialize(s Storage) (*Index, error) {
 	s.AllPaths(func(_ uint32, p Path, count int) {
 		rel := slices.Clone(s.Relation(p))
 		if len(rel) != count && short == nil {
-			short = fmt.Errorf("pathindex: path %v reads %d pairs, directory claims %d (corrupt payload?)", p, len(rel), count)
+			short = corrupt("path %v reads %d pairs, directory claims %d", p, len(rel), count)
 		}
 		ix.addRun(p, rel)
 	})

@@ -20,7 +20,7 @@ type BatchRecord struct {
 }
 
 // SpillRecord is the decoded payload of a TypeSpill record: tier spill
-// metadata. File is the v3 run file's name relative to the durability
+// metadata. File is the v4 run file's name relative to the durability
 // directory; FromSeq..ToSeq is the inclusive range of batch sequence
 // numbers the tier covers. A spill is an optimization, not a source of
 // truth — if the file is missing or corrupt, recovery falls back to
@@ -36,7 +36,7 @@ type SpillRecord struct {
 // durable base covering every batch with sequence number <= UptoSeq.
 // GraphFile is an ID-preserving binary graph snapshot (graph.SaveSnapshot
 // — an edge list would permute node IDs on reload and corrupt the packed
-// index entries) and IndexFile a v3 index of it, both relative to the
+// index entries) and IndexFile a v4 index of it, both relative to the
 // durability directory. Records at or before UptoSeq are dead once the
 // checkpoint is durable, which is what licenses Rewrite.
 type CheckpointRecord struct {

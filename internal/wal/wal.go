@@ -11,7 +11,7 @@
 //   - Batch — one applied edge batch (the epoch it produced plus the
 //     edges by name). Replaying batch records through the delta-join
 //     maintenance path reconstructs the in-memory overlay tiers.
-//   - Spill — a frozen overlay tier persisted as a format-v3 run file:
+//   - Spill — a frozen overlay tier persisted as a format-v4 run file:
 //     the file name and the contiguous batch-sequence range it covers.
 //     Recovery loads the precomputed runs instead of re-deriving them,
 //     bounding replay compute by the unspilled tail.
@@ -44,7 +44,7 @@ import (
 const (
 	// TypeBatch frames one applied edge batch.
 	TypeBatch uint8 = 1
-	// TypeSpill frames a tier spilled to a v3 run file.
+	// TypeSpill frames a tier spilled to a v4 run file.
 	TypeSpill uint8 = 2
 	// TypeCheckpoint frames a durable (graph, index) base pair.
 	TypeCheckpoint uint8 = 3

@@ -123,7 +123,7 @@ type Options struct {
 	// many in-process shards: Build constructs one index partition per
 	// shard, queries run the unsharded plan and read each segment across
 	// the shards' runs, and SaveShardedIndex/Open round-trip the
-	// layout as a directory of per-shard v3 files plus a manifest. 0 or 1
+	// layout as a directory of per-shard v4 files plus a manifest. 0 or 1
 	// keeps the single-index layout.
 	Shards int
 }
@@ -234,6 +234,14 @@ var ErrIndexClosed = pathindex.ErrClosed
 // list, where identifiers follow file order and isolated nodes vanish).
 var ErrGraphMismatch = pathindex.ErrGraphMismatch
 
+// ErrCorrupt is the error (matched with errors.Is) behind an open of an
+// index file whose header, directories or block directories fail their
+// checksum or structure checks, and behind a query, update or load that
+// read a block whose bytes fail theirs: the index file was damaged, and
+// rebuilding it with `rpq build` repairs it. A query that meets a
+// corrupt block fails; it never answers from the blocks it could read.
+var ErrCorrupt = pathindex.ErrCorrupt
+
 // Result is a query answer.
 type Result struct {
 	// Pairs are the answer (source, target) node identifiers.
@@ -328,9 +336,11 @@ func (db *DB) QueryParallelContext(ctx context.Context, query string, strategy S
 	return namedResult(e, res)
 }
 
-// SaveIndexV3 persists the k-path index to a file in the
-// block-compressed format v3 (delta+varint packed runs, typically a
-// fifth to a quarter of the raw pairs), the one index file format. The
+// SaveIndexV3 persists the k-path index to a file in the current index
+// format, v4 (the name predates it): block-compressed delta+varint
+// packed runs, typically a fifth to a quarter of the raw pairs, with
+// restart points for seeks and a CRC32C per block. It is the one index
+// file format. The
 // graph itself is not stored: Open serves the file over the same graph
 // (reloaded from its edge list) by block-granular decode-on-demand, and
 // BuildWithIndex decodes it onto the heap. Pending update tiers are
@@ -345,12 +355,13 @@ func (db *DB) SaveIndexV3(path string) error {
 	if err != nil {
 		return err
 	}
-	return ix.SaveV3(path)
+	return ix.Save(path)
 }
 
-// SaveShardedIndex persists a sharded index as a directory: one v3 file
-// per shard plus a manifest describing the partitioning, written under a
-// temporary name and renamed into place. Open auto-detects the layout
+// SaveShardedIndex persists a sharded index as a directory: one file in
+// the current index format (v4) per shard plus a manifest describing
+// the partitioning, written under a temporary name and renamed into
+// place. Open auto-detects the layout
 // and restores the same shard structure; pending update tiers are folded
 // into the saved shards. The DB must have been built with
 // Options.Shards > 1 (or opened from a sharded layout); use SaveIndexV3
@@ -365,7 +376,10 @@ func (db *DB) SaveShardedIndex(dir string) error {
 	}
 	defer st.Unpin()
 	if ls, ok := st.(*pathindex.Levels); ok {
-		st = ls.Compacted()
+		var err error
+		if st, err = ls.Compacted(); err != nil {
+			return err
+		}
 	}
 	return pathindex.SaveAtomic(st, dir)
 }
@@ -375,8 +389,10 @@ func (db *DB) SaveShardedIndex(dir string) error {
 // build` command, without rebuilding anything: the file is
 // memory-mapped and served by block-granular decode-on-scan over its
 // compressed runs, so open time is independent of the relation payload.
-// Index files of the retired formats v1 and v2 are refused with an error
-// naming the version; rebuild them with `rpq build`. The returned DB
+// Index files of the retired formats v1–v3 are refused with an error
+// naming the version; rebuild them with `rpq build`. A file whose
+// metadata fails its checksum is refused with ErrCorrupt, and so is any
+// later query that reads a block whose payload fails its own. The returned DB
 // serves exactly like one produced by Build with zero-valued non-K
 // Options; a DB built with explicit rewrite limits or histogram
 // resolution should be reopened with OpenWith and the same Options to
@@ -553,7 +569,7 @@ func (db *DB) maybeCompact() {
 // while the fold runs are re-stacked over the folded base when it is
 // installed. Queries keep flowing throughout. On a durable DB a
 // completed compaction is persisted as a checkpoint — graph snapshot
-// plus v3 index — and the WAL is truncated to the suffix the checkpoint
+// plus v4 index — and the WAL is truncated to the suffix the checkpoint
 // does not cover. It is a no-op when no updates have been applied since
 // the last compaction.
 func (db *DB) Compact() error {
@@ -717,13 +733,13 @@ type IndexStats struct {
 	BuildMillis float64 // index construction time
 
 	// FileBytes is the on-disk size of the index for file-backed storage
-	// (an opened v3 file); 0 for heap-backed indexes.
+	// (an opened index file); 0 for heap-backed indexes.
 	FileBytes int
 	// CompressionRatio is uncompressed payload bytes (8 per entry) over
 	// FileBytes; 0 when FileBytes is 0.
 	CompressionRatio float64
 	// BlocksDecoded and BytesDecoded are cumulative decompression
-	// counters for v3 storage (see also Stats.BlocksDecoded for the
+	// counters for file-backed storage (see also Stats.BlocksDecoded for the
 	// per-query delta); 0 for storage that decodes nothing.
 	BlocksDecoded int64
 	BytesDecoded  int64

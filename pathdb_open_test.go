@@ -189,11 +189,12 @@ func TestOpenErrors(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsRetiredFormats: index files of formats v1 and v2 —
-// whole, or just a header — are refused by every reader with an error
-// that names the version and points at the rebuild, never mis-parsed
-// and never a panic. The files are a v3 image with its version field
-// rewritten, which is all any reader inspects before refusing.
+// TestOpenRejectsRetiredFormats: index files of formats v1, v2 and v3
+// — whole, or just a header — are refused by every reader with an error
+// that names the version, points at the rebuild and wraps
+// pathindex.ErrFormatVersion, never mis-parsed and never a panic. The
+// files are a current image with its version field rewritten, which is
+// all any reader inspects before refusing.
 func TestOpenRejectsRetiredFormats(t *testing.T) {
 	graphPath := writeTestGraph(t)
 	g, err := pathdb.LoadGraph(graphPath)
@@ -237,7 +238,7 @@ func TestOpenRejectsRetiredFormats(t *testing.T) {
 			return err
 		},
 	}
-	for _, version := range []uint32{1, 2} {
+	for _, version := range []uint32{1, 2, 3} {
 		retired := slices.Clone(image)
 		binary.LittleEndian.PutUint32(retired[4:], version)
 		for _, size := range []int{len(retired), 16} {
@@ -255,7 +256,7 @@ func TestOpenRejectsRetiredFormats(t *testing.T) {
 					return read(path)
 				}()
 				want := fmt.Sprintf("v%d", version)
-				if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "rpq build") {
+				if !errors.Is(err, pathindex.ErrFormatVersion) || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "rpq build") {
 					t.Errorf("%s on a %d-byte %s file: %v, want an error naming %s and `rpq build`", name, size, want, err, want)
 				}
 			}

@@ -231,7 +231,7 @@ func TestDurableSpillShortcutAndCorruption(t *testing.T) {
 		db2.Close()
 
 		// Corrupt every spill file mid-payload: recovery must detect it
-		// (checksummed v3 blocks / length validation) and replay instead.
+		// (block checksums / length validation) and replay instead.
 		ents, err := os.ReadDir(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -303,7 +303,7 @@ func TestDurableCheckpointTruncatesWAL(t *testing.T) {
 		if st.WALRecords != 1 { // just the checkpoint record
 			t.Fatalf("WAL holds %d records after checkpoint, want 1", st.WALRecords)
 		}
-		// The checkpoint index takes the lineage's layout: one v3 file, or
+		// The checkpoint index takes the lineage's layout: one index file, or
 		// a sharded directory.
 		pix, err := filepath.Glob(filepath.Join(dir, "ckpt-*.pix"))
 		if err != nil || len(pix) != 1 {
@@ -631,9 +631,7 @@ func pathsKStats(t *testing.T, db *pathdb.DB) []float64 {
 // checkpointed reports the same count and selectivities after
 // OpenDurable replays its directory, whatever tier shapes the replay
 // rebuilds: loading the spills, or replaying every batch unmerged once
-// they are gone. Spill files written before they carried their tier's
-// count (0 in the header's |paths_k|) still recover, the tiers recounted
-// from their runs.
+// they are gone.
 func TestDurableRecoveryKeepsPathsK(t *testing.T) {
 	forShardLayouts(t, func(t *testing.T, shards int) {
 		const seed = 27
@@ -689,30 +687,10 @@ func TestDurableRecoveryKeepsPathsK(t *testing.T) {
 		}
 		db2.Close()
 
-		// Zero the |paths_k| field of every spill file, as spills were
-		// written before they carried their tier's count.
 		spills, err := filepath.Glob(filepath.Join(dopts.Dir, "spill-*"))
 		if err != nil || len(spills) == 0 {
 			t.Fatalf("no spill files (%v)", err)
 		}
-		for _, p := range spills {
-			data, err := os.ReadFile(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			clear(data[40:48])
-			if err := os.WriteFile(p, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		db3 := reopen("recovery over count-less spills", true)
-		// A recount is exact per tier, so it lands between the rebuild's
-		// exact count and the per-batch sum.
-		if got := db3.IndexStats().PathsKCount; got < exact || got > int(want[0]) {
-			t.Fatalf("PathsKCount over recounted spills = %d, want within [%d, %v]", got, exact, want[0])
-		}
-		db3.Close()
-
 		for _, p := range spills {
 			if err := os.Remove(p); err != nil {
 				t.Fatal(err)
